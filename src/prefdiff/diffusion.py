@@ -87,8 +87,13 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
     """Ancestral sampling for a batch of caption encodings.
 
     Each row of ``encodings`` gets its own generator seeded from ``seeds``, so
-    results are independent of how samples are batched. Returns an array of
-    images clamped to [-1, 1].
+    batching changes a sample only through the rounding of the batched matrix
+    products (BLAS blocks rows differently by batch size), which the reverse
+    chain can amplify. For a small network (grid 6, hidden 16, T 5) with
+    random weights, batch and single calls agree within 1e-4 in float32 and
+    1e-10 in float64 (measured: about 5e-6 and 4e-15); a large network with
+    badly scaled weights can drift further. Returns an array of images
+    clamped to [-1, 1].
 
     Raises NumericDivergenceError naming the offending step if any
     intermediate becomes non-finite.

@@ -20,7 +20,7 @@ from . import toyworld as tw
 from . import trainer
 from .datapipe import _child_seed, dataset_captions, sample_caption
 
-METHODS = ("baseline", "sft", "image_dpo", "text_dpo", "bidpo", "bidpo_region")
+METHODS = ("baseline",) + trainer.METHODS
 REPORT_FORMATS = ("csv", "json", "markdown")
 
 
@@ -30,10 +30,6 @@ class Scorecard:
     validity: float
     sample_count: int
     seed: int
-
-    def attribute_mean(self):
-        dims = [d for d in ("color", "shape", "texture") if d in self.per_dimension]
-        return float(np.mean([self.per_dimension[d] for d in dims]))
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed,
     sampling by default; ``sampler`` may inject any (params, captions,
     encodings, sched, seeds) -> images callable) and oracle-checked against
     the prompt. Returns a Scorecard; deterministic given (params, prompts,
-    seed).
+    seed). No prompts give an empty Scorecard with validity 0.
     """
     if exclude is not None:
         overlap = set(prompts) & set(exclude)
@@ -107,6 +103,8 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed,
         for j in range(samples_per_prompt):
             expanded.append(cap)
             seeds.append(_child_seed(seed, i, j))
+    if not expanded:
+        return Scorecard(per_dimension={}, validity=0.0, sample_count=0, seed=seed)
     encodings = np.stack([net.encode_caption(c).vector for c in expanded])
     images = sampler(params, expanded, encodings, sched, seeds)
 
@@ -122,7 +120,7 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed,
             pass
     per_dimension = {dim: float(np.mean(vals)) for dim, vals in sorted(passes.items())}
     return Scorecard(per_dimension=per_dimension,
-                     validity=valid / len(expanded) if expanded else 0.0,
+                     validity=valid / len(expanded),
                      sample_count=len(expanded), seed=seed)
 
 

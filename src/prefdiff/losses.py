@@ -10,8 +10,14 @@ The image-contrastive loss noises winner and loser images separately and
 conditions both on the winner caption. The caption-contrastive loss evaluates
 all four terms on one noised winner image, conditioned on the winner vs the
 loser caption. The bimodal loss is the sum of two caption-contrastive terms
-with the roles mirrored. Gradients flow only through the policy's passes;
-frozen reference passes are evaluated outside the tape.
+with the roles mirrored.
+
+Every loss is a batch mean over per-row, mask-weighted squared errors
+e = sum(mask * (pred - target)^2), so its gradient has a closed form: each
+loss forms dL/de per row, c_row = +-sigmoid(arg) * coef / N for the
+preference losses and 1 / (N * D) for SFT, hence dL/dpred = 2 * c_row * mask
+* (pred - target), and ``net.backward`` carries that through the policy's
+forward pass. The reference only contributes values.
 """
 
 from dataclasses import dataclass
@@ -39,16 +45,17 @@ class LossBatchItem:
 
 
 @dataclass
-class TapedLoss:
-    """Scalar loss value plus the tape needed to differentiate it."""
+class Loss:
+    """Scalar batch loss plus what its closed-form gradient needs."""
 
     value: float
-    root: ad.Tensor
-    theta: net.ParamTensors
     margin: float               # mean sigmoid argument over the batch
+    theta: net.DenoiserParams   # the policy the loss was computed from
+    acts: list                  # the policy forward pass, as net.forward_rows caches it
+    d_out: np.ndarray           # dL/d(stack output), one row per policy row
 
     def backward(self):
-        return net.backward(self.theta.params, self)
+        return net.backward(self.theta, self)
 
 
 def masked_sq_err(eps, eps_hat, mask=None):
@@ -75,90 +82,90 @@ def _mask_weights(mask, image_shape):
     raise ValueError(f"mask shape {w.shape} incompatible with image {image_shape}")
 
 
-def _mask_rows(masks, image_shape):
-    """Stack masks to flat per-row weights, or None when every mask is trivial."""
+def _mask_rows(masks, image_shape, dtype=np.float64):
+    """Stack masks to flat per-row weights, all ones where a mask is None;
+    None when every mask is None."""
     if masks is None or all(m is None for m in masks):
         return None
-    flat = []
-    for m in masks:
-        if m is None:
-            flat.append(np.ones(image_shape).reshape(-1))
-        else:
-            flat.append(np.broadcast_to(_mask_weights(m, image_shape), image_shape).reshape(-1))
-    return np.stack(flat)
+    rows = np.ones((len(masks), int(np.prod(image_shape))), dtype=dtype)
+    for row, m in zip(rows, masks):
+        if m is not None:
+            row[:] = np.broadcast_to(_mask_weights(m, image_shape), image_shape).reshape(-1)
+    return rows
 
 
-def _wrap_policy_and_ref(theta, ref):
-    """Wrap the policy on the tape; reuse its leaves when the reference is the
-    same trainable object so the contrast cancels exactly."""
-    theta_pt = net.ParamTensors.wrap(theta)
-    if ref is theta:
-        return theta_pt, theta_pt
-    if ref.trainable:
-        return theta_pt, net.ParamTensors.wrap(ref)
-    return theta_pt, None
-
-
-def _errors(pt_or_params, rows, t_rows, sched, targets, mask_rows, use_tape):
-    """Per-row weighted squared noise-prediction errors, shape (M,)."""
-    if use_tape:
-        pred = net.predict_noise_tape(pt_or_params, rows, t_rows, sched)
-        diff = ad.sub(pred, ad.constant(targets))
-        sq = ad.mul(diff, diff)
-        if mask_rows is not None:
-            sq = ad.mul(sq, ad.constant(mask_rows))
-        return ad.tsum(sq, axis=1)
-    pred = net.predict_noise_rows(pt_or_params, rows, t_rows, sched)
-    sq = np.square(pred - targets)
-    if mask_rows is not None:
-        sq = sq * mask_rows
-    return ad.constant(sq.sum(axis=1))
+def _errors(params, rows, t_rows, sched, targets, mask_rows, acts=None):
+    """Per-row weighted squared noise-prediction errors, shape (M,), and the
+    weighted residual mask * (pred - target) that their gradient needs."""
+    resid = net.predict_noise_rows(params, rows, t_rows, sched, acts) - targets
+    weighted = resid if mask_rows is None else resid * mask_rows
+    return (weighted * resid).sum(axis=1), weighted
 
 
 def _check_finite(loss, context):
-    if not np.all(np.isfinite(loss.data)):
+    if not np.all(np.isfinite(loss)):
         raise df.NumericDivergenceError(f"non-finite loss in {context}")
 
 
-def _contrast_batch(theta, ref, rows_w, rows_l, t_arr, sched, tgt_w, tgt_l, coef,
-                    mask_w_rows=None, mask_l_rows=None, context="dpo"):
-    """Shared contrastive core over a batch of N items.
+def _contrast_batch(e_theta, e_ref, coef, context):
+    """Shared contrastive core over one term of N items, whose rows [0, N)
+    are the preferred branch and [N, 2N) the dispreferred one.
 
-    Returns (per_item_loss Tensor (N,), theta ParamTensors, sigma_args (N,)).
+    Returns (per-item loss (N,), sigma arguments (N,), dloss_i/de_theta per
+    row (2N,)).
     """
-    theta_pt, ref_pt = _wrap_policy_and_ref(theta, ref)
-    n = rows_w.shape[0]
-    rows = np.concatenate([rows_w, rows_l], axis=0)
-    t_rows = np.concatenate([t_arr, t_arr])
-    targets = np.concatenate([tgt_w, tgt_l], axis=0)
-    masks = None
-    if mask_w_rows is not None or mask_l_rows is not None:
-        ones = np.ones_like(tgt_w)
-        masks = np.concatenate([mask_w_rows if mask_w_rows is not None else ones,
-                                mask_l_rows if mask_l_rows is not None else ones], axis=0)
-    e_theta = _errors(theta_pt, rows, t_rows, sched, targets, masks, use_tape=True)
-    if ref_pt is not None:
-        e_ref = _errors(ref_pt, rows, t_rows, sched, targets, masks, use_tape=True)
-    else:
-        e_ref = _errors(ref, rows, t_rows, sched, targets, masks, use_tape=False)
-
-    d_w = ad.sub(ad.slice_rows(e_theta, 0, n), ad.slice_rows(e_ref, 0, n))
-    d_l = ad.sub(ad.slice_rows(e_theta, n, 2 * n), ad.slice_rows(e_ref, n, 2 * n))
-    bracket = ad.sub(d_w, d_l)
-    arg = ad.mul(bracket, np.asarray(coef))       # sigma argument is -arg
+    n = len(coef)
+    d = e_theta - e_ref
+    arg = (d[:n] - d[n:]) * coef          # sigma argument is -arg
     per_item = ad.softplus(arg)
     _check_finite(per_item, context)
-    return per_item, theta_pt, -arg.data
+    slope = ad._sigmoid(arg) * coef
+    return per_item, -arg, np.concatenate([slope, -slope])
 
 
-def scalarize(per_item, theta_pt, sigma_args):
-    root = ad.tmean(per_item)
-    return TapedLoss(value=float(root.data), root=root, theta=theta_pt,
-                     margin=float(np.mean(sigma_args)))
+def _loss(theta, value, margin, acts, weighted, c_rows, t_rows, sched):
+    """Package a batch loss whose derivative by the policy's row errors is
+    ``c_rows``; dL/dpred = 2 * c_row * mask * (pred - target).
+
+    ``d_out`` takes the parameters' dtype, so the backward pass runs in it
+    even where the x0 coefficients promote predictions to float64.
+    """
+    scale = 2.0 * c_rows[:, None] * net.noise_output_slope(theta.cfg, t_rows, sched)
+    d_out = np.multiply(scale, weighted, dtype=theta.layers[0][0].dtype)
+    return Loss(value=value, margin=margin, theta=theta, acts=acts, d_out=d_out)
+
+
+def _dpo_batch(theta, ref, rows, t_arr, sched, targets, masks, coef, context):
+    """Mean over N items of a sum of contrastive terms.
+
+    ``rows`` stacks the terms, 2N rows each, laid out as ``_contrast_batch``
+    expects. When ``ref is theta`` the reference passes are the policy's own:
+    every bracket is exactly zero, and so is the gradient, since the
+    reference's share of it cancels the policy's.
+    """
+    n = len(t_arr)
+    t_rows = np.tile(t_arr, len(rows) // n)
+    acts = []
+    e_theta, weighted = _errors(theta, rows, t_rows, sched, targets, masks, acts)
+    e_ref = e_theta if ref is theta else _errors(ref, rows, t_rows, sched, targets, masks)[0]
+    terms = [_contrast_batch(e_theta[k:k + 2 * n], e_ref[k:k + 2 * n], coef, context)
+             for k in range(0, len(rows), 2 * n)]
+    per_item = sum(term[0] for term in terms)
+    args = np.mean([term[1] for term in terms], axis=0)
+    c_rows = np.concatenate([term[2] for term in terms]) / n
+    if ref is theta:
+        c_rows = np.zeros_like(c_rows)
+    return _loss(theta, float(np.mean(per_item)), float(np.mean(args)), acts, weighted,
+                 c_rows, t_rows, sched)
 
 
 def _coef(beta, sched, t_arr):
     return beta * sched.T * df.omega_vector(sched, t_arr)
+
+
+def _noised(x0, eps, t_arr, sched):
+    ab = sched.alpha_bar[t_arr].reshape(-1, 1, 1, 1)
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +173,20 @@ def _coef(beta, sched, t_arr):
 
 def diffusion_dpo_batch(theta, ref, x0_w, x0_l, enc_w, t_arr, eps_w, eps_l, beta, sched):
     n = x0_w.shape[0]
-    ab = sched.alpha_bar[t_arr].reshape(n, 1, 1, 1)
-    xt_w = np.sqrt(ab) * x0_w + np.sqrt(1.0 - ab) * eps_w
-    xt_l = np.sqrt(ab) * x0_l + np.sqrt(1.0 - ab) * eps_l
-    rows_w = net.assemble_input(theta, xt_w, t_arr, enc_w, sched)
-    rows_l = net.assemble_input(theta, xt_l, t_arr, enc_w, sched)
-    per_item, pt, args = _contrast_batch(
-        theta, ref, rows_w, rows_l, t_arr, sched,
-        eps_w.reshape(n, -1), eps_l.reshape(n, -1),
-        _coef(beta, sched, t_arr), context="diffusion_dpo_loss")
-    return per_item, pt, args
+    rows = np.concatenate([
+        net.assemble_input(theta, _noised(x0_w, eps_w, t_arr, sched), t_arr, enc_w, sched),
+        net.assemble_input(theta, _noised(x0_l, eps_l, t_arr, sched), t_arr, enc_w, sched),
+    ], axis=0)
+    targets = np.concatenate([eps_w.reshape(n, -1), eps_l.reshape(n, -1)], axis=0)
+    return _dpo_batch(theta, ref, rows, t_arr, sched, targets, None,
+                      _coef(beta, sched, t_arr), "diffusion_dpo_loss")
 
 
 def diffusion_dpo_loss(theta, ref, item, sched):
     """Contrast denoising errors of the winner and loser images.
 
     Both branches condition on the winner caption; see LossBatchItem for the
-    sampled (t, noise) pair. Returns a TapedLoss.
+    sampled (t, noise) pair. Returns a Loss.
     """
     pair = item.pair
     if not 0 <= item.t < sched.T:
@@ -190,11 +194,10 @@ def diffusion_dpo_loss(theta, ref, item, sched):
     if np.asarray(item.eps_w).shape != np.asarray(pair.x0_w).shape:
         raise ValueError("noise shape must match image shape")
     enc_w = net.encode_caption(pair.y_w).vector[None]
-    per_item, pt, args = diffusion_dpo_batch(
+    return diffusion_dpo_batch(
         theta, ref, np.asarray(pair.x0_w)[None], np.asarray(pair.x0_l)[None],
         enc_w, np.array([item.t]), np.asarray(item.eps_w)[None],
         np.asarray(item.eps_l)[None], item.beta, sched)
-    return scalarize(per_item, pt, args)
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +205,21 @@ def diffusion_dpo_loss(theta, ref, item, sched):
 
 def text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps, beta, sched,
                    masks=None, eps_l=None):
+    """``masks`` is None or (N, D) flat weight rows, as ``_mask_rows`` stacks
+    them, applied to both captions' errors."""
     n = x0_w.shape[0]
-    ab = sched.alpha_bar[t_arr].reshape(n, 1, 1, 1)
-    xt_w = np.sqrt(ab) * x0_w + np.sqrt(1.0 - ab) * eps
-    rows_w = net.assemble_input(theta, xt_w, t_arr, enc_w, sched)
+    xt_w = _noised(x0_w, eps, t_arr, sched)
     if eps_l is None:
-        rows_l = net.assemble_input(theta, xt_w, t_arr, enc_l, sched)
-        tgt_l = eps.reshape(n, -1)
+        xt_l, eps_l = xt_w, eps
     else:
-        xt_l = np.sqrt(ab) * x0_w + np.sqrt(1.0 - ab) * eps_l
-        rows_l = net.assemble_input(theta, xt_l, t_arr, enc_l, sched)
-        tgt_l = eps_l.reshape(n, -1)
-    mask_rows = _mask_rows(masks, x0_w.shape[1:])
-    per_item, pt, args = _contrast_batch(
-        theta, ref, rows_w, rows_l, t_arr, sched, eps.reshape(n, -1), tgt_l,
-        _coef(beta, sched, t_arr), mask_w_rows=mask_rows, mask_l_rows=mask_rows,
-        context="text_dpo_loss")
-    return per_item, pt, args
+        xt_l = _noised(x0_w, eps_l, t_arr, sched)
+    rows = np.concatenate([net.assemble_input(theta, xt_w, t_arr, enc_w, sched),
+                           net.assemble_input(theta, xt_l, t_arr, enc_l, sched)], axis=0)
+    targets = np.concatenate([eps.reshape(n, -1), eps_l.reshape(n, -1)], axis=0)
+    if masks is not None:
+        masks = np.concatenate([masks, masks], axis=0)
+    return _dpo_batch(theta, ref, rows, t_arr, sched, targets, masks,
+                      _coef(beta, sched, t_arr), "text_dpo_loss")
 
 
 def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched,
@@ -227,7 +228,7 @@ def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched,
 
     A single shared noise draw feeds all four terms unless an independent
     loser-branch draw ``eps_l`` is supplied. ``mask`` defaults to all-ones.
-    Returns a TapedLoss.
+    Returns a Loss.
     """
     if not 0 <= t < sched.T:
         raise ValueError(f"step index {t} out of range [0, {sched.T})")
@@ -236,12 +237,10 @@ def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched,
         raise ValueError("noise shape must match image shape")
     enc_w = net.encode_caption(y_w).vector[None]
     enc_l = net.encode_caption(y_l).vector[None]
-    per_item, pt, args = text_dpo_batch(
+    return text_dpo_batch(
         theta, ref, x0_w[None], enc_w, enc_l, np.array([t]),
-        np.asarray(eps)[None], beta, sched,
-        masks=None if mask is None else [mask],
+        np.asarray(eps)[None], beta, sched, masks=_mask_rows([mask], x0_w.shape),
         eps_l=None if eps_l is None else np.asarray(eps_l)[None])
-    return scalarize(per_item, pt, args)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +259,15 @@ def pair_masks(pair, use_region):
 
 def bidpo_batch(theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l,
                 beta, sched, masks_w=None, masks_l=None):
-    """Sum of the two mirrored caption-contrastive terms, batched."""
-    theta_pt, ref_pt = _wrap_policy_and_ref(theta, ref)
+    """Sum of the two mirrored caption-contrastive terms, batched.
+
+    ``masks_w``/``masks_l`` are None or (N, D) flat weight rows for the
+    winner/loser image, as ``_mask_rows`` stacks them.
+    """
     n = x0_w.shape[0]
-    ab = sched.alpha_bar[t_arr].reshape(n, 1, 1, 1)
-    xt_w = np.sqrt(ab) * x0_w + np.sqrt(1.0 - ab) * eps_w
-    xt_l = np.sqrt(ab) * x0_l + np.sqrt(1.0 - ab) * eps_l
-    # rows: [w-image|w-cap, w-image|l-cap, l-image|l-cap, l-image|w-cap]
+    xt_w = _noised(x0_w, eps_w, t_arr, sched)
+    xt_l = _noised(x0_l, eps_l, t_arr, sched)
+    # term 1: w-image|w-cap vs w-image|l-cap; term 2: l-image|l-cap vs l-image|w-cap
     rows = np.concatenate([
         net.assemble_input(theta, xt_w, t_arr, enc_w, sched),
         net.assemble_input(theta, xt_w, t_arr, enc_l, sched),
@@ -276,37 +277,14 @@ def bidpo_batch(theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l,
     tgt_w = eps_w.reshape(n, -1)
     tgt_l = eps_l.reshape(n, -1)
     targets = np.concatenate([tgt_w, tgt_w, tgt_l, tgt_l], axis=0)
-    shape = x0_w.shape[1:]
-    mw = _mask_rows(masks_w, shape)
-    ml = _mask_rows(masks_l, shape)
     masks = None
-    if mw is not None or ml is not None:
+    if masks_w is not None or masks_l is not None:
         ones = np.ones_like(tgt_w)
-        mw = mw if mw is not None else ones
-        ml = ml if ml is not None else ones
+        mw = masks_w if masks_w is not None else ones
+        ml = masks_l if masks_l is not None else ones
         masks = np.concatenate([mw, mw, ml, ml], axis=0)
-
-    t_rows = np.concatenate([t_arr] * 4)
-    e_theta = _errors(theta_pt, rows, t_rows, sched, targets, masks, use_tape=True)
-    if ref_pt is not None:
-        e_ref = _errors(ref_pt, rows, t_rows, sched, targets, masks, use_tape=True)
-    else:
-        e_ref = _errors(ref, rows, t_rows, sched, targets, masks, use_tape=False)
-
-    coef = _coef(beta, sched, t_arr)
-    per_term = []
-    args = []
-    for k in (0, 2):   # term 1: rows 0 vs 1; term 2: rows 2 vs 3
-        d_w = ad.sub(ad.slice_rows(e_theta, k * n, (k + 1) * n),
-                     ad.slice_rows(e_ref, k * n, (k + 1) * n))
-        d_l = ad.sub(ad.slice_rows(e_theta, (k + 1) * n, (k + 2) * n),
-                     ad.slice_rows(e_ref, (k + 1) * n, (k + 2) * n))
-        arg = ad.mul(ad.sub(d_w, d_l), coef)
-        per_term.append(ad.softplus(arg))
-        args.append(-arg.data)
-    per_item = ad.add(per_term[0], per_term[1])
-    _check_finite(per_item, "bidpo_loss")
-    return per_item, theta_pt, np.mean(args, axis=0)
+    return _dpo_batch(theta, ref, rows, t_arr, sched, targets, masks,
+                      _coef(beta, sched, t_arr), "bidpo_loss")
 
 
 def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False):
@@ -316,29 +294,27 @@ def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False)
     mask_w, mask_l = pair_masks(pair, use_region)
     enc_w = net.encode_caption(pair.y_w).vector[None]
     enc_l = net.encode_caption(pair.y_l).vector[None]
-    per_item, pt, args = bidpo_batch(
+    shape = np.asarray(pair.x0_w).shape
+    return bidpo_batch(
         theta, ref, np.asarray(pair.x0_w)[None], np.asarray(pair.x0_l)[None],
         enc_w, enc_l, np.array([t]), np.asarray(eps_w)[None],
         np.asarray(eps_l)[None], beta, sched,
-        masks_w=None if mask_w is None else [mask_w],
-        masks_l=None if mask_l is None else [mask_l])
-    return scalarize(per_item, pt, args)
+        masks_w=_mask_rows([mask_w], shape), masks_l=_mask_rows([mask_l], shape))
 
 
 # ---------------------------------------------------------------------------
 # supervised baseline
 
 def sft_batch(theta, x0, enc, t_arr, eps, sched):
+    """Batch mean of the per-cell mean squared noise-prediction error."""
     n = x0.shape[0]
-    ab = sched.alpha_bar[t_arr].reshape(n, 1, 1, 1)
-    xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    rows = net.assemble_input(theta, xt, t_arr, enc, sched)
-    theta_pt = net.ParamTensors.wrap(theta)
-    per_item = ad.mul(_errors(theta_pt, rows, t_arr, sched, eps.reshape(n, -1),
-                              None, use_tape=True),
-                      1.0 / eps[0].size)
+    rows = net.assemble_input(theta, _noised(x0, eps, t_arr, sched), t_arr, enc, sched)
+    acts = []
+    errors, resid = _errors(theta, rows, t_arr, sched, eps.reshape(n, -1), None, acts)
+    per_item = errors * (1.0 / eps[0].size)
     _check_finite(per_item, "sft_loss")
-    return per_item, theta_pt
+    return _loss(theta, float(np.mean(per_item)), 0.0, acts, resid,
+                 np.full(n, 1.0 / (n * eps[0].size)), t_arr, sched)
 
 
 def sft_loss(theta, x0, y, t, eps, sched):
@@ -348,6 +324,4 @@ def sft_loss(theta, x0, y, t, eps, sched):
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
     enc = net.encode_caption(y).vector[None]
-    per_item, pt = sft_batch(theta, x0[None], enc, np.array([t]), eps[None], sched)
-    root = ad.tmean(per_item)
-    return TapedLoss(value=float(root.data), root=root, theta=pt, margin=0.0)
+    return sft_batch(theta, x0[None], enc, np.array([t]), eps[None], sched)

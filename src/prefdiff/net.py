@@ -1,18 +1,18 @@
-"""Conditional noise-prediction MLP with explicit reverse-mode gradients.
+"""Conditional noise-prediction MLP with a closed-form backward pass.
 
 The network maps (noisy image, sinusoidal time embedding, caption encoding)
 to a predicted noise image through an input -> hidden -> hidden -> output
 stack. A frozen deep copy of the parameters serves as the reference model for
-the preference losses; frozen parameters are evaluated outside the gradient
-tape.
+the preference losses. Gradients are the textbook backward pass of this fixed
+stack: a loss hands ``backward`` the activations its policy forward pass
+cached and its gradient with respect to the stack output.
 """
 
 import base64
-import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,67 +188,51 @@ def assemble_input(params, x_t, t_arr, encodings, sched):
         [x_t.reshape(n, -1), temb, encodings], axis=1).astype(dtype)
 
 
-@dataclass
-class ParamTensors:
-    """Tape leaves wrapping one parameter set for a single loss evaluation."""
+def forward_rows(params, x_rows, acts=None):
+    """Plain numpy stack output over assembled input rows.
 
-    params: DenoiserParams
-    layers: list = field(default_factory=list)
-
-    @classmethod
-    def wrap(cls, params):
-        return cls(params=params,
-                   layers=[(ad.param(w), ad.param(b)) for w, b in params.layers])
-
-
-def forward_tape(pt, x_rows):
-    """Batched stack output through tape leaves; returns an (N, D_out) Tensor."""
-    cfg = pt.params.cfg
-    h = ad.constant(x_rows)
-    last = len(pt.layers) - 1
-    for i, (w, b) in enumerate(pt.layers):
-        h = ad.add(ad.matmul(h, w), b)
-        if i < last and cfg.activation == "silu":
-            h = ad.silu(h)
-    return h
-
-
-def forward_rows(params, x_rows):
-    """Plain numpy stack output over assembled input rows (no gradient tape)."""
+    When ``acts`` is a list, each layer appends what ``backward`` needs:
+    (layer input, pre-activation, sigmoid of it or None where no SiLU).
+    """
     cfg = params.cfg
     h = x_rows
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
-        h = h @ w + b
+        z = h @ w + b
+        s = None
         if i < last and cfg.activation == "silu":
-            h = h * ad._sigmoid(h)
+            out, s = ad.silu(z)
+        else:
+            out = z
+        if acts is not None:
+            acts.append((h, z, s))
+        h = out
     return h
 
 
-def _noise_coeffs(cfg, t_arr, sched):
+def _noise_coeffs(t_arr, sched):
     ab = sched.alpha_bar[np.asarray(t_arr)][:, None]
     return np.sqrt(ab), 1.0 / np.sqrt(1.0 - ab)
 
 
-def predict_noise_rows(params, rows, t_arr, sched):
-    """Per-row noise prediction (plain numpy), honoring the parameterization."""
-    out = forward_rows(params, rows)
+def predict_noise_rows(params, rows, t_arr, sched, acts=None):
+    """Per-row noise prediction, honoring the parameterization; ``acts`` as
+    in ``forward_rows``."""
+    out = forward_rows(params, rows, acts)
     if params.cfg.parameterization == "eps":
         return out
-    sqrt_ab, inv_rest = _noise_coeffs(params.cfg, t_arr, sched)
+    sqrt_ab, inv_rest = _noise_coeffs(t_arr, sched)
     x_flat = rows[:, :params.cfg.image_dim]
     return (x_flat - sqrt_ab * out) * inv_rest
 
 
-def predict_noise_tape(pt, rows, t_arr, sched):
-    """Taped counterpart of predict_noise_rows."""
-    out = forward_tape(pt, rows)
-    cfg = pt.params.cfg
+def noise_output_slope(cfg, t_arr, sched):
+    """d(noise prediction) / d(stack output) per row: 1 for "eps", and
+    -sqrt(ab) / sqrt(1 - ab) as an (N, 1) column for "x0"."""
     if cfg.parameterization == "eps":
-        return out
-    sqrt_ab, inv_rest = _noise_coeffs(cfg, t_arr, sched)
-    x_flat = rows[:, :cfg.image_dim]
-    return ad.mul(ad.sub(ad.constant(x_flat), ad.mul(out, sqrt_ab)), inv_rest)
+        return 1.0
+    sqrt_ab, inv_rest = _noise_coeffs(t_arr, sched)
+    return -sqrt_ab * inv_rest
 
 
 def forward_batch(params, x_t, t_arr, encodings, sched):
@@ -286,26 +270,28 @@ class Gradients:
 
 
 def backward(params, loss):
-    """Gradients of a taped scalar loss with respect to ``params``.
+    """Gradients of a loss from the losses module with respect to ``params``.
 
-    ``loss`` is a TapedLoss from the losses module (or any object exposing a
-    scalar ``root`` tensor plus the ParamTensors it was built from). Frozen
-    parameter sets never receive gradient, so asking for their gradients
-    returns zeros.
+    ``loss`` carries the activations of its policy forward pass (``acts``)
+    and dL/d(stack output) per row (``d_out``); the input rows get no
+    gradient. Frozen parameter sets never receive gradient, so asking for
+    their gradients returns zeros.
     """
     if not params.trainable:
         return Gradients(layers=[(np.zeros_like(w), np.zeros_like(b))
                                  for w, b in params.layers])
-    pt = loss.theta
-    if pt.params is not params:
-        raise ValueError("loss tape was not built from these parameters")
-    ad.backward(loss.root)
+    if loss.theta is not params:
+        raise ValueError("loss was not computed from these parameters")
+    g = loss.d_out
     grads = []
-    for w, b in pt.layers:
-        gw = w.grad if w.grad is not None else np.zeros_like(w.data)
-        gb = b.grad if b.grad is not None else np.zeros_like(b.data)
-        grads.append((gw, gb))
-    return Gradients(layers=grads)
+    for i in range(len(params.layers) - 1, -1, -1):
+        h, z, s = loss.acts[i]
+        if s is not None:
+            g = g * ad.silu_grad(z, s)
+        grads.append((h.T @ g, g.sum(axis=0)))
+        if i > 0:
+            g = g @ params.layers[i][0].T
+    return Gradients(layers=grads[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +352,3 @@ def load_checkpoint(path):
 def checkpoint_checksum(params):
     return _checksum(params.layers)
 
-
-def copy_params(params):
-    out = copy.deepcopy(params)
-    return out

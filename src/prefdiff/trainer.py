@@ -101,10 +101,6 @@ class MetricsLog:
     records: list = field(default_factory=list)
     evals: list = field(default_factory=list)
 
-    def __eq__(self, other):
-        return isinstance(other, MetricsLog) and self.records == other.records \
-            and self.evals == other.evals
-
 
 # ---------------------------------------------------------------------------
 # optimizer
@@ -175,12 +171,10 @@ class _BatchArrays:
         self.x0_l = np.stack([p.x0_l for p in dataset]).astype(dtype)
         self.enc_w = np.stack([net.encode_caption(p.y_w).vector for p in dataset])
         self.enc_l = np.stack([net.encode_caption(p.y_l).vector for p in dataset])
-        self.masks_w = []
-        self.masks_l = []
-        for p in dataset:
-            mask_w, mask_l = losses.pair_masks(p, use_region=True)
-            self.masks_w.append(mask_w)
-            self.masks_l.append(mask_l)
+        # region-weighting rows, stacked once; None when no pair has a mask
+        masks = [losses.pair_masks(p, use_region=True) for p in dataset]
+        self.masks_w = losses._mask_rows([mw for mw, _ in masks], shape, dtype)
+        self.masks_l = losses._mask_rows([ml for _, ml in masks], shape, dtype)
 
 
 def _batch_loss(method, theta, ref, arrays, idx, t_arr, rng, beta, sched, dtype,
@@ -196,27 +190,22 @@ def _batch_loss(method, theta, ref, arrays, idx, t_arr, rng, beta, sched, dtype,
             enc = np.where(flip[:, None], arrays.enc_l[idx], enc)
         if caption_dropout > 0.0:
             enc = np.where((rng.random(n) < caption_dropout)[:, None], 0.0, enc)
-        per_item, pt = losses.sft_batch(theta, x0, enc, t_arr, eps_w, sched)
-        return losses.scalarize(per_item, pt, np.zeros(n))
+        return losses.sft_batch(theta, x0, enc, t_arr, eps_w, sched)
     if method == "image_dpo":
         eps_l = rng.standard_normal((n,) + shape).astype(dtype)
-        out = losses.diffusion_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.x0_l[idx],
-                                         arrays.enc_w[idx], t_arr, eps_w, eps_l, beta, sched)
-        return losses.scalarize(*out)
+        return losses.diffusion_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.x0_l[idx],
+                                          arrays.enc_w[idx], t_arr, eps_w, eps_l, beta, sched)
     if method == "text_dpo":
-        out = losses.text_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.enc_w[idx],
-                                    arrays.enc_l[idx], t_arr, eps_w, beta, sched)
-        return losses.scalarize(*out)
+        return losses.text_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.enc_w[idx],
+                                     arrays.enc_l[idx], t_arr, eps_w, beta, sched)
     eps_l = rng.standard_normal((n,) + shape).astype(dtype)
+    masks_w = masks_l = None
     if method == "bidpo_region":
-        masks_w = [arrays.masks_w[i] for i in idx]
-        masks_l = [arrays.masks_l[i] for i in idx]
-    else:
-        masks_w = masks_l = None
-    out = losses.bidpo_batch(theta, ref, arrays.x0_w[idx], arrays.x0_l[idx],
-                             arrays.enc_w[idx], arrays.enc_l[idx], t_arr, eps_w, eps_l,
-                             beta, sched, masks_w=masks_w, masks_l=masks_l)
-    return losses.scalarize(*out)
+        masks_w = None if arrays.masks_w is None else arrays.masks_w[idx]
+        masks_l = None if arrays.masks_l is None else arrays.masks_l[idx]
+    return losses.bidpo_batch(theta, ref, arrays.x0_w[idx], arrays.x0_l[idx],
+                              arrays.enc_w[idx], arrays.enc_l[idx], t_arr, eps_w, eps_l,
+                              beta, sched, masks_w=masks_w, masks_l=masks_l)
 
 
 def train(config, dataset, init_params=None):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from conftest import randomized_params
 
 from prefdiff import autodiff as ad
+from prefdiff import diffusion as df
+from prefdiff import losses
+from prefdiff import net
+from prefdiff import toyworld as tw
 
 
 def fd_grad(f, x, h=1e-6):
@@ -22,76 +27,98 @@ def fd_grad(f, x, h=1e-6):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_composite_matches_finite_differences(seed):
+    # softplus(mean_rows(sum_cols(silu(x @ w)^2 * mask))), differentiated by
+    # hand with the kernels' derivatives
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(4, 3))
     x = rng.normal(size=(2, 4))
     mask = rng.uniform(0.5, 1.0, size=(2, 3))
 
     def value():
-        h = ad.silu(ad.matmul(ad.constant(x), ad.param(w)))
-        s = ad.tsum(ad.mul(ad.mul(h, h), ad.constant(mask)), axis=1)
-        return float(ad.softplus(ad.tmean(s)).data)
+        h, _ = ad.silu(x @ w)
+        return float(ad.softplus(np.mean((h * h * mask).sum(axis=1))))
 
-    wt = ad.param(w)
-    h = ad.silu(ad.matmul(ad.constant(x), wt))
-    s = ad.tsum(ad.mul(ad.mul(h, h), ad.constant(mask)), axis=1)
-    root = ad.softplus(ad.tmean(s))
-    ad.backward(root)
+    z = x @ w
+    h, s = ad.silu(z)
+    m = np.mean((h * h * mask).sum(axis=1))
+    g_h = ad._sigmoid(m) / x.shape[0] * 2.0 * h * mask
+    grad = x.T @ (g_h * ad.silu_grad(z, s))
     fd = fd_grad(value, w)
-    assert np.max(np.abs(fd - wt.grad)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+    assert np.max(np.abs(fd - grad)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
 def test_bias_broadcast_gradient():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(5, 3))
-    b = rng.normal(size=3)
-    bt = ad.param(b)
-    root = ad.tsum(ad.mul(ad.add(ad.constant(x), bt), ad.constant(x)))
-    ad.backward(root)
-    assert np.allclose(bt.grad, x.sum(axis=0))
+    # a bias is broadcast over rows, so its gradient sums the rows
+    cfg = net.NetConfig(grid=2, channels=1, hidden=5, time_dim=4)
+    params = randomized_params(net.init_params(cfg, seed=0), seed=1)
+    rng = np.random.default_rng(2)
+    acts = []
+    net.forward_rows(params, rng.normal(size=(6, cfg.input_dim)), acts)
+    d_out = rng.normal(size=(6, cfg.image_dim))
+    grads = losses.Loss(value=0.0, margin=0.0, theta=params, acts=acts,
+                        d_out=d_out).backward()
+    assert np.allclose(grads.layers[-1][1], d_out.sum(axis=0))
+    assert np.allclose(grads.layers[-1][0], acts[-1][0].T @ d_out)
 
 
 def test_shared_subexpression_accumulates():
-    xt = ad.param(np.array([2.0]))
-    y = ad.mul(xt, xt)              # x^2, same leaf twice
-    root = ad.tsum(ad.add(y, xt))   # x^2 + x
-    ad.backward(root)
-    assert xt.grad[0] == pytest.approx(5.0)   # 2x + 1 at x=2
+    # every row of a batch runs through the same weights: the batch-mean
+    # gradient is the mean of the single-item gradients
+    cfg = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4)
+    theta = randomized_params(net.init_params(cfg, seed=3), seed=4)
+    sched = df.make_schedule(6, 0.05, 0.3)
+    rng = np.random.default_rng(5)
+    x0 = rng.uniform(-1, 1, (2, 3, 3, 2))
+    eps = rng.standard_normal((2, 3, 3, 2))
+    caps = [tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color=c),))
+            for c in ("red", "blue")]
+    enc = np.stack([net.encode_caption(c).vector for c in caps])
+    t_arr = np.array([1, 4])
+    batch = losses.sft_batch(theta, x0, enc, t_arr, eps, sched).backward()
+    singles = [losses.sft_loss(theta, x0[i], caps[i], t_arr[i], eps[i], sched).backward()
+               for i in range(2)]
+    for li, (gw, gb) in enumerate(batch.layers):
+        assert np.allclose(gw, (singles[0].layers[li][0] + singles[1].layers[li][0]) / 2,
+                           rtol=1e-12, atol=1e-15)
+        assert np.allclose(gb, (singles[0].layers[li][1] + singles[1].layers[li][1]) / 2,
+                           rtol=1e-12, atol=1e-15)
 
 
 def test_slice_rows_routes_gradient():
-    xt = ad.param(np.arange(6.0).reshape(3, 2))
-    top = ad.tsum(ad.slice_rows(xt, 1, 3))
-    ad.backward(top)
-    assert np.array_equal(xt.grad, np.array([[0, 0], [1, 1], [1, 1.0]]))
+    # the contrastive core sends +dloss/de to the preferred rows [0, N) and
+    # -dloss/de to the dispreferred rows [N, 2N), checked by differencing
+    rng = np.random.default_rng(6)
+    e_theta = rng.uniform(0.0, 3.0, 6)
+    e_ref = rng.uniform(0.0, 3.0, 6)
+    coef = np.array([0.5, 1.0, 2.0])
+    _, _, slope = losses._contrast_batch(e_theta, e_ref, coef, "test")
+    fd = fd_grad(lambda: float(losses._contrast_batch(e_theta, e_ref, coef, "test")[0].sum()),
+                 e_theta)
+    assert np.max(np.abs(fd - slope)) < 1e-6
+    assert np.all(slope[:3] > 0) and np.array_equal(slope[3:], -slope[:3])
 
 
 def test_softplus_is_stable_and_exact_at_zero():
-    big = ad.softplus(ad.constant(np.array([800.0, -800.0, 0.0])))
-    assert np.isfinite(big.data).all()
-    assert big.data[0] == pytest.approx(800.0)
-    assert big.data[1] == 0.0
-    assert big.data[2] == np.log(2.0)
-
-
-def test_backward_rejects_non_scalar_root():
-    t = ad.param(np.ones(3))
-    with pytest.raises(ad.NonScalarRootError):
-        ad.backward(ad.mul(t, 2.0))
-
-
-def test_backward_rejects_tape_reuse():
-    t = ad.param(np.ones(3))
-    root = ad.tsum(t)
-    ad.backward(root)
-    with pytest.raises(ad.TapeReuseError):
-        ad.backward(root)
+    big = ad.softplus(np.array([800.0, -800.0, 0.0]))
+    assert np.isfinite(big).all()
+    assert big[0] == pytest.approx(800.0)
+    assert big[1] == 0.0
+    assert big[2] == np.log(2.0)
 
 
 def test_constants_receive_no_gradient():
-    c = ad.constant(np.ones(3))
-    t = ad.param(np.ones(3))
-    root = ad.tsum(ad.mul(c, t))
-    ad.backward(root)
-    assert c.grad is None
-    assert np.array_equal(t.grad, np.ones(3))
+    # a frozen parameter set is a constant of the loss: zero gradient
+    cfg = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4)
+    theta = randomized_params(net.init_params(cfg, seed=7), seed=8)
+    ref = net.clone_frozen(randomized_params(net.init_params(cfg, seed=7), seed=9))
+    sched = df.make_schedule(6, 0.05, 0.3)
+    rng = np.random.default_rng(10)
+    x0 = rng.uniform(-1, 1, (3, 3, 2))
+    eps = rng.standard_normal((3, 3, 2))
+    y_w = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="red"),))
+    y_l = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="blue"),))
+    loss = losses.text_dpo_loss(theta, ref, x0, y_w, y_l, 2, eps, 0.3, sched)
+    assert net.backward(ref, loss).global_norm() == 0.0
+    assert loss.backward().global_norm() > 0.0
+    frozen = losses.sft_loss(ref, x0, y_w, 2, eps, sched)
+    assert frozen.backward().global_norm() == 0.0

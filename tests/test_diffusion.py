@@ -139,6 +139,28 @@ def test_ddpm_sample_batch_matches_single_calls():
     assert np.array_equal(batch[1], singles[1])
 
 
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+def test_ddpm_sample_batch_matches_single_calls_within_tolerance(dtype, tol):
+    # a non-zero network: batching changes only the rounding of the matrix
+    # products, within the tolerance ddpm_sample_batch documents
+    from conftest import randomized_params
+
+    from prefdiff import toyworld as tw
+    cfg = net.NetConfig(grid=6, channels=3, hidden=16)
+    sched = df.make_schedule(5, 0.05, 0.3)
+    caps = [tw.Caption(dimension="shape", objects=(tw.ObjectSlot(s),))
+            for s in ("square", "disc", "triangle", "square")]
+    encs = np.stack([net.encode_caption(c).vector for c in caps])
+    seeds = [3, 4, 5, 6]
+    for seed in range(3):
+        params = randomized_params(net.init_params(cfg, seed=seed), seed=10 + seed)
+        params.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
+        batch = df.ddpm_sample_batch(params, encs, sched, seeds)
+        singles = np.stack([df.ddpm_sample_batch(params, encs[i:i + 1], sched, [s])[0]
+                            for i, s in enumerate(seeds)])
+        assert np.max(np.abs(batch - singles)) <= tol
+
+
 def test_ddpm_sample_reports_divergence_step():
     from prefdiff import toyworld as tw
     cfg = net.NetConfig(grid=4, channels=3, hidden=8)

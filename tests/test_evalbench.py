@@ -59,6 +59,13 @@ def test_evaluate_oracle_sampler_scores_one():
     assert card.sample_count == len(prompts) * 2
 
 
+def test_evaluate_without_prompts_returns_empty_scorecard():
+    cfg = micro_config()
+    params = net.init_params(cfg.net_config(), seed=0)
+    card = eb.evaluate(params, [], 2, cfg.schedule(), seed=6)
+    assert card == eb.Scorecard(per_dimension={}, validity=0.0, sample_count=0, seed=6)
+
+
 def test_evaluate_noise_sampler_has_no_validity():
     cfg = micro_config()
     params = net.init_params(cfg.net_config(), seed=0)
@@ -148,6 +155,11 @@ def test_report_json_round_trip_and_schema(tmp_path, micro_report):
         eb.emit_report(report, "json", path)
         assert eb.load_report(path, "json") == report
         jsonschema.validate(json.loads(path.read_text()), schema)
+
+
+def test_report_schema_method_enum_matches_methods():
+    enum = eb.report_schema()["properties"]["rows"]["items"]["properties"]["method"]["enum"]
+    assert tuple(enum) == eb.METHODS == ("baseline",) + trainer.METHODS
 
 
 def test_report_markdown_has_six_body_rows(tmp_path):

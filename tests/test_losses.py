@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (finite_difference_grads, max_relative_grad_error,
-                      randomized_params)
+                      norm_relative_grad_error, randomized_params)
 
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
@@ -359,3 +359,48 @@ def test_sft_gradient_matches_finite_differences():
     analytic = losses.sft_loss(theta, x0, CAP_RED, 2, eps, SCHED).backward()
     numeric = finite_difference_grads(loss_fn, theta)
     assert max_relative_grad_error(analytic.layers, numeric) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# batched gradient oracle
+
+@pytest.mark.parametrize("parameterization", ["eps", "x0"])
+def test_batch_losses_match_finite_differences(parameterization):
+    # n = 3 items with distinct steps and, under snr weighting, distinct
+    # per-item coefficients, so a wrong per-row coefficient layout shows
+    cfg = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4,
+                        parameterization=parameterization)
+    theta = randomized_params(net.init_params(cfg, seed=93), seed=94)
+    ref = net.clone_frozen(randomized_params(net.init_params(cfg, seed=93), seed=95))
+    sched = df.make_schedule(6, 0.05, 0.3, omega_mode="snr")
+    rng = np.random.default_rng(96)
+    shape = (3, 3, 2)
+    x0_w, x0_l = rng.uniform(-1, 1, (2, 3) + shape)
+    eps_w, eps_l = rng.standard_normal((2, 3) + shape)
+    caps = [tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color=c),))
+            for c in ("red", "blue", "green", "cyan")]
+    enc_w = np.stack([net.encode_caption(c).vector for c in caps[:3]])
+    enc_l = np.stack([net.encode_caption(c).vector for c in caps[1:]])
+    t_arr = np.array([0, 2, 5])
+    mask = tw.RegionMask(weights=np.where(rng.random((3, 3)) < 0.5, 1.0, 0.5),
+                         w_in=1.0, w_out=0.5)
+    masks_w = losses._mask_rows([mask, None, mask], shape)
+    masks_l = losses._mask_rows([None, mask, None], shape)
+    cases = {
+        "sft": lambda: losses.sft_batch(theta, x0_w, enc_w, t_arr, eps_w, sched),
+        "diffusion_dpo": lambda: losses.diffusion_dpo_batch(
+            theta, ref, x0_w, x0_l, enc_w, t_arr, eps_w, eps_l, 0.3, sched),
+        "text_dpo": lambda: losses.text_dpo_batch(
+            theta, ref, x0_w, enc_w, enc_l, t_arr, eps_w, 0.3, sched,
+            masks=masks_w, eps_l=eps_l),
+        "bidpo": lambda: losses.bidpo_batch(
+            theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l, 0.3, sched),
+        "bidpo_masked": lambda: losses.bidpo_batch(
+            theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l, 0.3, sched,
+            masks_w=masks_w, masks_l=masks_l),
+    }
+    for name, fn in cases.items():
+        analytic = fn().backward()
+        numeric = finite_difference_grads(lambda: fn().value, theta, h=1e-5)
+        err = norm_relative_grad_error(analytic.layers, numeric)
+        assert err < 1e-4, f"{name}: relative error {err:.2e}"

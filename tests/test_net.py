@@ -3,8 +3,8 @@ import pytest
 from conftest import (enumerate_captions, finite_difference_grads,
                       max_relative_grad_error, randomized_params)
 
-from prefdiff import autodiff as ad
 from prefdiff import diffusion as df
+from prefdiff import losses
 from prefdiff import net
 from prefdiff import toyworld as tw
 
@@ -78,8 +78,17 @@ def test_forward_is_pure():
     assert np.array_equal(a, b)
 
 
+def _probe_loss(params, rows, v):
+    """Loss v . f(rows) with its forward pass cached for net.backward."""
+    acts = []
+    out = net.forward_rows(params, rows, acts)
+    return losses.Loss(value=float((out * v).sum()), margin=0.0, theta=params,
+                       acts=acts, d_out=np.broadcast_to(v, out.shape))
+
+
 def test_forward_directional_derivative_matches_probe():
-    # reverse-mode input gradient of v . f(x) against a central difference
+    # parameter gradient of v . f(x) along a random direction against a
+    # central difference of the forward pass
     params = randomized_params(net.init_params(SMALL, seed=4), seed=5)
     sched = df.make_schedule(10, 0.05, 0.3)
     cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("disc"),))
@@ -87,44 +96,48 @@ def test_forward_directional_derivative_matches_probe():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 4, 3))
     v = rng.standard_normal(48)
-
     rows = net.assemble_input(params, x[None], np.array([5]), enc.vector[None], sched)
-    x_leaf = ad.param(rows)
-    h = x_leaf
-    for i, (w, b) in enumerate(params.layers):
-        h = ad.add(ad.matmul(h, ad.constant(w)), ad.constant(b))
-        if i < len(params.layers) - 1:
-            h = ad.silu(h)
-    root = ad.tsum(ad.mul(h, ad.constant(v[None, :])))
-    ad.backward(root)
+    grads = _probe_loss(params, rows, v).backward()
 
     delta = 1e-6
-    for cell in (0, 13, 47):
-        bumped = rows.copy()
-        bumped[0, cell] += delta
-        dimmed = rows.copy()
-        dimmed[0, cell] -= delta
-        fd = (float(net.forward_rows(params, bumped)[0] @ v)
-              - float(net.forward_rows(params, dimmed)[0] @ v)) / (2 * delta)
-        assert fd == pytest.approx(x_leaf.grad[0, cell], rel=1e-4)
+    for li in range(len(params.layers)):
+        for k in (0, 1):
+            direction = rng.standard_normal(params.layers[li][k].shape)
+            analytic = float((grads.layers[li][k] * direction).sum())
+            arr = params.layers[li][k]
+            arr += delta * direction
+            fp = float(net.forward_rows(params, rows)[0] @ v)
+            arr -= 2 * delta * direction
+            fm = float(net.forward_rows(params, rows)[0] @ v)
+            arr += delta * direction
+            assert (fp - fm) / (2 * delta) == pytest.approx(analytic, rel=1e-4)
 
 
 def test_backward_constant_loss_gives_zero_grads():
     params = randomized_params(net.init_params(SMALL, seed=7), seed=8)
-    pt = net.ParamTensors.wrap(params)
-    root = ad.mul(ad.tsum(pt.layers[0][0]), 0.0)
-    ad.backward(root)
-    for w, b in pt.layers:
-        assert w.grad is None or np.all(w.grad == 0.0)
+    rows = np.random.default_rng(9).standard_normal((3, SMALL.input_dim))
+    grads = _probe_loss(params, rows, np.zeros(SMALL.image_dim)).backward()
+    for w, b in grads.layers:
+        assert np.all(w == 0.0) and np.all(b == 0.0)
 
 
-def test_backward_sum_of_squares_gradient_is_two_w():
+def test_backward_rejects_loss_from_other_params():
     params = randomized_params(net.init_params(SMALL, seed=9), seed=10)
-    pt = net.ParamTensors.wrap(params)
-    w0 = pt.layers[0][0]
-    root = ad.tsum(ad.mul(w0, w0))
-    ad.backward(root)
-    assert np.allclose(w0.grad, 2.0 * params.layers[0][0], rtol=0, atol=0)
+    other = randomized_params(net.init_params(SMALL, seed=9), seed=10)
+    rows = np.random.default_rng(11).standard_normal((2, SMALL.input_dim))
+    loss = _probe_loss(params, rows, np.ones(SMALL.image_dim))
+    with pytest.raises(ValueError, match="parameters"):
+        net.backward(other, loss)
+
+
+def test_backward_is_repeatable():
+    # a loss can be differentiated again, with identical gradients
+    params = randomized_params(net.init_params(SMALL, seed=12), seed=13)
+    rows = np.random.default_rng(14).standard_normal((2, SMALL.input_dim))
+    loss = _probe_loss(params, rows, np.ones(SMALL.image_dim))
+    first, second = loss.backward(), loss.backward()
+    for (w1, b1), (w2, b2) in zip(first.layers, second.layers):
+        assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
