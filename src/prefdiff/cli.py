@@ -30,6 +30,11 @@ def _cmd_gen_data(args):
     pairs, manifest = datapipe.generate_dataset(
         counts, seed=args.seed, jitter=args.jitter, grid=args.grid,
         layout_pool=args.layout_pool)
+    # pairs the generator could not build; the corruption filter's discards
+    # below are deliberate and do not count
+    shortfall = {dim: (manifest.realized.get(dim, 0), want)
+                 for dim, want in manifest.requested.items()
+                 if manifest.realized.get(dim, 0) != want}
     if args.corruption_rate > 0:
         kept, discarded, stats = datapipe.filter_pairs(
             pairs, corruption_rate=args.corruption_rate, rng_seed=args.seed)
@@ -43,7 +48,9 @@ def _cmd_gen_data(args):
     for dim, s in manifest.filter_stats.items():
         print(f"  {dim}: built {s['built']}, discarded "
               f"{s['discarded_vqa']} (vqa) + {s['discarded_layout']} (layout)")
-    return 0
+    for dim, (got, want) in shortfall.items():
+        print(f"shortfall: {dim} realized {got} of {want} requested", file=sys.stderr)
+    return 1 if shortfall else 0
 
 
 def _add_train(sub):

@@ -13,6 +13,7 @@ pair is admitted.
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,6 +82,9 @@ class DatasetManifest:
 
 
 def _child_seed(*parts):
+    # repr(np.int64(7)) is 'np.int64(7)' under numpy 2: hash numpy integers
+    # as the Python ints they equal, so the streams do not depend on the type
+    parts = tuple(int(p) if isinstance(p, np.integer) else p for p in parts)
     digest = hashlib.sha256(repr(parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -211,6 +215,14 @@ def _set_attr(caption, slot_idx, attr, value):
 # ---------------------------------------------------------------------------
 # pair construction
 
+def cross_check(x_w, y_w, x_l, y_l):
+    """The four-way VQA cross-check (w/w, l/l, !w/l, !l/w) of a candidate
+    pair; each image is detected once. A pair is admitted iff all four hold."""
+    scene_w, scene_l = tw.detect_or_none(x_w), tw.detect_or_none(x_l)
+    return (tw.answer(scene_w, y_w).passed, tw.answer(scene_l, y_l).passed,
+            not tw.answer(scene_w, y_l).passed, not tw.answer(scene_l, y_w).passed)
+
+
 def build_pair(caption, edit, layout_seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
     """Render a (winner, loser) pair under one shared layout.
 
@@ -228,10 +240,7 @@ def build_pair(caption, edit, layout_seed, jitter=DEFAULT_JITTER, grid=tw.DEFAUL
     x_w = tw.render(scene_w, layout_seed, jitter, grid)
     x_l = tw.render(scene_l, layout_seed, jitter, grid)
 
-    checks = (tw.vqa_check(x_w, caption).passed,
-              tw.vqa_check(x_l, edited_caption).passed,
-              not tw.vqa_check(x_w, edited_caption).passed,
-              not tw.vqa_check(x_l, caption).passed)
+    checks = cross_check(x_w, caption, x_l, edited_caption)
     if not all(checks):
         raise VqaInconsistencyError(
             f"cross-check (w/w, l/l, !w/l, !l/w) = {checks} for {caption} -> {edited_caption}")
@@ -287,7 +296,8 @@ def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID,
                     discarded_layout += 1
             i += 1
             if i > want * 50 + 100:
-                break   # give up quietly; manifest shows the shortfall
+                break   # give up; realized < requested in the manifest, which
+                        # `prefdiff gen-data` reports as a failure
         pairs.extend(dim_pairs)
         realized[dim] = built
         stats[dim] = {"captions_sampled": i, "built": built,
@@ -339,10 +349,7 @@ def filter_pairs(pairs, corruption_rate=0.0, rng_seed=0):
     for pair, bad in zip(pairs, corrupt):
         if bad:
             pair = replace(pair, y_w=pair.y_l, y_l=pair.y_w)
-        ok = (tw.vqa_check(pair.x0_w, pair.y_w).passed
-              and tw.vqa_check(pair.x0_l, pair.y_l).passed
-              and not tw.vqa_check(pair.x0_w, pair.y_l).passed
-              and not tw.vqa_check(pair.x0_l, pair.y_w).passed)
+        ok = all(cross_check(pair.x0_w, pair.y_w, pair.x0_l, pair.y_l))
         bucket = stats["per_dimension"].setdefault(
             pair.dimension, {"kept": 0, "discarded": 0})
         if ok:
@@ -445,10 +452,12 @@ def write_dataset(pairs, manifest, path):
               "requested": manifest.requested, "realized": manifest.realized,
               "config_hash": manifest.config_hash, "filter_stats": manifest.filter_stats,
               "seed": manifest.seed, "records": len(pairs), "checksum": digest.hexdigest()}
-    with open(path, "w") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for line in lines:
             fh.write(line + "\n")
+    os.replace(tmp, path)
 
 
 def read_dataset(path):

@@ -20,6 +20,7 @@ from . import autodiff as ad
 from . import toyworld as tw
 
 ACTIVATIONS = ("silu", "identity")
+PARAMETERIZATIONS = ("eps", "x0")
 
 CHECKPOINT_FORMAT = "prefdiff-denoiser"
 CHECKPOINT_VERSION = 1
@@ -128,8 +129,8 @@ def init_params(cfg=NetConfig(), seed=0, dtype=np.float64):
     """
     if cfg.activation not in ACTIVATIONS:
         raise ValueError(f"activation must be one of {ACTIVATIONS}")
-    if cfg.parameterization not in ("eps", "x0"):
-        raise ValueError(f"parameterization must be 'eps' or 'x0'")
+    if cfg.parameterization not in PARAMETERIZATIONS:
+        raise ValueError(f"parameterization must be one of {PARAMETERIZATIONS}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF))
     dims = [cfg.input_dim, cfg.hidden, cfg.hidden, cfg.image_dim]
     layers = []

@@ -6,6 +6,12 @@ from an 8-entry palette of cube corners so that nearest-palette matching stays
 unambiguous under small per-cell jitter. Detection is an oracle that inverts
 the renderer by template matching, standing in for a real open-vocabulary
 detection + segmentation + captioning stack.
+
+The oracle VQA is two steps: ``detect`` recovers a scene from an image once,
+and ``answer`` scores any number of captions against that scene. Every scene,
+whether completed from a caption, edited or detected, is built by
+``canonical_scene``, so the renderer's scenes and the detector's scenes follow
+one rule and ``detect(render(scene)) == scene`` compares like with like.
 """
 
 from dataclasses import dataclass, replace
@@ -90,9 +96,10 @@ class SceneObject:
 class SceneSpec:
     """Ground-truth scene: objects in canonical (col0, row0) order.
 
-    ``relation`` is present exactly for two-object scenes of distinct classes
-    and always states the dominant-axis relation of object 0 to object 1;
-    ``count_tag`` is present exactly for replica (numeracy) scenes.
+    ``count_tag`` is present exactly for scenes of two or more identical
+    replicas; ``relation`` is present exactly for the other two-object scenes
+    and states the dominant-axis relation of object 0 to object 1. Build
+    scenes with ``canonical_scene``, which applies these rules.
     """
 
     objects: tuple
@@ -278,7 +285,20 @@ def _dominant_relation(bbox_a, bbox_b):
     return "above" if dr > 0 else "below"
 
 
-def detect(image, grid=None):
+def canonical_scene(objects):
+    """The SceneSpec of a set of objects: sorted by (col0, row0), with a
+    ``count_tag`` for two or more identical replicas and otherwise the
+    dominant ``relation`` of a two-object scene."""
+    objects = tuple(sorted(objects, key=lambda o: (o.bbox.col0, o.bbox.row0)))
+    if len(objects) >= 2 and len({(o.shape, o.color, o.texture) for o in objects}) == 1:
+        return SceneSpec(objects=objects, count_tag=len(objects))
+    if len(objects) == 2:
+        return SceneSpec(objects=objects,
+                         relation=_dominant_relation(objects[0].bbox, objects[1].bbox))
+    return SceneSpec(objects=objects)
+
+
+def detect(image):
     """Recover the generating SceneSpec from a rendered image.
 
     Connected components of non-background cells give candidate objects; each
@@ -318,16 +338,15 @@ def detect(image, grid=None):
         if best[0] > _FIT_TOL:
             continue   # nothing renderable explains this blob
         objects.append(SceneObject(best[1], best[2], best[3], bbox))
+    return canonical_scene(objects)
 
-    objects.sort(key=lambda o: (o.bbox.col0, o.bbox.row0))
-    relation = None
-    count_tag = None
-    attrs = {(o.shape, o.color, o.texture) for o in objects}
-    if len(objects) >= 2 and len(attrs) == 1:
-        count_tag = len(objects)
-    elif len(objects) == 2:
-        relation = _dominant_relation(objects[0].bbox, objects[1].bbox)
-    return SceneSpec(objects=tuple(objects), relation=relation, count_tag=count_tag)
+
+def detect_or_none(image):
+    """``detect``, with an ambiguous image mapped to None."""
+    try:
+        return detect(image)
+    except AmbiguousDetectionError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +387,23 @@ class VqaResult:
 
 
 def vqa_check(image, caption):
-    """Answer one oracle question per caption slot (plus relation/count).
+    """Detect the image's scene and ``answer`` the caption against it.
+
+    To check several captions against one image, call ``detect_or_none``
+    once and ``answer`` each caption.
+    """
+    return answer(detect_or_none(image), caption)
+
+
+def answer(scene, caption):
+    """Answer one oracle question per caption slot (plus relation/count)
+    about a detected scene.
 
     Answers are exactly 0.0 or 1.0; the check passes iff every answer is at
-    least 0.5. Detection failures simply score 0 on every question.
+    least 0.5. A ``None`` scene (a failed detection) scores 0 on every
+    question.
     """
     validate_caption(caption)
-    try:
-        scene = detect(image)
-    except AmbiguousDetectionError:
-        scene = None
     n_questions = len(caption.objects)
     n_questions += int(caption.relation is not None) + int(caption.count is not None)
     if scene is None:
@@ -507,9 +533,8 @@ def scene_from_caption(caption, layout_seed, grid=DEFAULT_GRID):
         side = lo
         boxes = _place_disjoint(rng, [(side, side)] * max(COUNTS), grid)
         shape, color, texture = filled[0]
-        objs = [SceneObject(shape, color, texture, b) for b in boxes[:caption.count]]
-        objs.sort(key=lambda o: (o.bbox.col0, o.bbox.row0))
-        scene = SceneSpec(objects=tuple(objs), relation=None, count_tag=caption.count)
+        scene = canonical_scene(SceneObject(shape, color, texture, b)
+                                for b in boxes[:caption.count])
         validate_scene(scene, grid)
         return scene, (0,)
 
@@ -518,16 +543,10 @@ def scene_from_caption(caption, layout_seed, grid=DEFAULT_GRID):
     constraint = _axis_dominant(caption.relation) if caption.relation is not None else None
     boxes = _place_disjoint(rng, sizes, grid, constraint=constraint)
     objs = [SceneObject(s, c, t, b) for (s, c, t), b in zip(filled, boxes)]
-
-    order = sorted(range(len(objs)), key=lambda i: (objs[i].bbox.col0, objs[i].bbox.row0))
-    slot_map = tuple(order.index(i) for i in range(len(objs)))
-    objs = [objs[i] for i in order]
-    relation = None
-    if len(objs) == 2:
-        relation = _dominant_relation(objs[0].bbox, objs[1].bbox)
-    scene = SceneSpec(objects=tuple(objs), relation=relation, count_tag=None)
+    scene = canonical_scene(objs)
     validate_scene(scene, grid)
-    return scene, slot_map
+    # bboxes are disjoint, so every object is distinct
+    return scene, tuple(scene.objects.index(o) for o in objs)
 
 
 def caption_of(scene, dimension):
@@ -565,9 +584,6 @@ def apply_scene_edit(scene_w, caption_w, caption_l, edited_slots, slot_map,
     slots differ. Returns (scene_l, edited_scene_indices_w, edited_scene_indices_l)."""
     if caption_l.count is not None and caption_l.count != caption_w.count:
         scene_l, _ = scene_from_caption(caption_l, layout_seed, grid)
-        shared = min(caption_w.count, caption_l.count)
-        idx_w = frozenset(range(shared, caption_w.count))
-        idx_l = frozenset(range(shared, caption_l.count))
         # replica layouts share a prefix, but canonical order may differ; map
         # edited replicas through position identity instead
         pos_w = {o.bbox: i for i, o in enumerate(scene_w.objects)}
@@ -579,11 +595,7 @@ def apply_scene_edit(scene_w, caption_w, caption_l, edited_slots, slot_map,
 
     if caption_l.relation is not None and caption_l.relation != caption_w.relation:
         a, b = scene_w.objects
-        swapped = (replace(a, bbox=b.bbox), replace(b, bbox=a.bbox))
-        objs = sorted(swapped, key=lambda o: (o.bbox.col0, o.bbox.row0))
-        scene_l = SceneSpec(objects=tuple(objs),
-                            relation=_dominant_relation(objs[0].bbox, objs[1].bbox),
-                            count_tag=None)
+        scene_l = canonical_scene((replace(a, bbox=b.bbox), replace(b, bbox=a.bbox)))
         validate_scene(scene_l, grid)
         both = frozenset(range(len(scene_w.objects)))
         return scene_l, both, both
@@ -600,10 +612,7 @@ def apply_scene_edit(scene_w, caption_w, caption_l, edited_slots, slot_map,
                               texture=slot.texture if slot.texture is not None else o.texture,
                               bbox=o.bbox)
         touched.add(j)
-    attrs = {(o.shape, o.color, o.texture) for o in objs}
-    count_tag = len(objs) if (len(objs) >= 2 and len(attrs) == 1) else None
-    relation = scene_w.relation if count_tag is None else None
-    scene_l = SceneSpec(objects=tuple(objs), relation=relation, count_tag=count_tag)
+    scene_l = canonical_scene(objs)
     validate_scene(scene_l, grid)
     touched = frozenset(touched)
     return scene_l, touched, touched

@@ -9,7 +9,7 @@ deterministic given (config, dataset, seed).
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .datapipe import _child_seed
 
 METHODS = ("sft", "image_dpo", "text_dpo", "bidpo", "bidpo_region")
 CONFIG_FORMAT = "prefdiff-run-config"
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,6 @@ class TrainConfig:
     dtype: str = "float32"
     # ablation plumbing
     pretrain_steps: int = 3000
-    pretrain_lr: float = 1e-3
-    pretrain_batch_size: int = 128
-    # pretraining may treat both pair sides as plain image-caption examples;
-    # the sft ablation row itself always uses the preferred halves only
-    sft_on_both_pair_sides: bool = False
-    # fraction of sft items trained with a blanked caption encoding, as in
-    # classifier-free-guidance training; gives the pretrained base strong
-    # image quality with weak caption adherence, like a production backbone
-    caption_dropout: float = 0.0
-    eval_every: int = 0
-    eval_prompts_per_dim: int = 8
     eval_samples_per_prompt: int = 4
 
     def net_config(self):
@@ -85,6 +74,11 @@ def validate_config(config):
             raise ValueError(f"{name} must be positive")
     if config.warmup_steps < 0:
         raise ValueError("warmup_steps must be nonnegative")
+    for name, allowed in (("dtype", ("float32", "float64")),
+                          ("parameterization", net.PARAMETERIZATIONS),
+                          ("omega_mode", df.OMEGA_MODES)):
+        if getattr(config, name) not in allowed:
+            raise ValueError(f"{name} must be one of {allowed}, got {getattr(config, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,6 @@ class StepRecord:
 @dataclass
 class MetricsLog:
     records: list = field(default_factory=list)
-    evals: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +170,12 @@ class _BatchArrays:
         self.masks_l = losses._mask_rows([ml for _, ml in masks], shape, dtype)
 
 
-def _batch_loss(method, theta, ref, arrays, idx, t_arr, rng, beta, sched, dtype,
-                sft_both_sides=False, caption_dropout=0.0):
+def _batch_loss(method, theta, ref, arrays, idx, t_arr, rng, beta, sched, dtype):
     shape = arrays.x0_w.shape[1:]
     n = len(idx)
     eps_w = rng.standard_normal((n,) + shape).astype(dtype)
     if method == "sft":
-        x0, enc = arrays.x0_w[idx], arrays.enc_w[idx]
-        if sft_both_sides:
-            flip = rng.random(n) < 0.5
-            x0 = np.where(flip[:, None, None, None], arrays.x0_l[idx], x0)
-            enc = np.where(flip[:, None], arrays.enc_l[idx], enc)
-        if caption_dropout > 0.0:
-            enc = np.where((rng.random(n) < caption_dropout)[:, None], 0.0, enc)
-        return losses.sft_batch(theta, x0, enc, t_arr, eps_w, sched)
+        return losses.sft_batch(theta, arrays.x0_w[idx], arrays.enc_w[idx], t_arr, eps_w, sched)
     if method == "image_dpo":
         eps_l = rng.standard_normal((n,) + shape).astype(dtype)
         return losses.diffusion_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.x0_l[idx],
@@ -232,25 +217,12 @@ def train(config, dataset, init_params=None):
     state = AdamState.zeros(params)
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(config.seed, "train")))
     log = MetricsLog()
-
-    eval_prompts = None
-    if config.eval_every > 0:
-        from . import evalbench
-        from .datapipe import dataset_captions
-        eval_prompts = evalbench.sample_prompts(
-            dims=sorted({p.dimension for p in dataset}),
-            n_per_dim=config.eval_prompts_per_dim,
-            seed=_child_seed(config.seed, "eval-prompts"),
-            exclude=dataset_captions(dataset))
-
     for step in range(config.steps):
         idx = rng.integers(0, len(dataset), size=config.batch_size)
         t_arr = rng.integers(0, sched.T, size=config.batch_size)
         try:
             loss = _batch_loss(config.method, params, ref, arrays, idx, t_arr, rng,
-                               config.beta, sched, dtype,
-                               sft_both_sides=config.sft_on_both_pair_sides,
-                               caption_dropout=config.caption_dropout)
+                               config.beta, sched, dtype)
         except df.NumericDivergenceError as exc:
             raise df.NumericDivergenceError(f"step {step}: {exc}") from exc
         grads = loss.backward()
@@ -263,13 +235,6 @@ def train(config, dataset, init_params=None):
         log.records.append(StepRecord(step=step, loss=loss.value,
                                       grad_norm=grads.global_norm(),
                                       margin=loss.margin, lr=lr))
-        if eval_prompts and (step + 1) % config.eval_every == 0:
-            from . import evalbench
-            card = evalbench.evaluate(params, eval_prompts,
-                                      config.eval_samples_per_prompt, sched,
-                                      seed=_child_seed(config.seed, "eval", step))
-            log.evals.append({"step": step + 1, "validity": card.validity,
-                              **{f"acc_{d}": a for d, a in card.per_dimension.items()}})
     return params, log
 
 
@@ -289,6 +254,9 @@ def load_config(path, **overrides):
         record = json.load(fh)
     if record.pop("format", None) != CONFIG_FORMAT or record.pop("version", None) != CONFIG_VERSION:
         raise ValueError(f"not a {CONFIG_FORMAT} v{CONFIG_VERSION} file: {path}")
+    unknown = sorted(set(record) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ValueError(f"unknown keys in {path}: {', '.join(unknown)}")
     config = TrainConfig(**record)
     return replace(config, **overrides) if overrides else config
 
@@ -298,6 +266,4 @@ def write_metrics(log, path):
     with open(tmp, "w") as fh:
         for rec in log.records:
             fh.write(json.dumps({"kind": "step", **asdict(rec)}) + "\n")
-        for rec in log.evals:
-            fh.write(json.dumps({"kind": "eval", **rec}) + "\n")
     os.replace(tmp, path)

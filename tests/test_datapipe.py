@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -253,3 +255,36 @@ def test_default_mix_sums_to_total():
     counts = dp.default_mix(2000)
     assert sum(counts.values()) == 2000
     assert counts["color"] > counts["shape"]
+
+
+def test_build_pair_detects_each_image_once(monkeypatch):
+    calls = []
+    detect = tw.detect
+    monkeypatch.setattr(tw, "detect", lambda image: calls.append(1) or detect(image))
+    cap = tw.Caption(dimension="color",
+                     objects=(tw.ObjectSlot("square", color="red"),
+                              tw.ObjectSlot("disc", color="blue")))
+    pair = dp.build_pair(cap, dp.edit_caption(cap, rng_seed=3)[0], layout_seed=11)
+    assert len(calls) == 2
+    assert dp.cross_check(pair.x0_w, pair.y_w, pair.x0_l, pair.y_l) == (True,) * 4
+    assert dp.cross_check(pair.x0_w, pair.y_l, pair.x0_l, pair.y_w) == (False,) * 4
+
+
+def test_child_seed_hashes_numpy_integers_as_ints():
+    assert dp._child_seed(np.int64(7), "x") == dp._child_seed(7, "x")
+    assert dp._child_seed(np.uint32(3), 2, "y") == dp._child_seed(3, 2, "y")
+
+
+def test_write_dataset_failed_replace_keeps_old_file(tmp_path, monkeypatch):
+    pairs, manifest = dp.generate_dataset({"color": 2}, seed=35, grid=8)
+    path = tmp_path / "data.jsonl"
+    dp.write_dataset(pairs[:1], manifest, path)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        dp.write_dataset(pairs, manifest, path)
+    assert path.read_bytes() == before

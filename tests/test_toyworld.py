@@ -73,10 +73,27 @@ def test_detect_ambiguity_error_on_off_palette_color():
         tw.detect(img)
 
 
-@pytest.mark.parametrize("dim", tw.DIMENSIONS)
+# validate_caption-valid captions that sample_caption never draws: a single
+# replica, and two slots of one shape, which complete to identical replicas
+# always (fully specified) or whenever the filled-in attributes agree
+OUT_OF_GRAMMAR = {
+    "count-1": tw.Caption("numeracy", (tw.ObjectSlot("disc", color="red"),), count=1),
+    "red-disc-pair": tw.Caption("color", (tw.ObjectSlot("disc", color="red"),) * 2),
+    "replica-pair": tw.Caption(
+        "texture", (tw.ObjectSlot("square", color="blue", texture="striped"),) * 2),
+    "replica-relation": tw.Caption(
+        "spatial", (tw.ObjectSlot("triangle", color="green", texture="solid"),) * 2,
+        relation="above"),
+}
+
+
+@pytest.mark.parametrize("dim", tw.DIMENSIONS + tuple(OUT_OF_GRAMMAR))
 def test_detect_render_round_trip_per_dimension(dim):
     for i in range(60):
-        cap = dp.sample_caption(dim, rng_seed=1000 * hash(dim) % 99991 + i)
+        if dim in OUT_OF_GRAMMAR:
+            cap = OUT_OF_GRAMMAR[dim]
+        else:
+            cap = dp.sample_caption(dim, rng_seed=1000 * hash(dim) % 99991 + i)
         scene, _ = tw.scene_from_caption(cap, layout_seed=7919 + i)
         rec = tw.detect(tw.render(scene, 7919 + i, jitter=0.05))
         assert rec == scene, f"{dim} scene {i} mismatched"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ def test_config_validation():
         trainer.validate_config(tiny_config(batch_size=0))
     with pytest.raises(ValueError, match="learning_rate"):
         trainer.validate_config(tiny_config(learning_rate=0.0))
+    with pytest.raises(ValueError, match="dtype"):
+        trainer.validate_config(tiny_config(dtype="float16"))
+    with pytest.raises(ValueError, match="parameterization"):
+        trainer.validate_config(tiny_config(parameterization="v"))
+    with pytest.raises(ValueError, match="omega_mode"):
+        trainer.validate_config(tiny_config(omega_mode="cosine"))
     trainer.validate_config(tiny_config())
 
 
@@ -151,7 +159,14 @@ def test_config_round_trip_and_override(tmp_path):
     assert loaded == cfg
     overridden = trainer.load_config(path, method="sft")
     assert overridden.method == "sft"
-    path.write_text(path.read_text().replace("prefdiff-run-config", "other"))
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps({**record, "caption_dropout": 0.1, "eval_every": 5}))
+    with pytest.raises(ValueError, match="unknown keys.*caption_dropout, eval_every"):
+        trainer.load_config(path)
+    path.write_text(json.dumps({**record, "version": 1}))
+    with pytest.raises(ValueError, match="run-config v2"):
+        trainer.load_config(path)
+    path.write_text(json.dumps({**record, "format": "other"}))
     with pytest.raises(ValueError, match="run-config"):
         trainer.load_config(path)
 
@@ -161,7 +176,6 @@ def test_write_metrics_jsonl(tmp_path, tiny_dataset):
     _, log = trainer.train(cfg, tiny_dataset)
     path = tmp_path / "metrics.jsonl"
     trainer.write_metrics(log, path)
-    import json
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert len(lines) == 5
     assert lines[0]["kind"] == "step"
