@@ -111,9 +111,18 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
     dtype = params.layers[0][0].dtype
     x = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
 
-    alpha = 1.0 - sched.beta
-    alpha_bar_prev = np.concatenate([[1.0], sched.alpha_bar[:-1]])
-    post_var = (1.0 - alpha_bar_prev) / (1.0 - sched.alpha_bar) * sched.beta
+    # per-step coefficients, computed in float64 and cast to the parameters'
+    # dtype so that a float32 model samples in float32 (the x0
+    # parameterization's prediction comes back in float64 and is cast too)
+    ab = sched.alpha_bar
+    alpha_bar_prev = np.concatenate([[1.0], ab[:-1]])
+    post_var = (1.0 - alpha_bar_prev) / (1.0 - ab) * sched.beta
+    eps_coef = np.sqrt(1.0 - ab).astype(dtype)
+    sqrt_ab = np.sqrt(ab).astype(dtype)
+    x0_coef = (np.sqrt(alpha_bar_prev) * sched.beta).astype(dtype)
+    x_coef = (np.sqrt(1.0 - sched.beta) * (1.0 - alpha_bar_prev)).astype(dtype)
+    mean_div = (1.0 - ab).astype(dtype)
+    noise_sd = np.sqrt(post_var).astype(dtype)
 
     for t in range(sched.T - 1, -1, -1):
         t_arr = np.full(n, t)
@@ -121,15 +130,14 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
             eps_hat = net.forward_batch(params, x, t_arr, encodings, sched)
         except NumericDivergenceError as exc:
             raise NumericDivergenceError(f"step t={t}: {exc}") from exc
-        ab = sched.alpha_bar[t]
         # posterior mean in denoised form, with the usual clip on the implied
         # clean image to keep model error from compounding
-        x0_hat = np.clip((x - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab), -1.0, 1.0)
-        mean = (np.sqrt(alpha_bar_prev[t]) * sched.beta[t] * x0_hat
-                + np.sqrt(alpha[t]) * (1.0 - alpha_bar_prev[t]) * x) / (1.0 - ab)
+        x0_hat = np.clip((x - eps_coef[t] * eps_hat.astype(dtype, copy=False)) / sqrt_ab[t],
+                         -1.0, 1.0)
+        mean = (x0_coef[t] * x0_hat + x_coef[t] * x) / mean_div[t]
         if t > 0:
             z = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
-            x = mean + np.sqrt(post_var[t]) * z
+            x = mean + noise_sd[t] * z
         else:
             x = mean
         if not np.all(np.isfinite(x)):

@@ -7,6 +7,13 @@ unambiguous under small per-cell jitter. Detection is an oracle that inverts
 the renderer by template matching, standing in for a real open-vocabulary
 detection + segmentation + captioning stack.
 
+Rendering and detection share one template bank: for each bbox size, the
+72 ``object_patch`` outputs of every (shape, texture, color) candidate,
+stacked once into a read-only array with their shape masks and color
+indices. ``render`` copies one candidate out of it; ``detect`` scores a
+component against all 72 in one vectorised residual. ``object_patch`` stays
+the specification the bank is built from.
+
 The oracle VQA is two steps: ``detect`` recovers a scene from an image once,
 and ``answer`` scores any number of captions against that scene. Every scene,
 whether completed from a caption, edited or detected, is built by
@@ -14,6 +21,7 @@ whether completed from a caption, edited or detected, is built by
 one rule and ``detect(render(scene)) == scene`` compares like with like.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +55,7 @@ JITTER_MAX = 0.1
 
 _BG_THRESHOLD = 0.3       # max-channel deviation that counts as "object"
 _MIN_COMPONENT = 5        # smaller blobs are treated as noise
+_CONNECTIVITY = ndimage.generate_binary_structure(2, 1)   # label's default, built once
 _MARGIN_TOL = 0.02        # per-cell residual gap required between colors
 _FIT_TOL = 0.12           # max per-cell residual for a component to count
                           # as an object at all (noise scores ~0.3)
@@ -252,6 +261,45 @@ def object_patch(shape, color, texture, height, width):
     return patch
 
 
+# Candidate order of the bank: shape, then texture, then color. ``detect``
+# breaks residual ties by the first candidate in this order.
+_CANDIDATES = tuple((shape, color, texture)
+                    for shape in SHAPES for texture in TEXTURES for color in COLORS)
+_CANDIDATE_INDEX = {cand: k for k, cand in enumerate(_CANDIDATES)}
+# (height, width) -> _TemplateBank. Bbox sizes are bounded by the image, so
+# this holds at most grid**2 banks: about 33 MB for every size at grid 16.
+_BANKS = {}
+
+
+@dataclass(frozen=True, eq=False)
+class _TemplateBank:
+    """Every candidate's patch at one bbox size, in ``_CANDIDATES`` order."""
+
+    patches: np.ndarray   # (72, height, width, CHANNELS) float64
+    masks: np.ndarray     # (72, height, width) bool shape occupancy
+    colors: np.ndarray    # (72,) index into COLORS
+
+
+def _template_bank(height, width):
+    """The read-only template bank for one bbox size, built on first use."""
+    bank = _BANKS.get((height, width))
+    if bank is None:
+        patches = np.stack([object_patch(s, c, t, height, width) for s, c, t in _CANDIDATES])
+        masks = np.stack([shape_cell_mask(s, height, width) for s, _, _ in _CANDIDATES])
+        colors = np.array([COLORS.index(c) for _, c, _ in _CANDIDATES])
+        for arr in (patches, masks, colors):
+            arr.flags.writeable = False
+        bank = _BANKS[(height, width)] = _TemplateBank(patches, masks, colors)
+    return bank
+
+
+def _candidate_index(shape, color, texture):
+    k = _CANDIDATE_INDEX.get((shape, color, texture))
+    if k is None:
+        raise ValueError(f"unknown object attributes {(shape, color, texture)!r}")
+    return k
+
+
 def render(scene, layout_seed, jitter=0.0, grid=DEFAULT_GRID):
     """Draw a scene onto the grid, then add clipped Gaussian per-cell jitter.
 
@@ -262,10 +310,10 @@ def render(scene, layout_seed, jitter=0.0, grid=DEFAULT_GRID):
     img = np.full((grid, grid, CHANNELS), BACKGROUND)
     for obj in scene.objects:
         b = obj.bbox
-        patch = object_patch(obj.shape, obj.color, obj.texture, b.height, b.width)
-        mask = shape_cell_mask(obj.shape, b.height, b.width)
-        region = img[b.row0:b.row1, b.col0:b.col1]
-        region[mask] = patch[mask]
+        bank = _template_bank(b.height, b.width)
+        k = _candidate_index(obj.shape, obj.color, obj.texture)
+        mask = bank.masks[k]
+        img[b.row0:b.row1, b.col0:b.col1][mask] = bank.patches[k][mask]
     if jitter > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence(int(layout_seed) & 0xFFFFFFFFFFFFFFFF))
         noise = np.clip(rng.normal(0.0, jitter / 2.0, img.shape), -jitter, jitter)
@@ -302,42 +350,34 @@ def detect(image):
     """Recover the generating SceneSpec from a rendered image.
 
     Connected components of non-background cells give candidate objects; each
-    component is classified by exhaustive template matching over
-    (shape, color, texture) within its bounding box. Raises
-    AmbiguousDetectionError when the best and runner-up color explain a
-    component almost equally well.
+    component is classified by its per-cell squared residual against every
+    (shape, color, texture) template of the bank at its bbox size; the
+    first lowest residual wins. Raises AmbiguousDetectionError when the best
+    template of another color explains a component almost as well.
     """
     image = np.asarray(image)
-    deviation = np.abs(image - BACKGROUND).max(axis=2)
-    labels, n = ndimage.label(deviation > _BG_THRESHOLD)
+    # channel planes one by one: numpy's max over a length-3 axis is slow
+    deviation = functools.reduce(np.maximum, np.abs(image - BACKGROUND).transpose(2, 0, 1))
+    labels, _ = ndimage.label(deviation > _BG_THRESHOLD, structure=_CONNECTIVITY)
+    sizes = np.bincount(labels.ravel())
     objects = []
-    for k in range(1, n + 1):
-        rows, cols = np.nonzero(labels == k)
-        if rows.size < _MIN_COMPONENT:
+    for label, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        if sizes[label] < _MIN_COMPONENT:
             continue
-        bbox = BBox(int(rows.min()), int(cols.min()),
-                    int(rows.max() - rows.min() + 1), int(cols.max() - cols.min() + 1))
-        patch = image[bbox.row0:bbox.row1, bbox.col0:bbox.col1]
+        bbox = BBox(rows.start, cols.start, rows.stop - rows.start, cols.stop - cols.start)
         ncells = bbox.height * bbox.width * CHANNELS
-        best = None          # (residual, shape, color, texture)
-        best_other_color = np.inf
-        for shape in SHAPES:
-            for texture in TEXTURES:
-                for color in COLORS:
-                    tmpl = object_patch(shape, color, texture, bbox.height, bbox.width)
-                    resid = float(np.square(patch - tmpl).sum()) / ncells
-                    if best is None or resid < best[0]:
-                        if best is not None and best[2] != color:
-                            best_other_color = min(best_other_color, best[0])
-                        best = (resid, shape, color, texture)
-                    elif color != best[2]:
-                        best_other_color = min(best_other_color, resid)
-        if best_other_color - best[0] < _MARGIN_TOL:
+        bank = _template_bank(bbox.height, bbox.width)
+        diff = image[rows, cols][None] - bank.patches
+        resid = np.square(diff, out=diff).reshape(len(_CANDIDATES), -1).sum(axis=1) / ncells
+        k = int(np.argmin(resid))
+        best = float(resid[k])
+        best_other_color = float(resid[bank.colors != bank.colors[k]].min())
+        if best_other_color - best < _MARGIN_TOL:
             raise AmbiguousDetectionError(
-                f"palette margin {best_other_color - best[0]:.4f} below {_MARGIN_TOL}")
-        if best[0] > _FIT_TOL:
+                f"palette margin {best_other_color - best:.4f} below {_MARGIN_TOL}")
+        if best > _FIT_TOL:
             continue   # nothing renderable explains this blob
-        objects.append(SceneObject(best[1], best[2], best[3], bbox))
+        objects.append(SceneObject(*_CANDIDATES[k], bbox))
     return canonical_scene(objects)
 
 
@@ -418,7 +458,7 @@ def answer(scene, caption):
         answers.append(1.0 if len(objs) == caption.count else 0.0)
         return VqaResult(passed=all(a >= 0.5 for a in answers), answers=tuple(answers))
 
-    assignment = _best_assignment(caption.objects, objs)
+    assignment = _best_assignment(caption.objects, objs, caption.relation)
     for i, slot in enumerate(caption.objects):
         j = assignment[i]
         ok = j is not None and _slot_matches(slot, objs[j])
@@ -431,21 +471,26 @@ def answer(scene, caption):
     return VqaResult(passed=all(a >= 0.5 for a in answers), answers=tuple(answers))
 
 
-def _best_assignment(slots, objs):
-    """Injective slot -> object map maximizing matched attributes."""
+def _best_assignment(slots, objs, relation):
+    """Injective slot -> object map maximizing matched attributes.
+
+    Among equally scored maps, one under which ``relation`` (if not None) holds
+    wins; remaining ties go to the first in object-index order.
+    """
     if not objs:
         return [None] * len(slots)
     if len(slots) == 1:
         scores = [_slot_score(slots[0], o) for o in objs]
         return [int(np.argmax(scores))]
-    best, best_score = (None, None), -1
+    best, best_key = (None, None), None
     for a in range(len(objs)):
         for b in range(len(objs)):
             if a == b:
                 continue
             score = _slot_score(slots[0], objs[a]) + _slot_score(slots[1], objs[b])
-            if score > best_score:
-                best, best_score = (a, b), score
+            holds = relation is not None and _relation_holds(relation, objs[a].bbox, objs[b].bbox)
+            if best_key is None or (score, holds) > best_key:
+                best, best_key = (a, b), (score, holds)
     if best == (None, None):           # single detected object, two slots
         scores = [_slot_score(slots[0], o) for o in objs]
         j = int(np.argmax(scores))

@@ -111,19 +111,41 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Textbook Adam with bias correction; updates parameters in place."""
+    """Textbook Adam with bias correction; updates parameters in place.
+
+    Evaluates ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g**2``
+    and ``arr -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with the same operations
+    in the same order as the plain expressions, but into two scratch buffers
+    the size of the largest array, shared by every array. The parameters are
+    bit-identical to the plain expressions' whenever the gradients share the
+    parameters' dtype, as ``net.backward``'s do. The buffers live for one
+    call only, so that they do not add to the training loop's peak memory.
+    """
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
+    size = max(a.size for pair in params.layers for a in pair)
+    dtype = params.layers[0][0].dtype
+    scratch = (np.empty(size, dtype), np.empty(size, dtype))
     for li, (w, b) in enumerate(params.layers):
         for arr, g, m, v in ((w, grads.layers[li][0], state.m[li][0], state.v[li][0]),
                              (b, grads.layers[li][1], state.m[li][1], state.v[li][1])):
+            s1, s2 = (buf[:arr.size].reshape(arr.shape) for buf in scratch)
             m *= beta1
-            m += (1.0 - beta1) * g
+            np.multiply(1.0 - beta1, g, out=s1)
+            m += s1
             v *= beta2
-            v += (1.0 - beta2) * np.square(g)
-            arr -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            np.square(g, out=s1)
+            np.multiply(1.0 - beta2, s1, out=s1)
+            v += s1
+            np.divide(m, c1, out=s1)
+            np.multiply(lr, s1, out=s1)
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            arr -= s1
     return params, state
 
 

@@ -161,6 +161,19 @@ def test_ddpm_sample_batch_matches_single_calls_within_tolerance(dtype, tol):
         assert np.max(np.abs(batch - singles)) <= tol
 
 
+@pytest.mark.parametrize("parameterization", net.PARAMETERIZATIONS)
+def test_ddpm_sample_batch_keeps_the_parameters_dtype(parameterization):
+    from conftest import randomized_params
+
+    cfg = net.NetConfig(grid=4, channels=3, hidden=8, parameterization=parameterization)
+    sched = df.make_schedule(4, 0.05, 0.3)
+    encs = np.zeros((2, net.ENCODING_DIM))
+    for dtype in (np.float32, np.float64):
+        params = randomized_params(net.init_params(cfg, seed=0), seed=1)
+        params.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
+        assert df.ddpm_sample_batch(params, encs, sched, [1, 2]).dtype == dtype
+
+
 def test_ddpm_sample_reports_divergence_step():
     from prefdiff import toyworld as tw
     cfg = net.NetConfig(grid=4, channels=3, hidden=8)

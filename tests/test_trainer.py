@@ -90,6 +90,40 @@ def test_adam_equal_grads_equal_updates():
     assert np.allclose(flat, flat[0])
 
 
+def _textbook_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    # the plain-expression Adam that adam_step must reproduce bit for bit
+    layers = [[w.copy(), b.copy()] for w, b in params.layers]
+    m = [[np.zeros_like(a) for a in pair] for pair in layers]
+    v = [[np.zeros_like(a) for a in pair] for pair in layers]
+    for t, grads in enumerate(grads_seq, start=1):
+        c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for li, pair in enumerate(layers):
+            for j in range(2):
+                g = grads.layers[li][j]
+                m[li][j] = beta1 * m[li][j] + (1.0 - beta1) * g
+                v[li][j] = beta2 * v[li][j] + (1.0 - beta2) * np.square(g)
+                pair[j] = pair[j] - lr * (m[li][j] / c1) / (np.sqrt(v[li][j] / c2) + eps)
+    return layers
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_is_bitwise_the_textbook_expression(dtype):
+    cfg = net.NetConfig(grid=4, channels=3, hidden=16, time_dim=4)
+    params = net.init_params(cfg, seed=2, dtype=dtype)
+    rng = np.random.default_rng(9)
+    grads_seq = [net.Gradients(layers=[
+        (rng.normal(0, 10.0 ** -k, w.shape).astype(dtype),
+         rng.normal(0, 10.0 ** -k, b.shape).astype(dtype)) for w, b in params.layers])
+        for k in range(5)]
+    expected = _textbook_adam(params, grads_seq, lr=3e-3)
+    state = trainer.AdamState.zeros(params)
+    for grads in grads_seq:
+        trainer.adam_step(params, grads, state, lr=3e-3)
+    for (w, b), (w_ref, b_ref) in zip(params.layers, expected):
+        assert w.dtype == dtype and b.dtype == dtype
+        assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+
 def test_train_zero_steps_returns_initial_params(tiny_dataset):
     cfg = tiny_config(steps=0)
     init = net.init_params(cfg.net_config(), seed=cfg.seed, dtype=np.float64)
