@@ -11,6 +11,7 @@ layout so only edited regions differ, and cross-checked four ways before a
 pair is admitted.
 """
 
+import base64
 import hashlib
 import json
 import os
@@ -21,7 +22,10 @@ import numpy as np
 from . import toyworld as tw
 
 DATASET_FORMAT = "prefdiff-dataset"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
+IMAGE_DTYPE = np.dtype("<f8")   # byte order of the stored image payload
+MANIFEST_KEYS = ("requested", "realized", "config_hash", "filter_stats", "seed",
+                 "records", "checksum")
 
 DEFAULT_JITTER = 0.05
 
@@ -391,35 +395,45 @@ def _scene_from(d):
 
 
 def _mask_dict(m):
+    """Run-length code of the inside cells, row-major, alternating runs that
+    start with an outside run (which may be empty)."""
     inside = (m.weights == m.w_in).reshape(-1) if m.w_in != m.w_out \
         else np.zeros(m.weights.size, dtype=bool)
-    runs = []
-    current, length = False, 0
-    for v in inside:
-        if bool(v) == current:
-            length += 1
-        else:
-            runs.append(length)
-            current, length = bool(v), 1
-    runs.append(length)
+    edges = np.flatnonzero(np.diff(inside)) + 1
+    runs = np.diff(np.concatenate(([0], edges, [inside.size]))).tolist()
+    if inside[0]:
+        runs.insert(0, 0)
     return {"w_in": m.w_in, "w_out": m.w_out, "grid": m.weights.shape[0], "runs": runs}
 
 
 def _mask_from(d):
-    flat = np.empty(d["grid"] * d["grid"])
-    pos, value = 0, False
-    for run in d["runs"]:
-        flat[pos:pos + run] = d["w_in"] if value else d["w_out"]
-        pos += run
-        value = not value
-    return tw.RegionMask(weights=flat.reshape(d["grid"], d["grid"]),
+    grid, runs = d["grid"], np.asarray(d["runs"])
+    cells = grid * grid
+    if runs.ndim != 1 or runs.dtype.kind not in "iu":
+        raise ValueError(f"mask runs must be a list of integers, got {d['runs']!r}")
+    if (runs < 0).any() or runs.sum() != cells:
+        raise ValueError(f"mask runs {d['runs']!r} must be non-negative and sum to {cells}")
+    levels = np.resize(np.array([d["w_out"], d["w_in"]], dtype=np.float64), runs.size)
+    return tw.RegionMask(weights=np.repeat(levels, runs).reshape(grid, grid),
                          w_in=d["w_in"], w_out=d["w_out"])
 
 
+def _image_text(x):
+    return base64.b64encode(np.ascontiguousarray(x, dtype=IMAGE_DTYPE).tobytes()).decode("ascii")
+
+
+def _image_from(text, shape):
+    raw = base64.b64decode(text, validate=True)
+    expected = IMAGE_DTYPE.itemsize * int(np.prod(shape))
+    if len(raw) != expected:
+        raise ValueError(f"image payload holds {len(raw)} bytes, expected {expected}")
+    # astype copies into a native-order, writable array the record does not alias
+    return np.frombuffer(raw, dtype=IMAGE_DTYPE).astype(np.float64).reshape(shape)
+
+
 def _pair_dict(p):
-    grid = p.x0_w.shape[0]
-    return {"kind": "pair", "grid": grid,
-            "x0_w": p.x0_w.reshape(-1).tolist(), "x0_l": p.x0_l.reshape(-1).tolist(),
+    return {"kind": "pair", "grid": p.x0_w.shape[0],
+            "x0_w": _image_text(p.x0_w), "x0_l": _image_text(p.x0_l),
             "y_w": caption_to_dict(p.y_w), "y_l": caption_to_dict(p.y_l),
             "scene_w": _scene_dict(p.scene_w), "scene_l": _scene_dict(p.scene_l),
             "dimension": p.dimension,
@@ -431,9 +445,9 @@ def _pair_from(d):
     grid = d["grid"]
     shape = (grid, grid, tw.CHANNELS)
     return PreferencePair(
-        x0_w=np.array(d["x0_w"]).reshape(shape),
+        x0_w=_image_from(d["x0_w"], shape),
         y_w=caption_from_dict(d["y_w"]),
-        x0_l=np.array(d["x0_l"]).reshape(shape),
+        x0_l=_image_from(d["x0_l"], shape),
         y_l=caption_from_dict(d["y_l"]),
         scene_w=_scene_from(d["scene_w"]), scene_l=_scene_from(d["scene_l"]),
         dimension=d["dimension"],
@@ -442,7 +456,16 @@ def _pair_from(d):
 
 
 def write_dataset(pairs, manifest, path):
-    """Line-delimited records with a manifest header; checksummed."""
+    """Write ``pairs`` as line-delimited JSON, atomically.
+
+    Line 1 is the manifest: format, version, the manifest fields, the record
+    count and the SHA-256 checksum of every following line including its
+    newline. Each further line is one pair record holding ``grid``, the
+    captions, scenes, dimension, edited indices and two run-length masks.
+    Its ``x0_w`` and ``x0_l`` are base64 of the image's float64 bytes in
+    little-endian order (``"<f8"``), flattened row-major from shape
+    (grid, grid, CHANNELS), so a read returns bit-identical images.
+    """
     lines = [json.dumps(_pair_dict(p)) for p in pairs]
     digest = hashlib.sha256()
     for line in lines:
@@ -472,17 +495,21 @@ def read_dataset(path):
         header = json.loads(raw[0])
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(1, f"bad manifest: {exc}") from exc
-    if header.get("format") != DATASET_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise DatasetVersionError(f"not a {DATASET_FORMAT} file")
     if header.get("version") != DATASET_VERSION:
         raise DatasetVersionError(f"unsupported version {header.get('version')!r}")
+    for key in MANIFEST_KEYS:
+        if key not in header:
+            raise MalformedRecordError(1, f"manifest lacks {key!r}")
     digest = hashlib.sha256()
     pairs = []
     for line_no, line in enumerate(raw[1:], start=2):
         try:
             record = json.loads(line)
-            if record.get("kind") != "pair":
-                raise ValueError(f"unexpected record kind {record.get('kind')!r}")
+            kind = record.get("kind") if isinstance(record, dict) else None
+            if kind != "pair":
+                raise ValueError(f"unexpected record kind {kind!r}")
             pairs.append(_pair_from(record))
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedRecordError(line_no, str(exc)) from exc

@@ -112,8 +112,7 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
     x = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
 
     # per-step coefficients, computed in float64 and cast to the parameters'
-    # dtype so that a float32 model samples in float32 (the x0
-    # parameterization's prediction comes back in float64 and is cast too)
+    # dtype so that a float32 model samples in float32
     ab = sched.alpha_bar
     alpha_bar_prev = np.concatenate([[1.0], ab[:-1]])
     post_var = (1.0 - alpha_bar_prev) / (1.0 - ab) * sched.beta
@@ -132,7 +131,7 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
             raise NumericDivergenceError(f"step t={t}: {exc}") from exc
         # posterior mean in denoised form, with the usual clip on the implied
         # clean image to keep model error from compounding
-        x0_hat = np.clip((x - eps_coef[t] * eps_hat.astype(dtype, copy=False)) / sqrt_ab[t],
+        x0_hat = np.clip((x - eps_coef[t] * eps_hat) / sqrt_ab[t],
                          -1.0, 1.0)
         mean = (x0_coef[t] * x0_hat + x_coef[t] * x) / mean_div[t]
         if t > 0:

@@ -222,7 +222,8 @@ def predict_noise_rows(params, rows, t_arr, sched, acts=None):
     out = forward_rows(params, rows, acts)
     if params.cfg.parameterization == "eps":
         return out
-    sqrt_ab, inv_rest = _noise_coeffs(t_arr, sched)
+    # the coefficients take the stack's dtype so a float32 model stays float32
+    sqrt_ab, inv_rest = (c.astype(out.dtype) for c in _noise_coeffs(t_arr, sched))
     x_flat = rows[:, :params.cfg.image_dim]
     return (x_flat - sqrt_ab * out) * inv_rest
 

@@ -1,4 +1,6 @@
+import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,3 +290,145 @@ def test_write_dataset_failed_replace_keeps_old_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         dp.write_dataset(pairs, manifest, path)
     assert path.read_bytes() == before
+
+
+def _write_mixed(tmp_path):
+    counts = {"color": 3, "shape": 1, "texture": 1, "spatial": 2, "numeracy": 2}
+    pairs, manifest = dp.generate_dataset(counts, seed=37)
+    path = tmp_path / "data.jsonl"
+    dp.write_dataset(pairs, manifest, path)
+    return pairs, path
+
+
+def _rewrite(path, line_no, edit):
+    """Apply ``edit`` to the parsed JSON of one line and write the file back."""
+    lines = path.read_text().split("\n")
+    record = json.loads(lines[line_no - 1])
+    edit(record)
+    lines[line_no - 1] = json.dumps(record)
+    path.write_text("\n".join(lines))
+
+
+def test_image_payload_round_trip_is_bit_exact(tmp_path):
+    pairs, manifest = dp.generate_dataset({"color": 2}, seed=39, grid=8)
+    tiny = np.nextafter(0.0, 1.0)   # smallest subnormal
+    special = np.array([-0.0, tiny, 2.2250738585072014e-308 / 3, 0.1 + 0.2,
+                        np.nextafter(1.0, 2.0), -1.0 / 3.0, np.pi, 1e-300])
+    x = np.resize(special, pairs[0].x0_w.shape)
+    pairs[0] = replace(pairs[0], x0_w=x, x0_l=-x[::-1])
+    path = tmp_path / "data.jsonl"
+    dp.write_dataset(pairs, manifest, path)
+    loaded, _ = dp.read_dataset(path)
+    for a, b in zip(pairs, loaded):
+        for x_in, x_out in ((a.x0_w, b.x0_w), (a.x0_l, b.x0_l)):
+            assert x_out.tobytes() == np.ascontiguousarray(x_in).tobytes()
+            assert x_out.dtype == np.float64 and x_out.dtype.isnative
+            assert x_out.flags.c_contiguous and x_out.flags.writeable
+            assert x_out.shape == x_in.shape
+    assert np.signbit(loaded[0].x0_w.reshape(-1)[0])
+
+
+def test_dataset_version_1_file_is_refused(tmp_path):
+    _, path = _write_mixed(tmp_path)
+
+    def as_v1(record):
+        record["version"] = 1
+
+    _rewrite(path, 1, as_v1)
+    with pytest.raises(dp.DatasetVersionError, match="unsupported version 1"):
+        dp.read_dataset(path)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda s: s[:-8],               # whole missing value: valid base64, short
+    lambda s: s[:-1],               # cut mid-quantum: bad padding
+    lambda s: "not base64!" + s,    # characters outside the alphabet
+], ids=["short", "bad_padding", "bad_alphabet"])
+def test_damaged_image_payload_names_its_line(tmp_path, damage):
+    _, path = _write_mixed(tmp_path)
+
+    def hurt(record):
+        record["x0_l"] = damage(record["x0_l"])
+
+    _rewrite(path, 3, hurt)
+    with pytest.raises(dp.MalformedRecordError, match="line 3") as info:
+        dp.read_dataset(path)
+    assert info.value.line_no == 3
+
+
+def _mask_runs_loop(m):
+    """The per-cell run-length encoder the vectorised ``_mask_dict`` replaced."""
+    inside = (m.weights == m.w_in).reshape(-1) if m.w_in != m.w_out \
+        else np.zeros(m.weights.size, dtype=bool)
+    runs = []
+    current, length = False, 0
+    for v in inside:
+        if bool(v) == current:
+            length += 1
+        else:
+            runs.append(length)
+            current, length = bool(v), 1
+    runs.append(length)
+    return runs
+
+
+def test_mask_runs_match_the_per_cell_loop(tmp_path):
+    pairs, _ = _write_mixed(tmp_path)
+    masks = [m for p in pairs for m in (p.mask_w, p.mask_l)]
+    corner = np.full((4, 4), 0.5)
+    corner[0, 0] = corner[3, 3] = 1.0
+    masks += [tw.ones_mask(4), tw.RegionMask(np.ones((4, 4)), w_in=1.0, w_out=0.5),
+              tw.RegionMask(corner, w_in=1.0, w_out=0.5)]
+    for m in masks:
+        d = dp._mask_dict(m)
+        assert d["runs"] == _mask_runs_loop(m)
+        assert all(type(r) is int for r in d["runs"])
+        assert dp._mask_from(d) == m
+
+
+@pytest.mark.parametrize("runs,problem", [
+    ([3, 2], "sum to 16"),          # short: cells would be left unset
+    ([3, 2, 12], "sum to 16"),      # long: cells would be dropped
+    ([20, -4], "non-negative"),
+    ([8.0, 8.0], "integers"),
+])
+def test_mask_runs_must_cover_the_grid_exactly(tmp_path, runs, problem):
+    with pytest.raises(ValueError, match=problem):
+        dp._mask_from({"w_in": 2.0, "w_out": 1.0, "grid": 4, "runs": runs})
+    _, path = _write_mixed(tmp_path)
+
+    def hurt(record):
+        record["mask_w"] = {"w_in": 2.0, "w_out": 1.0, "grid": 4, "runs": runs}
+
+    _rewrite(path, 2, hurt)
+    with pytest.raises(dp.MalformedRecordError, match="line 2"):
+        dp.read_dataset(path)
+
+
+@pytest.mark.parametrize("key", ["records", "checksum", "seed"])
+def test_manifest_missing_key_is_malformed_line_1(tmp_path, key):
+    _, path = _write_mixed(tmp_path)
+    _rewrite(path, 1, lambda header: header.pop(key))
+    with pytest.raises(dp.MalformedRecordError, match=f"line 1: .*'{key}'") as info:
+        dp.read_dataset(path)
+    assert info.value.line_no == 1
+
+
+def test_non_object_lines_are_refused(tmp_path):
+    _, path = _write_mixed(tmp_path)
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(lines[:2] + ["[1, 2]"] + lines[3:]))
+    with pytest.raises(dp.MalformedRecordError, match="line 3"):
+        dp.read_dataset(path)
+    path.write_text("\n".join(["[1, 2]"] + lines[1:]))
+    with pytest.raises(dp.DatasetVersionError, match="not a prefdiff-dataset file"):
+        dp.read_dataset(path)
+
+
+def test_dataset_file_stays_under_20kb_per_pair(tmp_path):
+    # float lists took ~33 KB per grid-16 pair; the binary payload ~17.5 KB
+    pairs, manifest = dp.generate_dataset(dp.default_mix(10), seed=41, grid=16)
+    path = tmp_path / "data.jsonl"
+    dp.write_dataset(pairs, manifest, path)
+    assert len(pairs) == 10
+    assert path.stat().st_size < 20_000 * len(pairs)

@@ -186,6 +186,29 @@ def test_x0_parameterization_gradients_and_identity():
     assert aliased.backward().global_norm() < 1e-9
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_x0_forward_batch_keeps_the_parameter_dtype(dtype):
+    cfg = net.NetConfig(grid=4, channels=3, hidden=8, time_dim=8, parameterization="x0")
+    params = randomized_params(net.init_params(cfg, seed=45), seed=46)
+    params.layers[:] = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
+    sched = df.make_schedule(10, 0.05, 0.3)
+    rng = np.random.default_rng(47)
+    x_t = rng.standard_normal((5, 4, 4, 3))
+    t_arr = np.array([0, 2, 4, 7, 9])
+    enc = np.stack([net.encode_caption(c).vector for c in enumerate_captions()[:5]])
+    out = net.forward_batch(params, x_t, t_arr, enc, sched)
+    assert out.dtype == dtype
+    # reference: the x0 identity with float64 coefficients, as before the cast
+    rows = net.assemble_input(params, x_t, t_arr, enc, sched)
+    ab = sched.alpha_bar[t_arr][:, None]
+    ref = (rows[:, :cfg.image_dim] - np.sqrt(ab) * net.forward_rows(params, rows)) \
+        * (1.0 / np.sqrt(1.0 - ab))
+    if dtype == np.float64:
+        assert np.array_equal(out.reshape(5, -1), ref)
+    else:
+        np.testing.assert_allclose(out.reshape(5, -1), ref, rtol=1e-5, atol=1e-5)
+
+
 def test_clone_frozen_is_independent_and_equal():
     params = randomized_params(net.init_params(SMALL, seed=11), seed=12)
     clone = net.clone_frozen(params)
