@@ -49,35 +49,42 @@ def make_schedule(T, beta_start=1e-4, beta_end=0.02, omega_mode="constant",
                              omega_clip=float(omega_clip))
 
 
-def _check_t(sched, t):
-    if not 0 <= t < sched.T:
-        raise ValueError(f"step index {t} out of range [0, {sched.T})")
+def check_steps(sched, t):
+    """Raise ValueError unless every step index in ``t`` (a scalar or an
+    array) lies in [0, T)."""
+    t = np.asarray(t)
+    bad = t[(t < 0) | (t >= sched.T)]
+    if bad.size:
+        raise ValueError(f"step index {bad.flat[0]} out of range [0, {sched.T})")
 
 
 def q_sample(x0, t, eps, sched):
-    """Noise x0 to step t: sqrt(alpha_bar[t]) * x0 + sqrt(1 - alpha_bar[t]) * eps."""
-    _check_t(sched, t)
+    """Noise x0 to step t: sqrt(alpha_bar[t]) * x0 + sqrt(1 - alpha_bar[t]) * eps.
+
+    ``t`` is either one step index, applied to all of ``x0``, or an (N,) array
+    of them for an (N, ...) batch, whose row i is noised to step t[i].
+    """
+    t = np.asarray(t)
+    check_steps(sched, t)
     x0 = np.asarray(x0)
     eps = np.asarray(eps)
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
-    ab = sched.alpha_bar[t]
+    if t.shape not in ((), x0.shape[:1]):
+        raise ValueError(f"steps shape {t.shape} does not match batch {x0.shape}")
+    ab = sched.alpha_bar[t].reshape(t.shape + (1,) * (x0.ndim - t.ndim))
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
 def omega(sched, t):
     """Loss weight at step t: 1.0 in constant mode, clipped SNR in snr mode."""
-    _check_t(sched, t)
-    if sched.omega_mode == "constant":
-        return 1.0
-    return float(min(np.exp(sched.lambda_log_snr[t]), sched.omega_clip))
+    return float(omega_vector(sched, t))
 
 
 def omega_vector(sched, t_arr):
     """Vectorized ``omega`` over an array of step indices."""
     t_arr = np.asarray(t_arr)
-    if t_arr.size and (t_arr.min() < 0 or t_arr.max() >= sched.T):
-        raise ValueError("step index out of range")
+    check_steps(sched, t_arr)
     if sched.omega_mode == "constant":
         return np.ones(t_arr.shape)
     return np.minimum(np.exp(sched.lambda_log_snr[t_arr]), sched.omega_clip)

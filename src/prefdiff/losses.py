@@ -6,11 +6,15 @@ errors on a preferred branch minus the same difference on a dispreferred
 branch, scaled by beta * T * omega(lambda_t), passed through -log(sigmoid).
 The full bracketed difference sits inside the sigmoid's argument.
 
-The image-contrastive loss noises winner and loser images separately and
-conditions both on the winner caption. The caption-contrastive loss evaluates
-all four terms on one noised winner image, conditioned on the winner vs the
-loser caption. The bimodal loss is the sum of two caption-contrastive terms
-with the roles mirrored.
+Each preference loss is a list of row blocks, each (x_t, encodings, eps,
+mask rows or None) for the N items of a batch, two blocks per contrastive term
+with the preferred branch first; ``_dpo_batch`` stacks them into one network
+input. The image-contrastive loss noises winner and loser images separately
+and conditions both on the winner caption: blocks (x_t^w, c_w), (x_t^l, c_w).
+The caption-contrastive loss evaluates all four terms on one noised winner
+image: blocks (x_t^w, c_w), (x_t^w, c_l). The bimodal loss is the sum of two
+caption-contrastive terms with the roles mirrored: (x_t^w, c_w), (x_t^w, c_l),
+(x_t^l, c_l), (x_t^l, c_w).
 
 Every loss is a batch mean over per-row, mask-weighted squared errors
 e = sum(mask * (pred - target)^2), so its gradient has a closed form: each
@@ -27,7 +31,6 @@ import numpy as np
 from . import autodiff as ad
 from . import diffusion as df
 from . import net
-from . import toyworld as tw
 
 REGION_EXEMPT_DIMENSIONS = ("spatial", "numeracy")
 DEFAULT_BETA = 0.1
@@ -135,16 +138,28 @@ def _loss(theta, value, margin, acts, weighted, c_rows, t_rows, sched):
     return Loss(value=value, margin=margin, theta=theta, acts=acts, d_out=d_out)
 
 
-def _dpo_batch(theta, ref, rows, t_arr, sched, targets, masks, coef, context):
+def _dpo_batch(theta, ref, blocks, t_arr, beta, sched, context):
     """Mean over N items of a sum of contrastive terms.
 
-    ``rows`` stacks the terms, 2N rows each, laid out as ``_contrast_batch``
-    expects. When ``ref is theta`` the reference passes are the policy's own:
-    every bracket is exactly zero, and so is the gradient, since the
-    reference's share of it cancels the policy's.
+    ``blocks`` lists (x_t, encodings, eps, mask rows or None) per N network
+    rows, two per term: the preferred branch, then the dispreferred one. All
+    blocks go through one ``net.assemble_input`` call; where some blocks carry
+    (N, D) mask rows, a block without them weighs every cell by one. When
+    ``ref is theta`` the reference passes are the policy's own: every bracket
+    is exactly zero, and so is the gradient, since the reference's share of it
+    cancels the policy's.
     """
     n = len(t_arr)
-    t_rows = np.tile(t_arr, len(rows) // n)
+    x_t, encodings, eps, mask_rows = zip(*blocks)
+    t_rows = np.tile(t_arr, len(blocks))
+    rows = net.assemble_input(theta, np.concatenate(x_t), t_rows,
+                              np.concatenate(encodings), sched)
+    targets = np.concatenate([e.reshape(n, -1) for e in eps])
+    masks = None
+    if any(m is not None for m in mask_rows):
+        ones = np.ones_like(targets[:n])
+        masks = np.concatenate([ones if m is None else m for m in mask_rows])
+    coef = beta * sched.T * df.omega_vector(sched, t_arr)
     acts = []
     e_theta, weighted = _errors(theta, rows, t_rows, sched, targets, masks, acts)
     e_ref = e_theta if ref is theta else _errors(ref, rows, t_rows, sched, targets, masks)[0]
@@ -159,27 +174,13 @@ def _dpo_batch(theta, ref, rows, t_arr, sched, targets, masks, coef, context):
                  c_rows, t_rows, sched)
 
 
-def _coef(beta, sched, t_arr):
-    return beta * sched.T * df.omega_vector(sched, t_arr)
-
-
-def _noised(x0, eps, t_arr, sched):
-    ab = sched.alpha_bar[t_arr].reshape(-1, 1, 1, 1)
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-
-
 # ---------------------------------------------------------------------------
 # image-contrastive loss (winner image vs loser image, winner caption)
 
 def diffusion_dpo_batch(theta, ref, x0_w, x0_l, enc_w, t_arr, eps_w, eps_l, beta, sched):
-    n = x0_w.shape[0]
-    rows = np.concatenate([
-        net.assemble_input(theta, _noised(x0_w, eps_w, t_arr, sched), t_arr, enc_w, sched),
-        net.assemble_input(theta, _noised(x0_l, eps_l, t_arr, sched), t_arr, enc_w, sched),
-    ], axis=0)
-    targets = np.concatenate([eps_w.reshape(n, -1), eps_l.reshape(n, -1)], axis=0)
-    return _dpo_batch(theta, ref, rows, t_arr, sched, targets, None,
-                      _coef(beta, sched, t_arr), "diffusion_dpo_loss")
+    blocks = [(df.q_sample(x0_w, t_arr, eps_w, sched), enc_w, eps_w, None),
+              (df.q_sample(x0_l, t_arr, eps_l, sched), enc_w, eps_l, None)]
+    return _dpo_batch(theta, ref, blocks, t_arr, beta, sched, "diffusion_dpo_loss")
 
 
 def diffusion_dpo_loss(theta, ref, item, sched):
@@ -189,8 +190,6 @@ def diffusion_dpo_loss(theta, ref, item, sched):
     sampled (t, noise) pair. Returns a Loss.
     """
     pair = item.pair
-    if not 0 <= item.t < sched.T:
-        raise ValueError(f"step index {item.t} out of range [0, {sched.T})")
     if np.asarray(item.eps_w).shape != np.asarray(pair.x0_w).shape:
         raise ValueError("noise shape must match image shape")
     enc_w = net.encode_caption(pair.y_w).vector[None]
@@ -207,19 +206,13 @@ def text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps, beta, sched,
                    masks=None, eps_l=None):
     """``masks`` is None or (N, D) flat weight rows, as ``_mask_rows`` stacks
     them, applied to both captions' errors."""
-    n = x0_w.shape[0]
-    xt_w = _noised(x0_w, eps, t_arr, sched)
+    xt_w = df.q_sample(x0_w, t_arr, eps, sched)
     if eps_l is None:
         xt_l, eps_l = xt_w, eps
     else:
-        xt_l = _noised(x0_w, eps_l, t_arr, sched)
-    rows = np.concatenate([net.assemble_input(theta, xt_w, t_arr, enc_w, sched),
-                           net.assemble_input(theta, xt_l, t_arr, enc_l, sched)], axis=0)
-    targets = np.concatenate([eps.reshape(n, -1), eps_l.reshape(n, -1)], axis=0)
-    if masks is not None:
-        masks = np.concatenate([masks, masks], axis=0)
-    return _dpo_batch(theta, ref, rows, t_arr, sched, targets, masks,
-                      _coef(beta, sched, t_arr), "text_dpo_loss")
+        xt_l = df.q_sample(x0_w, t_arr, eps_l, sched)
+    blocks = [(xt_w, enc_w, eps, masks), (xt_l, enc_l, eps_l, masks)]
+    return _dpo_batch(theta, ref, blocks, t_arr, beta, sched, "text_dpo_loss")
 
 
 def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched,
@@ -230,8 +223,6 @@ def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched,
     loser-branch draw ``eps_l`` is supplied. ``mask`` defaults to all-ones.
     Returns a Loss.
     """
-    if not 0 <= t < sched.T:
-        raise ValueError(f"step index {t} out of range [0, {sched.T})")
     x0_w = np.asarray(x0_w)
     if np.asarray(eps).shape != x0_w.shape:
         raise ValueError("noise shape must match image shape")
@@ -264,33 +255,16 @@ def bidpo_batch(theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l,
     ``masks_w``/``masks_l`` are None or (N, D) flat weight rows for the
     winner/loser image, as ``_mask_rows`` stacks them.
     """
-    n = x0_w.shape[0]
-    xt_w = _noised(x0_w, eps_w, t_arr, sched)
-    xt_l = _noised(x0_l, eps_l, t_arr, sched)
+    xt_w = df.q_sample(x0_w, t_arr, eps_w, sched)
+    xt_l = df.q_sample(x0_l, t_arr, eps_l, sched)
     # term 1: w-image|w-cap vs w-image|l-cap; term 2: l-image|l-cap vs l-image|w-cap
-    rows = np.concatenate([
-        net.assemble_input(theta, xt_w, t_arr, enc_w, sched),
-        net.assemble_input(theta, xt_w, t_arr, enc_l, sched),
-        net.assemble_input(theta, xt_l, t_arr, enc_l, sched),
-        net.assemble_input(theta, xt_l, t_arr, enc_w, sched),
-    ], axis=0)
-    tgt_w = eps_w.reshape(n, -1)
-    tgt_l = eps_l.reshape(n, -1)
-    targets = np.concatenate([tgt_w, tgt_w, tgt_l, tgt_l], axis=0)
-    masks = None
-    if masks_w is not None or masks_l is not None:
-        ones = np.ones_like(tgt_w)
-        mw = masks_w if masks_w is not None else ones
-        ml = masks_l if masks_l is not None else ones
-        masks = np.concatenate([mw, mw, ml, ml], axis=0)
-    return _dpo_batch(theta, ref, rows, t_arr, sched, targets, masks,
-                      _coef(beta, sched, t_arr), "bidpo_loss")
+    blocks = [(xt_w, enc_w, eps_w, masks_w), (xt_w, enc_l, eps_w, masks_w),
+              (xt_l, enc_l, eps_l, masks_l), (xt_l, enc_w, eps_l, masks_l)]
+    return _dpo_batch(theta, ref, blocks, t_arr, beta, sched, "bidpo_loss")
 
 
 def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False):
     """Bimodal preference loss: exact sum of the two mirrored caption terms."""
-    if not 0 <= t < sched.T:
-        raise ValueError(f"step index {t} out of range [0, {sched.T})")
     mask_w, mask_l = pair_masks(pair, use_region)
     enc_w = net.encode_caption(pair.y_w).vector[None]
     enc_l = net.encode_caption(pair.y_l).vector[None]
@@ -308,7 +282,7 @@ def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False)
 def sft_batch(theta, x0, enc, t_arr, eps, sched):
     """Batch mean of the per-cell mean squared noise-prediction error."""
     n = x0.shape[0]
-    rows = net.assemble_input(theta, _noised(x0, eps, t_arr, sched), t_arr, enc, sched)
+    rows = net.assemble_input(theta, df.q_sample(x0, t_arr, eps, sched), t_arr, enc, sched)
     acts = []
     errors, resid = _errors(theta, rows, t_arr, sched, eps.reshape(n, -1), None, acts)
     per_item = errors * (1.0 / eps[0].size)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import diffusion as df
 from . import toyworld as tw
 
 ACTIVATIONS = ("silu", "identity")
@@ -174,6 +175,7 @@ def time_embedding(t_arr, T, dim):
 
 def assemble_input(params, x_t, t_arr, encodings, sched):
     """Stack (flattened images, time embeddings, caption encodings) row-wise."""
+    df.check_steps(sched, t_arr)
     cfg = params.cfg
     x_t = np.asarray(x_t)
     n = x_t.shape[0]
@@ -239,20 +241,16 @@ def noise_output_slope(cfg, t_arr, sched):
 
 def forward_batch(params, x_t, t_arr, encodings, sched):
     """Predicted noise for a batch; returns (N, G, G, C)."""
-    from .diffusion import NumericDivergenceError
-
     rows = assemble_input(params, x_t, t_arr, encodings, sched)
     out = predict_noise_rows(params, rows, t_arr, sched)
     if not np.all(np.isfinite(out)):
-        raise NumericDivergenceError("non-finite network output")
+        raise df.NumericDivergenceError("non-finite network output")
     cfg = params.cfg
     return out.reshape(-1, cfg.grid, cfg.grid, cfg.channels)
 
 
 def forward(params, x_t, t, c, sched):
     """Predicted noise for one image; ``c`` is a CaptionEncoding."""
-    if not 0 <= t < sched.T:
-        raise ValueError(f"step index {t} out of range [0, {sched.T})")
     out = forward_batch(params, np.asarray(x_t)[None], np.array([t]),
                         np.asarray(c.vector)[None], sched)
     return out[0]

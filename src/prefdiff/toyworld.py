@@ -524,7 +524,18 @@ def _size_range(grid):
 
 def _place_disjoint(rng, sizes, grid, constraint=None, tries=600):
     """Rejection-sample disjoint bboxes (1-cell separation); optionally keep
-    only placements satisfying ``constraint(bboxes)``."""
+    only placements satisfying ``constraint(bboxes)``.
+
+    Raises LayoutError before drawing anything when the sizes cannot fit: two
+    boxes that can be separated along neither axis, or padded areas
+    (h + 1) * (w + 1) that sum past (grid + 1)^2.
+    """
+    padded = sum((h + 1) * (w + 1) for h, w in sizes)
+    apart = all(ha + 1 + hb <= grid or wa + 1 + wb <= grid
+                for i, (ha, wa) in enumerate(sizes) for hb, wb in sizes[i + 1:])
+    if padded > (grid + 1) ** 2 or not apart:
+        raise LayoutError(f"{len(sizes)} objects of sizes {sizes} cannot fit "
+                          f"on a {grid}x{grid} grid")
     for _ in range(tries):
         boxes = []
         ok = True

@@ -65,6 +65,23 @@ def test_q_sample_validates_inputs():
         df.q_sample(x0, 3, np.zeros((2, 2, 3)), s)
     with pytest.raises(ValueError):
         df.q_sample(x0, 0, np.zeros((2, 3, 3)), s)
+    with pytest.raises(ValueError, match="range"):
+        df.q_sample(x0, np.array([0, -1]), np.zeros((2, 2, 3)), s)
+    with pytest.raises(ValueError, match="steps shape"):
+        df.q_sample(x0, np.array([0, 1, 2]), np.zeros((2, 2, 3)), s)
+
+
+def test_q_sample_step_array_matches_single_calls_bitwise():
+    s = df.make_schedule(10, 0.05, 0.3)
+    rng = np.random.default_rng(3)
+    t = np.array([0, 9, 4, 4, 7])
+    for dtype in (np.float32, np.float64):
+        x0 = rng.uniform(-1, 1, (5, 3, 3, 2)).astype(dtype)
+        eps = rng.standard_normal((5, 3, 3, 2)).astype(dtype)
+        batched = df.q_sample(x0, t, eps, s)
+        single = np.stack([df.q_sample(x0[i], t[i], eps[i], s) for i in range(5)])
+        assert batched.dtype == single.dtype
+        assert np.array_equal(batched, single)
 
 
 def test_q_sample_noise_variance_matches_schedule():

@@ -120,9 +120,24 @@ def test_loss_rejects_bad_step_and_shapes():
     theta = net.init_params(CFG, seed=0)
     x0, eps = rand_images((4, 4, 3), 0)
     pair = synthetic_pair(x0, CAP_RED, x0, CAP_BLUE)
-    with pytest.raises(ValueError, match="range"):
-        losses.diffusion_dpo_loss(theta, theta,
-                                  losses.LossBatchItem(pair, 10, eps, eps), SCHED)
+    enc = net.encode_caption(CAP_RED).vector[None]
+    # -1 must not alias to T - 1, nor T surface as an IndexError
+    for t in (-1, SCHED.T):
+        calls = {
+            "sft_loss": lambda: losses.sft_loss(theta, x0, CAP_RED, t, eps, SCHED),
+            "sft_batch": lambda: losses.sft_batch(theta, x0[None], enc, np.array([t]),
+                                                  eps[None], SCHED),
+            "diffusion_dpo_loss": lambda: losses.diffusion_dpo_loss(
+                theta, theta, losses.LossBatchItem(pair, t, eps, eps), SCHED),
+            "text_dpo_loss": lambda: losses.text_dpo_loss(
+                theta, theta, x0, CAP_RED, CAP_BLUE, t, eps, 0.1, SCHED),
+            "bidpo_loss": lambda: losses.bidpo_loss(theta, theta, pair, t, eps, eps,
+                                                    0.1, SCHED),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="range"):
+                call()
+                pytest.fail(f"{name} accepted step {t}")
     with pytest.raises(ValueError, match="shape"):
         losses.diffusion_dpo_loss(theta, theta,
                                   losses.LossBatchItem(pair, 1, eps[:2], eps[:2]), SCHED)
@@ -398,6 +413,10 @@ def test_batch_losses_match_finite_differences(parameterization):
         "bidpo_masked": lambda: losses.bidpo_batch(
             theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l, 0.3, sched,
             masks_w=masks_w, masks_l=masks_l),
+        # only the winner carries mask rows: the loser blocks weigh every cell by one
+        "bidpo_winner_mask": lambda: losses.bidpo_batch(
+            theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l, 0.3, sched,
+            masks_w=masks_w, masks_l=None),
     }
     for name, fn in cases.items():
         analytic = fn().backward()

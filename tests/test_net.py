@@ -209,6 +209,19 @@ def test_x0_forward_batch_keeps_the_parameter_dtype(dtype):
         np.testing.assert_allclose(out.reshape(5, -1), ref, rtol=1e-5, atol=1e-5)
 
 
+@pytest.mark.parametrize("parameterization", ["eps", "x0"])
+def test_forward_batch_rejects_steps_outside_the_schedule(parameterization):
+    cfg = net.NetConfig(grid=4, channels=3, hidden=8, time_dim=8,
+                        parameterization=parameterization)
+    params = randomized_params(net.init_params(cfg, seed=48), seed=49)
+    sched = df.make_schedule(10, 0.05, 0.3)
+    x_t = np.random.default_rng(50).standard_normal((2, 4, 4, 3))
+    enc = np.stack([net.encode_caption(c).vector for c in enumerate_captions()[:2]])
+    for bad in (-1, sched.T, 100):
+        with pytest.raises(ValueError, match="range"):
+            net.forward_batch(params, x_t, np.array([0, bad]), enc, sched)
+
+
 def test_clone_frozen_is_independent_and_equal():
     params = randomized_params(net.init_params(SMALL, seed=11), seed=12)
     clone = net.clone_frozen(params)

@@ -283,3 +283,37 @@ def test_caption_of_round_trips_through_vqa():
         derived = dp.parse_dimension(tw.caption_of(scene, dim))
         assert derived == dim
         assert tw.vqa_check(tw.render(scene, 37, 0.05), tw.caption_of(scene, dim)).passed
+
+
+class CountingRng:
+    """A generator that counts its draws."""
+
+    def __init__(self, seed):
+        self.draws = 0
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("sizes,grid", [
+    ([(3, 3), (3, 3)], 4),        # the pair fits along neither axis
+    ([(3, 3)] * 6, 8),            # every pair fits, the padded areas do not
+])
+def test_place_disjoint_fails_before_drawing_when_sizes_cannot_fit(sizes, grid):
+    rng = CountingRng(0)
+    with pytest.raises(tw.LayoutError, match="cannot fit"):
+        tw._place_disjoint(rng, sizes, grid)
+    assert rng.draws == 0
+    # a layout that fits still samples
+    boxes = tw._place_disjoint(rng, sizes[:2], grid + 3)
+    assert len(boxes) == 2 and rng.draws > 0
+
+
+def test_impossible_layouts_keep_dataset_streams():
+    # at grid 4 every two-object colour caption is impossible; the discards
+    # happen at once, and the pairs that fit are built from the same draws
+    pairs, manifest = dp.generate_dataset({"color": 2}, seed=39, grid=4)
+    stats = manifest.filter_stats["color"]
+    assert (stats["built"], stats["discarded_layout"]) == (2, 12)
