@@ -20,7 +20,6 @@ def _add_gen_data(sub):
     p.add_argument("--corruption-rate", type=float, default=0.0,
                    help="inject label corruption before filtering (testing aid)")
     p.add_argument("--grid", type=int, default=tw.DEFAULT_GRID)
-    p.add_argument("--layout-pool", type=int, default=None)
     p.add_argument("--out", required=True)
 
 
@@ -28,8 +27,7 @@ def _cmd_gen_data(args):
     dims = [d.strip() for d in args.dims.split(",") if d.strip()]
     counts = {d: args.count_per_dim for d in dims}
     pairs, manifest = datapipe.generate_dataset(
-        counts, seed=args.seed, jitter=args.jitter, grid=args.grid,
-        layout_pool=args.layout_pool)
+        counts, seed=args.seed, jitter=args.jitter, grid=args.grid)
     # pairs the generator could not build; the corruption filter's discards
     # below are deliberate and do not count
     shortfall = {dim: (manifest.realized.get(dim, 0), want)
@@ -88,17 +86,15 @@ def _add_eval(sub):
     p.add_argument("--prompts-per-dim", type=int, default=20)
     p.add_argument("--samples-per-prompt", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="run-config for the schedule")
+    p.add_argument("--config", required=True,
+                   help="run-config the checkpoint was trained with; sets the schedule")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _cmd_eval(args):
     params = net.load_checkpoint(args.ckpt)
-    config = trainer.load_config(args.config) if args.config else trainer.TrainConfig(
-        grid=params.cfg.grid, channels=params.cfg.channels,
-        hidden=params.cfg.hidden, time_dim=params.cfg.time_dim)
-    sched = config.schedule()
+    sched = trainer.load_config(args.config).schedule()
     if args.gen:
         prompts = evalbench.sample_prompts(tw.DIMENSIONS, args.prompts_per_dim, args.seed)
     elif args.prompts:
@@ -112,7 +108,8 @@ def _cmd_eval(args):
                               seed=args.seed)
     record = {"per_dimension": card.per_dimension, "validity": card.validity,
               "sample_count": card.sample_count, "seed": card.seed}
-    with open(args.out, "w") as fh:
+    tmp = f"{args.out}.tmp"
+    with open(tmp, "w") as fh:
         if args.format == "json":
             json.dump(record, fh, indent=2)
         else:
@@ -120,6 +117,7 @@ def _cmd_eval(args):
             fh.write(",".join(["validity", *dims]) + "\n")
             fh.write(",".join([repr(card.validity)] +
                               [repr(card.per_dimension[d]) for d in dims]) + "\n")
+    os.replace(tmp, args.out)
     print(f"validity {card.validity:.3f}; " +
           "; ".join(f"{d} {a:.3f}" for d, a in card.per_dimension.items()))
     return 0

@@ -96,21 +96,12 @@ def _child_seed(*parts):
 # ---------------------------------------------------------------------------
 # grammar sampling
 
-def sample_caption(dimension, rng_seed, exclude=frozenset()):
-    """Uniform draw over the caption grammar conditioned on dimension.
-
-    ``exclude`` rejects specific captions (used to keep evaluation prompts
-    out of the training data); resampling uses fresh child seeds.
-    """
+def sample_caption(dimension, rng_seed):
+    """Uniform draw over the caption grammar conditioned on dimension."""
     if dimension not in tw.DIMENSIONS:
         raise ValueError(f"unsupported dimension {dimension!r}")
-    for attempt in range(1000):
-        seed = rng_seed if attempt == 0 else _child_seed(rng_seed, "resample", attempt)
-        caption = _draw_caption(dimension, np.random.default_rng(
-            np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF)))
-        if caption not in exclude:
-            return caption
-    raise RuntimeError(f"grammar for {dimension!r} exhausted by the exclusion set")
+    return _draw_caption(dimension, np.random.default_rng(
+        np.random.SeedSequence(rng_seed & 0xFFFFFFFFFFFFFFFF)))
 
 
 def _draw_caption(dimension, rng):
@@ -258,15 +249,14 @@ def build_pair(caption, edit, layout_seed, jitter=DEFAULT_JITTER, grid=tw.DEFAUL
         mask_l=tw.region_mask(scene_l, idx_l, 1.0, 0.5, grid))
 
 
-def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID,
-                     exclude_captions=frozenset(), layout_pool=None):
+def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
     """Build a preference dataset with the requested per-dimension pair counts.
 
     Each sampled caption contributes every edit it admits (one pair per edit)
-    until the dimension's quota is met. Discards from failed cross-checks or
-    impossible layouts are counted in the manifest. ``layout_pool`` caps the
-    number of distinct layout seeds to make the generative task easier at
-    desk scale.
+    until the dimension's quota is met, and every pair gets a layout seed of
+    its own. Discards from failed cross-checks or impossible layouts are
+    counted in the manifest. Evaluation prompts are kept out of the training
+    captions afterwards, by ``evalbench.sample_prompts(exclude=)``.
     """
     pairs = []
     realized = {}
@@ -279,18 +269,12 @@ def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID,
         dim_pairs = []
         while built < want:
             cap_seed = _child_seed(seed, dim, i, "caption")
-            caption = sample_caption(dim, cap_seed, exclude=exclude_captions)
+            caption = sample_caption(dim, cap_seed)
             edits = edit_caption(caption, _child_seed(seed, dim, i, "edit"))
             for j, edit in enumerate(edits):
                 if built >= want:
                     break
-                if edit[0] in exclude_captions:
-                    continue   # edited caption collides with a reserved prompt
-                if layout_pool:
-                    pool_idx = _child_seed(seed, dim, i, j, "pick") % layout_pool
-                    layout_seed = _child_seed(seed, "pool", pool_idx)
-                else:
-                    layout_seed = _child_seed(seed, dim, i, j, "layout")
+                layout_seed = _child_seed(seed, dim, i, j, "layout")
                 try:
                     dim_pairs.append(build_pair(caption, edit, layout_seed, jitter, grid))
                     built += 1
@@ -308,7 +292,7 @@ def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID,
                       "discarded_vqa": discarded_vqa,
                       "discarded_layout": discarded_layout}
     config = {"counts": dict(counts), "seed": seed, "jitter": jitter, "grid": grid,
-              "layout_pool": layout_pool, "version": DATASET_VERSION}
+              "version": DATASET_VERSION}
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     manifest = DatasetManifest(requested=dict(counts), realized=realized,
                                config_hash=config_hash, filter_stats=stats, seed=seed)

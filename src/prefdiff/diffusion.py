@@ -1,11 +1,11 @@
 """Forward noising process, noise schedule bookkeeping, and ancestral sampling."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 OMEGA_MODES = ("constant", "snr")
-DEFAULT_OMEGA_CLIP = 5.0
+OMEGA_CLIP = 5.0           # cap on the snr-mode loss weight
 
 
 class NumericDivergenceError(ArithmeticError):
@@ -26,14 +26,15 @@ class DiffusionSchedule:
     alpha_bar: np.ndarray
     lambda_log_snr: np.ndarray
     omega_mode: str = "constant"
-    omega_clip: float = field(default=DEFAULT_OMEGA_CLIP)
 
 
-def make_schedule(T, beta_start=1e-4, beta_end=0.02, omega_mode="constant",
-                  omega_clip=DEFAULT_OMEGA_CLIP):
-    """Build a linear-beta schedule with T steps.
+def make_schedule(T, beta_start, beta_end, omega_mode="constant"):
+    """Build a schedule of T steps whose beta rises linearly from beta_start
+    to beta_end.
 
-    Raises ValueError unless 0 < beta_start <= beta_end < 1 and T >= 1.
+    ``omega_mode`` sets the loss weight ``omega``: 1.0 ("constant") or the
+    step's SNR clipped at OMEGA_CLIP ("snr"). Raises ValueError unless
+    0 < beta_start <= beta_end < 1 and T >= 1.
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
@@ -45,8 +46,7 @@ def make_schedule(T, beta_start=1e-4, beta_end=0.02, omega_mode="constant",
     alpha_bar = np.cumprod(1.0 - beta)
     lam = np.log(alpha_bar) - np.log1p(-alpha_bar)
     return DiffusionSchedule(T=int(T), beta=beta, alpha_bar=alpha_bar,
-                             lambda_log_snr=lam, omega_mode=omega_mode,
-                             omega_clip=float(omega_clip))
+                             lambda_log_snr=lam, omega_mode=omega_mode)
 
 
 def check_steps(sched, t):
@@ -87,7 +87,7 @@ def omega_vector(sched, t_arr):
     check_steps(sched, t_arr)
     if sched.omega_mode == "constant":
         return np.ones(t_arr.shape)
-    return np.minimum(np.exp(sched.lambda_log_snr[t_arr]), sched.omega_clip)
+    return np.minimum(np.exp(sched.lambda_log_snr[t_arr]), OMEGA_CLIP)
 
 
 def ddpm_sample_batch(params, encodings, sched, seeds):

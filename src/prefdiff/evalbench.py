@@ -53,19 +53,18 @@ class AblationReport:
 
 
 def sample_prompts(dims, n_per_dim, seed, exclude=frozenset()):
-    """Distinct held-out prompts per dimension, rejecting excluded captions.
+    """Up to ``n_per_dim`` distinct held-out prompts per dimension, rejecting
+    excluded captions.
 
-    ``n_per_dim`` may be a single count or a per-dimension mapping. Small
-    grammars (notably the 9-caption bare-shape one) may not support the full
-    request; the returned list simply carries fewer prompts there.
+    Small grammars (notably the 9-caption bare-shape one) may not support the
+    full request; the returned list simply carries fewer prompts there.
     """
     prompts = []
     exclude = set(exclude)
     for dim in dims:
-        want = n_per_dim[dim] if isinstance(n_per_dim, dict) else n_per_dim
         seen = set()
         misses = 0
-        while len(seen) < want and misses < 200:
+        while len(seen) < n_per_dim and misses < 200:
             cap = sample_caption(dim, _child_seed(seed, dim, len(seen), misses))
             if cap in exclude or cap in seen:
                 misses += 1
@@ -79,8 +78,7 @@ def expected_object_count(caption):
     return caption.count if caption.count is not None else len(caption.objects)
 
 
-def evaluate(params, prompts, samples_per_prompt, sched, seed,
-             exclude=None, sampler=None):
+def evaluate(params, prompts, samples_per_prompt, sched, seed, sampler=None):
     """Score a model on held-out prompts.
 
     For each prompt, ``samples_per_prompt`` images are generated (ancestral
@@ -89,10 +87,6 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed,
     the prompt. Returns a Scorecard; deterministic given (params, prompts,
     seed). No prompts give an empty Scorecard with validity 0.
     """
-    if exclude is not None:
-        overlap = set(prompts) & set(exclude)
-        if overlap:
-            raise ValueError(f"{len(overlap)} prompts appear in the training captions")
     if sampler is None:
         def sampler(params, captions, encodings, sched, seeds):
             return df.ddpm_sample_batch(params, encodings, sched, seeds)
@@ -133,8 +127,7 @@ def run_ablation(base_config, dataset, prompts, out_dir=None):
     reference. Rows are independent; a failed row is recorded, not dropped.
     """
     trainer.validate_config(base_config)
-    train_captions = dataset_captions(dataset)
-    overlap = set(prompts) & train_captions
+    overlap = set(prompts) & dataset_captions(dataset)
     if overlap:
         raise ValueError(f"{len(overlap)} evaluation prompts collide with training captions")
 
@@ -152,7 +145,7 @@ def run_ablation(base_config, dataset, prompts, out_dir=None):
                 cfg = replace(base_config, method=method)
                 params, _ = trainer.train(cfg, dataset, init_params=base_params)
             card = evaluate(params, prompts, base_config.eval_samples_per_prompt,
-                            sched, seed=eval_seed, exclude=train_captions)
+                            sched, seed=eval_seed)
             rows.append(AblationRow(method=method, status="ok", scorecard=card))
         except Exception as exc:   # a row failure must not sink the report
             rows.append(AblationRow(method=method, status="failed", error=str(exc)))
@@ -197,15 +190,15 @@ def _report_from_dict(d):
 
 
 def emit_report(report, fmt, path):
-    """Lossless tabular serialization of an ablation report."""
+    """Lossless tabular serialization of an ablation report, written to
+    ``path.tmp`` and then moved over ``path``."""
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"format must be one of {REPORT_FORMATS}")
-    if fmt == "json":
-        with open(path, "w") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="" if fmt == "csv" else None) as fh:
+        if fmt == "json":
             json.dump(_report_dict(report), fh, indent=2)
-        return path
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        elif fmt == "csv":
             writer = csv.writer(fh)
             writer.writerow(["method", "status", *_CSV_DIMS,
                              "validity", "sample_count", "card_seed", "report_seed", "error"])
@@ -218,18 +211,19 @@ def emit_report(report, fmt, path):
                                  card.sample_count if card else "",
                                  card.seed if card else "",
                                  report.seed, r.error or ""])
-        return path
-    with open(path, "w") as fh:
-        fh.write("| method | " + " | ".join(_CSV_DIMS) + " | validity |\n")
-        fh.write("|" + " --- |" * (len(_CSV_DIMS) + 2) + "\n")
-        for r in report.rows:
-            card = r.scorecard
-            if card is None:
-                cells = ["failed"] * (len(_CSV_DIMS) + 1)
-            else:
-                cells = [f"{card.per_dimension.get(d, float('nan')):.3f}" for d in _CSV_DIMS]
-                cells.append(f"{card.validity:.3f}")
-            fh.write(f"| {r.method} | " + " | ".join(cells) + " |\n")
+        else:
+            fh.write("| method | " + " | ".join(_CSV_DIMS) + " | validity |\n")
+            fh.write("|" + " --- |" * (len(_CSV_DIMS) + 2) + "\n")
+            for r in report.rows:
+                card = r.scorecard
+                if card is None:
+                    cells = ["failed"] * (len(_CSV_DIMS) + 1)
+                else:
+                    cells = [f"{card.per_dimension.get(d, float('nan')):.3f}"
+                             for d in _CSV_DIMS]
+                    cells.append(f"{card.validity:.3f}")
+                fh.write(f"| {r.method} | " + " | ".join(cells) + " |\n")
+    os.replace(tmp, path)
     return path
 
 

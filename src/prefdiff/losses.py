@@ -202,26 +202,20 @@ def diffusion_dpo_loss(theta, ref, item, sched):
 # ---------------------------------------------------------------------------
 # caption-contrastive loss (one image, winner caption vs loser caption)
 
-def text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps, beta, sched,
-                   masks=None, eps_l=None):
+def text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps, beta, sched, masks=None):
     """``masks`` is None or (N, D) flat weight rows, as ``_mask_rows`` stacks
     them, applied to both captions' errors."""
     xt_w = df.q_sample(x0_w, t_arr, eps, sched)
-    if eps_l is None:
-        xt_l, eps_l = xt_w, eps
-    else:
-        xt_l = df.q_sample(x0_w, t_arr, eps_l, sched)
-    blocks = [(xt_w, enc_w, eps, masks), (xt_l, enc_l, eps_l, masks)]
+    blocks = [(xt_w, enc_w, eps, masks), (xt_w, enc_l, eps, masks)]
     return _dpo_batch(theta, ref, blocks, t_arr, beta, sched, "text_dpo_loss")
 
 
-def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched,
-                  mask=None, eps_l=None):
+def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched, mask=None):
     """Contrast the winner caption against the loser caption on one image.
 
-    A single shared noise draw feeds all four terms unless an independent
-    loser-branch draw ``eps_l`` is supplied. ``mask`` defaults to all-ones.
-    Returns a Loss.
+    One noise draw ``eps`` noises the winner image once, and that noised
+    image feeds all four terms (policy and reference, under each caption).
+    ``mask`` defaults to all-ones. Returns a Loss.
     """
     x0_w = np.asarray(x0_w)
     if np.asarray(eps).shape != x0_w.shape:
@@ -230,8 +224,7 @@ def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched,
     enc_l = net.encode_caption(y_l).vector[None]
     return text_dpo_batch(
         theta, ref, x0_w[None], enc_w, enc_l, np.array([t]),
-        np.asarray(eps)[None], beta, sched, masks=_mask_rows([mask], x0_w.shape),
-        eps_l=None if eps_l is None else np.asarray(eps_l)[None])
+        np.asarray(eps)[None], beta, sched, masks=_mask_rows([mask], x0_w.shape))
 
 
 # ---------------------------------------------------------------------------

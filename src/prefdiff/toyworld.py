@@ -22,6 +22,7 @@ one rule and ``detect(render(scene)) == scene`` compares like with like.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,7 +52,6 @@ BACKGROUND = 0.0
 DIM_FACTOR = 0.5          # brightness of the dimmed cells of striped/checker
 DEFAULT_GRID = 16
 CHANNELS = 3
-JITTER_MAX = 0.1
 
 _BG_THRESHOLD = 0.3       # max-channel deviation that counts as "object"
 _MIN_COMPONENT = 5        # smaller blobs are treated as noise
@@ -475,27 +475,18 @@ def _best_assignment(slots, objs, relation):
     """Injective slot -> object map maximizing matched attributes.
 
     Among equally scored maps, one under which ``relation`` (if not None) holds
-    wins; remaining ties go to the first in object-index order.
+    wins; remaining ties go to the first in object-index order. Slots left
+    over when there are fewer objects than slots map to None.
     """
-    if not objs:
-        return [None] * len(slots)
-    if len(slots) == 1:
-        scores = [_slot_score(slots[0], o) for o in objs]
-        return [int(np.argmax(scores))]
-    best, best_key = (None, None), None
-    for a in range(len(objs)):
-        for b in range(len(objs)):
-            if a == b:
-                continue
-            score = _slot_score(slots[0], objs[a]) + _slot_score(slots[1], objs[b])
-            holds = relation is not None and _relation_holds(relation, objs[a].bbox, objs[b].bbox)
-            if best_key is None or (score, holds) > best_key:
-                best, best_key = (a, b), (score, holds)
-    if best == (None, None):           # single detected object, two slots
-        scores = [_slot_score(slots[0], o) for o in objs]
-        j = int(np.argmax(scores))
-        return [j, None]
-    return list(best)
+    def key(perm):
+        score = sum(_slot_score(slot, objs[j]) for slot, j in zip(slots, perm))
+        holds = (relation is not None and len(perm) == 2
+                 and _relation_holds(relation, objs[perm[0]].bbox, objs[perm[1]].bbox))
+        return score, holds
+
+    k = min(len(slots), len(objs))
+    best = max(itertools.permutations(range(len(objs)), k), key=key)
+    return list(best) + [None] * (len(slots) - k)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +513,7 @@ def _size_range(grid):
     return lo, hi
 
 
-def _place_disjoint(rng, sizes, grid, constraint=None, tries=600):
+def _place_disjoint(rng, sizes, grid, constraint=None):
     """Rejection-sample disjoint bboxes (1-cell separation); optionally keep
     only placements satisfying ``constraint(bboxes)``.
 
@@ -536,7 +527,7 @@ def _place_disjoint(rng, sizes, grid, constraint=None, tries=600):
     if padded > (grid + 1) ** 2 or not apart:
         raise LayoutError(f"{len(sizes)} objects of sizes {sizes} cannot fit "
                           f"on a {grid}x{grid} grid")
-    for _ in range(tries):
+    for _ in range(600):
         boxes = []
         ok = True
         for (h, w) in sizes:

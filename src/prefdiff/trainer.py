@@ -20,7 +20,7 @@ from .datapipe import _child_seed
 
 METHODS = ("sft", "image_dpo", "text_dpo", "bidpo", "bidpo_region")
 CONFIG_FORMAT = "prefdiff-run-config"
-CONFIG_VERSION = 2
+CONFIG_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     beta: float = 0.1
-    optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     warmup_steps: int = 50
     seed: int = 0
     # schedule: total noise matches the 1000-step convention at desk length
@@ -64,8 +60,6 @@ class TrainConfig:
 def validate_config(config):
     if config.method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {config.method!r}")
-    if config.optimizer not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
     for name in ("steps", "batch_size", "T", "grid", "channels", "hidden", "time_dim"):
         if getattr(config, name) < (0 if name == "steps" else 1):
             raise ValueError(f"{name} must be positive")
@@ -98,6 +92,11 @@ class MetricsLog:
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: list
@@ -110,12 +109,13 @@ class AdamState:
                    v=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers])
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr):
     """Textbook Adam with bias correction; updates parameters in place.
 
     Evaluates ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g**2``
-    and ``arr -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with the same operations
-    in the same order as the plain expressions, but into two scratch buffers
+    and ``arr -= lr * (m/c1) / (sqrt(v/c2) + eps)``, where beta1, beta2 and
+    eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, with the same operations in
+    the same order as the plain expressions, but into two scratch buffers
     the size of the largest array, shared by every array. The parameters are
     bit-identical to the plain expressions' whenever the gradients share the
     parameters' dtype, as ``net.backward``'s do. The buffers live for one
@@ -123,8 +123,8 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     size = max(a.size for pair in params.layers for a in pair)
     dtype = params.layers[0][0].dtype
     scratch = (np.empty(size, dtype), np.empty(size, dtype))
@@ -132,28 +132,21 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         for arr, g, m, v in ((w, grads.layers[li][0], state.m[li][0], state.v[li][0]),
                              (b, grads.layers[li][1], state.m[li][1], state.v[li][1])):
             s1, s2 = (buf[:arr.size].reshape(arr.shape) for buf in scratch)
-            m *= beta1
-            np.multiply(1.0 - beta1, g, out=s1)
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, g, out=s1)
             m += s1
-            v *= beta2
+            v *= ADAM_BETA2
             np.square(g, out=s1)
-            np.multiply(1.0 - beta2, s1, out=s1)
+            np.multiply(1.0 - ADAM_BETA2, s1, out=s1)
             v += s1
             np.divide(m, c1, out=s1)
             np.multiply(lr, s1, out=s1)
             np.divide(v, c2, out=s2)
             np.sqrt(s2, out=s2)
-            np.add(s2, eps, out=s2)
+            np.add(s2, ADAM_EPS, out=s2)
             np.divide(s1, s2, out=s1)
             arr -= s1
     return params, state
-
-
-def sgd_step(params, grads, lr):
-    for li, (w, b) in enumerate(params.layers):
-        w -= lr * grads.layers[li][0]
-        b -= lr * grads.layers[li][1]
-    return params
 
 
 def warmup_lr(step, base_lr, warmup_steps):
@@ -221,7 +214,7 @@ def train(config, dataset, init_params=None):
     The reference is a frozen clone of the initial parameters (either
     ``init_params`` or a fresh seeded init). Returns (DenoiserParams,
     MetricsLog); raises NumericDivergenceError naming the step on a
-    non-finite loss.
+    non-finite loss or gradient norm, before that step's update.
     """
     validate_config(config)
     if not dataset:
@@ -248,14 +241,12 @@ def train(config, dataset, init_params=None):
         except df.NumericDivergenceError as exc:
             raise df.NumericDivergenceError(f"step {step}: {exc}") from exc
         grads = loss.backward()
+        grad_norm = grads.global_norm()
+        if not np.isfinite(grad_norm):
+            raise df.NumericDivergenceError(f"step {step}: non-finite gradient norm")
         lr = warmup_lr(step, config.learning_rate, config.warmup_steps)
-        if config.optimizer == "adam":
-            adam_step(params, grads, state, lr,
-                      config.adam_beta1, config.adam_beta2, config.adam_eps)
-        else:
-            sgd_step(params, grads, lr)
-        log.records.append(StepRecord(step=step, loss=loss.value,
-                                      grad_norm=grads.global_norm(),
+        adam_step(params, grads, state, lr)
+        log.records.append(StepRecord(step=step, loss=loss.value, grad_norm=grad_norm,
                                       margin=loss.margin, lr=lr))
     return params, log
 

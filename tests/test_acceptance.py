@@ -201,7 +201,7 @@ def test_criterion_4_closed_form():
 
 def test_criterion_5_pipeline_soundness():
     counts = dp.default_mix(1000)
-    pairs, manifest = dp.generate_dataset(counts, seed=9001, grid=8, layout_pool=None)
+    pairs, manifest = dp.generate_dataset(counts, seed=9001, grid=8)
     n_pairs = len(pairs)
     cross_ok = all(
         tw.vqa_check(p.x0_w, p.y_w).passed

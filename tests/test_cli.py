@@ -1,7 +1,19 @@
+import json
+import os
+
 import pytest
 
 from prefdiff import cli
 from prefdiff import datapipe as dp
+from prefdiff import net
+from prefdiff import trainer
+
+
+def micro_config(**overrides):
+    base = dict(method="sft", steps=3, batch_size=4, grid=8, hidden=16, time_dim=8,
+                T=10, seed=2, dtype="float64", pretrain_steps=2, eval_samples_per_prompt=1)
+    base.update(overrides)
+    return trainer.TrainConfig(**base)
 
 
 @pytest.mark.parametrize("corruption_rate", [0.0, 0.5])
@@ -30,3 +42,77 @@ def test_gen_data_shortfall_is_reported_and_fails(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert "spatial realized 1 of 2 requested" in err
     assert "color" not in err
+
+
+def test_gen_data_train_eval_ablate_end_to_end(tmp_path):
+    data = tmp_path / "data.jsonl"
+    assert cli.main(["gen-data", "--dims", "color,numeracy", "--count-per-dim", "4",
+                     "--grid", "8", "--seed", "1", "--out", str(data)]) == 0
+    config = tmp_path / "config.json"
+    trainer.save_config(micro_config(), config)
+    assert json.loads(config.read_text())["version"] == 3
+
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--method", "bidpo", "--out", str(run)]) == 0
+    assert trainer.load_config(run / "config.json") == micro_config(method="bidpo")
+    assert len((run / "metrics.jsonl").read_text().splitlines()) == 3
+    params = net.load_checkpoint(run / "checkpoint.json")
+    assert params.cfg == micro_config().net_config()
+
+    scores = tmp_path / "eval.json"
+    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"),
+                     "--config", str(run / "config.json"), "--gen",
+                     "--prompts-per-dim", "1", "--samples-per-prompt", "1",
+                     "--out", str(scores)]) == 0
+    record = json.loads(scores.read_text())
+    assert record["sample_count"] == 5 and 0.0 <= record["validity"] <= 1.0
+
+    ablation = tmp_path / "ablation"
+    assert cli.main(["ablate", "--config", str(config), "--data", str(data),
+                     "--prompts-per-dim", "1", "--out", str(ablation)]) == 0
+    assert sorted(os.listdir(ablation)) == ["report.csv", "report.json", "report.md"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_train_refuses_a_v2_config(tmp_path):
+    config = tmp_path / "config.json"
+    trainer.save_config(micro_config(), config)
+    record = json.loads(config.read_text())
+    config.write_text(json.dumps({**record, "version": 2, "optimizer": "adam"}))
+    with pytest.raises(ValueError, match="run-config v3"):
+        cli.main(["train", "--config", str(config), "--data", str(tmp_path / "data.jsonl"),
+                  "--out", str(tmp_path / "run")])
+
+
+def _checkpoint_and_config(tmp_path):
+    cfg = micro_config()
+    ckpt, config = tmp_path / "checkpoint.json", tmp_path / "config.json"
+    net.save_checkpoint(net.init_params(cfg.net_config(), seed=0), ckpt)
+    trainer.save_config(cfg, config)
+    return ckpt, config
+
+
+def test_eval_requires_the_run_config(tmp_path, capsys):
+    ckpt, _ = _checkpoint_and_config(tmp_path)
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "--ckpt", str(ckpt), "--gen", "--prompts-per-dim", "1",
+                  "--samples-per-prompt", "1", "--out", str(tmp_path / "eval.json")])
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
+    ckpt, config = _checkpoint_and_config(tmp_path)
+    out = tmp_path / f"eval.{fmt}"
+    out.write_text("old scores\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(["eval", "--ckpt", str(ckpt), "--config", str(config), "--gen",
+                  "--prompts-per-dim", "1", "--samples-per-prompt", "1",
+                  "--format", fmt, "--out", str(out)])
+    assert out.read_text() == "old scores\n"

@@ -33,8 +33,6 @@ def test_sample_caption_deterministic_and_excludable():
     a = dp.sample_caption("texture", rng_seed=5)
     b = dp.sample_caption("texture", rng_seed=5)
     assert a == b
-    c = dp.sample_caption("texture", rng_seed=5, exclude={a})
-    assert c != a
     with pytest.raises(ValueError, match="unsupported"):
         dp.sample_caption("aesthetics", rng_seed=0)
 
@@ -180,12 +178,6 @@ def test_generate_dataset_counts_and_reproducibility():
     assert sum(man_a.realized.values()) <= sum(man_a.requested.values())
     for p in pairs_a:
         assert p.y_w != p.y_l
-
-
-def test_generate_dataset_respects_exclusions():
-    reserved = {dp.sample_caption("color", rng_seed=i) for i in range(30)}
-    pairs, _ = dp.generate_dataset({"color": 10}, seed=23, exclude_captions=reserved)
-    assert all(p.y_w not in reserved for p in pairs)
 
 
 def test_filter_pairs_clean_input_all_kept():

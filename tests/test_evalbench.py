@@ -1,4 +1,5 @@
 import json
+import os
 
 import jsonschema
 import numpy as np
@@ -93,14 +94,6 @@ def test_evaluate_is_deterministic():
     assert a == b
 
 
-def test_evaluate_asserts_prompt_disjointness():
-    cfg = micro_config()
-    params = net.init_params(cfg.net_config(), seed=0)
-    cap = dp.sample_caption("color", rng_seed=10)
-    with pytest.raises(ValueError, match="training"):
-        eb.evaluate(params, [cap], 1, cfg.schedule(), seed=11, exclude={cap})
-
-
 @pytest.fixture(scope="module")
 def micro_report(tmp_path_factory):
     pairs, _ = dp.generate_dataset({"color": 10, "numeracy": 6}, seed=13, grid=8)
@@ -172,3 +165,17 @@ def test_report_markdown_has_six_body_rows(tmp_path):
 def test_emit_report_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="format"):
         eb.emit_report(sample_report(), "xml", tmp_path / "r.xml")
+
+
+@pytest.mark.parametrize("fmt", eb.REPORT_FORMATS)
+def test_emit_report_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
+    path = tmp_path / f"report.{fmt}"
+    path.write_text("old report\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        eb.emit_report(sample_report(), fmt, path)
+    assert path.read_text() == "old report\n"

@@ -214,20 +214,6 @@ def test_text_dpo_all_ones_mask_is_bitwise_neutral():
     assert a.margin == b.margin
 
 
-def test_text_dpo_independent_draws_flag():
-    theta = randomized_params(net.init_params(CFG, seed=23), seed=24)
-    ref = net.clone_frozen(randomized_params(net.init_params(CFG, seed=25), seed=26))
-    x0, eps = rand_images((4, 4, 3), 27)
-    eps2 = np.random.default_rng(28).standard_normal((4, 4, 3))
-    shared = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_BLUE, 5, eps, 0.1, SCHED)
-    indep = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_BLUE, 5, eps, 0.1, SCHED,
-                                 eps_l=eps2)
-    assert shared.value != indep.value
-    same = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_BLUE, 5, eps, 0.1, SCHED,
-                                eps_l=eps.copy())
-    assert same.value == shared.value
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_text_dpo_descent_step_reduces_preference_margin(seed):
     # a small step along -grad must lower err(theta, c_w) - err(theta, c_l)
@@ -406,8 +392,7 @@ def test_batch_losses_match_finite_differences(parameterization):
         "diffusion_dpo": lambda: losses.diffusion_dpo_batch(
             theta, ref, x0_w, x0_l, enc_w, t_arr, eps_w, eps_l, 0.3, sched),
         "text_dpo": lambda: losses.text_dpo_batch(
-            theta, ref, x0_w, enc_w, enc_l, t_arr, eps_w, 0.3, sched,
-            masks=masks_w, eps_l=eps_l),
+            theta, ref, x0_w, enc_w, enc_l, t_arr, eps_w, 0.3, sched, masks=masks_w),
         "bidpo": lambda: losses.bidpo_batch(
             theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l, 0.3, sched),
         "bidpo_masked": lambda: losses.bidpo_batch(

@@ -317,3 +317,47 @@ def test_impossible_layouts_keep_dataset_streams():
     pairs, manifest = dp.generate_dataset({"color": 2}, seed=39, grid=4)
     stats = manifest.filter_stats["color"]
     assert (stats["built"], stats["discarded_layout"]) == (2, 12)
+
+
+def _reference_best_assignment(slots, objs, relation):
+    # the explicit one-slot / two-slot search that the permutation maximum
+    # replaced; kept as the reference it must reproduce, tie-breaks included
+    if not objs:
+        return [None] * len(slots)
+    if len(slots) == 1:
+        scores = [tw._slot_score(slots[0], o) for o in objs]
+        return [int(np.argmax(scores))]
+    best, best_key = (None, None), None
+    for a in range(len(objs)):
+        for b in range(len(objs)):
+            if a == b:
+                continue
+            score = tw._slot_score(slots[0], objs[a]) + tw._slot_score(slots[1], objs[b])
+            holds = relation is not None and tw._relation_holds(relation, objs[a].bbox,
+                                                                objs[b].bbox)
+            if best_key is None or (score, holds) > best_key:
+                best, best_key = (a, b), (score, holds)
+    if best == (None, None):
+        scores = [tw._slot_score(slots[0], o) for o in objs]
+        return [int(np.argmax(scores)), None]
+    return list(best)
+
+
+def test_best_assignment_matches_reference_search():
+    # two-value vocabularies and a 3x3 grid of centres make score ties and
+    # relation ties common, so the tie-break order is exercised
+    rng = np.random.default_rng(77)
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    shapes, colors, textures = tw.SHAPES[:2], tw.COLORS[:2], tw.TEXTURES[:2]
+    for _ in range(3000):
+        objs = [tw.SceneObject(pick(shapes), pick(colors), pick(textures),
+                               tw.BBox(3 * int(rng.integers(3)), 3 * int(rng.integers(3)), 2, 2))
+                for _ in range(int(rng.integers(5)))]
+        slots = [tw.ObjectSlot(pick(shapes), pick((None,) + colors), pick((None,) + textures))
+                 for _ in range(1 + int(rng.integers(2)))]
+        relation = pick((None,) + tw.RELATIONS) if len(slots) == 2 else None
+        assert (tw._best_assignment(slots, objs, relation)
+                == _reference_best_assignment(slots, objs, relation)), (slots, objs, relation)
