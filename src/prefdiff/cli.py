@@ -17,8 +17,6 @@ def _add_gen_data(sub):
     p.add_argument("--count-per-dim", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jitter", type=float, default=datapipe.DEFAULT_JITTER)
-    p.add_argument("--corruption-rate", type=float, default=0.0,
-                   help="inject label corruption before filtering (testing aid)")
     p.add_argument("--grid", type=int, default=tw.DEFAULT_GRID)
     p.add_argument("--out", required=True)
 
@@ -28,19 +26,10 @@ def _cmd_gen_data(args):
     counts = {d: args.count_per_dim for d in dims}
     pairs, manifest = datapipe.generate_dataset(
         counts, seed=args.seed, jitter=args.jitter, grid=args.grid)
-    # pairs the generator could not build; the corruption filter's discards
-    # below are deliberate and do not count
+    # pairs the generator could not build
     shortfall = {dim: (manifest.realized.get(dim, 0), want)
                  for dim, want in manifest.requested.items()
                  if manifest.realized.get(dim, 0) != want}
-    if args.corruption_rate > 0:
-        kept, discarded, stats = datapipe.filter_pairs(
-            pairs, corruption_rate=args.corruption_rate, rng_seed=args.seed)
-        print(f"filter: kept {len(kept)}, discarded {len(discarded)} "
-              f"(injected {stats['injected']})")
-        pairs = kept
-        manifest.realized = {d: sum(1 for p in pairs if p.dimension == d)
-                             for d in manifest.realized}
     datapipe.write_dataset(pairs, manifest, args.out)
     print(f"wrote {len(pairs)} pairs to {args.out}")
     for dim, s in manifest.filter_stats.items():
@@ -94,7 +83,12 @@ def _add_eval(sub):
 
 def _cmd_eval(args):
     params = net.load_checkpoint(args.ckpt)
-    sched = trainer.load_config(args.config).schedule()
+    config = trainer.load_config(args.config)
+    if config.net_config() != params.cfg:
+        print(f"config {args.config} describes {config.net_config()}, but checkpoint "
+              f"{args.ckpt} holds {params.cfg}", file=sys.stderr)
+        return 2
+    sched = config.schedule()
     if args.gen:
         prompts = evalbench.sample_prompts(tw.DIMENSIONS, args.prompts_per_dim, args.seed)
     elif args.prompts:
@@ -108,8 +102,7 @@ def _cmd_eval(args):
                               seed=args.seed)
     record = {"per_dimension": card.per_dimension, "validity": card.validity,
               "sample_count": card.sample_count, "seed": card.seed}
-    tmp = f"{args.out}.tmp"
-    with open(tmp, "w") as fh:
+    with datapipe.atomic_write(args.out) as fh:
         if args.format == "json":
             json.dump(record, fh, indent=2)
         else:
@@ -117,7 +110,6 @@ def _cmd_eval(args):
             fh.write(",".join(["validity", *dims]) + "\n")
             fh.write(",".join([repr(card.validity)] +
                               [repr(card.per_dimension[d]) for d in dims]) + "\n")
-    os.replace(tmp, args.out)
     print(f"validity {card.validity:.3f}; " +
           "; ".join(f"{d} {a:.3f}" for d, a in card.per_dimension.items()))
     return 0

@@ -15,6 +15,7 @@ import base64
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import toyworld as tw
 
 DATASET_FORMAT = "prefdiff-dataset"
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 IMAGE_DTYPE = np.dtype("<f8")   # byte order of the stored image payload
 MANIFEST_KEYS = ("requested", "realized", "config_hash", "filter_stats", "seed",
                  "records", "checksum")
@@ -59,7 +60,8 @@ class DatasetVersionError(ValueError):
 @dataclass(frozen=True, eq=False)
 class PreferencePair:
     """One dataset row: a winner and a loser image-caption pair that differ
-    only in the edited slots, plus region masks over the edited objects."""
+    only in the edited slots, plus region masks over the edited objects
+    (``toyworld.edit_masks`` of the two scenes)."""
 
     x0_w: np.ndarray
     y_w: tw.Caption
@@ -80,9 +82,6 @@ class DatasetManifest:
     config_hash: str
     filter_stats: dict
     seed: int
-
-    def total_realized(self):
-        return sum(self.realized.values())
 
 
 def _child_seed(*parts):
@@ -230,7 +229,7 @@ def build_pair(caption, edit, layout_seed, jitter=DEFAULT_JITTER, grid=tw.DEFAUL
     if edited_caption == caption:
         raise ValueError("edit must differ from the source caption")
     scene_w, slot_map = tw.scene_from_caption(caption, layout_seed, grid)
-    scene_l, idx_w, idx_l = tw.apply_scene_edit(
+    scene_l = tw.apply_scene_edit(
         scene_w, caption, edited_caption, edited_slots, slot_map, layout_seed, grid)
     x_w = tw.render(scene_w, layout_seed, jitter, grid)
     x_l = tw.render(scene_l, layout_seed, jitter, grid)
@@ -240,13 +239,11 @@ def build_pair(caption, edit, layout_seed, jitter=DEFAULT_JITTER, grid=tw.DEFAUL
         raise VqaInconsistencyError(
             f"cross-check (w/w, l/l, !w/l, !l/w) = {checks} for {caption} -> {edited_caption}")
 
-    dim = parse_dimension(caption)
+    mask_w, mask_l = tw.edit_masks(scene_w, scene_l, grid)
     return PreferencePair(
         x0_w=x_w, y_w=caption, x0_l=x_l, y_l=edited_caption,
-        scene_w=scene_w, scene_l=scene_l, dimension=dim,
-        edited_object_indices=frozenset(edited_slots),
-        mask_w=tw.region_mask(scene_w, idx_w, 1.0, 0.5, grid),
-        mask_l=tw.region_mask(scene_l, idx_l, 1.0, 0.5, grid))
+        scene_w=scene_w, scene_l=scene_l, dimension=parse_dimension(caption),
+        edited_object_indices=frozenset(edited_slots), mask_w=mask_w, mask_l=mask_l)
 
 
 def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
@@ -352,6 +349,22 @@ def filter_pairs(pairs, corruption_rate=0.0, rng_seed=0):
 # ---------------------------------------------------------------------------
 # serialization
 
+@contextmanager
+def atomic_write(path):
+    """Open ``path.tmp`` for writing text (line ends as written) and move it
+    over ``path`` once the block finishes. If the block or the move fails,
+    ``path`` is left as it was, ``path.tmp`` is removed and the error re-raised."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def caption_to_dict(c):
     return {"dimension": c.dimension,
             "objects": [{"shape": s.shape, "color": s.color, "texture": s.texture}
@@ -372,34 +385,12 @@ def _scene_dict(s):
             "relation": s.relation, "count_tag": s.count_tag}
 
 
-def _scene_from(d):
+def _scene_from(d, grid):
     objs = tuple(tw.SceneObject(o["shape"], o["color"], o["texture"], tw.BBox(*o["bbox"]))
                  for o in d["objects"])
-    return tw.SceneSpec(objects=objs, relation=d["relation"], count_tag=d["count_tag"])
-
-
-def _mask_dict(m):
-    """Run-length code of the inside cells, row-major, alternating runs that
-    start with an outside run (which may be empty)."""
-    inside = (m.weights == m.w_in).reshape(-1) if m.w_in != m.w_out \
-        else np.zeros(m.weights.size, dtype=bool)
-    edges = np.flatnonzero(np.diff(inside)) + 1
-    runs = np.diff(np.concatenate(([0], edges, [inside.size]))).tolist()
-    if inside[0]:
-        runs.insert(0, 0)
-    return {"w_in": m.w_in, "w_out": m.w_out, "grid": m.weights.shape[0], "runs": runs}
-
-
-def _mask_from(d):
-    grid, runs = d["grid"], np.asarray(d["runs"])
-    cells = grid * grid
-    if runs.ndim != 1 or runs.dtype.kind not in "iu":
-        raise ValueError(f"mask runs must be a list of integers, got {d['runs']!r}")
-    if (runs < 0).any() or runs.sum() != cells:
-        raise ValueError(f"mask runs {d['runs']!r} must be non-negative and sum to {cells}")
-    levels = np.resize(np.array([d["w_out"], d["w_in"]], dtype=np.float64), runs.size)
-    return tw.RegionMask(weights=np.repeat(levels, runs).reshape(grid, grid),
-                         w_in=d["w_in"], w_out=d["w_out"])
+    scene = tw.SceneSpec(objects=objs, relation=d["relation"], count_tag=d["count_tag"])
+    tw.validate_scene(scene, grid)
+    return scene
 
 
 def _image_text(x):
@@ -420,23 +411,23 @@ def _pair_dict(p):
             "x0_w": _image_text(p.x0_w), "x0_l": _image_text(p.x0_l),
             "y_w": caption_to_dict(p.y_w), "y_l": caption_to_dict(p.y_l),
             "scene_w": _scene_dict(p.scene_w), "scene_l": _scene_dict(p.scene_l),
-            "dimension": p.dimension,
-            "edited_object_indices": sorted(p.edited_object_indices),
-            "mask_w": _mask_dict(p.mask_w), "mask_l": _mask_dict(p.mask_l)}
+            "edited_object_indices": sorted(p.edited_object_indices)}
 
 
 def _pair_from(d):
+    """A pair from its record; the dimension and masks are derived as
+    ``build_pair`` derives them."""
     grid = d["grid"]
     shape = (grid, grid, tw.CHANNELS)
+    y_w = caption_from_dict(d["y_w"])
+    scene_w, scene_l = _scene_from(d["scene_w"], grid), _scene_from(d["scene_l"], grid)
+    mask_w, mask_l = tw.edit_masks(scene_w, scene_l, grid)
     return PreferencePair(
-        x0_w=_image_from(d["x0_w"], shape),
-        y_w=caption_from_dict(d["y_w"]),
-        x0_l=_image_from(d["x0_l"], shape),
-        y_l=caption_from_dict(d["y_l"]),
-        scene_w=_scene_from(d["scene_w"]), scene_l=_scene_from(d["scene_l"]),
-        dimension=d["dimension"],
+        x0_w=_image_from(d["x0_w"], shape), y_w=y_w,
+        x0_l=_image_from(d["x0_l"], shape), y_l=caption_from_dict(d["y_l"]),
+        scene_w=scene_w, scene_l=scene_l, dimension=parse_dimension(y_w),
         edited_object_indices=frozenset(d["edited_object_indices"]),
-        mask_w=_mask_from(d["mask_w"]), mask_l=_mask_from(d["mask_l"]))
+        mask_w=mask_w, mask_l=mask_l)
 
 
 def write_dataset(pairs, manifest, path):
@@ -444,11 +435,13 @@ def write_dataset(pairs, manifest, path):
 
     Line 1 is the manifest: format, version, the manifest fields, the record
     count and the SHA-256 checksum of every following line including its
-    newline. Each further line is one pair record holding ``grid``, the
-    captions, scenes, dimension, edited indices and two run-length masks.
+    newline. Each further line is one pair record holding ``grid``, the two
+    images, the two captions, the two scenes and the edited slot indices.
     Its ``x0_w`` and ``x0_l`` are base64 of the image's float64 bytes in
     little-endian order (``"<f8"``), flattened row-major from shape
-    (grid, grid, CHANNELS), so a read returns bit-identical images.
+    (grid, grid, CHANNELS), so a read returns bit-identical images. The
+    dimension and the two region masks are not stored: a read derives them
+    from the winner caption and the two scenes, as ``build_pair`` does.
     """
     lines = [json.dumps(_pair_dict(p)) for p in pairs]
     digest = hashlib.sha256()
@@ -459,12 +452,10 @@ def write_dataset(pairs, manifest, path):
               "requested": manifest.requested, "realized": manifest.realized,
               "config_hash": manifest.config_hash, "filter_stats": manifest.filter_stats,
               "seed": manifest.seed, "records": len(pairs), "checksum": digest.hexdigest()}
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(header) + "\n")
         for line in lines:
             fh.write(line + "\n")
-    os.replace(tmp, path)
 
 
 def read_dataset(path):

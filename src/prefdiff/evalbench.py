@@ -18,7 +18,7 @@ from . import diffusion as df
 from . import net
 from . import toyworld as tw
 from . import trainer
-from .datapipe import _child_seed, dataset_captions, sample_caption
+from .datapipe import _child_seed, atomic_write, dataset_captions, sample_caption
 
 METHODS = ("baseline",) + trainer.METHODS
 REPORT_FORMATS = ("csv", "json", "markdown")
@@ -44,12 +44,6 @@ class AblationRow:
 class AblationReport:
     rows: tuple
     seed: int
-
-    def row(self, method):
-        for r in self.rows:
-            if r.method == method:
-                return r
-        raise KeyError(method)
 
 
 def sample_prompts(dims, n_per_dim, seed, exclude=frozenset()):
@@ -161,9 +155,6 @@ def run_ablation(base_config, dataset, prompts, out_dir=None):
 # ---------------------------------------------------------------------------
 # report serialization
 
-_CSV_DIMS = ("color", "shape", "texture", "spatial", "numeracy")
-
-
 def _report_dict(report):
     return {"seed": report.seed,
             "rows": [{"method": r.method, "status": r.status, "error": r.error,
@@ -194,36 +185,34 @@ def emit_report(report, fmt, path):
     ``path.tmp`` and then moved over ``path``."""
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"format must be one of {REPORT_FORMATS}")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="" if fmt == "csv" else None) as fh:
+    with atomic_write(path) as fh:
         if fmt == "json":
             json.dump(_report_dict(report), fh, indent=2)
         elif fmt == "csv":
             writer = csv.writer(fh)
-            writer.writerow(["method", "status", *_CSV_DIMS,
+            writer.writerow(["method", "status", *tw.DIMENSIONS,
                              "validity", "sample_count", "card_seed", "report_seed", "error"])
             for r in report.rows:
                 card = r.scorecard
                 dims = [repr(card.per_dimension[d]) if card and d in card.per_dimension else ""
-                        for d in _CSV_DIMS]
+                        for d in tw.DIMENSIONS]
                 writer.writerow([r.method, r.status, *dims,
                                  repr(card.validity) if card else "",
                                  card.sample_count if card else "",
                                  card.seed if card else "",
                                  report.seed, r.error or ""])
         else:
-            fh.write("| method | " + " | ".join(_CSV_DIMS) + " | validity |\n")
-            fh.write("|" + " --- |" * (len(_CSV_DIMS) + 2) + "\n")
+            fh.write("| method | " + " | ".join(tw.DIMENSIONS) + " | validity |\n")
+            fh.write("|" + " --- |" * (len(tw.DIMENSIONS) + 2) + "\n")
             for r in report.rows:
                 card = r.scorecard
                 if card is None:
-                    cells = ["failed"] * (len(_CSV_DIMS) + 1)
+                    cells = ["failed"] * (len(tw.DIMENSIONS) + 1)
                 else:
                     cells = [f"{card.per_dimension.get(d, float('nan')):.3f}"
-                             for d in _CSV_DIMS]
+                             for d in tw.DIMENSIONS]
                     cells.append(f"{card.validity:.3f}")
                 fh.write(f"| {r.method} | " + " | ".join(cells) + " |\n")
-    os.replace(tmp, path)
     return path
 
 
@@ -241,7 +230,7 @@ def load_report(path, fmt):
             seed = int(rec["report_seed"])
             card = None
             if rec["status"] == "ok":
-                per_dim = {d: float(rec[d]) for d in _CSV_DIMS if rec[d] != ""}
+                per_dim = {d: float(rec[d]) for d in tw.DIMENSIONS if rec[d] != ""}
                 card = Scorecard(per_dimension=per_dim, validity=float(rec["validity"]),
                                  sample_count=int(rec["sample_count"]),
                                  seed=int(rec["card_seed"]))

@@ -11,7 +11,6 @@ cached and its gradient with respect to the stack output.
 import base64
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffusion as df
 from . import toyworld as tw
+from .datapipe import atomic_write
 
 ACTIVATIONS = ("silu", "identity")
 PARAMETERIZATIONS = ("eps", "x0")
@@ -324,10 +324,8 @@ def save_checkpoint(params, path):
         ],
         "checksum": _checksum(params.layers),
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(record, fh)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

@@ -504,6 +504,15 @@ def region_mask(scene, edited_object_indices, w_in=1.0, w_out=0.5, grid=DEFAULT_
     return RegionMask(weights=weights, w_in=float(w_in), w_out=float(w_out))
 
 
+def edit_masks(scene_w, scene_l, grid=DEFAULT_GRID):
+    """The region masks (mask_w, mask_l) of a pair: each weights 1.0 the
+    objects its scene has and the other scene lacks, and 0.5 elsewhere."""
+    def mask(scene, other):
+        edited = [i for i, o in enumerate(scene.objects) if o not in other.objects]
+        return region_mask(scene, edited, 1.0, 0.5, grid)
+    return mask(scene_w, scene_l), mask(scene_l, scene_w)
+
+
 # ---------------------------------------------------------------------------
 # scene construction from captions
 
@@ -627,29 +636,22 @@ def flip_relation(relation):
 
 def apply_scene_edit(scene_w, caption_w, caption_l, edited_slots, slot_map,
                      layout_seed, grid=DEFAULT_GRID):
-    """Derive the edited scene from the winner scene so that only the edited
-    slots differ. Returns (scene_l, edited_scene_indices_w, edited_scene_indices_l)."""
+    """Derive the edited scene ``scene_l`` from the winner scene so that only
+    the edited slots differ; ``edit_masks`` then finds the edited objects."""
     if caption_l.count is not None and caption_l.count != caption_w.count:
+        # replica layouts share a prefix, so the counts differ only in the
+        # replicas one scene has beyond the other
         scene_l, _ = scene_from_caption(caption_l, layout_seed, grid)
-        # replica layouts share a prefix, but canonical order may differ; map
-        # edited replicas through position identity instead
-        pos_w = {o.bbox: i for i, o in enumerate(scene_w.objects)}
-        pos_l = {o.bbox: i for i, o in enumerate(scene_l.objects)}
-        shared_boxes = set(pos_w) & set(pos_l)
-        idx_w = frozenset(i for b, i in pos_w.items() if b not in shared_boxes)
-        idx_l = frozenset(i for b, i in pos_l.items() if b not in shared_boxes)
-        return scene_l, idx_w, idx_l
+        return scene_l
 
     if caption_l.relation is not None and caption_l.relation != caption_w.relation:
         a, b = scene_w.objects
         scene_l = canonical_scene((replace(a, bbox=b.bbox), replace(b, bbox=a.bbox)))
         validate_scene(scene_l, grid)
-        both = frozenset(range(len(scene_w.objects)))
-        return scene_l, both, both
+        return scene_l
 
     # attribute edit: overwrite the edited slots' attributes in place
     objs = list(scene_w.objects)
-    touched = set()
     for i in edited_slots:
         j = slot_map[i]
         slot = caption_l.objects[i]
@@ -658,8 +660,6 @@ def apply_scene_edit(scene_w, caption_w, caption_l, edited_slots, slot_map,
                               color=slot.color if slot.color is not None else o.color,
                               texture=slot.texture if slot.texture is not None else o.texture,
                               bbox=o.bbox)
-        touched.add(j)
     scene_l = canonical_scene(objs)
     validate_scene(scene_l, grid)
-    touched = frozenset(touched)
-    return scene_l, touched, touched
+    return scene_l

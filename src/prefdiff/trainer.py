@@ -8,7 +8,6 @@ deterministic given (config, dataset, seed).
 """
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from . import diffusion as df
 from . import losses
 from . import net
-from .datapipe import _child_seed
+from .datapipe import _child_seed, atomic_write
 
 METHODS = ("sft", "image_dpo", "text_dpo", "bidpo", "bidpo_region")
 CONFIG_FORMAT = "prefdiff-run-config"
@@ -256,10 +255,8 @@ def train(config, dataset, init_params=None):
 
 def save_config(config, path):
     record = {"format": CONFIG_FORMAT, "version": CONFIG_VERSION, **asdict(config)}
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(record, fh, indent=2)
-    os.replace(tmp, path)
 
 
 def load_config(path, **overrides):
@@ -275,8 +272,6 @@ def load_config(path, **overrides):
 
 
 def write_metrics(log, path):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         for rec in log.records:
             fh.write(json.dumps({"kind": "step", **asdict(rec)}) + "\n")
-    os.replace(tmp, path)

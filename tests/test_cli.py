@@ -16,14 +16,12 @@ def micro_config(**overrides):
     return trainer.TrainConfig(**base)
 
 
-@pytest.mark.parametrize("corruption_rate", [0.0, 0.5])
-def test_gen_data_exits_0_without_a_generation_shortfall(tmp_path, capsys, corruption_rate):
+def test_gen_data_exits_0_without_a_generation_shortfall(tmp_path, capsys):
     out = tmp_path / "data.jsonl"
     assert cli.main(["gen-data", "--dims", "color", "--count-per-dim", "4", "--grid", "8",
-                     "--corruption-rate", str(corruption_rate), "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     pairs, manifest = dp.read_dataset(out)
-    assert manifest.realized == {"color": len(pairs)}
-    assert len(pairs) == 4 if corruption_rate == 0.0 else len(pairs) < 4
+    assert manifest.realized == {"color": 4} and len(pairs) == 4
     assert "shortfall" not in capsys.readouterr().err
 
 
@@ -116,3 +114,16 @@ def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
                   "--prompts-per-dim", "1", "--samples-per-prompt", "1",
                   "--format", fmt, "--out", str(out)])
     assert out.read_text() == "old scores\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_eval_refuses_a_config_for_a_different_network(tmp_path, capsys):
+    ckpt, config = _checkpoint_and_config(tmp_path)   # grid 8, hidden 16
+    trainer.save_config(trainer.TrainConfig(), config)   # grid 16, hidden 256
+    out = tmp_path / "eval.json"
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--config", str(config), "--gen",
+                     "--prompts-per-dim", "1", "--samples-per-prompt", "1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "grid=16, channels=3, hidden=256" in err and "grid=8, channels=3, hidden=16" in err
+    assert not out.exists()

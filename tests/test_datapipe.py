@@ -282,6 +282,18 @@ def test_write_dataset_failed_replace_keeps_old_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         dp.write_dataset(pairs, manifest, path)
     assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_failed_block_keeps_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with dp.atomic_write(path) as fh:
+            fh.write("half a record")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def _write_mixed(tmp_path):
@@ -322,13 +334,34 @@ def test_image_payload_round_trip_is_bit_exact(tmp_path):
 
 def test_dataset_version_1_file_is_refused(tmp_path):
     _, path = _write_mixed(tmp_path)
+    for version in (1, 2):   # v2 stored run-length masks; datasets regenerate from seed
 
-    def as_v1(record):
-        record["version"] = 1
+        def set_version(record):
+            record["version"] = version
 
-    _rewrite(path, 1, as_v1)
-    with pytest.raises(dp.DatasetVersionError, match="unsupported version 1"):
+        _rewrite(path, 1, set_version)
+        with pytest.raises(dp.DatasetVersionError, match=f"unsupported version {version}"):
+            dp.read_dataset(path)
+
+
+def _off_grid(scene):
+    scene["objects"][0]["bbox"][0] = -1
+
+
+def _overlapping(scene):
+    row0, col0, height, width = scene["objects"][0]["bbox"]
+    scene["objects"].append({**scene["objects"][0], "bbox": [row0 + 1, col0, height, width]})
+
+
+@pytest.mark.parametrize("damage,problem", [(_off_grid, "overflows"),
+                                            (_overlapping, "bboxes overlap")],
+                         ids=["off_grid", "overlapping"])
+def test_invalid_stored_scene_names_its_line(tmp_path, damage, problem):
+    _, path = _write_mixed(tmp_path)
+    _rewrite(path, 2, lambda record: damage(record["scene_l"]))
+    with pytest.raises(dp.MalformedRecordError, match=f"line 2: .*{problem}") as info:
         dp.read_dataset(path)
+    assert info.value.line_no == 2
 
 
 @pytest.mark.parametrize("damage", [
@@ -346,55 +379,6 @@ def test_damaged_image_payload_names_its_line(tmp_path, damage):
     with pytest.raises(dp.MalformedRecordError, match="line 3") as info:
         dp.read_dataset(path)
     assert info.value.line_no == 3
-
-
-def _mask_runs_loop(m):
-    """The per-cell run-length encoder the vectorised ``_mask_dict`` replaced."""
-    inside = (m.weights == m.w_in).reshape(-1) if m.w_in != m.w_out \
-        else np.zeros(m.weights.size, dtype=bool)
-    runs = []
-    current, length = False, 0
-    for v in inside:
-        if bool(v) == current:
-            length += 1
-        else:
-            runs.append(length)
-            current, length = bool(v), 1
-    runs.append(length)
-    return runs
-
-
-def test_mask_runs_match_the_per_cell_loop(tmp_path):
-    pairs, _ = _write_mixed(tmp_path)
-    masks = [m for p in pairs for m in (p.mask_w, p.mask_l)]
-    corner = np.full((4, 4), 0.5)
-    corner[0, 0] = corner[3, 3] = 1.0
-    masks += [tw.ones_mask(4), tw.RegionMask(np.ones((4, 4)), w_in=1.0, w_out=0.5),
-              tw.RegionMask(corner, w_in=1.0, w_out=0.5)]
-    for m in masks:
-        d = dp._mask_dict(m)
-        assert d["runs"] == _mask_runs_loop(m)
-        assert all(type(r) is int for r in d["runs"])
-        assert dp._mask_from(d) == m
-
-
-@pytest.mark.parametrize("runs,problem", [
-    ([3, 2], "sum to 16"),          # short: cells would be left unset
-    ([3, 2, 12], "sum to 16"),      # long: cells would be dropped
-    ([20, -4], "non-negative"),
-    ([8.0, 8.0], "integers"),
-])
-def test_mask_runs_must_cover_the_grid_exactly(tmp_path, runs, problem):
-    with pytest.raises(ValueError, match=problem):
-        dp._mask_from({"w_in": 2.0, "w_out": 1.0, "grid": 4, "runs": runs})
-    _, path = _write_mixed(tmp_path)
-
-    def hurt(record):
-        record["mask_w"] = {"w_in": 2.0, "w_out": 1.0, "grid": 4, "runs": runs}
-
-    _rewrite(path, 2, hurt)
-    with pytest.raises(dp.MalformedRecordError, match="line 2"):
-        dp.read_dataset(path)
 
 
 @pytest.mark.parametrize("key", ["records", "checksum", "seed"])

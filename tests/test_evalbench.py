@@ -179,3 +179,4 @@ def test_emit_report_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
     with pytest.raises(OSError, match="disk full"):
         eb.emit_report(sample_report(), fmt, path)
     assert path.read_text() == "old report\n"
+    assert not list(tmp_path.glob("*.tmp"))

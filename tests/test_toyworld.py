@@ -1,4 +1,5 @@
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,6 +275,44 @@ def test_region_mask_two_level_property(seed):
     assert levels <= {0.5, 1.0}
     if idx:
         assert levels == {0.5, 1.0}
+
+
+def _box_mask(boxes, grid=16):
+    weights = np.full((grid, grid), 0.5)
+    for b in boxes:
+        weights[b.row0:b.row1, b.col0:b.col1] = 1.0
+    return tw.RegionMask(weights=weights, w_in=1.0, w_out=0.5)
+
+
+def test_edit_masks_per_edit_kind():
+    def edited(caption_w, caption_l, slots, seed=5):
+        scene_w, slot_map = tw.scene_from_caption(caption_w, seed)
+        scene_l = tw.apply_scene_edit(scene_w, caption_w, caption_l, slots, slot_map, seed)
+        return scene_w, scene_l, slot_map, tw.edit_masks(scene_w, scene_l)
+
+    # colour edit of one of two objects: only that object's bbox is weighted
+    cap = tw.Caption("color", (tw.ObjectSlot("square", color="red"),
+                               tw.ObjectSlot("disc", color="blue")))
+    cap_l = tw.Caption("color", (tw.ObjectSlot("square", color="red"),
+                                 tw.ObjectSlot("disc", color="green")))
+    scene_w, scene_l, slot_map, (mask_w, mask_l) = edited(cap, cap_l, {1})
+    disc = scene_w.objects[slot_map[1]].bbox
+    assert mask_w == _box_mask([disc]) and mask_l == _box_mask([disc])
+
+    # spatial flip: the two objects trade bboxes, so both masks weight both
+    cap = tw.Caption("spatial", (tw.ObjectSlot("square"), tw.ObjectSlot("disc")),
+                     relation="left-of")
+    scene_w, scene_l, _, (mask_w, mask_l) = edited(cap, replace(cap, relation="right-of"),
+                                                   {0, 1})
+    both = _box_mask([o.bbox for o in scene_w.objects])
+    assert mask_w == both and mask_l == both
+
+    # numeracy 2 -> 3: the winner lacks nothing, the loser gains one replica
+    cap = tw.Caption("numeracy", (tw.ObjectSlot("triangle"),), count=2)
+    scene_w, scene_l, _, (mask_w, mask_l) = edited(cap, replace(cap, count=3), {0})
+    added = [o.bbox for o in scene_l.objects if o not in scene_w.objects]
+    assert len(scene_w.objects) == 2 and len(scene_l.objects) == 3 and len(added) == 1
+    assert mask_w == _box_mask([]) and mask_l == _box_mask(added)
 
 
 def test_caption_of_round_trips_through_vqa():

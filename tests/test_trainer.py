@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -220,3 +221,22 @@ def test_write_metrics_jsonl(tmp_path, tiny_dataset):
     assert len(lines) == 5
     assert lines[0]["kind"] == "step"
     assert {"step", "loss", "grad_norm", "margin", "lr"} <= set(lines[0])
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: net.save_checkpoint(net.init_params(tiny_config().net_config(), seed=0), path),
+    lambda path: trainer.save_config(tiny_config(), path),
+    lambda path: trainer.write_metrics(trainer.MetricsLog(), path),
+], ids=["save_checkpoint", "save_config", "write_metrics"])
+def test_writer_failed_replace_keeps_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert path.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
