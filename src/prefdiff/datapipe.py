@@ -23,7 +23,7 @@ import numpy as np
 from . import toyworld as tw
 
 DATASET_FORMAT = "prefdiff-dataset"
-DATASET_VERSION = 3
+DATASET_VERSION = 4
 IMAGE_DTYPE = np.dtype("<f8")   # byte order of the stored image payload
 MANIFEST_KEYS = ("requested", "realized", "config_hash", "filter_stats", "seed",
                  "records", "checksum")
@@ -70,7 +70,6 @@ class PreferencePair:
     scene_w: tw.SceneSpec
     scene_l: tw.SceneSpec
     dimension: str
-    edited_object_indices: frozenset
     mask_w: tw.RegionMask
     mask_l: tw.RegionMask
 
@@ -243,7 +242,7 @@ def build_pair(caption, edit, layout_seed, jitter=DEFAULT_JITTER, grid=tw.DEFAUL
     return PreferencePair(
         x0_w=x_w, y_w=caption, x0_l=x_l, y_l=edited_caption,
         scene_w=scene_w, scene_l=scene_l, dimension=parse_dimension(caption),
-        edited_object_indices=frozenset(edited_slots), mask_w=mask_w, mask_l=mask_l)
+        mask_w=mask_w, mask_l=mask_l)
 
 
 def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
@@ -302,7 +301,6 @@ def pairs_equal(a, b):
             and a.y_w == b.y_w and a.y_l == b.y_l
             and a.scene_w == b.scene_w and a.scene_l == b.scene_l
             and a.dimension == b.dimension
-            and a.edited_object_indices == b.edited_object_indices
             and a.mask_w == b.mask_w and a.mask_l == b.mask_l)
 
 
@@ -410,8 +408,7 @@ def _pair_dict(p):
     return {"kind": "pair", "grid": p.x0_w.shape[0],
             "x0_w": _image_text(p.x0_w), "x0_l": _image_text(p.x0_l),
             "y_w": caption_to_dict(p.y_w), "y_l": caption_to_dict(p.y_l),
-            "scene_w": _scene_dict(p.scene_w), "scene_l": _scene_dict(p.scene_l),
-            "edited_object_indices": sorted(p.edited_object_indices)}
+            "scene_w": _scene_dict(p.scene_w), "scene_l": _scene_dict(p.scene_l)}
 
 
 def _pair_from(d):
@@ -426,7 +423,6 @@ def _pair_from(d):
         x0_w=_image_from(d["x0_w"], shape), y_w=y_w,
         x0_l=_image_from(d["x0_l"], shape), y_l=caption_from_dict(d["y_l"]),
         scene_w=scene_w, scene_l=scene_l, dimension=parse_dimension(y_w),
-        edited_object_indices=frozenset(d["edited_object_indices"]),
         mask_w=mask_w, mask_l=mask_l)
 
 

@@ -62,7 +62,8 @@ def q_sample(x0, t, eps, sched):
     """Noise x0 to step t: sqrt(alpha_bar[t]) * x0 + sqrt(1 - alpha_bar[t]) * eps.
 
     ``t`` is either one step index, applied to all of ``x0``, or an (N,) array
-    of them for an (N, ...) batch, whose row i is noised to step t[i].
+    of them for an (N, ...) batch, whose row i is noised to step t[i]. The
+    result takes the inputs' floating dtype, so float32 images noise in float32.
     """
     t = np.asarray(t)
     check_steps(sched, t)
@@ -73,7 +74,8 @@ def q_sample(x0, t, eps, sched):
     if t.shape not in ((), x0.shape[:1]):
         raise ValueError(f"steps shape {t.shape} does not match batch {x0.shape}")
     ab = sched.alpha_bar[t].reshape(t.shape + (1,) * (x0.ndim - t.ndim))
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    dtype = np.result_type(x0, eps, np.float32)
+    return np.sqrt(ab).astype(dtype) * x0 + np.sqrt(1.0 - ab).astype(dtype) * eps
 
 
 def omega(sched, t):

@@ -6,15 +6,18 @@ errors on a preferred branch minus the same difference on a dispreferred
 branch, scaled by beta * T * omega(lambda_t), passed through -log(sigmoid).
 The full bracketed difference sits inside the sigmoid's argument.
 
-Each preference loss is a list of row blocks, each (x_t, encodings, eps,
-mask rows or None) for the N items of a batch, two blocks per contrastive term
-with the preferred branch first; ``_dpo_batch`` stacks them into one network
-input. The image-contrastive loss noises winner and loser images separately
-and conditions both on the winner caption: blocks (x_t^w, c_w), (x_t^l, c_w).
-The caption-contrastive loss evaluates all four terms on one noised winner
-image: blocks (x_t^w, c_w), (x_t^w, c_l). The bimodal loss is the sum of two
-caption-contrastive terms with the roles mirrored: (x_t^w, c_w), (x_t^w, c_l),
-(x_t^l, c_l), (x_t^l, c_w).
+Each preference loss is a list of distinct noised images, each (x_t, eps,
+mask rows or None) for the N items of a batch, and a list of row blocks, each
+(image index, encodings), two blocks per contrastive term with the preferred
+branch first; ``_dpo_batch`` hands both to one ``net.assemble_input`` call,
+whose factorised first layer computes each image's product once however many
+blocks read it. The image-contrastive loss noises winner and loser images
+separately and conditions both on the winner caption: images [x_t^w, x_t^l],
+block -> image map (0, 1). The caption-contrastive loss evaluates all four
+terms on one noised winner image: images [x_t^w], map (0, 0), captions c_w
+then c_l. The bimodal loss is the sum of two caption-contrastive terms with the
+roles mirrored: images [x_t^w, x_t^l], map (0, 0, 1, 1), captions c_w, c_l,
+c_l, c_w.
 
 Every loss is a batch mean over per-row, mask-weighted squared errors
 e = sum(mask * (pred - target)^2), so its gradient has a closed form: each
@@ -97,10 +100,10 @@ def _mask_rows(masks, image_shape, dtype=np.float64):
     return rows
 
 
-def _errors(params, rows, t_rows, sched, targets, mask_rows, acts=None):
+def _errors(params, inp, t_rows, sched, targets, mask_rows, acts=None):
     """Per-row weighted squared noise-prediction errors, shape (M,), and the
     weighted residual mask * (pred - target) that their gradient needs."""
-    resid = net.predict_noise_rows(params, rows, t_rows, sched, acts) - targets
+    resid = net.predict_noise_rows(params, inp, t_rows, sched, acts) - targets
     weighted = resid if mask_rows is None else resid * mask_rows
     return (weighted * resid).sum(axis=1), weighted
 
@@ -138,33 +141,36 @@ def _loss(theta, value, margin, acts, weighted, c_rows, t_rows, sched):
     return Loss(value=value, margin=margin, theta=theta, acts=acts, d_out=d_out)
 
 
-def _dpo_batch(theta, ref, blocks, t_arr, beta, sched, context):
+def _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, context):
     """Mean over N items of a sum of contrastive terms.
 
-    ``blocks`` lists (x_t, encodings, eps, mask rows or None) per N network
-    rows, two per term: the preferred branch, then the dispreferred one. All
-    blocks go through one ``net.assemble_input`` call; where some blocks carry
-    (N, D) mask rows, a block without them weighs every cell by one. When
+    ``images`` lists the distinct noised images as (x_t, eps, mask rows or
+    None) per N items; ``blocks`` lists (image index, encodings) per N network
+    rows, two per term: the preferred branch, then the dispreferred one. The
+    images and blocks go through one ``net.assemble_input`` call, which keeps
+    each image once however many blocks read it; where some images carry
+    (N, D) mask rows, an image without them weighs every cell by one. When
     ``ref is theta`` the reference passes are the policy's own: every bracket
     is exactly zero, and so is the gradient, since the reference's share of it
     cancels the policy's.
     """
     n = len(t_arr)
-    x_t, encodings, eps, mask_rows = zip(*blocks)
+    x_t, eps, mask_rows = zip(*images)
+    image_of_block, encodings = zip(*blocks)
     t_rows = np.tile(t_arr, len(blocks))
-    rows = net.assemble_input(theta, np.concatenate(x_t), t_rows,
-                              np.concatenate(encodings), sched)
-    targets = np.concatenate([e.reshape(n, -1) for e in eps])
+    inp = net.assemble_input(theta, x_t, t_arr, encodings, sched, image_of_block)
+    targets = np.concatenate([eps[k].reshape(n, -1) for k in image_of_block])
     masks = None
     if any(m is not None for m in mask_rows):
         ones = np.ones_like(targets[:n])
-        masks = np.concatenate([ones if m is None else m for m in mask_rows])
+        masks = np.concatenate([ones if mask_rows[k] is None else mask_rows[k]
+                                for k in image_of_block])
     coef = beta * sched.T * df.omega_vector(sched, t_arr)
     acts = []
-    e_theta, weighted = _errors(theta, rows, t_rows, sched, targets, masks, acts)
-    e_ref = e_theta if ref is theta else _errors(ref, rows, t_rows, sched, targets, masks)[0]
+    e_theta, weighted = _errors(theta, inp, t_rows, sched, targets, masks, acts)
+    e_ref = e_theta if ref is theta else _errors(ref, inp, t_rows, sched, targets, masks)[0]
     terms = [_contrast_batch(e_theta[k:k + 2 * n], e_ref[k:k + 2 * n], coef, context)
-             for k in range(0, len(rows), 2 * n)]
+             for k in range(0, len(targets), 2 * n)]
     per_item = sum(term[0] for term in terms)
     args = np.mean([term[1] for term in terms], axis=0)
     c_rows = np.concatenate([term[2] for term in terms]) / n
@@ -178,9 +184,10 @@ def _dpo_batch(theta, ref, blocks, t_arr, beta, sched, context):
 # image-contrastive loss (winner image vs loser image, winner caption)
 
 def diffusion_dpo_batch(theta, ref, x0_w, x0_l, enc_w, t_arr, eps_w, eps_l, beta, sched):
-    blocks = [(df.q_sample(x0_w, t_arr, eps_w, sched), enc_w, eps_w, None),
-              (df.q_sample(x0_l, t_arr, eps_l, sched), enc_w, eps_l, None)]
-    return _dpo_batch(theta, ref, blocks, t_arr, beta, sched, "diffusion_dpo_loss")
+    images = [(df.q_sample(x0_w, t_arr, eps_w, sched), eps_w, None),
+              (df.q_sample(x0_l, t_arr, eps_l, sched), eps_l, None)]
+    blocks = [(0, enc_w), (1, enc_w)]
+    return _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, "diffusion_dpo_loss")
 
 
 def diffusion_dpo_loss(theta, ref, item, sched):
@@ -205,9 +212,9 @@ def diffusion_dpo_loss(theta, ref, item, sched):
 def text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps, beta, sched, masks=None):
     """``masks`` is None or (N, D) flat weight rows, as ``_mask_rows`` stacks
     them, applied to both captions' errors."""
-    xt_w = df.q_sample(x0_w, t_arr, eps, sched)
-    blocks = [(xt_w, enc_w, eps, masks), (xt_w, enc_l, eps, masks)]
-    return _dpo_batch(theta, ref, blocks, t_arr, beta, sched, "text_dpo_loss")
+    images = [(df.q_sample(x0_w, t_arr, eps, sched), eps, masks)]
+    blocks = [(0, enc_w), (0, enc_l)]
+    return _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, "text_dpo_loss")
 
 
 def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched, mask=None):
@@ -248,12 +255,11 @@ def bidpo_batch(theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l,
     ``masks_w``/``masks_l`` are None or (N, D) flat weight rows for the
     winner/loser image, as ``_mask_rows`` stacks them.
     """
-    xt_w = df.q_sample(x0_w, t_arr, eps_w, sched)
-    xt_l = df.q_sample(x0_l, t_arr, eps_l, sched)
+    images = [(df.q_sample(x0_w, t_arr, eps_w, sched), eps_w, masks_w),
+              (df.q_sample(x0_l, t_arr, eps_l, sched), eps_l, masks_l)]
     # term 1: w-image|w-cap vs w-image|l-cap; term 2: l-image|l-cap vs l-image|w-cap
-    blocks = [(xt_w, enc_w, eps_w, masks_w), (xt_w, enc_l, eps_w, masks_w),
-              (xt_l, enc_l, eps_l, masks_l), (xt_l, enc_w, eps_l, masks_l)]
-    return _dpo_batch(theta, ref, blocks, t_arr, beta, sched, "bidpo_loss")
+    blocks = [(0, enc_w), (0, enc_l), (1, enc_l), (1, enc_w)]
+    return _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, "bidpo_loss")
 
 
 def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False):
@@ -275,9 +281,10 @@ def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False)
 def sft_batch(theta, x0, enc, t_arr, eps, sched):
     """Batch mean of the per-cell mean squared noise-prediction error."""
     n = x0.shape[0]
-    rows = net.assemble_input(theta, df.q_sample(x0, t_arr, eps, sched), t_arr, enc, sched)
+    inp = net.assemble_input(theta, [df.q_sample(x0, t_arr, eps, sched)], t_arr, [enc],
+                             sched, (0,))
     acts = []
-    errors, resid = _errors(theta, rows, t_arr, sched, eps.reshape(n, -1), None, acts)
+    errors, resid = _errors(theta, inp, t_arr, sched, eps.reshape(n, -1), None, acts)
     per_item = errors * (1.0 / eps[0].size)
     _check_finite(per_item, "sft_loss")
     return _loss(theta, float(np.mean(per_item)), 0.0, acts, resid,

@@ -6,6 +6,16 @@ stack. A frozen deep copy of the parameters serves as the reference model for
 the preference losses. Gradients are the textbook backward pass of this fixed
 stack: a loss hands ``backward`` the activations its policy forward pass
 cached and its gradient with respect to the stack output.
+
+The first layer is factorised. Its weight W0 splits into an image block
+W0[:D], a time block W0[D:D+tau] and a caption block W0[D+tau:], so a row's
+pre-activation (x_img, temb, enc) . W0 + b0 is the sum of three products.
+``assemble_input`` keeps the distinct noised images once, the N time
+embeddings once and one caption block per N rows, with a block -> image map
+naming the image each row block reads. A preference loss that scores one
+noised image under two captions thus pays for the 768-wide image product, and
+for its share of dW0, once per image rather than once per row. The blocks are
+views of W0, so the parameters and the checkpoint keep their layout.
 """
 
 import base64
@@ -173,35 +183,87 @@ def time_embedding(t_arr, T, dim):
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def assemble_input(params, x_t, t_arr, encodings, sched):
-    """Stack (flattened images, time embeddings, caption encodings) row-wise."""
+@dataclass(frozen=True)
+class NetInput:
+    """The network input of B blocks of N rows each, in factorised form.
+
+    Row i of block b is (image i of ``image_of_block[b]``, time embedding i,
+    row i of encoding block b). Each distinct image is stored, and goes
+    through the first layer, once however many blocks read it; so is each
+    time embedding. All arrays take the parameters' dtype.
+    """
+
+    images: np.ndarray          # (K * N, image_dim): K flattened image blocks
+    temb: np.ndarray            # (N, time_dim)
+    encodings: np.ndarray       # (B * N, ENCODING_DIM): one block per N rows
+    image_of_block: tuple       # (B,) image block index of each row block
+
+    def image_rows(self):
+        """The flattened image of every row, (B * N, image_dim)."""
+        n = self.temb.shape[0]
+        return np.concatenate([self.images[k * n:(k + 1) * n] for k in self.image_of_block])
+
+
+def assemble_input(params, images, t_arr, encodings, sched, image_of_block):
+    """The factorised input of len(image_of_block) row blocks of N rows.
+
+    ``images`` lists K distinct (N, G, G, C) image blocks, ``t_arr`` holds the
+    N step indices that every block shares, ``encodings`` lists one
+    (N, ENCODING_DIM) caption block per row block, and ``image_of_block[b]``
+    names the image block that row block b reads.
+    """
     df.check_steps(sched, t_arr)
     cfg = params.cfg
-    x_t = np.asarray(x_t)
-    n = x_t.shape[0]
+    n = len(t_arr)
+    image_of_block = tuple(int(k) for k in image_of_block)
+    if len(encodings) != len(image_of_block):
+        raise ValueError(f"{len(encodings)} encoding blocks for {len(image_of_block)} row blocks")
+    if not all(0 <= k < len(images) for k in image_of_block):
+        raise ValueError(f"block -> image map {image_of_block} outside {len(images)} images")
     expected = (n, cfg.grid, cfg.grid, cfg.channels)
-    if x_t.shape != expected:
-        raise ValueError(f"image batch shape {x_t.shape} != {expected}")
-    encodings = np.asarray(encodings)
-    if encodings.shape != (n, ENCODING_DIM):
-        raise ValueError(f"encoding batch shape {encodings.shape} != {(n, ENCODING_DIM)}")
-    temb = time_embedding(t_arr, sched.T, cfg.time_dim)
+    for x in images:
+        if np.shape(x) != expected:
+            raise ValueError(f"image batch shape {np.shape(x)} != {expected}")
+    for e in encodings:
+        if np.shape(e) != (n, ENCODING_DIM):
+            raise ValueError(f"encoding batch shape {np.shape(e)} != {(n, ENCODING_DIM)}")
     dtype = params.layers[0][0].dtype
-    return np.concatenate(
-        [x_t.reshape(n, -1), temb, encodings], axis=1).astype(dtype)
+    return NetInput(
+        images=np.concatenate([np.reshape(x, (n, -1)) for x in images], dtype=dtype),
+        temb=time_embedding(t_arr, sched.T, cfg.time_dim).astype(dtype),
+        encodings=np.concatenate(encodings, dtype=dtype),
+        image_of_block=image_of_block)
 
 
-def forward_rows(params, x_rows, acts=None):
-    """Plain numpy stack output over assembled input rows.
+def _first_layer(params, inp):
+    """z1 = (x_img . W_img)[image of block] + temb . W_t + enc . W_cap + b0,
+    the concatenated rows' product with W0 summed over W0's three row blocks."""
+    w, b = params.layers[0]
+    d, tau = params.cfg.image_dim, params.cfg.time_dim
+    n = inp.temb.shape[0]
+    z = inp.encodings @ w[d + tau:]
+    per_item = inp.temb @ w[d:d + tau]
+    per_item += b
+    per_image = inp.images @ w[:d]
+    for blk, k in enumerate(inp.image_of_block):
+        rows = z[blk * n:(blk + 1) * n]
+        rows += per_image[k * n:(k + 1) * n]
+        rows += per_item
+    return z
+
+
+def forward_rows(params, inp, acts=None):
+    """Plain numpy stack output over the rows of a ``NetInput``.
 
     When ``acts`` is a list, each layer appends what ``backward`` needs:
-    (layer input, pre-activation, sigmoid of it or None where no SiLU).
+    (layer input, pre-activation, sigmoid of it or None where no SiLU); the
+    first layer's input is the ``NetInput`` itself.
     """
     cfg = params.cfg
-    h = x_rows
+    h = inp
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
-        z = h @ w + b
+        z = _first_layer(params, inp) if i == 0 else h @ w + b
         s = None
         if i < last and cfg.activation == "silu":
             out, s = ad.silu(z)
@@ -218,16 +280,16 @@ def _noise_coeffs(t_arr, sched):
     return np.sqrt(ab), 1.0 / np.sqrt(1.0 - ab)
 
 
-def predict_noise_rows(params, rows, t_arr, sched, acts=None):
-    """Per-row noise prediction, honoring the parameterization; ``acts`` as
-    in ``forward_rows``."""
-    out = forward_rows(params, rows, acts)
+def predict_noise_rows(params, inp, t_arr, sched, acts=None):
+    """Per-row noise prediction over a ``NetInput``, honoring the
+    parameterization; ``t_arr`` holds each row's step and ``acts`` is as in
+    ``forward_rows``."""
+    out = forward_rows(params, inp, acts)
     if params.cfg.parameterization == "eps":
         return out
     # the coefficients take the stack's dtype so a float32 model stays float32
     sqrt_ab, inv_rest = (c.astype(out.dtype) for c in _noise_coeffs(t_arr, sched))
-    x_flat = rows[:, :params.cfg.image_dim]
-    return (x_flat - sqrt_ab * out) * inv_rest
+    return (inp.image_rows() - sqrt_ab * out) * inv_rest
 
 
 def noise_output_slope(cfg, t_arr, sched):
@@ -241,8 +303,8 @@ def noise_output_slope(cfg, t_arr, sched):
 
 def forward_batch(params, x_t, t_arr, encodings, sched):
     """Predicted noise for a batch; returns (N, G, G, C)."""
-    rows = assemble_input(params, x_t, t_arr, encodings, sched)
-    out = predict_noise_rows(params, rows, t_arr, sched)
+    inp = assemble_input(params, [x_t], t_arr, [encodings], sched, (0,))
+    out = predict_noise_rows(params, inp, t_arr, sched)
     if not np.all(np.isfinite(out)):
         raise df.NumericDivergenceError("non-finite network output")
     cfg = params.cfg
@@ -266,7 +328,7 @@ class Gradients:
     layers: list
 
     def global_norm(self):
-        return float(np.sqrt(sum(float((g * g).sum()) for pair in self.layers for g in pair)))
+        return float(np.sqrt(sum(float(np.vdot(g, g)) for pair in self.layers for g in pair)))
 
 
 def backward(params, loss):
@@ -288,10 +350,28 @@ def backward(params, loss):
         h, z, s = loss.acts[i]
         if s is not None:
             g = g * ad.silu_grad(z, s)
-        grads.append((h.T @ g, g.sum(axis=0)))
+        grads.append((_first_layer_grad(params, h, g) if i == 0 else h.T @ g, g.sum(axis=0)))
         if i > 0:
             g = g @ params.layers[i][0].T
     return Gradients(layers=grads[::-1])
+
+
+def _first_layer_grad(params, inp, g):
+    """dW0 from dL/dz1 ``g``, one row block of W0 at a time: the image block
+    takes x_img^T . (sum of g over the row blocks that read the image), the
+    time block temb^T . (sum of g over all row blocks), and the caption block
+    enc^T . g."""
+    d, tau = params.cfg.image_dim, params.cfg.time_dim
+    n = inp.temb.shape[0]
+    blocks = g.reshape(len(inp.image_of_block), n, -1)
+    g_image = np.zeros((inp.images.shape[0], g.shape[1]), dtype=g.dtype)
+    for blk, k in enumerate(inp.image_of_block):
+        g_image[k * n:(k + 1) * n] += blocks[blk]
+    dw = np.empty(params.layers[0][0].shape, dtype=g.dtype)
+    np.matmul(inp.images.T, g_image, out=dw[:d])
+    np.matmul(inp.temb.T, blocks.sum(axis=0), out=dw[d:d + tau])
+    np.matmul(inp.encodings.T, g, out=dw[d + tau:])
+    return dw
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,8 @@ class _BatchArrays:
                 raise ValueError(f"pair image shape {p.x0_w.shape} != configured {shape}")
         self.x0_w = np.stack([p.x0_w for p in dataset]).astype(dtype)
         self.x0_l = np.stack([p.x0_l for p in dataset]).astype(dtype)
-        self.enc_w = np.stack([net.encode_caption(p.y_w).vector for p in dataset])
-        self.enc_l = np.stack([net.encode_caption(p.y_l).vector for p in dataset])
+        self.enc_w = np.stack([net.encode_caption(p.y_w).vector for p in dataset]).astype(dtype)
+        self.enc_l = np.stack([net.encode_caption(p.y_l).vector for p in dataset]).astype(dtype)
         # region-weighting rows, stacked once; None when no pair has a mask
         masks = [losses.pair_masks(p, use_region=True) for p in dataset]
         self.masks_w = losses._mask_rows([mw for mw, _ in masks], shape, dtype)

@@ -51,9 +51,12 @@ def test_bias_broadcast_gradient():
     # a bias is broadcast over rows, so its gradient sums the rows
     cfg = net.NetConfig(grid=2, channels=1, hidden=5, time_dim=4)
     params = randomized_params(net.init_params(cfg, seed=0), seed=1)
+    sched = df.make_schedule(6, 0.05, 0.3)
     rng = np.random.default_rng(2)
+    inp = net.assemble_input(params, [rng.normal(size=(6, 2, 2, 1))], rng.integers(0, 6, 6),
+                             [rng.normal(size=(6, net.ENCODING_DIM))], sched, (0,))
     acts = []
-    net.forward_rows(params, rng.normal(size=(6, cfg.input_dim)), acts)
+    net.forward_rows(params, inp, acts)
     d_out = rng.normal(size=(6, cfg.image_dim))
     grads = losses.Loss(value=0.0, margin=0.0, theta=params, acts=acts,
                         d_out=d_out).backward()

@@ -334,7 +334,8 @@ def test_image_payload_round_trip_is_bit_exact(tmp_path):
 
 def test_dataset_version_1_file_is_refused(tmp_path):
     _, path = _write_mixed(tmp_path)
-    for version in (1, 2):   # v2 stored run-length masks; datasets regenerate from seed
+    # v2 stored run-length masks and v3 the edited slots; datasets regenerate from seed
+    for version in (1, 2, 3):
 
         def set_version(record):
             record["version"] = version

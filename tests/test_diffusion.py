@@ -84,6 +84,12 @@ def test_q_sample_step_array_matches_single_calls_bitwise():
         assert np.array_equal(batched, single)
 
 
+def test_q_sample_keeps_float32():
+    s = df.make_schedule(4, 0.1, 0.2)
+    out = df.q_sample(np.ones(3, np.float32), 2, np.ones(3, np.float32), s)
+    assert out.dtype == np.float32
+
+
 def test_q_sample_noise_variance_matches_schedule():
     s = df.make_schedule(10, 0.05, 0.3)
     rng = np.random.default_rng(7)

@@ -32,7 +32,6 @@ def make_pair(dim="color", seed=0, grid=16):
 def synthetic_pair(x0_w, y_w, x0_l, y_l, dimension="color"):
     return dp.PreferencePair(x0_w=x0_w, y_w=y_w, x0_l=x0_l, y_l=y_l,
                              scene_w=None, scene_l=None, dimension=dimension,
-                             edited_object_indices=frozenset({0}),
                              mask_w=None, mask_l=None)
 
 

@@ -78,6 +78,16 @@ def test_forward_is_pure():
     assert np.array_equal(a, b)
 
 
+def _random_input(params, n, seed):
+    """A one-block network input of n rows with random images and encodings."""
+    cfg = params.cfg
+    sched = df.make_schedule(10, 0.05, 0.3)
+    rng = np.random.default_rng(seed)
+    x_t = rng.standard_normal((n, cfg.grid, cfg.grid, cfg.channels))
+    enc = rng.standard_normal((n, net.ENCODING_DIM))
+    return net.assemble_input(params, [x_t], rng.integers(0, sched.T, n), [enc], sched, (0,))
+
+
 def _probe_loss(params, rows, v):
     """Loss v . f(rows) with its forward pass cached for net.backward."""
     acts = []
@@ -96,7 +106,7 @@ def test_forward_directional_derivative_matches_probe():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 4, 3))
     v = rng.standard_normal(48)
-    rows = net.assemble_input(params, x[None], np.array([5]), enc.vector[None], sched)
+    rows = net.assemble_input(params, [x[None]], np.array([5]), [enc.vector[None]], sched, (0,))
     grads = _probe_loss(params, rows, v).backward()
 
     delta = 1e-6
@@ -115,7 +125,7 @@ def test_forward_directional_derivative_matches_probe():
 
 def test_backward_constant_loss_gives_zero_grads():
     params = randomized_params(net.init_params(SMALL, seed=7), seed=8)
-    rows = np.random.default_rng(9).standard_normal((3, SMALL.input_dim))
+    rows = _random_input(params, 3, seed=9)
     grads = _probe_loss(params, rows, np.zeros(SMALL.image_dim)).backward()
     for w, b in grads.layers:
         assert np.all(w == 0.0) and np.all(b == 0.0)
@@ -124,7 +134,7 @@ def test_backward_constant_loss_gives_zero_grads():
 def test_backward_rejects_loss_from_other_params():
     params = randomized_params(net.init_params(SMALL, seed=9), seed=10)
     other = randomized_params(net.init_params(SMALL, seed=9), seed=10)
-    rows = np.random.default_rng(11).standard_normal((2, SMALL.input_dim))
+    rows = _random_input(params, 2, seed=11)
     loss = _probe_loss(params, rows, np.ones(SMALL.image_dim))
     with pytest.raises(ValueError, match="parameters"):
         net.backward(other, loss)
@@ -133,11 +143,22 @@ def test_backward_rejects_loss_from_other_params():
 def test_backward_is_repeatable():
     # a loss can be differentiated again, with identical gradients
     params = randomized_params(net.init_params(SMALL, seed=12), seed=13)
-    rows = np.random.default_rng(14).standard_normal((2, SMALL.input_dim))
+    rows = _random_input(params, 2, seed=14)
     loss = _probe_loss(params, rows, np.ones(SMALL.image_dim))
     first, second = loss.backward(), loss.backward()
     for (w1, b1), (w2, b2) in zip(first.layers, second.layers):
         assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+
+def test_global_norm_matches_float64_sum_of_squares():
+    rng = np.random.default_rng(15)
+    layers = [(rng.normal(0.0, 10.0 ** -k, (40, 30)).astype(np.float32),
+               rng.normal(0.0, 1.0, 30).astype(np.float32)) for k in range(3)]
+    expected = np.sqrt(sum((g.astype(np.float64) ** 2).sum() for pair in layers for g in pair))
+    assert net.Gradients(layers=layers).global_norm() == pytest.approx(expected, rel=1e-6)
+    for bad in (np.inf, -np.inf, np.nan):
+        layers[1][0][3, 4] = bad
+        assert not np.isfinite(net.Gradients(layers=layers).global_norm())
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -199,14 +220,74 @@ def test_x0_forward_batch_keeps_the_parameter_dtype(dtype):
     out = net.forward_batch(params, x_t, t_arr, enc, sched)
     assert out.dtype == dtype
     # reference: the x0 identity with float64 coefficients, as before the cast
-    rows = net.assemble_input(params, x_t, t_arr, enc, sched)
+    rows = net.assemble_input(params, [x_t], t_arr, [enc], sched, (0,))
     ab = sched.alpha_bar[t_arr][:, None]
-    ref = (rows[:, :cfg.image_dim] - np.sqrt(ab) * net.forward_rows(params, rows)) \
+    ref = (rows.image_rows() - np.sqrt(ab) * net.forward_rows(params, rows)) \
         * (1.0 / np.sqrt(1.0 - ab))
     if dtype == np.float64:
         assert np.array_equal(out.reshape(5, -1), ref)
     else:
         np.testing.assert_allclose(out.reshape(5, -1), ref, rtol=1e-5, atol=1e-5)
+
+
+def _concatenated_stack(params, rows, t_rows, sched, d_out):
+    """The stack over explicitly concatenated (image, time, caption) rows, with
+    layer 1 as ``rows @ W0 + b0``: its noise prediction and its (dW, db) for
+    dL/d(stack output) ``d_out``, written out independently of ``net``."""
+    cache, h = [], rows
+    for i, (w, b) in enumerate(params.layers):
+        z = h @ w + b
+        cache.append((h, z))
+        h = z * (1.0 / (1.0 + np.exp(-z))) if i < len(params.layers) - 1 else z
+    pred = h
+    if params.cfg.parameterization == "x0":
+        ab = sched.alpha_bar[t_rows][:, None]
+        pred = (rows[:, :params.cfg.image_dim] - np.sqrt(ab) * h) / np.sqrt(1.0 - ab)
+    g, grads = d_out, []
+    for i in range(len(params.layers) - 1, -1, -1):
+        h, z = cache[i]
+        if i < len(params.layers) - 1:
+            s = 1.0 / (1.0 + np.exp(-z))
+            g = g * s * (1.0 + z * (1.0 - s))
+        grads.append((h.T @ g, g.sum(axis=0)))
+        g = g @ params.layers[i][0].T
+    return pred, grads[::-1]
+
+
+def _assert_close(actual, expected, rtol):
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("parameterization", ["eps", "x0"])
+def test_factorised_first_layer_matches_concatenated_rows(parameterization):
+    # each loss's block -> image map: sft, image_dpo, text_dpo and bidpo
+    cfg = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4,
+                        parameterization=parameterization)
+    params = randomized_params(net.init_params(cfg, seed=60), seed=61)
+    sched = df.make_schedule(10, 0.05, 0.3)
+    rng = np.random.default_rng(62)
+    n = 3
+    t_arr = rng.integers(0, sched.T, n)
+    images = [rng.standard_normal((n, 3, 3, 2)) for _ in range(2)]
+    for image_of_block in [(0,), (0, 1), (0, 0), (0, 0, 1, 1)]:
+        used = images[:max(image_of_block) + 1]
+        encodings = [rng.standard_normal((n, net.ENCODING_DIM)) for _ in image_of_block]
+        inp = net.assemble_input(params, used, t_arr, encodings, sched, image_of_block)
+        t_rows = np.tile(t_arr, len(image_of_block))
+        acts = []
+        pred = net.predict_noise_rows(params, inp, t_rows, sched, acts)
+        d_out = rng.standard_normal(pred.shape)
+        grads = net.backward(params, losses.Loss(value=0.0, margin=0.0, theta=params,
+                                                 acts=acts, d_out=d_out))
+        temb = net.time_embedding(t_arr, sched.T, cfg.time_dim)
+        rows = np.concatenate([
+            np.concatenate([used[k].reshape(n, -1) for k in image_of_block]),
+            np.tile(temb, (len(image_of_block), 1)), np.concatenate(encodings)], axis=1)
+        ref_pred, ref_grads = _concatenated_stack(params, rows, t_rows, sched, d_out)
+        _assert_close(pred, ref_pred, 1e-12)
+        for (dw, db), (ref_dw, ref_db) in zip(grads.layers, ref_grads):
+            _assert_close(dw, ref_dw, 1e-12)
+            _assert_close(db, ref_db, 1e-12)
 
 
 @pytest.mark.parametrize("parameterization", ["eps", "x0"])
