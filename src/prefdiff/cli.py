@@ -55,7 +55,7 @@ def _cmd_train(args):
     pairs, _ = datapipe.read_dataset(args.data)
     params, log = trainer.train(config, pairs)
     os.makedirs(args.out, exist_ok=True)
-    net.save_checkpoint(params, os.path.join(args.out, "checkpoint.json"))
+    net.save_checkpoint(params, config.schedule(), os.path.join(args.out, "checkpoint.json"))
     trainer.write_metrics(log, os.path.join(args.out, "metrics.jsonl"))
     trainer.save_config(config, os.path.join(args.out, "config.json"))
     final = log.records[-1] if log.records else None
@@ -76,19 +76,24 @@ def _add_eval(sub):
     p.add_argument("--samples-per-prompt", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", required=True,
-                   help="run-config the checkpoint was trained with; sets the schedule")
+                   help="run-config the checkpoint was trained with; its network and "
+                        "schedule must match the checkpoint's")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _cmd_eval(args):
-    params = net.load_checkpoint(args.ckpt)
+    params, sched = net.load_checkpoint(args.ckpt)
     config = trainer.load_config(args.config)
     if config.net_config() != params.cfg:
         print(f"config {args.config} describes {config.net_config()}, but checkpoint "
               f"{args.ckpt} holds {params.cfg}", file=sys.stderr)
         return 2
-    sched = config.schedule()
+    expected = config.schedule().spec()
+    if expected != sched.spec():
+        print(f"config {args.config} describes schedule {expected}, but checkpoint "
+              f"{args.ckpt} was trained with {sched.spec()}", file=sys.stderr)
+        return 2
     if args.gen:
         prompts = evalbench.sample_prompts(tw.DIMENSIONS, args.prompts_per_dim, args.seed)
     elif args.prompts:

@@ -1,5 +1,16 @@
-"""Forward noising process, noise schedule bookkeeping, and ancestral sampling."""
+"""Forward noising process, noise schedule bookkeeping, and ancestral sampling.
 
+Random draws run one step ahead of their use. ``prefetched`` calls a draw
+function on one worker thread while the caller computes with the previous
+draw; ``ddpm_sample_batch`` takes its initial images and its per-step noise
+from it, and so does ``trainer.train`` for each step's batch, steps and noise.
+No step's computation feeds back into its generator, so each generator is
+consumed in the same order as a sequential loop would, and every output is
+bit-identical to it. The worker calls numpy only, never a prefdiff function.
+"""
+
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +37,11 @@ class DiffusionSchedule:
     alpha_bar: np.ndarray
     lambda_log_snr: np.ndarray
     omega_mode: str = "constant"
+
+    def spec(self):
+        """The ``make_schedule`` arguments that rebuild this schedule."""
+        return {"T": self.T, "beta_start": float(self.beta[0]),
+                "beta_end": float(self.beta[-1]), "omega_mode": self.omega_mode}
 
 
 def make_schedule(T, beta_start, beta_end, omega_mode="constant"):
@@ -92,6 +108,30 @@ def omega_vector(sched, t_arr):
     return np.minimum(np.exp(sched.lambda_log_snr[t_arr]), OMEGA_CLIP)
 
 
+@contextmanager
+def prefetched(draw, count):
+    """Context manager giving an iterator over ``draw(0), ..., draw(count - 1)``.
+
+    Each call runs on one worker thread: ``draw(k + 1)`` starts as soon as
+    ``draw(k)`` is handed to the caller, so it overlaps the caller's work on
+    that value. A yielded value is valid until the next one is requested,
+    which lets ``draw`` fill two alternating buffers: ``draw(k + 2)`` may
+    overwrite what ``draw(k)`` returned. The worker lives for the ``with``
+    block only and is joined when it exits, also when the caller raises or
+    stops early. An exception raised by ``draw`` is raised to the caller
+    when it requests that value.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def results():
+            pending = pool.submit(draw, 0) if count > 0 else None
+            for k in range(1, count + 1):
+                value = pending.result()
+                pending = pool.submit(draw, k) if k < count else None
+                yield value
+
+        yield results()
+
+
 def ddpm_sample_batch(params, encodings, sched, seeds):
     """Ancestral sampling for a batch of caption encodings.
 
@@ -106,6 +146,11 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
 
     Raises NumericDivergenceError naming the offending step if any
     intermediate becomes non-finite.
+
+    The T draws (the initial images, then one noise image per step t > 0)
+    come from ``prefetched``, each row filled from its own generator in
+    float64 and cast to the parameters' dtype, as a sequential loop of
+    ``g.standard_normal(shape)`` calls would give them.
     """
     from . import net  # local import: net depends on this module for schedules
 
@@ -118,7 +163,15 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
     cfg = params.cfg
     shape = (cfg.grid, cfg.grid, cfg.channels)
     dtype = params.layers[0][0].dtype
-    x = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
+    scratch = np.empty((n,) + shape)
+    buffers = (np.empty((n,) + shape, dtype), np.empty((n,) + shape, dtype))
+
+    def draw(k):
+        for g, row in zip(gens, scratch):
+            g.standard_normal(out=row)
+        out = buffers[k % 2]
+        np.copyto(out, scratch)
+        return out
 
     # per-step coefficients, computed in float64 and cast to the parameters'
     # dtype so that a float32 model samples in float32
@@ -132,24 +185,23 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
     mean_div = (1.0 - ab).astype(dtype)
     noise_sd = np.sqrt(post_var).astype(dtype)
 
-    for t in range(sched.T - 1, -1, -1):
-        t_arr = np.full(n, t)
-        try:
-            eps_hat = net.forward_batch(params, x, t_arr, encodings, sched)
-        except NumericDivergenceError as exc:
-            raise NumericDivergenceError(f"step t={t}: {exc}") from exc
-        # posterior mean in denoised form, with the usual clip on the implied
-        # clean image to keep model error from compounding
-        x0_hat = np.clip((x - eps_coef[t] * eps_hat) / sqrt_ab[t],
-                         -1.0, 1.0)
-        mean = (x0_coef[t] * x0_hat + x_coef[t] * x) / mean_div[t]
-        if t > 0:
-            z = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
-            x = mean + noise_sd[t] * z
-        else:
-            x = mean
-        if not np.all(np.isfinite(x)):
-            raise NumericDivergenceError(f"non-finite sample state at step t={t}")
+    with prefetched(draw, sched.T) as draws:
+        x = next(draws)
+        for t in range(sched.T - 1, -1, -1):
+            t_arr = np.full(n, t)
+            try:
+                eps_hat = net.forward_batch(params, x, t_arr, encodings, sched)
+            except NumericDivergenceError as exc:
+                raise NumericDivergenceError(f"step t={t}: {exc}") from exc
+            # posterior mean in denoised form, with the usual clip on the
+            # implied clean image to keep model error from compounding
+            x0_hat = np.clip((x - eps_coef[t] * eps_hat) / sqrt_ab[t],
+                             -1.0, 1.0)
+            mean = (x0_coef[t] * x0_hat + x_coef[t] * x) / mean_div[t]
+            # x is not read again, so the next draw may reuse its buffer
+            x = mean + noise_sd[t] * next(draws) if t > 0 else mean
+            if not np.all(np.isfinite(x)):
+                raise NumericDivergenceError(f"non-finite sample state at step t={t}")
     return np.clip(x, -1.0, 1.0)
 
 

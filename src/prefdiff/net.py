@@ -34,7 +34,7 @@ ACTIVATIONS = ("silu", "identity")
 PARAMETERIZATIONS = ("eps", "x0")
 
 CHECKPOINT_FORMAT = "prefdiff-denoiser"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class VocabularyError(ValueError):
@@ -385,8 +385,12 @@ def _checksum(layers):
     return digest.hexdigest()
 
 
-def save_checkpoint(params, path):
-    """Write a versioned, checksummed JSON checkpoint (atomic, bit-exact)."""
+def save_checkpoint(params, sched, path):
+    """Write a versioned, checksummed JSON checkpoint (atomic, bit-exact).
+
+    ``sched`` is the schedule the parameters were trained under; the file
+    records it so that sampling can be checked against it.
+    """
     cfg = params.cfg
     record = {
         "format": CHECKPOINT_FORMAT,
@@ -396,6 +400,7 @@ def save_checkpoint(params, path):
         "cfg": {"grid": cfg.grid, "channels": cfg.channels, "hidden": cfg.hidden,
                 "time_dim": cfg.time_dim, "activation": cfg.activation,
                 "parameterization": cfg.parameterization},
+        "schedule": sched.spec(),
         "layers": [
             {"w_shape": list(w.shape), "b_shape": list(b.shape),
              "w": base64.b64encode(np.ascontiguousarray(w).tobytes()).decode("ascii"),
@@ -409,7 +414,8 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; raises CheckpointError on version or checksum failure."""
+    """Load a checkpoint as (DenoiserParams, DiffusionSchedule it was trained
+    under); raises CheckpointError on version or checksum failure."""
     with open(path) as fh:
         record = json.load(fh)
     if record.get("format") != CHECKPOINT_FORMAT or record.get("version") != CHECKPOINT_VERSION:
@@ -424,7 +430,8 @@ def load_checkpoint(path):
     if _checksum(layers) != record["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch")
     cfg = NetConfig(**record["cfg"])
-    return DenoiserParams(cfg=cfg, layers=layers, trainable=record["trainable"])
+    params = DenoiserParams(cfg=cfg, layers=layers, trainable=record["trainable"])
+    return params, df.make_schedule(**record["schedule"])
 
 
 def checkpoint_checksum(params):

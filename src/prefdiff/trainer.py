@@ -5,6 +5,11 @@ step 1. Batches are sampled uniformly with replacement; the per-item step
 index and noise draws are resampled every step, so each step is a fresh
 Monte Carlo estimate of the chosen loss's expectation. Runs are fully
 deterministic given (config, dataset, seed).
+
+Each step's draws (batch indices, step indices, then one or two noise images
+per item) come from one generator through ``diffusion.prefetched``, so step
+k + 1's draws run on a worker thread while step k computes. They are
+consumed in the sequential loop's order, so runs are bit-identical to it.
 """
 
 import json
@@ -184,20 +189,19 @@ class _BatchArrays:
         self.masks_l = losses._mask_rows([ml for _, ml in masks], shape, dtype)
 
 
-def _batch_loss(method, theta, ref, arrays, idx, t_arr, rng, beta, sched, dtype):
-    shape = arrays.x0_w.shape[1:]
-    n = len(idx)
-    eps_w = rng.standard_normal((n,) + shape).astype(dtype)
+def _batch_loss(method, theta, ref, arrays, idx, t_arr, noise, beta, sched):
+    """The step's loss; ``noise`` holds one noise batch per image the method
+    noises, the preferred image's first."""
+    eps_w = noise[0]
     if method == "sft":
         return losses.sft_batch(theta, arrays.x0_w[idx], arrays.enc_w[idx], t_arr, eps_w, sched)
-    if method == "image_dpo":
-        eps_l = rng.standard_normal((n,) + shape).astype(dtype)
-        return losses.diffusion_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.x0_l[idx],
-                                          arrays.enc_w[idx], t_arr, eps_w, eps_l, beta, sched)
     if method == "text_dpo":
         return losses.text_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.enc_w[idx],
                                      arrays.enc_l[idx], t_arr, eps_w, beta, sched)
-    eps_l = rng.standard_normal((n,) + shape).astype(dtype)
+    eps_l = noise[1]
+    if method == "image_dpo":
+        return losses.diffusion_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.x0_l[idx],
+                                          arrays.enc_w[idx], t_arr, eps_w, eps_l, beta, sched)
     masks_w = masks_l = None
     if method == "bidpo_region":
         masks_w = None if arrays.masks_w is None else arrays.masks_w[idx]
@@ -230,23 +234,38 @@ def train(config, dataset, init_params=None):
     arrays = _BatchArrays(dataset, dtype, config.grid, config.channels)
     state = AdamState.zeros(params)
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(config.seed, "train")))
-    log = MetricsLog()
-    for step in range(config.steps):
+    noise_shape = (config.batch_size,) + arrays.x0_w.shape[1:]
+    scratch = np.empty(noise_shape)
+    n_noise = 1 if config.method in ("sft", "text_dpo") else 2
+    buffers = [[np.empty(noise_shape, dtype) for _ in range(n_noise)] for _ in range(2)]
+
+    def draw(step):
+        # float64 draws cast to the parameters' dtype, as the generator's
+        # standard_normal(shape).astype(dtype) would give them
         idx = rng.integers(0, len(dataset), size=config.batch_size)
         t_arr = rng.integers(0, sched.T, size=config.batch_size)
-        try:
-            loss = _batch_loss(config.method, params, ref, arrays, idx, t_arr, rng,
-                               config.beta, sched, dtype)
-        except df.NumericDivergenceError as exc:
-            raise df.NumericDivergenceError(f"step {step}: {exc}") from exc
-        grads = loss.backward()
-        grad_norm = grads.global_norm()
-        if not np.isfinite(grad_norm):
-            raise df.NumericDivergenceError(f"step {step}: non-finite gradient norm")
-        lr = warmup_lr(step, config.learning_rate, config.warmup_steps)
-        adam_step(params, grads, state, lr)
-        log.records.append(StepRecord(step=step, loss=loss.value, grad_norm=grad_norm,
-                                      margin=loss.margin, lr=lr))
+        noise = buffers[step % 2]
+        for out in noise:
+            rng.standard_normal(out=scratch)
+            np.copyto(out, scratch)
+        return idx, t_arr, noise
+
+    log = MetricsLog()
+    with df.prefetched(draw, config.steps) as draws:
+        for step, (idx, t_arr, noise) in enumerate(draws):
+            try:
+                loss = _batch_loss(config.method, params, ref, arrays, idx, t_arr, noise,
+                                   config.beta, sched)
+            except df.NumericDivergenceError as exc:
+                raise df.NumericDivergenceError(f"step {step}: {exc}") from exc
+            grads = loss.backward()
+            grad_norm = grads.global_norm()
+            if not np.isfinite(grad_norm):
+                raise df.NumericDivergenceError(f"step {step}: non-finite gradient norm")
+            lr = warmup_lr(step, config.learning_rate, config.warmup_steps)
+            adam_step(params, grads, state, lr)
+            log.records.append(StepRecord(step=step, loss=loss.value, grad_norm=grad_norm,
+                                          margin=loss.margin, lr=lr))
     return params, log
 
 

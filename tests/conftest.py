@@ -1,8 +1,11 @@
-"""Shared test helpers: grammar enumeration and finite-difference oracles."""
+"""Shared test helpers: grammar enumeration, finite-difference oracles and a
+thread-leak check."""
 
 import itertools
+import threading
 
 import numpy as np
+import pytest
 
 from prefdiff import datapipe as dp
 from prefdiff import toyworld as tw
@@ -105,3 +108,12 @@ def randomized_params(params, seed, scale=0.3):
         params.layers[i] = (rng.normal(0.0, scale, w.shape),
                             rng.normal(0.0, scale, b.shape))
     return params
+
+
+@pytest.fixture
+def no_leaked_threads():
+    """Fail the test if it ends with more or fewer live threads than it began
+    with: the random-draw worker must be joined on every exit path."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before, threading.enumerate()

@@ -252,8 +252,8 @@ def test_criterion_6_round_trips(tmp_path):
 
     params = randomized_params(net.init_params(small_cfg(), seed=10), seed=11)
     ckpt = tmp_path / "ckpt.json"
-    net.save_checkpoint(params, ckpt)
-    ckpt_ok = net.params_equal(net.load_checkpoint(ckpt), params)
+    net.save_checkpoint(params, df.make_schedule(20, 0.05, 0.45), ckpt)
+    ckpt_ok = net.params_equal(net.load_checkpoint(ckpt)[0], params)
 
     report(6, mismatches == 0 and data_ok and ckpt_ok,
            f"detect(render(.)) identity on {n} scenes ({mismatches} mismatches); "

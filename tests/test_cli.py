@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -55,8 +56,9 @@ def test_gen_data_train_eval_ablate_end_to_end(tmp_path):
                      "--method", "bidpo", "--out", str(run)]) == 0
     assert trainer.load_config(run / "config.json") == micro_config(method="bidpo")
     assert len((run / "metrics.jsonl").read_text().splitlines()) == 3
-    params = net.load_checkpoint(run / "checkpoint.json")
+    params, sched = net.load_checkpoint(run / "checkpoint.json")
     assert params.cfg == micro_config().net_config()
+    assert sched.spec() == micro_config().schedule().spec()
 
     scores = tmp_path / "eval.json"
     assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"),
@@ -86,7 +88,7 @@ def test_train_refuses_a_v2_config(tmp_path):
 def _checkpoint_and_config(tmp_path):
     cfg = micro_config()
     ckpt, config = tmp_path / "checkpoint.json", tmp_path / "config.json"
-    net.save_checkpoint(net.init_params(cfg.net_config(), seed=0), ckpt)
+    net.save_checkpoint(net.init_params(cfg.net_config(), seed=0), cfg.schedule(), ckpt)
     trainer.save_config(cfg, config)
     return ckpt, config
 
@@ -127,3 +129,37 @@ def test_eval_refuses_a_config_for_a_different_network(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "grid=16, channels=3, hidden=256" in err and "grid=8, channels=3, hidden=16" in err
     assert not out.exists()
+
+
+def test_eval_refuses_a_config_for_a_different_schedule(tmp_path, capsys):
+    # a grid-8 checkpoint trained at T 20 (beta 0.05 -> 0.45), evaluated with
+    # the same config changed to the default T 100 (beta 1e-3 -> 0.2)
+    data = tmp_path / "data.jsonl"
+    assert cli.main(["gen-data", "--dims", "color", "--count-per-dim", "4", "--grid", "8",
+                     "--out", str(data)]) == 0
+    trained = micro_config(T=20, beta_start=0.05, beta_end=0.45)
+    config = tmp_path / "config.json"
+    trainer.save_config(trained, config)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(run)]) == 0
+    capsys.readouterr()
+    trainer.save_config(micro_config(T=100, beta_start=1e-3, beta_end=0.2), config)
+    out = tmp_path / "eval.json"
+    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"), "--config", str(config),
+                     "--gen", "--prompts-per-dim", "1", "--samples-per-prompt", "1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'T': 100, 'beta_start': 0.001, 'beta_end': 0.2" in err
+    assert "'T': 20, 'beta_start': 0.05, 'beta_end': 0.45" in err
+    assert not out.exists()
+    # the omega mode is part of the schedule too
+    trainer.save_config(replace(trained, omega_mode="snr"), config)
+    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"), "--config", str(config),
+                     "--gen", "--prompts-per-dim", "1", "--samples-per-prompt", "1",
+                     "--out", str(out)]) == 2
+    assert "'omega_mode': 'snr'" in capsys.readouterr().err
+    trainer.save_config(trained, config)
+    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"), "--config", str(config),
+                     "--gen", "--prompts-per-dim", "1", "--samples-per-prompt", "1",
+                     "--out", str(out)]) == 0

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,7 @@ def test_ddpm_sample_batch_keeps_the_parameters_dtype(parameterization):
         assert df.ddpm_sample_batch(params, encs, sched, [1, 2]).dtype == dtype
 
 
+@pytest.mark.usefixtures("no_leaked_threads")
 def test_ddpm_sample_reports_divergence_step():
     from prefdiff import toyworld as tw
     cfg = net.NetConfig(grid=4, channels=3, hidden=8)
@@ -208,3 +211,64 @@ def test_ddpm_sample_reports_divergence_step():
     cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("square"),))
     with pytest.raises(df.NumericDivergenceError, match="step t=5"):
         df.ddpm_sample(params, cap, sched, rng_seed=0)
+
+
+def _sequential_sample(params, encodings, sched, seeds):
+    """Ancestral sampling with each step's noise drawn in line, before it is
+    used: the reference ``ddpm_sample_batch`` must reproduce bitwise."""
+    gens = [np.random.default_rng(np.random.SeedSequence(int(s) & 0xFFFFFFFFFFFFFFFF))
+            for s in seeds]
+    n = len(seeds)
+    cfg = params.cfg
+    shape = (cfg.grid, cfg.grid, cfg.channels)
+    dtype = params.layers[0][0].dtype
+    x = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
+    ab = sched.alpha_bar
+    alpha_bar_prev = np.concatenate([[1.0], ab[:-1]])
+    post_var = (1.0 - alpha_bar_prev) / (1.0 - ab) * sched.beta
+    for t in range(sched.T - 1, -1, -1):
+        eps_hat = net.forward_batch(params, x, np.full(n, t), encodings, sched)
+        x0_hat = np.clip((x - np.sqrt(1.0 - ab[t]).astype(dtype) * eps_hat)
+                         / np.sqrt(ab[t]).astype(dtype), -1.0, 1.0)
+        mean = ((np.sqrt(alpha_bar_prev[t]) * sched.beta[t]).astype(dtype) * x0_hat
+                + (np.sqrt(1.0 - sched.beta[t]) * (1.0 - alpha_bar_prev[t])).astype(dtype) * x
+                ) / (1.0 - ab[t]).astype(dtype)
+        if t > 0:
+            z = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
+            x = mean + np.sqrt(post_var[t]).astype(dtype) * z
+        else:
+            x = mean
+    return np.clip(x, -1.0, 1.0)
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+@pytest.mark.parametrize("parameterization", net.PARAMETERIZATIONS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("T", [1, 5])
+def test_ddpm_sample_batch_is_bitwise_the_sequential_loop(T, batch, dtype, parameterization,
+                                                         monkeypatch):
+    # the draws run a step ahead on a worker thread; every row's stream must
+    # reach every step exactly as the in-line draws do
+    from conftest import randomized_params
+
+    forward = net.forward_batch
+
+    def slow_forward(*args):
+        # give the worker time to run before the network reads its input, so
+        # that a buffer reused too early is overwritten before it is read
+        time.sleep(0.002)
+        return forward(*args)
+
+    monkeypatch.setattr(net, "forward_batch", slow_forward)
+
+    cfg = net.NetConfig(grid=4, channels=3, hidden=16, parameterization=parameterization)
+    sched = df.make_schedule(T, 0.05, 0.3)
+    params = randomized_params(net.init_params(cfg, seed=3), seed=4, scale=0.1)
+    params.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
+    encs = np.random.default_rng(5).integers(0, 2, (batch, net.ENCODING_DIM)).astype(float)
+    seeds = [11 * i + 2 for i in range(batch)]
+    out = df.ddpm_sample_batch(params, encs, sched, seeds)
+    expected = _sequential_sample(params, encs, sched, seeds)
+    assert out.dtype == expected.dtype == dtype
+    assert out.tobytes() == expected.tobytes()

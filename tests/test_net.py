@@ -340,19 +340,26 @@ def test_param_count_matches_analytic_formula():
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     params = randomized_params(net.init_params(SMALL, seed=14), seed=15)
     path = tmp_path / "ckpt.json"
-    net.save_checkpoint(params, path)
-    loaded = net.load_checkpoint(path)
-    assert net.params_equal(params, loaded)
-    assert loaded.cfg == params.cfg
-    assert net.checkpoint_checksum(loaded) == net.checkpoint_checksum(params)
+    for sched in (df.make_schedule(20, 0.05, 0.45, "snr"), df.make_schedule(1, 0.3, 0.3),
+                  df.make_schedule(100, 1e-3, 0.2)):
+        net.save_checkpoint(params, sched, path)
+        loaded, loaded_sched = net.load_checkpoint(path)
+        assert net.params_equal(params, loaded)
+        assert loaded.cfg == params.cfg
+        assert net.checkpoint_checksum(loaded) == net.checkpoint_checksum(params)
+        # the schedule it was trained under comes back bit for bit
+        assert loaded_sched.spec() == sched.spec()
+        for name in ("beta", "alpha_bar", "lambda_log_snr"):
+            assert getattr(loaded_sched, name).tobytes() == getattr(sched, name).tobytes()
 
 
 def test_checkpoint_rejects_corruption_and_bad_version(tmp_path):
     import json
     params = net.init_params(SMALL, seed=16)
     path = tmp_path / "ckpt.json"
-    net.save_checkpoint(params, path)
+    net.save_checkpoint(params, df.make_schedule(10, 0.05, 0.3), path)
     record = json.loads(path.read_text())
+    assert record["version"] == 2
     record["checksum"] = "0" * 64
     path.write_text(json.dumps(record))
     with pytest.raises(net.CheckpointError, match="checksum"):
@@ -360,4 +367,16 @@ def test_checkpoint_rejects_corruption_and_bad_version(tmp_path):
     record["version"] = 999
     path.write_text(json.dumps(record))
     with pytest.raises(net.CheckpointError, match="unsupported"):
+        net.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_a_v1_file_without_a_schedule(tmp_path):
+    import json
+    params = net.init_params(SMALL, seed=16)
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(params, df.make_schedule(10, 0.05, 0.3), path)
+    record = json.loads(path.read_text())
+    del record["schedule"]
+    path.write_text(json.dumps({**record, "version": 1}))
+    with pytest.raises(net.CheckpointError, match="unsupported .* v1"):
         net.load_checkpoint(path)

@@ -7,6 +7,7 @@ import pytest
 
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
+from prefdiff import losses
 from prefdiff import net
 from prefdiff import trainer
 
@@ -124,6 +125,7 @@ def test_adam_step_is_bitwise_the_textbook_expression(dtype):
         assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
 
 
+@pytest.mark.usefixtures("no_leaked_threads")
 def test_train_zero_steps_returns_initial_params(tiny_dataset):
     cfg = tiny_config(steps=0)
     init = net.init_params(cfg.net_config(), seed=cfg.seed, dtype=np.float64)
@@ -137,6 +139,7 @@ def test_train_rejects_empty_dataset():
         trainer.train(tiny_config(), [])
 
 
+@pytest.mark.usefixtures("no_leaked_threads")
 @pytest.mark.parametrize("method", trainer.METHODS)
 def test_train_every_method_runs_and_is_deterministic(tiny_dataset, method):
     cfg = tiny_config(method=method, steps=8)
@@ -146,6 +149,73 @@ def test_train_every_method_runs_and_is_deterministic(tiny_dataset, method):
     assert net.checkpoint_checksum(params_a) == net.checkpoint_checksum(params_b)
     assert len(log_a.records) == 8
     assert all(np.isfinite(r.loss) for r in log_a.records)
+
+
+def _sequential_train(config, dataset):
+    """The training loop with each step's draws taken in line, before the
+    step computes: the reference ``trainer.train`` must reproduce bitwise."""
+    dtype = np.dtype(config.dtype)
+    sched = config.schedule()
+    params = net.init_params(config.net_config(), seed=config.seed, dtype=dtype)
+    ref = net.clone_frozen(params)
+    arrays = trainer._BatchArrays(dataset, dtype, config.grid, config.channels)
+    state = trainer.AdamState.zeros(params)
+    rng = np.random.default_rng(np.random.SeedSequence(dp._child_seed(config.seed, "train")))
+    shape = (config.batch_size,) + arrays.x0_w.shape[1:]
+    records = []
+    for step in range(config.steps):
+        idx = rng.integers(0, len(dataset), size=config.batch_size)
+        t_arr = rng.integers(0, sched.T, size=config.batch_size)
+        eps_w = rng.standard_normal(shape).astype(dtype)
+        x0_w, x0_l = arrays.x0_w[idx], arrays.x0_l[idx]
+        enc_w, enc_l = arrays.enc_w[idx], arrays.enc_l[idx]
+        if config.method == "sft":
+            loss = losses.sft_batch(params, x0_w, enc_w, t_arr, eps_w, sched)
+        elif config.method == "text_dpo":
+            loss = losses.text_dpo_batch(params, ref, x0_w, enc_w, enc_l, t_arr, eps_w,
+                                         config.beta, sched)
+        elif config.method == "image_dpo":
+            eps_l = rng.standard_normal(shape).astype(dtype)
+            loss = losses.diffusion_dpo_batch(params, ref, x0_w, x0_l, enc_w, t_arr,
+                                              eps_w, eps_l, config.beta, sched)
+        else:
+            eps_l = rng.standard_normal(shape).astype(dtype)
+            region = config.method == "bidpo_region"
+            loss = losses.bidpo_batch(params, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w,
+                                      eps_l, config.beta, sched,
+                                      masks_w=arrays.masks_w[idx] if region else None,
+                                      masks_l=arrays.masks_l[idx] if region else None)
+        grads = loss.backward()
+        lr = trainer.warmup_lr(step, config.learning_rate, config.warmup_steps)
+        trainer.adam_step(params, grads, state, lr)
+        records.append(trainer.StepRecord(step=step, loss=loss.value,
+                                          grad_norm=grads.global_norm(),
+                                          margin=loss.margin, lr=lr))
+    return params, records
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset():
+    # colour pairs carry region masks, numeracy pairs do not
+    pairs, _ = dp.generate_dataset({"color": 6, "numeracy": 4}, seed=8, grid=8)
+    return pairs
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+@pytest.mark.parametrize("parameterization,omega_mode", [("eps", "constant"), ("x0", "snr")])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_train_is_bitwise_the_sequential_loop(mixed_dataset, method, dtype,
+                                              parameterization, omega_mode):
+    # the draws run a step ahead on a worker thread; they must reach every
+    # step exactly as the in-line draws of the sequential loop do
+    cfg = tiny_config(method=method, steps=6, dtype=dtype, warmup_steps=2,
+                      parameterization=parameterization, omega_mode=omega_mode)
+    params, log = trainer.train(cfg, mixed_dataset)
+    expected_params, expected_records = _sequential_train(cfg, mixed_dataset)
+    assert net.checkpoint_checksum(params) == net.checkpoint_checksum(expected_params)
+    assert log.records == expected_records
+    assert params.layers[0][0].dtype == np.dtype(dtype)
 
 
 def test_train_reference_is_immutable(tiny_dataset):
@@ -178,6 +248,7 @@ def test_bidpo_margin_goes_positive(tiny_dataset):
     assert tail > 0.0
 
 
+@pytest.mark.usefixtures("no_leaked_threads")
 def test_train_divergence_reports_step(tiny_dataset):
     # Adam's second moment overflows to inf here, so its updates go silently
     # to zero while the loss stays finite: only the gradient norm shows it
@@ -224,7 +295,8 @@ def test_write_metrics_jsonl(tmp_path, tiny_dataset):
 
 
 @pytest.mark.parametrize("write", [
-    lambda path: net.save_checkpoint(net.init_params(tiny_config().net_config(), seed=0), path),
+    lambda path: net.save_checkpoint(net.init_params(tiny_config().net_config(), seed=0),
+                                     tiny_config().schedule(), path),
     lambda path: trainer.save_config(tiny_config(), path),
     lambda path: trainer.write_metrics(trainer.MetricsLog(), path),
 ], ids=["save_checkpoint", "save_config", "write_metrics"])
