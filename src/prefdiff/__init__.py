@@ -1,8 +1,8 @@
 """prefdiff: a desk-scale lab for preference-optimized toy diffusion models."""
 
 from .diffusion import DiffusionSchedule, ddpm_sample, make_schedule, omega, q_sample
-from .toyworld import (Caption, ObjectSlot, RegionMask, SceneSpec, detect,
-                       region_mask, render, vqa_check)
+from .toyworld import (Caption, ObjectSlot, SceneSpec, detect, edit_masks,
+                       parse_dimension, render, vqa_check)
 from .net import (CaptionEncoding, DenoiserParams, NetConfig, clone_frozen,
                   encode_caption, forward, init_params, load_checkpoint,
                   save_checkpoint)
@@ -10,8 +10,7 @@ from .losses import (LossBatchItem, bidpo_loss, diffusion_dpo_loss,
                      masked_sq_err, sft_loss, text_dpo_loss)
 from .datapipe import (DatasetManifest, PreferencePair, build_pair,
                        edit_caption, filter_pairs, generate_dataset,
-                       parse_dimension, read_dataset, sample_caption,
-                       write_dataset)
+                       read_dataset, sample_caption, write_dataset)
 from .trainer import MetricsLog, TrainConfig, adam_step, train, warmup_lr
 from .evalbench import AblationReport, Scorecard, emit_report, evaluate, run_ablation
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -97,19 +98,25 @@ def _cmd_eval(args):
     if args.gen:
         prompts = evalbench.sample_prompts(tw.DIMENSIONS, args.prompts_per_dim, args.seed)
     elif args.prompts:
+        prompts = []
         with open(args.prompts) as fh:
-            prompts = [datapipe.caption_from_dict(json.loads(line))
-                       for line in fh if line.strip()]
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    prompts.append(datapipe.caption_from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    print(f"{args.prompts} line {line_no}: invalid prompt: {exc}",
+                          file=sys.stderr)
+                    return 2
     else:
         print("need --prompts FILE or --gen", file=sys.stderr)
         return 2
     card = evalbench.evaluate(params, prompts, args.samples_per_prompt, sched,
                               seed=args.seed)
-    record = {"per_dimension": card.per_dimension, "validity": card.validity,
-              "sample_count": card.sample_count, "seed": card.seed}
     with datapipe.atomic_write(args.out) as fh:
         if args.format == "json":
-            json.dump(record, fh, indent=2)
+            json.dump(asdict(card), fh, indent=2)
         else:
             dims = sorted(card.per_dimension)
             fh.write(",".join(["validity", *dims]) + "\n")

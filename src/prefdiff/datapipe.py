@@ -59,9 +59,10 @@ class DatasetVersionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PreferencePair:
-    """One dataset row: a winner and a loser image-caption pair that differ
-    only in the edited slots, plus region masks over the edited objects
-    (``toyworld.edit_masks`` of the two scenes)."""
+    """One dataset row: a winner and a loser image-caption pair whose scenes
+    differ only in the edited objects, plus the two region masks
+    (``toyworld.edit_masks`` of the two scenes), (grid, grid) float arrays
+    that weight the edited objects' bboxes 1.0 and the rest 0.5."""
 
     x0_w: np.ndarray
     y_w: tw.Caption
@@ -70,8 +71,8 @@ class PreferencePair:
     scene_w: tw.SceneSpec
     scene_l: tw.SceneSpec
     dimension: str
-    mask_w: tw.RegionMask
-    mask_l: tw.RegionMask
+    mask_w: np.ndarray
+    mask_l: np.ndarray
 
 
 @dataclass
@@ -140,44 +141,32 @@ def _draw_caption(dimension, rng):
     return tw.Caption(dimension="numeracy", objects=(slot,), count=pick(SAMPLED_COUNTS))
 
 
-def parse_dimension(caption):
-    """Dimension of a caption from its content, by the priority ladder:
-    relations first, then counts, then attributes."""
-    tw.validate_caption(caption)
-    if caption.relation is not None:
-        return "spatial"
-    if caption.count is not None:
-        return "numeracy"
-    if any(s.color is not None for s in caption.objects):
-        return "color"
-    if any(s.texture is not None for s in caption.objects):
-        return "texture"
-    return "shape"
-
-
 # ---------------------------------------------------------------------------
 # caption editing
 
 def edit_caption(caption, rng_seed):
-    """Edited variants of a caption, each with the touched slot indices.
+    """Edited variants of a caption: a list of captions with the input's
+    slot structure, which ``build_pair`` realises on the input's layout.
 
-    Always emits one primary edit (one slot moved to a different vocabulary
-    value). Two-object color/shape/texture captions whose two attribute
-    values differ additionally get the swap and both replace augmentations.
-    All emitted captions are pairwise distinct and differ from the input.
+    Always emits one primary edit: a spatial caption's relation flipped, a
+    numeracy caption's count changed, or else one slot's attribute of the
+    caption's dimension moved to a different vocabulary value. Two-object
+    color/shape/texture captions whose two attribute values differ
+    additionally get the swap and both replace augmentations. All emitted
+    captions are pairwise distinct and differ from the input.
     """
     tw.validate_caption(caption)
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(rng_seed, "edit")))
-    dim = parse_dimension(caption)
+    dim = caption.dimension
 
     if dim == "spatial":
         flipped = replace(caption, relation=tw.flip_relation(caption.relation))
-        return [(flipped, frozenset({0, 1}))]
+        return [flipped]
 
     if dim == "numeracy":
         options = [c for c in SAMPLED_COUNTS if c != caption.count]
         new_count = options[int(rng.integers(len(options)))]
-        return [(replace(caption, count=new_count), frozenset({0}))]
+        return [replace(caption, count=new_count)]
 
     attr = {"color": "color", "shape": "shape", "texture": "texture"}[dim]
     vocab = {"color": tw.COLORS, "shape": tw.SHAPES, "texture": tw.TEXTURES}[dim]
@@ -189,13 +178,13 @@ def edit_caption(caption, rng_seed):
     if not options:   # both values present and vocab exhausted: edit the other way
         options = [v for v in vocab if v != values[slot_idx]]
     new_value = options[int(rng.integers(len(options)))]
-    edits = [(_set_attr(caption, slot_idx, attr, new_value), frozenset({slot_idx}))]
+    edits = [_set_attr(caption, slot_idx, attr, new_value)]
 
     if len(caption.objects) == 2 and values[0] != values[1]:
         swap = _set_attr(_set_attr(caption, 0, attr, values[1]), 1, attr, values[0])
-        edits.append((swap, frozenset({0, 1})))
-        edits.append((_set_attr(caption, 1, attr, values[0]), frozenset({1})))
-        edits.append((_set_attr(caption, 0, attr, values[1]), frozenset({0})))
+        edits.append(swap)
+        edits.append(_set_attr(caption, 1, attr, values[0]))
+        edits.append(_set_attr(caption, 0, attr, values[1]))
     return edits
 
 
@@ -216,20 +205,19 @@ def cross_check(x_w, y_w, x_l, y_l):
             not tw.answer(scene_w, y_l).passed, not tw.answer(scene_l, y_w).passed)
 
 
-def build_pair(caption, edit, layout_seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
+def build_pair(caption, edited_caption, layout_seed, jitter=DEFAULT_JITTER,
+               grid=tw.DEFAULT_GRID):
     """Render a (winner, loser) pair under one shared layout.
 
-    Both images are rendered with the identical layout seed so regions
+    Both scenes are realised on the winner's layout (``toyworld.pair_scenes``)
+    and both images are rendered with the identical layout seed, so regions
     outside the edit differ by at most the shared jitter field. Raises
     VqaInconsistencyError when the four-way cross-check fails (the caller
     counts the discard).
     """
-    edited_caption, edited_slots = edit
     if edited_caption == caption:
         raise ValueError("edit must differ from the source caption")
-    scene_w, slot_map = tw.scene_from_caption(caption, layout_seed, grid)
-    scene_l = tw.apply_scene_edit(
-        scene_w, caption, edited_caption, edited_slots, slot_map, layout_seed, grid)
+    scene_w, scene_l = tw.pair_scenes(caption, edited_caption, layout_seed, grid)
     x_w = tw.render(scene_w, layout_seed, jitter, grid)
     x_l = tw.render(scene_l, layout_seed, jitter, grid)
 
@@ -241,7 +229,7 @@ def build_pair(caption, edit, layout_seed, jitter=DEFAULT_JITTER, grid=tw.DEFAUL
     mask_w, mask_l = tw.edit_masks(scene_w, scene_l, grid)
     return PreferencePair(
         x0_w=x_w, y_w=caption, x0_l=x_l, y_l=edited_caption,
-        scene_w=scene_w, scene_l=scene_l, dimension=parse_dimension(caption),
+        scene_w=scene_w, scene_l=scene_l, dimension=caption.dimension,
         mask_w=mask_w, mask_l=mask_l)
 
 
@@ -267,12 +255,13 @@ def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
             cap_seed = _child_seed(seed, dim, i, "caption")
             caption = sample_caption(dim, cap_seed)
             edits = edit_caption(caption, _child_seed(seed, dim, i, "edit"))
-            for j, edit in enumerate(edits):
+            for j, edited_caption in enumerate(edits):
                 if built >= want:
                     break
                 layout_seed = _child_seed(seed, dim, i, j, "layout")
                 try:
-                    dim_pairs.append(build_pair(caption, edit, layout_seed, jitter, grid))
+                    dim_pairs.append(
+                        build_pair(caption, edited_caption, layout_seed, jitter, grid))
                     built += 1
                 except VqaInconsistencyError:
                     discarded_vqa += 1
@@ -301,7 +290,7 @@ def pairs_equal(a, b):
             and a.y_w == b.y_w and a.y_l == b.y_l
             and a.scene_w == b.scene_w and a.scene_l == b.scene_l
             and a.dimension == b.dimension
-            and a.mask_w == b.mask_w and a.mask_l == b.mask_l)
+            and np.array_equal(a.mask_w, b.mask_w) and np.array_equal(a.mask_l, b.mask_l))
 
 
 def dataset_captions(pairs):
@@ -371,9 +360,12 @@ def caption_to_dict(c):
 
 
 def caption_from_dict(d):
-    return tw.Caption(dimension=d["dimension"],
-                      objects=tuple(tw.ObjectSlot(**s) for s in d["objects"]),
-                      relation=d["relation"], count=d["count"])
+    """Inverse of ``caption_to_dict``; raises ValueError on an invalid caption."""
+    caption = tw.Caption(dimension=d["dimension"],
+                         objects=tuple(tw.ObjectSlot(**s) for s in d["objects"]),
+                         relation=d["relation"], count=d["count"])
+    tw.validate_caption(caption)
+    return caption
 
 
 def _scene_dict(s):
@@ -422,7 +414,7 @@ def _pair_from(d):
     return PreferencePair(
         x0_w=_image_from(d["x0_w"], shape), y_w=y_w,
         x0_l=_image_from(d["x0_l"], shape), y_l=caption_from_dict(d["y_l"]),
-        scene_w=scene_w, scene_l=scene_l, dimension=parse_dimension(y_w),
+        scene_w=scene_w, scene_l=scene_l, dimension=y_w.dimension,
         mask_w=mask_w, mask_l=mask_l)
 
 
@@ -432,7 +424,7 @@ def write_dataset(pairs, manifest, path):
     Line 1 is the manifest: format, version, the manifest fields, the record
     count and the SHA-256 checksum of every following line including its
     newline. Each further line is one pair record holding ``grid``, the two
-    images, the two captions, the two scenes and the edited slot indices.
+    images, the two captions and the two scenes.
     Its ``x0_w`` and ``x0_l`` are base64 of the image's float64 bytes in
     little-endian order (``"<f8"``), flattened row-major from shape
     (grid, grid, CHANNELS), so a read returns bit-identical images. The

@@ -10,7 +10,7 @@ right number of objects at all.
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -158,11 +158,7 @@ def run_ablation(base_config, dataset, prompts, out_dir=None):
 def _report_dict(report):
     return {"seed": report.seed,
             "rows": [{"method": r.method, "status": r.status, "error": r.error,
-                      "scorecard": None if r.scorecard is None else {
-                          "per_dimension": r.scorecard.per_dimension,
-                          "validity": r.scorecard.validity,
-                          "sample_count": r.scorecard.sample_count,
-                          "seed": r.scorecard.seed}}
+                      "scorecard": None if r.scorecard is None else asdict(r.scorecard)}
                      for r in report.rows]}
 
 

@@ -65,8 +65,9 @@ class Loss:
 
 
 def masked_sq_err(eps, eps_hat, mask=None):
-    """Weighted sum of squared errors; an all-ones mask reproduces the plain
-    squared norm bitwise."""
+    """Weighted sum of squared errors. ``mask`` is None or an array of
+    weights shaped like the image or like its (H, W) grid, broadcast over
+    channels; an all-ones mask reproduces the plain squared norm bitwise."""
     eps = np.asarray(eps)
     eps_hat = np.asarray(eps_hat)
     if eps.shape != eps_hat.shape:
@@ -78,7 +79,7 @@ def masked_sq_err(eps, eps_hat, mask=None):
 
 
 def _mask_weights(mask, image_shape):
-    w = np.asarray(mask.weights)
+    w = np.asarray(mask)
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("mask weights must be finite and nonnegative")
     if w.shape == image_shape:
@@ -222,7 +223,8 @@ def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched, mask=None):
 
     One noise draw ``eps`` noises the winner image once, and that noised
     image feeds all four terms (policy and reference, under each caption).
-    ``mask`` defaults to all-ones. Returns a Loss.
+    ``mask`` is None (all ones) or a weight array, as ``masked_sq_err``
+    takes it. Returns a Loss.
     """
     x0_w = np.asarray(x0_w)
     if np.asarray(eps).shape != x0_w.shape:

@@ -21,7 +21,7 @@ views of W0, so the parameters and the checkpoint keep their layout.
 import base64
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -391,15 +391,12 @@ def save_checkpoint(params, sched, path):
     ``sched`` is the schedule the parameters were trained under; the file
     records it so that sampling can be checked against it.
     """
-    cfg = params.cfg
     record = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "dtype": str(params.layers[0][0].dtype),
         "trainable": params.trainable,
-        "cfg": {"grid": cfg.grid, "channels": cfg.channels, "hidden": cfg.hidden,
-                "time_dim": cfg.time_dim, "activation": cfg.activation,
-                "parameterization": cfg.parameterization},
+        "cfg": asdict(params.cfg),
         "schedule": sched.spec(),
         "layers": [
             {"w_shape": list(w.shape), "b_shape": list(b.shape),

@@ -23,7 +23,7 @@ one rule and ``detect(render(scene)) == scene`` compares like with like.
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -134,27 +134,23 @@ class Caption:
     count: int = None
 
 
-@dataclass(frozen=True, eq=False)
-class RegionMask:
-    """Two-level G x G loss weights, broadcast over channels."""
-
-    weights: np.ndarray
-    w_in: float = 1.0
-    w_out: float = 1.0
-
-    def __eq__(self, other):
-        if not isinstance(other, RegionMask):
-            return NotImplemented
-        return (self.w_in == other.w_in and self.w_out == other.w_out
-                and np.array_equal(self.weights, other.weights))
-
-
-def ones_mask(grid=DEFAULT_GRID):
-    return RegionMask(weights=np.ones((grid, grid)), w_in=1.0, w_out=1.0)
-
-
 # ---------------------------------------------------------------------------
 # validation
+
+def parse_dimension(caption):
+    """Dimension of a caption from its content, by the priority ladder:
+    relations first, then counts, then colors, then textures, else shape.
+    ``validate_caption`` holds every caption's label to this ladder."""
+    if caption.relation is not None:
+        return "spatial"
+    if caption.count is not None:
+        return "numeracy"
+    if any(s.color is not None for s in caption.objects):
+        return "color"
+    if any(s.texture is not None for s in caption.objects):
+        return "texture"
+    return "shape"
+
 
 def validate_caption(caption):
     """Raise ValueError if the caption violates the grammar invariants."""
@@ -179,10 +175,9 @@ def validate_caption(caption):
             raise ValueError(f"count {caption.count!r} outside {COUNTS}")
         if len(caption.objects) != 1:
             raise ValueError("counted captions carry a single replica slot")
-    if caption.dimension == "spatial" and caption.relation is None:
-        raise ValueError("spatial captions need a relation")
-    if caption.dimension == "numeracy" and caption.count is None:
-        raise ValueError("numeracy captions need a count")
+    if caption.dimension != parse_dimension(caption):
+        raise ValueError(f"a caption labelled {caption.dimension!r} reads as "
+                         f"{parse_dimension(caption)!r}")
     if caption.dimension == "color" and any(s.color is None for s in caption.objects):
         raise ValueError("color captions need a color on every slot")
     if caption.dimension == "texture" and any(s.texture is None for s in caption.objects):
@@ -492,24 +487,16 @@ def _best_assignment(slots, objs, relation):
 # ---------------------------------------------------------------------------
 # region masks
 
-def region_mask(scene, edited_object_indices, w_in=1.0, w_out=0.5, grid=DEFAULT_GRID):
-    """Two-level weights: w_in inside every edited object's bbox, w_out elsewhere."""
-    for i in edited_object_indices:
-        if not 0 <= i < len(scene.objects):
-            raise IndexError(f"object index {i} out of range")
-    weights = np.full((grid, grid), float(w_out))
-    for i in edited_object_indices:
-        b = scene.objects[i].bbox
-        weights[b.row0:b.row1, b.col0:b.col1] = float(w_in)
-    return RegionMask(weights=weights, w_in=float(w_in), w_out=float(w_out))
-
-
 def edit_masks(scene_w, scene_l, grid=DEFAULT_GRID):
-    """The region masks (mask_w, mask_l) of a pair: each weights 1.0 the
-    objects its scene has and the other scene lacks, and 0.5 elsewhere."""
+    """The region masks (mask_w, mask_l) of a pair, (grid, grid) weights:
+    each is 1.0 on the bboxes of the objects its scene has and the other
+    scene lacks, and 0.5 elsewhere."""
     def mask(scene, other):
-        edited = [i for i, o in enumerate(scene.objects) if o not in other.objects]
-        return region_mask(scene, edited, 1.0, 0.5, grid)
+        weights = np.full((grid, grid), 0.5)
+        for o in scene.objects:
+            if o not in other.objects:
+                weights[o.bbox.row0:o.bbox.row1, o.bbox.col0:o.bbox.col1] = 1.0
+        return weights
     return mask(scene_w, scene_l), mask(scene_l, scene_w)
 
 
@@ -567,99 +554,77 @@ def _axis_dominant(relation):
     return constraint
 
 
+def _draw_layout(caption, layout_seed, grid):
+    """The seeded part of a caption's scene: each slot's (color, texture),
+    with unstated ones drawn, and the bboxes, placed disjointly and
+    respecting the caption's relation. A counted caption gets max(COUNTS)
+    replica bboxes, so that every count is a prefix of one layout."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(layout_seed) & 0xFFFFFFFFFFFFFFFF))
+    fills = []
+    for slot in caption.objects:
+        color = slot.color if slot.color is not None else COLORS[rng.integers(len(COLORS))]
+        texture = slot.texture if slot.texture is not None else TEXTURES[rng.integers(len(TEXTURES))]
+        fills.append((color, texture))
+
+    lo, hi = _size_range(grid)
+    if caption.count is not None:
+        return fills, _place_disjoint(rng, [(lo, lo)] * max(COUNTS), grid)
+    sizes = [(int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
+             for _ in caption.objects]
+    constraint = _axis_dominant(caption.relation) if caption.relation is not None else None
+    return fills, _place_disjoint(rng, sizes, grid, constraint=constraint)
+
+
+def _realise(caption, fills, boxes, grid):
+    """The canonical scene of a caption on a drawn layout: slot i takes the
+    caption's own attributes where it states them and ``fills[i]``
+    elsewhere, in bbox i; a counted caption repeats its slot ``count`` times."""
+    slots = caption.objects
+    if caption.count is not None:
+        slots, fills = slots * caption.count, fills * caption.count
+    scene = canonical_scene(
+        SceneObject(slot.shape,
+                    slot.color if slot.color is not None else color,
+                    slot.texture if slot.texture is not None else texture, box)
+        for slot, (color, texture), box in zip(slots, fills, boxes))
+    validate_scene(scene, grid)
+    return scene
+
+
 def scene_from_caption(caption, layout_seed, grid=DEFAULT_GRID):
     """Complete a caption into a concrete scene.
 
     Unspecified attributes are filled from the seeded generator, bboxes are
     placed disjointly (respecting the caption's relation, if any), and the
-    result is canonically ordered. Returns (scene, slot_map) where
-    slot_map[i] is the scene index of caption slot i.
+    result is canonically ordered.
     """
     validate_caption(caption)
-    rng = np.random.default_rng(np.random.SeedSequence(int(layout_seed) & 0xFFFFFFFFFFFFFFFF))
-    filled = []
-    for slot in caption.objects:
-        color = slot.color if slot.color is not None else COLORS[rng.integers(len(COLORS))]
-        texture = slot.texture if slot.texture is not None else TEXTURES[rng.integers(len(TEXTURES))]
-        filled.append((slot.shape, color, texture))
-
-    lo, hi = _size_range(grid)
-    if caption.count is not None:
-        # always lay out the maximum replica count so edited counts reuse it
-        side = lo
-        boxes = _place_disjoint(rng, [(side, side)] * max(COUNTS), grid)
-        shape, color, texture = filled[0]
-        scene = canonical_scene(SceneObject(shape, color, texture, b)
-                                for b in boxes[:caption.count])
-        validate_scene(scene, grid)
-        return scene, (0,)
-
-    sizes = [(int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
-             for _ in caption.objects]
-    constraint = _axis_dominant(caption.relation) if caption.relation is not None else None
-    boxes = _place_disjoint(rng, sizes, grid, constraint=constraint)
-    objs = [SceneObject(s, c, t, b) for (s, c, t), b in zip(filled, boxes)]
-    scene = canonical_scene(objs)
-    validate_scene(scene, grid)
-    # bboxes are disjoint, so every object is distinct
-    return scene, tuple(scene.objects.index(o) for o in objs)
+    return _realise(caption, *_draw_layout(caption, layout_seed, grid), grid)
 
 
-def caption_of(scene, dimension):
-    """Project a scene back onto a caption of the given dimension."""
-    if dimension == "numeracy":
-        o = scene.objects[0]
-        return Caption(dimension="numeracy", objects=(ObjectSlot(shape=o.shape),),
-                       count=scene.count_tag or len(scene.objects))
-    if dimension == "spatial":
-        a, b = scene.objects
-        return Caption(dimension="spatial",
-                       objects=(ObjectSlot(shape=a.shape), ObjectSlot(shape=b.shape)),
-                       relation=scene.relation)
-    slots = []
-    for o in scene.objects:
-        if dimension == "color":
-            slots.append(ObjectSlot(shape=o.shape, color=o.color))
-        elif dimension == "texture":
-            slots.append(ObjectSlot(shape=o.shape, texture=o.texture))
-        elif dimension == "shape":
-            slots.append(ObjectSlot(shape=o.shape))
-        else:
-            raise ValueError(f"unknown dimension {dimension!r}")
-    return Caption(dimension=dimension, objects=tuple(slots))
+def _slot_structure(caption):
+    return len(caption.objects), caption.relation is None, caption.count is None
+
+
+def pair_scenes(caption_w, caption_l, layout_seed, grid=DEFAULT_GRID):
+    """The scenes (scene_w, scene_l) of a caption and its edit, realised on
+    the winner caption's layout, drawn once.
+
+    Only the edited objects differ: an attribute edit changes its slots'
+    objects in place, a count edit keeps the replicas both counts share, and
+    a flipped relation gives the loser the winner's two bboxes in reverse
+    order. ``scene_w`` is ``scene_from_caption(caption_w, layout_seed)``.
+    """
+    validate_caption(caption_w)
+    validate_caption(caption_l)
+    if _slot_structure(caption_w) != _slot_structure(caption_l):
+        raise ValueError("the two captions of a pair must share their slot structure")
+    fills, boxes = _draw_layout(caption_w, layout_seed, grid)
+    boxes_l = boxes[::-1] if caption_l.relation != caption_w.relation else boxes
+    return (_realise(caption_w, fills, boxes, grid),
+            _realise(caption_l, fills, boxes_l, grid))
 
 
 def flip_relation(relation):
     return {"left-of": "right-of", "right-of": "left-of",
             "above": "below", "below": "above"}[relation]
-
-
-def apply_scene_edit(scene_w, caption_w, caption_l, edited_slots, slot_map,
-                     layout_seed, grid=DEFAULT_GRID):
-    """Derive the edited scene ``scene_l`` from the winner scene so that only
-    the edited slots differ; ``edit_masks`` then finds the edited objects."""
-    if caption_l.count is not None and caption_l.count != caption_w.count:
-        # replica layouts share a prefix, so the counts differ only in the
-        # replicas one scene has beyond the other
-        scene_l, _ = scene_from_caption(caption_l, layout_seed, grid)
-        return scene_l
-
-    if caption_l.relation is not None and caption_l.relation != caption_w.relation:
-        a, b = scene_w.objects
-        scene_l = canonical_scene((replace(a, bbox=b.bbox), replace(b, bbox=a.bbox)))
-        validate_scene(scene_l, grid)
-        return scene_l
-
-    # attribute edit: overwrite the edited slots' attributes in place
-    objs = list(scene_w.objects)
-    for i in edited_slots:
-        j = slot_map[i]
-        slot = caption_l.objects[i]
-        o = objs[j]
-        objs[j] = SceneObject(shape=slot.shape,
-                              color=slot.color if slot.color is not None else o.color,
-                              texture=slot.texture if slot.texture is not None else o.texture,
-                              bbox=o.bbox)
-    scene_l = canonical_scene(objs)
-    validate_scene(scene_l, grid)
-    return scene_l

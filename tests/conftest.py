@@ -1,14 +1,19 @@
 """Shared test helpers: grammar enumeration, finite-difference oracles and a
-thread-leak check."""
+thread-leak check. Importing this module pins BLAS to one thread."""
 
 import itertools
+import os
 import threading
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads OpenBLAS, so that suite timings do
+# not depend on how BLAS threads and the random-draw worker share the cores
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from prefdiff import datapipe as dp
-from prefdiff import toyworld as tw
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from prefdiff import datapipe as dp  # noqa: E402
+from prefdiff import toyworld as tw  # noqa: E402
 
 
 def enumerate_captions():

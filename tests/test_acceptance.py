@@ -96,8 +96,7 @@ def test_criterion_2_gradient_oracle():
         eps_l = rng.standard_normal(shape)
         t = int(rng.integers(sched.T))
         beta = float(rng.uniform(0.05, 0.5))
-        mask = tw.RegionMask(weights=np.where(rng.random((3, 3)) < 0.5, 1.0, 0.5),
-                             w_in=1.0, w_out=0.5)
+        mask = np.where(rng.random((3, 3)) < 0.5, 1.0, 0.5)
         pair_plain = synthetic_pair(x0_w, y_w, x0_l, y_l)
         pair_masked = synthetic_pair(x0_w, y_w, x0_l, y_l,
                                      mask_w=mask, mask_l=mask)
@@ -134,7 +133,7 @@ def test_criterion_3_mask_neutrality_and_exemption():
     rng = np.random.default_rng(8)
     x0 = rng.uniform(-1, 1, (16, 16, 3))
     eps = rng.standard_normal((16, 16, 3))
-    ones = tw.ones_mask(16)
+    ones = np.ones((16, 16))
     plain = losses.text_dpo_loss(theta, ref, x0, make_cap("red"), make_cap("blue"),
                                  4, eps, 0.1, sched)
     masked = losses.text_dpo_loss(theta, ref, x0, make_cap("red"), make_cap("blue"),
@@ -238,7 +237,7 @@ def test_criterion_6_round_trips(tmp_path):
     for i in range(200):
         for dim in tw.DIMENSIONS:
             cap = dp.sample_caption(dim, rng_seed=80_000 + i)
-            scene, _ = tw.scene_from_caption(cap, layout_seed=90_000 + i, grid=16)
+            scene = tw.scene_from_caption(cap, layout_seed=90_000 + i, grid=16)
             if tw.detect(tw.render(scene, 90_000 + i, jitter=0.05, grid=16)) != scene:
                 mismatches += 1
             n += 1

@@ -163,3 +163,23 @@ def test_eval_refuses_a_config_for_a_different_schedule(tmp_path, capsys):
     assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"), "--config", str(config),
                      "--gen", "--prompts-per-dim", "1", "--samples-per-prompt", "1",
                      "--out", str(out)]) == 0
+
+
+def test_eval_refuses_a_prompt_whose_label_contradicts_it(tmp_path, capsys):
+    # a colour caption labelled "shape" would be scored under the wrong column
+    ckpt, config = _checkpoint_and_config(tmp_path)
+    prompt = {"dimension": "shape", "relation": None, "count": None,
+              "objects": [{"shape": "square", "color": "red", "texture": None}]}
+    prompts, out = tmp_path / "prompts.jsonl", tmp_path / "eval.json"
+    args = ["eval", "--ckpt", str(ckpt), "--config", str(config), "--prompts", str(prompts),
+            "--samples-per-prompt", "1", "--out", str(out)]
+    good = dict(prompt, dimension="color")
+    prompts.write_text(json.dumps(good) + "\n\n" + json.dumps(prompt) + "\n")
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{prompts} line 3" in err and "labelled 'shape' reads as 'color'" in err
+    assert not out.exists()
+
+    prompts.write_text(json.dumps(good) + "\n")
+    assert cli.main(args) == 0
+    assert list(json.loads(out.read_text())["per_dimension"]) == ["color"]

@@ -42,25 +42,24 @@ def test_parse_dimension_priority_ladder():
         dimension="spatial", relation="above",
         objects=(tw.ObjectSlot("square", color="red"),
                  tw.ObjectSlot("disc", color="blue")))
-    assert dp.parse_dimension(spatial_with_colors) == "spatial"
+    assert tw.parse_dimension(spatial_with_colors) == "spatial"
 
     numeracy_with_texture = tw.Caption(
         dimension="numeracy", count=3,
         objects=(tw.ObjectSlot("square", texture="checker"),))
-    assert dp.parse_dimension(numeracy_with_texture) == "numeracy"
+    assert tw.parse_dimension(numeracy_with_texture) == "numeracy"
 
     color_only = tw.Caption(dimension="color",
                             objects=(tw.ObjectSlot("square", color="red"),))
-    assert dp.parse_dimension(color_only) == "color"
+    assert tw.parse_dimension(color_only) == "color"
 
 
 def test_edit_caption_two_object_color_augmentations():
     cap = tw.Caption(dimension="color",
                      objects=(tw.ObjectSlot("square", color="red"),
                               tw.ObjectSlot("disc", color="blue")))
-    edits = dp.edit_caption(cap, rng_seed=0)
-    assert len(edits) == 4
-    captions = [e for e, _ in edits]
+    captions = dp.edit_caption(cap, rng_seed=0)
+    assert len(captions) == 4
     assert len(set(captions)) == 4
     assert all(c != cap for c in captions)
     swap = tw.Caption(dimension="color",
@@ -73,19 +72,13 @@ def test_edit_caption_two_object_color_augmentations():
                           objects=(tw.ObjectSlot("square", color="blue"),
                                    tw.ObjectSlot("disc", color="blue")))
     assert swap in captions and rep_fwd in captions and rep_back in captions
-    by_caption = dict((c, idx) for c, idx in edits)
-    assert by_caption[swap] == frozenset({0, 1})
-    assert by_caption[rep_fwd] == frozenset({1})
-    assert by_caption[rep_back] == frozenset({0})
 
 
 def test_edit_caption_single_object_has_one_edit():
     cap = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="red"),))
     edits = dp.edit_caption(cap, rng_seed=1)
     assert len(edits) == 1
-    edited, idx = edits[0]
-    assert idx == frozenset({0})
-    assert edited.objects[0].color != "red"
+    assert edits[0].objects[0].color != "red"
 
 
 def test_edit_caption_equal_attributes_skips_augmentation():
@@ -100,17 +93,15 @@ def test_edit_caption_spatial_flips_relation():
                      objects=(tw.ObjectSlot("square"), tw.ObjectSlot("disc")))
     edits = dp.edit_caption(cap, rng_seed=3)
     assert len(edits) == 1
-    assert edits[0][0].relation == "right-of"
-    assert edits[0][1] == frozenset({0, 1})
+    assert edits[0].relation == "right-of"
     above = tw.Caption(dimension="spatial", relation="above",
                        objects=(tw.ObjectSlot("square"), tw.ObjectSlot("disc")))
-    assert dp.edit_caption(above, rng_seed=4)[0][0].relation == "below"
+    assert dp.edit_caption(above, rng_seed=4)[0].relation == "below"
 
 
 def test_edit_caption_numeracy_changes_count():
     cap = tw.Caption(dimension="numeracy", count=3, objects=(tw.ObjectSlot("disc"),))
-    edited, _ = dp.edit_caption(cap, rng_seed=5)[0]
-    assert edited.count in (2, 4)
+    assert dp.edit_caption(cap, rng_seed=5)[0].count in (2, 4)
 
 
 def test_build_pair_color_background_unchanged():
@@ -145,8 +136,7 @@ def test_build_pair_spatial_exchanges_bboxes():
 
 def test_build_pair_numeracy_component_counts():
     cap = tw.Caption(dimension="numeracy", count=2, objects=(tw.ObjectSlot("square"),))
-    edit = (tw.Caption(dimension="numeracy", count=3, objects=(tw.ObjectSlot("square"),)),
-            frozenset({0}))
+    edit = tw.Caption(dimension="numeracy", count=3, objects=(tw.ObjectSlot("square"),))
     pair = dp.build_pair(cap, edit, layout_seed=17)
     # independent component-count oracle: threshold and label
     for img, expected in ((pair.x0_w, 2), (pair.x0_l, 3)):
@@ -158,9 +148,8 @@ def test_build_pair_numeracy_component_counts():
 def test_build_pair_four_way_cross_check_enforced():
     cap = tw.Caption(dimension="shape",
                      objects=(tw.ObjectSlot("square"), tw.ObjectSlot("disc")))
-    swap = (tw.Caption(dimension="shape",
-                       objects=(tw.ObjectSlot("disc"), tw.ObjectSlot("square"))),
-            frozenset({0, 1}))
+    swap = tw.Caption(dimension="shape",
+                      objects=(tw.ObjectSlot("disc"), tw.ObjectSlot("square")))
     # a bare-shape swap is order-only, so the cross-check must reject it
     with pytest.raises(dp.VqaInconsistencyError):
         dp.build_pair(cap, swap, layout_seed=19)
@@ -380,6 +369,16 @@ def test_damaged_image_payload_names_its_line(tmp_path, damage):
     with pytest.raises(dp.MalformedRecordError, match="line 3") as info:
         dp.read_dataset(path)
     assert info.value.line_no == 3
+
+
+def test_mislabelled_caption_names_its_line(tmp_path):
+    # the dimension of a read pair is its winner caption's label, so a label
+    # its content contradicts must not load
+    pairs, path = _write_mixed(tmp_path)
+    assert pairs[0].y_w.dimension == "color"
+    _rewrite(path, 2, lambda record: record["y_w"].update(dimension="shape"))
+    with pytest.raises(dp.MalformedRecordError, match="line 2: .*labelled 'shape'"):
+        dp.read_dataset(path)
 
 
 @pytest.mark.parametrize("key", ["records", "checksum", "seed"])

@@ -24,7 +24,7 @@ def oracle_sampler(params, captions, encodings, sched, seeds):
     """Renders each prompt's completed scene: a perfect generator."""
     imgs = []
     for cap, s in zip(captions, seeds):
-        scene, _ = tw.scene_from_caption(cap, layout_seed=s, grid=8)
+        scene = tw.scene_from_caption(cap, layout_seed=s, grid=8)
         imgs.append(tw.render(scene, s, jitter=0.02, grid=8))
     return np.stack(imgs)
 

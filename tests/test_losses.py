@@ -45,22 +45,29 @@ def rand_images(shape, seed):
 
 def test_masked_sq_err_examples():
     e = np.array([1.0, 0.0])
-    assert losses.masked_sq_err(e, e, tw.RegionMask(np.ones(2))) == 0.0
-    assert losses.masked_sq_err(e, np.zeros(2), tw.RegionMask(np.ones(2))) == 1.0
-    mask = tw.RegionMask(weights=np.array([1.0, 0.5]), w_in=1.0, w_out=0.5)
-    assert losses.masked_sq_err(np.ones(2), np.zeros(2), mask) == 1.5
+    assert losses.masked_sq_err(e, e, np.ones(2)) == 0.0
+    assert losses.masked_sq_err(e, np.zeros(2), np.ones(2)) == 1.0
+    assert losses.masked_sq_err(np.ones(2), np.zeros(2), np.array([1.0, 0.5])) == 1.5
 
 
 def test_masked_sq_err_all_ones_is_bitwise_plain_norm():
     rng = np.random.default_rng(0)
     e, eh = rng.standard_normal((5, 5, 3)), rng.standard_normal((5, 5, 3))
-    ones = tw.RegionMask(weights=np.ones((5, 5)))
+    ones = np.ones((5, 5))
     assert losses.masked_sq_err(e, eh, ones) == losses.masked_sq_err(e, eh, None)
 
 
 def test_masked_sq_err_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         losses.masked_sq_err(np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="mask shape"):
+        losses.masked_sq_err(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+def test_masked_sq_err_rejects_negative_or_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        losses.masked_sq_err(np.zeros(2), np.ones(2), np.array([1.0, bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +212,7 @@ def test_text_dpo_all_ones_mask_is_bitwise_neutral():
     theta = randomized_params(net.init_params(CFG, seed=18), seed=19)
     ref = net.clone_frozen(randomized_params(net.init_params(CFG, seed=20), seed=21))
     x0, eps = rand_images((4, 4, 3), 22)
-    ones = tw.RegionMask(weights=np.ones((4, 4)))
+    ones = np.ones((4, 4))
     a = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_BLUE, 5, eps, 0.1, SCHED)
     b = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_BLUE, 5, eps, 0.1, SCHED,
                              mask=ones)
@@ -382,8 +389,7 @@ def test_batch_losses_match_finite_differences(parameterization):
     enc_w = np.stack([net.encode_caption(c).vector for c in caps[:3]])
     enc_l = np.stack([net.encode_caption(c).vector for c in caps[1:]])
     t_arr = np.array([0, 2, 5])
-    mask = tw.RegionMask(weights=np.where(rng.random((3, 3)) < 0.5, 1.0, 0.5),
-                         w_in=1.0, w_out=0.5)
+    mask = np.where(rng.random((3, 3)) < 0.5, 1.0, 0.5)
     masks_w = losses._mask_rows([mask, None, mask], shape)
     masks_l = losses._mask_rows([None, mask, None], shape)
     cases = {

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import enumerate_captions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
@@ -84,7 +85,7 @@ OUT_OF_GRAMMAR = {
     "count-1": tw.Caption("numeracy", (tw.ObjectSlot("disc", color="red"),), count=1),
     "red-disc-pair": tw.Caption("color", (tw.ObjectSlot("disc", color="red"),) * 2),
     "replica-pair": tw.Caption(
-        "texture", (tw.ObjectSlot("square", color="blue", texture="striped"),) * 2),
+        "color", (tw.ObjectSlot("square", color="blue", texture="striped"),) * 2),
     "replica-relation": tw.Caption(
         "spatial", (tw.ObjectSlot("triangle", color="green", texture="solid"),) * 2,
         relation="above"),
@@ -98,7 +99,7 @@ def test_detect_render_round_trip_per_dimension(dim):
             cap = OUT_OF_GRAMMAR[dim]
         else:
             cap = dp.sample_caption(dim, rng_seed=1000 * zlib.crc32(dim.encode()) % 99991 + i)
-        scene, _ = tw.scene_from_caption(cap, layout_seed=7919 + i)
+        scene = tw.scene_from_caption(cap, layout_seed=7919 + i)
         rec = tw.detect(tw.render(scene, 7919 + i, jitter=0.05))
         assert rec == scene, f"{dim} scene {i} mismatched"
 
@@ -152,7 +153,7 @@ def test_detect_matches_reference_loop_on_rendered_scenes(jitter):
     for dim in tw.DIMENSIONS + tuple(OUT_OF_GRAMMAR):
         for i in range(12):
             cap = OUT_OF_GRAMMAR.get(dim) or dp.sample_caption(dim, rng_seed=500 + i)
-            scene, _ = tw.scene_from_caption(cap, layout_seed=i)
+            scene = tw.scene_from_caption(cap, layout_seed=i)
             img = tw.render(scene, i, jitter=jitter)
             assert _detect_outcome(tw.detect, img) == _detect_outcome(_reference_detect, img)
 
@@ -162,7 +163,7 @@ def test_detect_matches_reference_loop_on_noise_images():
     outcomes = []
     for i in range(120):
         cap = dp.sample_caption(tw.DIMENSIONS[i % 5], rng_seed=i)
-        scene, _ = tw.scene_from_caption(cap, layout_seed=i)
+        scene = tw.scene_from_caption(cap, layout_seed=i)
         noise = rng.uniform(-1.0, 1.0, (16, 16, 3)) * (i % 4) / 3
         img = tw.render(scene, i, jitter=0.1) + 0.4 * noise if i % 2 else noise
         for image in (img, img.astype(np.float32)):   # sampled images are float32
@@ -192,7 +193,7 @@ def test_relation_caption_with_tied_slots_passes():
     slot = tw.ObjectSlot("triangle", color="green", texture="solid")
     cap = tw.Caption("spatial", (slot, slot), relation="above")
     for seed in range(100):
-        scene, _ = tw.scene_from_caption(cap, layout_seed=seed)
+        scene = tw.scene_from_caption(cap, layout_seed=seed)
         assert tw.vqa_check(tw.render(scene, seed, jitter=0.05), cap).passed, seed
 
 
@@ -200,7 +201,7 @@ def test_vqa_matching_caption_passes_with_all_ones():
     cap = tw.Caption(dimension="color",
                      objects=(tw.ObjectSlot("square", color="red"),
                               tw.ObjectSlot("disc", color="blue")))
-    scene, _ = tw.scene_from_caption(cap, layout_seed=3)
+    scene = tw.scene_from_caption(cap, layout_seed=3)
     res = tw.vqa_check(tw.render(scene, 3, 0.05), cap)
     assert res.passed and res.answers == (1.0, 1.0)
 
@@ -209,7 +210,7 @@ def test_vqa_one_wrong_color_fails_exactly_one_answer():
     cap = tw.Caption(dimension="color",
                      objects=(tw.ObjectSlot("square", color="red"),
                               tw.ObjectSlot("disc", color="blue")))
-    scene, _ = tw.scene_from_caption(cap, layout_seed=3)
+    scene = tw.scene_from_caption(cap, layout_seed=3)
     img = tw.render(scene, 3, 0.05)
     wrong = tw.Caption(dimension="color",
                        objects=(tw.ObjectSlot("square", color="green"),
@@ -221,7 +222,7 @@ def test_vqa_one_wrong_color_fails_exactly_one_answer():
 
 def test_vqa_numeracy_count_mismatch_fails_count_question():
     cap = tw.Caption(dimension="numeracy", objects=(tw.ObjectSlot("square"),), count=2)
-    scene, _ = tw.scene_from_caption(cap, layout_seed=11)
+    scene = tw.scene_from_caption(cap, layout_seed=11)
     img = tw.render(scene, 11, 0.05)
     wrong = tw.Caption(dimension="numeracy", objects=(tw.ObjectSlot("square"),), count=3)
     res = tw.vqa_check(img, wrong)
@@ -233,10 +234,10 @@ def test_vqa_single_slot_edits_always_fail(subtests=None):
     # changing any single specified slot value must flip the check to fail
     for dim in tw.DIMENSIONS:
         cap = dp.sample_caption(dim, rng_seed=17)
-        scene, _ = tw.scene_from_caption(cap, layout_seed=23)
+        scene = tw.scene_from_caption(cap, layout_seed=23)
         img = tw.render(scene, 23, 0.05)
         assert tw.vqa_check(img, cap).passed
-        for edited, _idx in dp.edit_caption(cap, rng_seed=29):
+        for edited in dp.edit_caption(cap, rng_seed=29):
             res = tw.vqa_check(img, edited)
             if edited.dimension == "shape" and len(cap.objects) == 2 and \
                {s.shape for s in edited.objects} == {s.shape for s in cap.objects}:
@@ -244,84 +245,122 @@ def test_vqa_single_slot_edits_always_fail(subtests=None):
             assert not res.passed, f"{dim}: {edited} passed against {cap}"
 
 
-def test_region_mask_hand_count():
-    scene = tw.SceneSpec(objects=(
-        tw.SceneObject("square", "red", "solid", tw.BBox(2, 2, 4, 4)),))
-    mask = tw.region_mask(scene, {0}, w_in=1.0, w_out=0.5, grid=16)
-    assert mask.weights.sum() == pytest.approx(16 * 1.0 + 240 * 0.5)  # = 136
-    assert set(np.unique(mask.weights)) == {0.5, 1.0}
-
-
-def test_region_mask_empty_and_uniform_cases():
-    scene = scene_one_red_square()
-    empty = tw.region_mask(scene, set(), w_in=1.0, w_out=0.5)
-    assert np.all(empty.weights == 0.5)
-    allones = tw.region_mask(scene, {0}, w_in=1.0, w_out=1.0)
-    assert np.all(allones.weights == 1.0)
-    with pytest.raises(IndexError):
-        tw.region_mask(scene, {1}, 1.0, 0.5)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_region_mask_two_level_property(seed):
-    rng = np.random.default_rng(seed)
-    cap = dp.sample_caption("color", rng_seed=seed)
-    scene, _ = tw.scene_from_caption(cap, layout_seed=seed)
-    idx = set(rng.choice(len(scene.objects), size=rng.integers(0, len(scene.objects) + 1),
-                         replace=False).tolist())
-    mask = tw.region_mask(scene, idx, w_in=1.0, w_out=0.5)
-    levels = set(np.unique(mask.weights))
-    assert levels <= {0.5, 1.0}
-    if idx:
-        assert levels == {0.5, 1.0}
-
-
 def _box_mask(boxes, grid=16):
     weights = np.full((grid, grid), 0.5)
     for b in boxes:
         weights[b.row0:b.row1, b.col0:b.col1] = 1.0
-    return tw.RegionMask(weights=weights, w_in=1.0, w_out=0.5)
+    return weights
+
+
+def test_edit_masks_hand_count():
+    square = tw.SceneObject("square", "red", "solid", tw.BBox(2, 2, 4, 4))
+    disc = tw.SceneObject("disc", "blue", "solid", tw.BBox(9, 9, 4, 4))
+    scene_w = tw.SceneSpec(objects=(square,))
+    scene_l = tw.SceneSpec(objects=(replace(square, color="green"),))
+    mask_w, mask_l = tw.edit_masks(scene_w, scene_l, grid=16)
+    for mask in (mask_w, mask_l):
+        assert mask.shape == (16, 16) and mask.dtype == np.float64
+        assert mask.sum() == 16 * 1.0 + 240 * 0.5   # = 136
+        assert set(np.unique(mask)) == {0.5, 1.0}
+    # identical scenes weight nothing; an object both scenes hold is not edited
+    both = tw.SceneSpec(objects=(square, disc))
+    assert np.all(tw.edit_masks(both, both)[0] == 0.5)
+    assert np.array_equal(tw.edit_masks(both, scene_w)[0], _box_mask([disc.bbox]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_edit_masks_two_level_property(seed):
+    cap = dp.sample_caption("color", rng_seed=seed)
+    for edited in dp.edit_caption(cap, rng_seed=seed):
+        scene_w, scene_l = tw.pair_scenes(cap, edited, layout_seed=seed)
+        for scene, other, mask in zip((scene_w, scene_l), (scene_l, scene_w),
+                                      tw.edit_masks(scene_w, scene_l)):
+            changed = [o.bbox for o in scene.objects if o not in other.objects]
+            assert changed   # a colour edit always changes an object
+            assert set(np.unique(mask)) == {0.5, 1.0}
+            assert np.array_equal(mask, _box_mask(changed))
 
 
 def test_edit_masks_per_edit_kind():
-    def edited(caption_w, caption_l, slots, seed=5):
-        scene_w, slot_map = tw.scene_from_caption(caption_w, seed)
-        scene_l = tw.apply_scene_edit(scene_w, caption_w, caption_l, slots, slot_map, seed)
-        return scene_w, scene_l, slot_map, tw.edit_masks(scene_w, scene_l)
-
     # colour edit of one of two objects: only that object's bbox is weighted
     cap = tw.Caption("color", (tw.ObjectSlot("square", color="red"),
                                tw.ObjectSlot("disc", color="blue")))
     cap_l = tw.Caption("color", (tw.ObjectSlot("square", color="red"),
                                  tw.ObjectSlot("disc", color="green")))
-    scene_w, scene_l, slot_map, (mask_w, mask_l) = edited(cap, cap_l, {1})
-    disc = scene_w.objects[slot_map[1]].bbox
-    assert mask_w == _box_mask([disc]) and mask_l == _box_mask([disc])
+    scene_w, scene_l = tw.pair_scenes(cap, cap_l, 5)
+    mask_w, mask_l = tw.edit_masks(scene_w, scene_l)
+    disc = next(o.bbox for o in scene_w.objects if o.shape == "disc")
+    assert np.array_equal(mask_w, _box_mask([disc])) and np.array_equal(mask_l, _box_mask([disc]))
 
     # spatial flip: the two objects trade bboxes, so both masks weight both
     cap = tw.Caption("spatial", (tw.ObjectSlot("square"), tw.ObjectSlot("disc")),
                      relation="left-of")
-    scene_w, scene_l, _, (mask_w, mask_l) = edited(cap, replace(cap, relation="right-of"),
-                                                   {0, 1})
+    scene_w, scene_l = tw.pair_scenes(cap, replace(cap, relation="right-of"), 5)
+    mask_w, mask_l = tw.edit_masks(scene_w, scene_l)
     both = _box_mask([o.bbox for o in scene_w.objects])
-    assert mask_w == both and mask_l == both
+    assert np.array_equal(mask_w, both) and np.array_equal(mask_l, both)
 
     # numeracy 2 -> 3: the winner lacks nothing, the loser gains one replica
     cap = tw.Caption("numeracy", (tw.ObjectSlot("triangle"),), count=2)
-    scene_w, scene_l, _, (mask_w, mask_l) = edited(cap, replace(cap, count=3), {0})
+    scene_w, scene_l = tw.pair_scenes(cap, replace(cap, count=3), 5)
+    mask_w, mask_l = tw.edit_masks(scene_w, scene_l)
     added = [o.bbox for o in scene_l.objects if o not in scene_w.objects]
     assert len(scene_w.objects) == 2 and len(scene_l.objects) == 3 and len(added) == 1
-    assert mask_w == _box_mask([]) and mask_l == _box_mask(added)
+    assert np.array_equal(mask_w, _box_mask([])) and np.array_equal(mask_l, _box_mask(added))
 
 
-def test_caption_of_round_trips_through_vqa():
-    for dim in tw.DIMENSIONS:
-        cap = dp.sample_caption(dim, rng_seed=31)
-        scene, _ = tw.scene_from_caption(cap, layout_seed=37)
-        derived = dp.parse_dimension(tw.caption_of(scene, dim))
-        assert derived == dim
-        assert tw.vqa_check(tw.render(scene, 37, 0.05), tw.caption_of(scene, dim)).passed
+@pytest.mark.parametrize("grid", [8, 16])
+def test_pair_scenes_realise_both_captions_on_one_layout(grid):
+    # the loser of an attribute or count edit is the scene its own caption
+    # completes to; a flipped relation puts the winner's objects in each
+    # other's bboxes
+    cases = {"attribute": 0, "count": 0, "relation": 0}
+    for i, cap in enumerate(enumerate_captions()[::3]):
+        seed = 1000 + i
+        for edited in dp.edit_caption(cap, rng_seed=i):
+            try:
+                scene_w, scene_l = tw.pair_scenes(cap, edited, seed, grid)
+            except tw.LayoutError:
+                continue
+            assert scene_w == tw.scene_from_caption(cap, seed, grid)
+            if edited.relation != cap.relation:
+                a, b = scene_w.objects
+                assert scene_l == tw.canonical_scene(
+                    (replace(a, bbox=b.bbox), replace(b, bbox=a.bbox)))
+                cases["relation"] += 1
+            else:
+                assert scene_l == tw.scene_from_caption(edited, seed, grid)
+                cases["count" if cap.count is not None else "attribute"] += 1
+    assert min(cases.values()) > 0, cases
+
+
+def test_pair_scenes_rejects_captions_of_another_structure():
+    one = tw.Caption("color", (tw.ObjectSlot("square", color="red"),))
+    two = tw.Caption("color", (tw.ObjectSlot("square", color="red"),
+                               tw.ObjectSlot("disc", color="red")))
+    counted = tw.Caption("numeracy", (tw.ObjectSlot("square", color="red"),), count=2)
+    for other in (two, counted):
+        with pytest.raises(ValueError, match="slot structure"):
+            tw.pair_scenes(one, other, 3)
+
+
+@pytest.mark.parametrize("label,caption", [
+    ("shape", tw.Caption("shape", (tw.ObjectSlot("square", color="red"),))),
+    ("texture", tw.Caption("texture", (tw.ObjectSlot("disc", color="red", texture="solid"),))),
+    ("color", tw.Caption("color", (tw.ObjectSlot("disc", color="red"),), count=2)),
+    ("numeracy", tw.Caption("numeracy", (tw.ObjectSlot("disc"),))),
+    ("spatial", tw.Caption("spatial", (tw.ObjectSlot("disc"), tw.ObjectSlot("square")))),
+])
+def test_validate_caption_rejects_a_label_the_content_contradicts(label, caption):
+    with pytest.raises(ValueError, match=f"labelled {label!r} reads as"):
+        tw.validate_caption(caption)
+    tw.validate_caption(replace(caption, dimension=tw.parse_dimension(caption)))
+
+
+def test_grammar_captions_carry_their_ladder_dimension():
+    for cap in enumerate_captions():
+        assert tw.parse_dimension(cap) == cap.dimension
 
 
 class CountingRng:
