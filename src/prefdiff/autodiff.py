@@ -12,8 +12,10 @@ from scipy.special import expit
 
 
 def _sigmoid(x):
-    """Logistic sigmoid, accurate to a few ulps relative in both tails, as
-    the preference losses need for their gradient coefficient sigmoid(arg)."""
+    """Logistic sigmoid, accurate to a few ulps relative. The preference
+    losses take their gradient coefficient sigmoid(arg) from it and zero any
+    value below ``losses.SATURATED_SIGMOID``, so of the lower tail they need
+    only that it falls below that threshold where it should."""
     return expit(x)
 
 

@@ -24,7 +24,9 @@ e = sum(mask * (pred - target)^2), so its gradient has a closed form: each
 loss forms dL/de per row, c_row = +-sigmoid(arg) * coef / N for the
 preference losses and 1 / (N * D) for SFT, hence dL/dpred = 2 * c_row * mask
 * (pred - target), and ``net.backward`` carries that through the policy's
-forward pass. The reference only contributes values.
+forward pass. The reference only contributes values. A saturated item, one
+whose sigmoid(arg) is below SATURATED_SIGMOID (arg < -44.4), gets c_row = 0
+exactly; its loss value and margin are kept.
 """
 
 from dataclasses import dataclass
@@ -37,6 +39,18 @@ from . import net
 
 REGION_EXEMPT_DIMENSIONS = ("spatial", "numeracy")
 DEFAULT_BETA = 0.1
+
+# Below this, an item's gradient coefficient sigmoid(arg) is set to zero
+# (arg < -44.4). Such an item's rows add less than 2**-64 * coef / N to
+# dL/de, below float64's resolution next to any item whose sigmoid is of
+# order one, yet left alone its coefficient falls under float32's smallest
+# normal number (2**-126) for arg < -87, and subnormal operands slow x86
+# matmuls and ufuncs 5-20x through every layer of the backward pass. Rows
+# that stay keep about 50 binary orders of magnitude of headroom above the
+# normal range, so no layer's gradient turns subnormal further down. The
+# loss value and margin never change, nor does the gradient, bit for bit,
+# when no item saturates.
+SATURATED_SIGMOID = 2.0 ** -64
 
 
 @dataclass(frozen=True)
@@ -59,6 +73,7 @@ class Loss:
     theta: net.DenoiserParams   # the policy the loss was computed from
     acts: list                  # the policy forward pass, as net.forward_rows caches it
     d_out: np.ndarray           # dL/d(stack output), one row per policy row
+    reward_accuracy: float | None = None  # share of (item, term) sigmoid arguments > 0
 
     def backward(self):
         return net.backward(self.theta, self)
@@ -126,11 +141,13 @@ def _contrast_batch(e_theta, e_ref, coef, context):
     arg = (d[:n] - d[n:]) * coef          # sigma argument is -arg
     per_item = ad.softplus(arg)
     _check_finite(per_item, context)
-    slope = ad._sigmoid(arg) * coef
+    weight = ad._sigmoid(arg)
+    weight[weight < SATURATED_SIGMOID] = 0.0
+    slope = weight * coef
     return per_item, -arg, np.concatenate([slope, -slope])
 
 
-def _loss(theta, value, margin, acts, weighted, c_rows, t_rows, sched):
+def _loss(theta, value, margin, acts, weighted, c_rows, t_rows, sched, reward_accuracy=None):
     """Package a batch loss whose derivative by the policy's row errors is
     ``c_rows``; dL/dpred = 2 * c_row * mask * (pred - target).
 
@@ -139,7 +156,8 @@ def _loss(theta, value, margin, acts, weighted, c_rows, t_rows, sched):
     """
     scale = 2.0 * c_rows[:, None] * net.noise_output_slope(theta.cfg, t_rows, sched)
     d_out = np.multiply(scale, weighted, dtype=theta.layers[0][0].dtype)
-    return Loss(value=value, margin=margin, theta=theta, acts=acts, d_out=d_out)
+    return Loss(value=value, margin=margin, theta=theta, acts=acts, d_out=d_out,
+                reward_accuracy=reward_accuracy)
 
 
 def _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, context):
@@ -173,12 +191,12 @@ def _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, context):
     terms = [_contrast_batch(e_theta[k:k + 2 * n], e_ref[k:k + 2 * n], coef, context)
              for k in range(0, len(targets), 2 * n)]
     per_item = sum(term[0] for term in terms)
-    args = np.mean([term[1] for term in terms], axis=0)
+    args = np.array([term[1] for term in terms])      # sigmoid arguments, (terms, N)
     c_rows = np.concatenate([term[2] for term in terms]) / n
     if ref is theta:
         c_rows = np.zeros_like(c_rows)
-    return _loss(theta, float(np.mean(per_item)), float(np.mean(args)), acts, weighted,
-                 c_rows, t_rows, sched)
+    return _loss(theta, float(np.mean(per_item)), float(np.mean(args.mean(axis=0))),
+                 acts, weighted, c_rows, t_rows, sched, float(np.mean(args > 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,7 @@ class StepRecord:
     grad_norm: float
     margin: float
     lr: float
+    reward_accuracy: float | None   # None for SFT
 
 
 @dataclass
@@ -265,7 +266,8 @@ def train(config, dataset, init_params=None):
             lr = warmup_lr(step, config.learning_rate, config.warmup_steps)
             adam_step(params, grads, state, lr)
             log.records.append(StepRecord(step=step, loss=loss.value, grad_norm=grad_norm,
-                                          margin=loss.margin, lr=lr))
+                                          margin=loss.margin, lr=lr,
+                                          reward_accuracy=loss.reward_accuracy))
     return params, log
 
 

@@ -59,8 +59,11 @@ def enumerate_captions():
     return captions
 
 
-def finite_difference_grads(loss_fn, params, h=1e-5):
-    """Central finite differences of loss_fn() w.r.t. every parameter entry."""
+def finite_difference_grads(loss_fn, params, h=1e-5, order=2):
+    """Central finite differences of loss_fn() w.r.t. every parameter entry:
+    the 3-point stencil, whose error is O(h^2), or with ``order=4`` the
+    5-point one, whose O(h^4) error allows a larger h and so less rounding
+    noise in entries far below the gradient's scale."""
     grads = []
     for w, b in params.layers:
         pair = []
@@ -70,12 +73,16 @@ def finite_difference_grads(loss_fn, params, h=1e-5):
             for _ in it:
                 idx = it.multi_index
                 orig = arr[idx]
-                arr[idx] = orig + h
-                fp = loss_fn()
-                arr[idx] = orig - h
-                fm = loss_fn()
+
+                def at(k):
+                    arr[idx] = orig + k * h
+                    return loss_fn()
+
+                if order == 4:
+                    g[idx] = (-at(2) + 8 * at(1) - 8 * at(-1) + at(-2)) / (12 * h)
+                else:
+                    g[idx] = (at(1) - at(-1)) / (2 * h)
                 arr[idx] = orig
-                g[idx] = (fp - fm) / (2 * h)
             pair.append(g)
         grads.append(tuple(pair))
     return grads

@@ -10,6 +10,7 @@ from prefdiff import diffusion as df
 from prefdiff import losses
 from prefdiff import net
 from prefdiff import toyworld as tw
+from prefdiff import trainer
 
 LN2 = math.log(2.0)
 CFG = net.NetConfig(grid=4, channels=3, hidden=8, time_dim=8)
@@ -84,19 +85,21 @@ def test_diffusion_dpo_aliased_reference_gives_ln2_and_zero_grad():
     assert loss.backward().global_norm() < 1e-9
 
 
-def test_diffusion_dpo_known_bracket_value():
-    # identity-activation params make the prediction w * encoding(caption),
-    # so the bracket is -2 (w - w_ref) <eps_w - eps_l, enc>; arrange it to be 2
+def linear_model(w):
+    """Identity-activation params on a 6x6x1 grid whose prediction is
+    w * encoding(caption), whatever the noised image and step."""
     K = net.ENCODING_DIM
     cfg = net.NetConfig(grid=6, channels=1, hidden=K, time_dim=4, activation="identity")
+    w1 = np.zeros((cfg.input_dim, K))
+    w1[cfg.image_dim + cfg.time_dim:, :] = np.eye(K)
+    return net.DenoiserParams(cfg=cfg, layers=[
+        (w1, np.zeros(K)), (np.eye(K), np.zeros(K)), (w * np.eye(K), np.zeros(K))])
 
-    def linear(w):
-        w1 = np.zeros((cfg.input_dim, K))
-        w1[cfg.image_dim + cfg.time_dim:, :] = np.eye(K)
-        return net.DenoiserParams(cfg=cfg, layers=[
-            (w1, np.zeros(K)), (np.eye(K), np.zeros(K)), (w * np.eye(K), np.zeros(K))])
 
-    theta, ref = linear(0.0), net.clone_frozen(linear(1.0))
+def test_diffusion_dpo_known_bracket_value():
+    # the linear model makes the bracket -2 (w - w_ref) <eps_w - eps_l, enc>;
+    # arrange it to be 2
+    theta, ref = linear_model(0.0), net.clone_frozen(linear_model(1.0))
     enc = net.encode_caption(CAP_RED).vector
     eps_w = (enc / enc.sum()).reshape(6, 6, 1)   # <eps_w - eps_l, enc> = 1
     eps_l = np.zeros((6, 6, 1))
@@ -330,6 +333,143 @@ def test_reference_parameters_get_zero_gradients():
     ref_grads = net.backward(ref, loss)
     assert ref_grads.global_norm() == 0.0
     assert loss.backward().global_norm() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# saturated items and implicit reward accuracy
+
+DPO_BATCH_LOSSES = ("diffusion_dpo", "text_dpo", "bidpo")
+SAT_CFG = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4)
+# quarter octaves from 1 to 64: fine enough that, without the zeroing rule,
+# each loss meets a beta at which some saturated coefficient lands in
+# float32's subnormal range (sigmoid(arg) in [2**-149, 2**-126))
+SAT_BETAS = tuple(2.0 ** (k / 4) for k in range(25))
+
+
+def saturating_batch(dtype):
+    """Sixteen items under one caption pair, scored by a policy and a
+    reference drawn far apart, so that each loss has betas in SAT_BETAS at
+    which some items' margins saturate while others' do not. Returns the
+    policy and ``loss_at(name, beta)``."""
+    def drawn(seed):
+        params = randomized_params(net.init_params(SAT_CFG, seed=seed), seed=seed + 1)
+        params.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
+        return params
+
+    theta, ref = drawn(110), net.clone_frozen(drawn(112))
+    rng = np.random.default_rng(114)
+    shape = (16, SAT_CFG.grid, SAT_CFG.grid, SAT_CFG.channels)
+    x0_w, x0_l = rng.uniform(-1, 1, (2,) + shape).astype(dtype)
+    eps_w, eps_l = rng.standard_normal((2,) + shape).astype(dtype)
+    enc_w = np.tile(net.encode_caption(CAP_RED).vector, (16, 1)).astype(dtype)
+    enc_l = np.tile(net.encode_caption(CAP_BLUE).vector, (16, 1)).astype(dtype)
+    t_arr = rng.integers(0, SCHED.T, 16)
+
+    def loss_at(name, beta):
+        if name == "diffusion_dpo":
+            return losses.diffusion_dpo_batch(theta, ref, x0_w, x0_l, enc_w, t_arr,
+                                              eps_w, eps_l, beta, SCHED)
+        if name == "text_dpo":
+            return losses.text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps_w,
+                                         beta, SCHED)
+        return losses.bidpo_batch(theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w,
+                                  eps_l, beta, SCHED)
+
+    return theta, loss_at
+
+
+def saturated_rows(loss):
+    """Rows of ``d_out`` that are exactly zero: the saturated items' rows."""
+    return np.all(loss.d_out == 0, axis=1)
+
+
+def subnormal_count(arrays):
+    return sum(int(np.count_nonzero((np.abs(a) > 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+               for a in arrays)
+
+
+@pytest.mark.parametrize("name", DPO_BATCH_LOSSES)
+def test_saturated_items_leave_no_subnormal_float32_values(name):
+    # subnormal operands slow the backward pass's matmuls and ufuncs 5-20x
+    theta, loss_at = saturating_batch(np.float32)
+    mixed = 0
+    for beta in SAT_BETAS:
+        loss = loss_at(name, beta)
+        grads = loss.backward()
+        params = net.DenoiserParams(cfg=theta.cfg,
+                                    layers=[(w.copy(), b.copy()) for w, b in theta.layers])
+        state = trainer.AdamState.zeros(params)
+        trainer.adam_step(params, grads, state, 1e-3)
+        for where, arrays in (("d_out", [loss.d_out]),
+                              ("gradients", [g for pair in grads.layers for g in pair]),
+                              ("Adam m", [a for pair in state.m for a in pair]),
+                              ("Adam v", [a for pair in state.v for a in pair])):
+            count = subnormal_count(arrays)
+            assert count == 0, f"{name}, beta {beta}: {count} subnormal values in {where}"
+        rows = saturated_rows(loss)
+        mixed += bool(rows.any() and not rows.all())
+    assert mixed > 0
+
+
+@pytest.mark.parametrize("name", DPO_BATCH_LOSSES)
+def test_saturated_batch_gradients_match_finite_differences(name):
+    theta, loss_at = saturating_batch(np.float64)
+    loss = loss_at(name, 64.0)
+    rows = saturated_rows(loss)
+    assert rows.any() and not rows.all()
+    numeric = finite_difference_grads(lambda: loss_at(name, 64.0).value, theta, h=1e-5)
+    err = norm_relative_grad_error(loss.backward().layers, numeric)
+    assert err < 1e-4, f"{name}: relative error {err:.2e}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zeroing_rule_keeps_values_and_unsaturated_gradients_bitwise(dtype, monkeypatch):
+    _, loss_at = saturating_batch(dtype)
+    for name in DPO_BATCH_LOSSES:
+        for beta, saturated in ((0.01, False), (64.0, True)):
+            ruled = loss_at(name, beta)
+            with monkeypatch.context() as m:
+                m.setattr(losses, "SATURATED_SIGMOID", 0.0)
+                plain = loss_at(name, beta)
+            assert saturated_rows(ruled).any() == saturated
+            assert (ruled.value, ruled.margin) == (plain.value, plain.margin)
+            assert ruled.reward_accuracy == plain.reward_accuracy
+            if saturated:
+                continue
+            assert np.array_equal(ruled.d_out, plain.d_out)
+            for a, b in zip(ruled.backward().layers, plain.backward().layers):
+                assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_reward_accuracy_hand_oracle():
+    # under the linear model a term's sigma argument is -2 * coef times
+    # <eps, enc_preferred - enc_dispreferred> (caption terms) or
+    # <eps_w - eps_l, enc_w> (image term); scale s_i sets each item's sign
+    theta, ref = linear_model(0.0), net.clone_frozen(linear_model(1.0))
+    sched1 = df.make_schedule(1, 0.5, 0.5)
+    enc_w, enc_l = (net.encode_caption(c).vector for c in (CAP_RED, CAP_BLUE))
+    s = np.array([-1.0, 1.0, -2.0, 0.5])              # sigma argument sign: -s
+    t_arr = np.zeros(4, dtype=int)
+    x0 = np.zeros((4, 6, 6, 1))
+    encs_w, encs_l = np.tile(enc_w, (4, 1)), np.tile(enc_l, (4, 1))
+    unit = enc_w / enc_w.sum()                         # <unit, enc_w> = 1
+    image = losses.diffusion_dpo_batch(theta, ref, x0, x0, encs_w, t_arr,
+                                       (s[:, None] * unit).reshape(4, 6, 6, 1),
+                                       np.zeros((4, 6, 6, 1)), 1.0, sched1)
+    assert image.reward_accuracy == 0.5
+    assert image.margin == pytest.approx(-2.0 * s.mean(), abs=1e-12)
+    diff = (enc_w - enc_l) / np.square(enc_w - enc_l).sum()   # <diff, enc_w - enc_l> = 1
+    eps_w = (s[:, None] * diff).reshape(4, 6, 6, 1)
+    text = losses.text_dpo_batch(theta, ref, x0, encs_w, encs_l, t_arr, eps_w, 1.0, sched1)
+    assert text.reward_accuracy == 0.5
+    # the second term prefers the l-caption, so with eps_l = r_i * diff its
+    # sigma argument is +2 * coef * r_i: positive for three of the four items
+    eps_l = (np.array([1.0, 1.0, 1.0, -1.0])[:, None] * diff).reshape(4, 6, 6, 1)
+    both = losses.bidpo_batch(theta, ref, x0, x0, encs_w, encs_l, t_arr, eps_w, eps_l,
+                              1.0, sched1)
+    assert both.reward_accuracy == 5 / 8
+    sft = losses.sft_batch(theta, x0, encs_w, t_arr, eps_w, sched1)
+    assert sft.reward_accuracy is None
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,8 @@ def _sequential_train(config, dataset):
         trainer.adam_step(params, grads, state, lr)
         records.append(trainer.StepRecord(step=step, loss=loss.value,
                                           grad_norm=grads.global_norm(),
-                                          margin=loss.margin, lr=lr))
+                                          margin=loss.margin, lr=lr,
+                                          reward_accuracy=loss.reward_accuracy))
     return params, records
 
 
@@ -284,14 +285,19 @@ def test_config_round_trip_and_override(tmp_path):
 
 
 def test_write_metrics_jsonl(tmp_path, tiny_dataset):
-    cfg = tiny_config(steps=5)
-    _, log = trainer.train(cfg, tiny_dataset)
-    path = tmp_path / "metrics.jsonl"
-    trainer.write_metrics(log, path)
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(lines) == 5
-    assert lines[0]["kind"] == "step"
-    assert {"step", "loss", "grad_norm", "margin", "lr"} <= set(lines[0])
+    for method in ("sft", "bidpo"):
+        _, log = trainer.train(tiny_config(method=method, steps=5), tiny_dataset)
+        path = tmp_path / f"{method}.jsonl"
+        trainer.write_metrics(log, path)
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        assert len(lines) == 5
+        assert lines[0]["kind"] == "step"
+        assert {"step", "loss", "grad_norm", "margin", "lr", "reward_accuracy"} <= set(lines[0])
+        accuracies = [line["reward_accuracy"] for line in lines]
+        if method == "sft":
+            assert accuracies == [None] * 5
+        else:
+            assert all(0.0 <= a <= 1.0 for a in accuracies)
 
 
 @pytest.mark.parametrize("write", [
