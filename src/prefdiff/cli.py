@@ -70,9 +70,9 @@ def _cmd_train(args):
 def _add_eval(sub):
     p = sub.add_parser("eval", help="score a checkpoint on held-out prompts")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--prompts", default=None,
-                   help="JSONL caption file; omit with --gen to sample prompts")
-    p.add_argument("--gen", action="store_true", help="sample prompts from the grammar")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--prompts", default=None, help="JSONL caption file")
+    source.add_argument("--gen", action="store_true", help="sample prompts from the grammar")
     p.add_argument("--prompts-per-dim", type=int, default=20)
     p.add_argument("--samples-per-prompt", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
@@ -97,7 +97,7 @@ def _cmd_eval(args):
         return 2
     if args.gen:
         prompts = evalbench.sample_prompts(tw.DIMENSIONS, args.prompts_per_dim, args.seed)
-    elif args.prompts:
+    else:
         prompts = []
         with open(args.prompts) as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -109,9 +109,6 @@ def _cmd_eval(args):
                     print(f"{args.prompts} line {line_no}: invalid prompt: {exc}",
                           file=sys.stderr)
                     return 2
-    else:
-        print("need --prompts FILE or --gen", file=sys.stderr)
-        return 2
     card = evalbench.evaluate(params, prompts, args.samples_per_prompt, sched,
                               seed=args.seed)
     with datapipe.atomic_write(args.out) as fh:

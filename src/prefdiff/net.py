@@ -132,6 +132,13 @@ def expected_param_count(cfg):
     return d_in * h + h + h * h + h + h * d_out + d_out
 
 
+def check_time_dim(time_dim):
+    """``time_embedding`` emits its sin and cos columns in pairs, so a
+    ``time_dim`` that is odd or below 2 cannot match the first layer."""
+    if time_dim < 2 or time_dim % 2:
+        raise ValueError(f"time_dim must be even and at least 2, got {time_dim}")
+
+
 def init_params(cfg=NetConfig(), seed=0, dtype=np.float64):
     """He-uniform hidden layers, zero-initialized final layer.
 
@@ -142,6 +149,7 @@ def init_params(cfg=NetConfig(), seed=0, dtype=np.float64):
         raise ValueError(f"activation must be one of {ACTIVATIONS}")
     if cfg.parameterization not in PARAMETERIZATIONS:
         raise ValueError(f"parameterization must be one of {PARAMETERIZATIONS}")
+    check_time_dim(cfg.time_dim)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF))
     dims = [cfg.input_dim, cfg.hidden, cfg.hidden, cfg.image_dim]
     layers = []
@@ -427,6 +435,7 @@ def load_checkpoint(path):
     if _checksum(layers) != record["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch")
     cfg = NetConfig(**record["cfg"])
+    check_time_dim(cfg.time_dim)
     params = DenoiserParams(cfg=cfg, layers=layers, trainable=record["trainable"])
     return params, df.make_schedule(**record["schedule"])
 

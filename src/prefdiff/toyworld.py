@@ -26,7 +26,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 SHAPES = ("square", "disc", "triangle")
 TEXTURES = ("solid", "striped", "checker")
@@ -55,7 +54,6 @@ CHANNELS = 3
 
 _BG_THRESHOLD = 0.3       # max-channel deviation that counts as "object"
 _MIN_COMPONENT = 5        # smaller blobs are treated as noise
-_CONNECTIVITY = ndimage.generate_binary_structure(2, 1)   # label's default, built once
 _MARGIN_TOL = 0.02        # per-cell residual gap required between colors
 _FIT_TOL = 0.12           # max per-cell residual for a component to count
                           # as an object at all (noise scores ~0.3)
@@ -341,6 +339,60 @@ def canonical_scene(objects):
     return SceneSpec(objects=objects)
 
 
+def _components(mask):
+    """The 4-connected components of a 2-D boolean mask, each as (rows, cols,
+    cells): its bounding box as two slices and its number of cells.
+
+    Components come in the order of their first cell in raster order, which
+    is the label order of ``scipy.ndimage.label``. Each row's runs of True
+    cells are found with numpy; a union-find merges runs of adjacent rows that
+    share a column, and every component's root is its first run.
+    """
+    height, width = mask.shape
+    padded = np.zeros((height, width + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # a start and an end column per run, in turn (cheaper than np.diff's prepend)
+    run_rows, bounds = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    rows = run_rows[::2].tolist()
+    starts = bounds[::2].tolist()
+    ends = bounds[1::2].tolist()
+    parent = list(range(len(rows)))   # parent[i] <= i, so a root is its set's first run
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = 0     # first run of the row above that may touch run i or a later one
+    for i, (row, start, end) in enumerate(zip(rows, starts, ends)):
+        above = row - 1
+        while first < i and (rows[first] < above
+                             or (rows[first] == above and ends[first] <= start)):
+            first += 1
+        k, root = first, i
+        while k < i and rows[k] == above and starts[k] < end:
+            other = find(k)
+            if other < root:
+                parent[root] = other
+                root = other
+            elif other > root:
+                parent[other] = root
+            k += 1
+    boxes = {}    # root run -> [row0, row1, col0, col1, cells], in order of roots
+    for i, (row, start, end) in enumerate(zip(rows, starts, ends)):
+        root = find(i)
+        if root == i:
+            boxes[i] = [row, row + 1, start, end, end - start]
+        else:
+            box = boxes[root]
+            box[1] = row + 1
+            box[2] = min(box[2], start)
+            box[3] = max(box[3], end)
+            box[4] += end - start
+    return [(slice(r0, r1), slice(c0, c1), cells) for r0, r1, c0, c1, cells in boxes.values()]
+
+
 def detect(image):
     """Recover the generating SceneSpec from a rendered image.
 
@@ -353,11 +405,9 @@ def detect(image):
     image = np.asarray(image)
     # channel planes one by one: numpy's max over a length-3 axis is slow
     deviation = functools.reduce(np.maximum, np.abs(image - BACKGROUND).transpose(2, 0, 1))
-    labels, _ = ndimage.label(deviation > _BG_THRESHOLD, structure=_CONNECTIVITY)
-    sizes = np.bincount(labels.ravel())
     objects = []
-    for label, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
-        if sizes[label] < _MIN_COMPONENT:
+    for rows, cols, cells in _components(deviation > _BG_THRESHOLD):
+        if cells < _MIN_COMPONENT:
             continue
         bbox = BBox(rows.start, cols.start, rows.stop - rows.start, cols.stop - cols.start)
         ncells = bbox.height * bbox.width * CHANNELS

@@ -64,9 +64,13 @@ class TrainConfig:
 def validate_config(config):
     if config.method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {config.method!r}")
-    for name in ("steps", "batch_size", "T", "grid", "channels", "hidden", "time_dim"):
-        if getattr(config, name) < (0 if name == "steps" else 1):
+    for name in ("steps", "pretrain_steps"):
+        if getattr(config, name) < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    for name in ("batch_size", "T", "grid", "channels", "hidden", "eval_samples_per_prompt"):
+        if getattr(config, name) < 1:
             raise ValueError(f"{name} must be positive")
+    net.check_time_dim(config.time_dim)
     for name in ("learning_rate", "beta"):
         if getattr(config, name) <= 0:
             raise ValueError(f"{name} must be positive")

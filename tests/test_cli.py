@@ -101,6 +101,21 @@ def test_eval_requires_the_run_config(tmp_path, capsys):
     assert "--config" in capsys.readouterr().err
 
 
+def test_eval_takes_exactly_one_prompt_source(tmp_path, capsys):
+    ckpt, config = _checkpoint_and_config(tmp_path)
+    prompts = tmp_path / "prompts.jsonl"
+    prompts.write_text("")
+    base = ["eval", "--ckpt", str(ckpt), "--config", str(config), "--prompts-per-dim", "1",
+            "--samples-per-prompt", "1", "--out", str(tmp_path / "eval.json")]
+    for extra, message in ((["--prompts", str(prompts), "--gen"], "not allowed with"),
+                           ([], "one of the arguments --prompts --gen is required")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base + extra)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "eval.json").exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
     ckpt, config = _checkpoint_and_config(tmp_path)

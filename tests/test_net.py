@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import (enumerate_captions, finite_difference_grads,
@@ -381,4 +383,18 @@ def test_checkpoint_refuses_a_v1_file_without_a_schedule(tmp_path):
     del record["schedule"]
     path.write_text(json.dumps({**record, "version": 1}))
     with pytest.raises(net.CheckpointError, match="unsupported .* v1"):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("time_dim", [1, 7])
+def test_odd_or_tiny_time_dim_is_refused_where_a_net_is_built(tmp_path, time_dim):
+    import json
+    with pytest.raises(ValueError, match="time_dim"):
+        net.init_params(replace(SMALL, time_dim=time_dim))
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(net.init_params(SMALL, seed=16), df.make_schedule(10, 0.05, 0.3), path)
+    record = json.loads(path.read_text())
+    record["cfg"]["time_dim"] = time_dim
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match="time_dim"):
         net.load_checkpoint(path)

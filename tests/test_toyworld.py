@@ -175,6 +175,85 @@ def test_detect_matches_reference_loop_on_noise_images():
     assert any(not isinstance(o, str) and o.objects for o in outcomes)
 
 
+def test_detect_matches_reference_loop_on_all_foreground_images():
+    # sampled images of a weak denoiser often exceed the background threshold
+    # in every cell: one 16 x 16 component, template-matched at full size
+    rng = np.random.default_rng(77)
+    red = np.broadcast_to(np.array(tw.PALETTE["red"]), (16, 16, 3))
+    images = [red, 0.9 * red + rng.uniform(-0.05, 0.05, red.shape)]
+    for _ in range(6):
+        sign = rng.choice([-1.0, 1.0], size=(16, 16, 3))
+        images.append(sign * rng.uniform(0.35, 1.0, (16, 16, 3)))
+    for image in images:
+        image = image.astype(np.float32)
+        assert np.all(np.abs(image).max(axis=2) > tw._BG_THRESHOLD)
+        assert _detect_outcome(tw.detect, image) == _detect_outcome(_reference_detect, image)
+    assert tw.detect(images[0].astype(np.float32)).objects == (
+        tw.SceneObject("square", "red", "solid", tw.BBox(0, 0, 16, 16)),)
+
+
+def _scipy_components(mask):
+    # the reference labeller: scipy's default structure is 4-connectivity
+    labels, _ = ndimage.label(mask)
+    sizes = np.bincount(labels.ravel())
+    return [(rows, cols, int(sizes[k]))
+            for k, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1)]
+
+
+@pytest.mark.parametrize("height", range(1, 21))
+def test_components_match_scipy_on_random_masks(height):
+    rng = np.random.default_rng(height)
+    for width in range(1, 21):
+        for density in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+            mask = rng.random((height, width)) < density
+            assert tw._components(mask) == _scipy_components(mask), (width, density)
+
+
+def _mask(rows):
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+STRUCTURED_MASKS = {
+    "empty": np.zeros((6, 9), dtype=bool),
+    "full": np.ones((6, 9), dtype=bool),
+    "single_row": _mask(["##.#...###.#"]),
+    "single_column": _mask(["#", "#", ".", "#", ".", ".", "#", "#"]),
+    "checkerboard": (np.indices((16, 16)).sum(axis=0) % 2).astype(bool),
+    "checkerboard_odd": (np.indices((15, 16)).sum(axis=0) % 2 == 0),
+    "u": _mask(["#...#",
+                "#...#",
+                "#####"]),
+    "comb": _mask(["#.#.#.#",     # four arms, joined only on the last row
+                   "#.#.#.#",
+                   "#.#.#.#",
+                   "#######"]),
+    "right_arm_first": _mask(["....#",   # the arm that starts first is the
+                              "#...#",   # right one, so the bridge merges a
+                              "#####"]),  # later root into an earlier one
+    "spiral": _mask(["#########",
+                     "........#",
+                     "#######.#",
+                     "#.....#.#",
+                     "#.###.#.#",
+                     "#.#...#.#",
+                     "#.#####.#",
+                     "#.......#",
+                     "#########"]),
+    "diagonal": np.eye(7, dtype=bool),   # touching corners stay apart
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURED_MASKS)
+def test_components_match_scipy_on_structured_masks(name):
+    mask = STRUCTURED_MASKS[name]
+    assert tw._components(mask) == _scipy_components(mask)
+
+
+def test_components_merge_arms_into_one_bbox():
+    assert tw._components(STRUCTURED_MASKS["comb"]) == [(slice(0, 4), slice(0, 7), 19)]
+    assert len(tw._components(STRUCTURED_MASKS["checkerboard"])) == 128
+
+
 def test_template_bank_is_read_only_and_matches_object_patch():
     bank = tw._template_bank(4, 5)
     assert bank is tw._template_bank(4, 5)

@@ -42,6 +42,18 @@ def test_config_validation():
     trainer.validate_config(tiny_config())
 
 
+@pytest.mark.parametrize("field,value", [("time_dim", 7), ("time_dim", 1), ("time_dim", 0),
+                                         ("pretrain_steps", -1),
+                                         ("eval_samples_per_prompt", 0),
+                                         ("eval_samples_per_prompt", -3)])
+def test_config_validation_names_the_field(field, value):
+    # odd time_dim used to fail at step 0 inside a matmul, a negative
+    # pretrain_steps inside run_ablation, and no eval samples gave empty
+    # scorecards that ablate reported as ok
+    with pytest.raises(ValueError, match=field):
+        trainer.validate_config(tiny_config(**{field: value}))
+
+
 def test_warmup_lr_ramp():
     assert trainer.warmup_lr(0, 1e-3, 50) == 0.0
     assert trainer.warmup_lr(50, 1e-3, 50) == 1e-3
