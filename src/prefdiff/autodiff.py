@@ -30,8 +30,14 @@ def silu(x):
 
     The sigmoid here is 0.5 + 0.5 * tanh(x / 2): an activation needs only
     absolute accuracy (within an ulp of 0.5), and numpy's vectorised tanh is
-    several times faster than ``_sigmoid`` on float32.
+    several times faster than ``_sigmoid`` on float32. ``_silu`` is the same
+    rule, for code that must call no public prefdiff function (the frozen
+    reference's forward pass on the draw worker).
     """
+    return _silu(x)
+
+
+def _silu(x):
     s = 0.5 + 0.5 * np.tanh(0.5 * x)
     return x * s, s
 

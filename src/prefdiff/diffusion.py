@@ -1,14 +1,21 @@
 """Forward noising process, noise schedule bookkeeping, and ancestral sampling.
 
-Random draws run one step ahead of their use. ``prefetched`` calls a draw
-function on one worker thread while the caller computes with the previous
-draw; ``ddpm_sample_batch`` takes its initial images and its per-step noise
-from it, and so does ``trainer.train`` for each step's batch, steps and noise.
-No step's computation feeds back into its generator, so each generator is
-consumed in the same order as a sequential loop would, and every output is
-bit-identical to it. The worker calls numpy only, never a prefdiff function.
+Work that does not depend on the step before it runs one step ahead of its
+use. ``prefetched`` calls a draw function on one worker thread while the
+caller computes with the previous draw. ``ddpm_sample_batch`` takes its
+initial images and its per-step noise from it. ``trainer.train`` takes each
+step's batch, steps and noise from it, and for a preference method also the
+frozen reference's half of the step's loss (``losses.ReferenceHalf``): the
+noised images, the network input and the reference's per-row errors. No
+step's computation feeds back into its generator or into the frozen
+reference, so each generator is consumed in the same order as a sequential
+loop would, and every output is bit-identical to it. The worker calls no
+public prefdiff function, since the benchmark's span tracer is
+single-threaded: it runs numpy and the private cores behind the public
+functions (``_q_sample`` here), whose checks the caller runs.
 """
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -81,14 +88,22 @@ def q_sample(x0, t, eps, sched):
     of them for an (N, ...) batch, whose row i is noised to step t[i]. The
     result takes the inputs' floating dtype, so float32 images noise in float32.
     """
-    t = np.asarray(t)
+    t, x0, eps = np.asarray(t), np.asarray(x0), np.asarray(eps)
+    _check_noising(x0, t, eps, sched)
+    return _q_sample(x0, t, eps, sched)
+
+
+def _check_noising(x0, t, eps, sched):
+    """The checks of ``q_sample`` on its array arguments."""
     check_steps(sched, t)
-    x0 = np.asarray(x0)
-    eps = np.asarray(eps)
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
     if t.shape not in ((), x0.shape[:1]):
         raise ValueError(f"steps shape {t.shape} does not match batch {x0.shape}")
+
+
+def _q_sample(x0, t, eps, sched):
+    """``q_sample`` on arrays that pass ``_check_noising``, unchecked."""
     ab = sched.alpha_bar[t].reshape(t.shape + (1,) * (x0.ndim - t.ndim))
     dtype = np.result_type(x0, eps, np.float32)
     return np.sqrt(ab).astype(dtype) * x0 + np.sqrt(1.0 - ab).astype(dtype) * eps
@@ -116,17 +131,22 @@ def prefetched(draw, count):
     ``draw(k)`` is handed to the caller, so it overlaps the caller's work on
     that value. A yielded value is valid until the next one is requested,
     which lets ``draw`` fill two alternating buffers: ``draw(k + 2)`` may
-    overwrite what ``draw(k)`` returned. The worker lives for the ``with``
-    block only and is joined when it exits, also when the caller raises or
-    stops early. An exception raised by ``draw`` is raised to the caller
-    when it requests that value.
+    overwrite what ``draw(k)`` returned. Each call runs in a copy of the
+    caller's context as it was when the call was started, so numpy's error
+    state (``np.errstate``) holds on the worker as it does for the caller.
+    The worker lives for the ``with`` block only and is joined when it
+    exits, also when the caller raises or stops early. An exception raised
+    by ``draw`` is raised to the caller when it requests that value.
     """
     with ThreadPoolExecutor(max_workers=1) as pool:
+        def submit(k):
+            return pool.submit(contextvars.copy_context().run, draw, k)
+
         def results():
-            pending = pool.submit(draw, 0) if count > 0 else None
+            pending = submit(0) if count > 0 else None
             for k in range(1, count + 1):
                 value = pending.result()
-                pending = pool.submit(draw, k) if k < count else None
+                pending = submit(k) if k < count else None
                 yield value
 
         yield results()

@@ -6,18 +6,30 @@ errors on a preferred branch minus the same difference on a dispreferred
 branch, scaled by beta * T * omega(lambda_t), passed through -log(sigmoid).
 The full bracketed difference sits inside the sigmoid's argument.
 
-Each preference loss is a list of distinct noised images, each (x_t, eps,
-mask rows or None) for the N items of a batch, and a list of row blocks, each
-(image index, encodings), two blocks per contrastive term with the preferred
-branch first; ``_dpo_batch`` hands both to one ``net.assemble_input`` call,
-whose factorised first layer computes each image's product once however many
-blocks read it. The image-contrastive loss noises winner and loser images
-separately and conditions both on the winner caption: images [x_t^w, x_t^l],
-block -> image map (0, 1). The caption-contrastive loss evaluates all four
-terms on one noised winner image: images [x_t^w], map (0, 0), captions c_w
-then c_l. The bimodal loss is the sum of two caption-contrastive terms with the
-roles mirrored: images [x_t^w, x_t^l], map (0, 0, 1, 1), captions c_w, c_l,
-c_l, c_w.
+Each preference loss is a list of distinct images, each (x0, eps, mask rows
+or None) for the N items of a batch, and a list of row blocks, each (image
+index, encodings), two blocks per contrastive term with the preferred branch
+first. The image-contrastive loss noises winner and loser images separately
+and conditions both on the winner caption: images [x_t^w, x_t^l], block ->
+image map (0, 1). The caption-contrastive loss evaluates all four terms on
+one noised winner image: images [x_t^w], map (0, 0), captions c_w then c_l.
+The bimodal loss is the sum of two caption-contrastive terms with the roles
+mirrored: images [x_t^w, x_t^l], map (0, 0, 1, 1), captions c_w, c_l, c_l,
+c_w.
+
+Every DPO batch loss runs in two halves. The reference half
+(``_reference_half``, giving a ``ReferenceHalf``) does not depend on the
+policy: it noises the images, assembles the rows into one ``NetInput``,
+whose factorised first layer computes each image's product once however
+many blocks read it, keeps one noise target and one mask row block per
+image, and runs the frozen reference over the rows to its per-row errors.
+It calls numpy and private cores only, so ``trainer.train`` runs it on the
+draw worker one step ahead of its use. The policy half (``policy_half``)
+runs the policy's forward pass over the same input, the contrastive terms
+and ``d_out`` on the caller's thread, together with the checks that the
+reference half leaves out. The public ``*_batch`` losses check their
+arguments as ``q_sample`` and ``assemble_input`` do, then run both halves in
+turn.
 
 Every loss is a batch mean over per-row, mask-weighted squared errors
 e = sum(mask * (pred - target)^2), so its gradient has a closed form: each
@@ -116,11 +128,32 @@ def _mask_rows(masks, image_shape, dtype=np.float64):
     return rows
 
 
-def _errors(params, inp, t_rows, sched, targets, mask_rows, acts=None):
-    """Per-row weighted squared noise-prediction errors, shape (M,), and the
-    weighted residual mask * (pred - target) that their gradient needs."""
-    resid = net.predict_noise_rows(params, inp, t_rows, sched, acts) - targets
-    weighted = resid if mask_rows is None else resid * mask_rows
+def _errors(pred, image_of_block, targets, masks):
+    """Per-row weighted squared errors e = sum(mask * (pred - target)^2),
+    shape (M,), of a prediction over row blocks of N rows, and the weighted
+    residual mask * (pred - target) that their gradient needs.
+
+    Row block b reads the (N, D) target and the mask rows of image
+    ``image_of_block[b]``; a None mask weighs every cell by one. The
+    residual is formed in ``pred`` itself where its dtype can hold it. For
+    the policy in the eps parameterisation, ``pred`` is the last layer's
+    cached pre-activation, which ``net.backward`` never reads.
+    """
+    n = len(targets[0])
+    dtype = np.result_type(pred, *targets)
+    resid = pred if pred.dtype == dtype else pred.astype(dtype)
+    rows = [slice(b * n, (b + 1) * n) for b in range(len(image_of_block))]
+    for r, k in zip(rows, image_of_block):
+        resid[r] -= targets[k]
+    weighted = resid
+    if any(m is not None for m in masks):
+        dtype = np.result_type(resid, *(m for m in masks if m is not None))
+        weighted = np.empty(resid.shape, dtype)
+        for r, k in zip(rows, image_of_block):
+            if masks[k] is None:
+                weighted[r] = resid[r]
+            else:
+                np.multiply(resid[r], masks[k], out=weighted[r])
     return (weighted * resid).sum(axis=1), weighted
 
 
@@ -160,53 +193,106 @@ def _loss(theta, value, margin, acts, weighted, c_rows, t_rows, sched, reward_ac
                 reward_accuracy=reward_accuracy)
 
 
-def _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, context):
-    """Mean over N items of a sum of contrastive terms.
+@dataclass(frozen=True)
+class ReferenceHalf:
+    """The policy-independent half of a DPO batch loss over N items.
 
-    ``images`` lists the distinct noised images as (x_t, eps, mask rows or
-    None) per N items; ``blocks`` lists (image index, encodings) per N network
-    rows, two per term: the preferred branch, then the dispreferred one. The
-    images and blocks go through one ``net.assemble_input`` call, which keeps
-    each image once however many blocks read it; where some images carry
-    (N, D) mask rows, an image without them weighs every cell by one. When
-    ``ref is theta`` the reference passes are the policy's own: every bracket
-    is exactly zero, and so is the gradient, since the reference's share of it
-    cancels the policy's.
+    ``inp`` holds the distinct noised images and the row blocks, two per
+    contrastive term, the preferred branch first. ``targets[k]`` and
+    ``masks[k]`` are the (N, D) noise target and weight rows (or None) of
+    image k, kept once however many blocks read it.
+    """
+
+    inp: net.NetInput
+    t_arr: np.ndarray          # (N,) step of each item
+    targets: tuple             # per image, its (N, D) noise
+    masks: tuple               # per image, (N, D) weight rows or None
+    e_ref: np.ndarray | None   # (B * N,) reference row errors, None when
+                               # the policy is its own reference
+    beta: float
+    sched: df.DiffusionSchedule
+    context: str               # the loss's name, for its errors
+
+
+def _reference_half(ref, images, blocks, context, t_arr, beta, sched, score=True):
+    """Noise the images, assemble the rows and, when ``score``, run the
+    frozen reference over them.
+
+    ``images`` lists the distinct images as (x0, eps, mask rows or None) per
+    N items and ``blocks`` lists (image index, encodings) per N rows. It
+    calls numpy and private cores only, so the draw worker may run it. It
+    skips the checks of ``q_sample`` and ``assemble_input``: ``_dpo_batch``
+    runs them first, and ``policy_half`` checks the steps and the input's
+    widths again on the caller's thread.
     """
     n = len(t_arr)
-    x_t, eps, mask_rows = zip(*images)
+    x0, eps, masks = zip(*images)
     image_of_block, encodings = zip(*blocks)
-    t_rows = np.tile(t_arr, len(blocks))
-    inp = net.assemble_input(theta, x_t, t_arr, encodings, sched, image_of_block)
-    targets = np.concatenate([eps[k].reshape(n, -1) for k in image_of_block])
-    masks = None
-    if any(m is not None for m in mask_rows):
-        ones = np.ones_like(targets[:n])
-        masks = np.concatenate([ones if mask_rows[k] is None else mask_rows[k]
-                                for k in image_of_block])
-    coef = beta * sched.T * df.omega_vector(sched, t_arr)
+    noised = [df._q_sample(x, t_arr, e, sched) for x, e in zip(x0, eps)]
+    inp = net._assemble_input(ref, noised, t_arr, encodings, sched, image_of_block)
+    targets = tuple(e.reshape(n, -1) for e in eps)
+    e_ref = None
+    if score:
+        pred = net._predict_noise_rows(ref, inp, np.tile(t_arr, len(blocks)), sched)
+        e_ref = _errors(pred, inp.image_of_block, targets, masks)[0]
+    return ReferenceHalf(inp, t_arr, targets, masks, e_ref, beta, sched, context)
+
+
+def policy_half(theta, half):
+    """Finish a DPO batch loss from its ``ReferenceHalf``: the policy's
+    forward pass over the same rows, the mean over N items of the
+    contrastive terms, and ``d_out``. Returns a Loss.
+
+    Without reference errors the reference passes are the policy's own:
+    every bracket is exactly zero, and so is the gradient, since the
+    reference's share of it cancels the policy's.
+    """
+    n = len(half.t_arr)
+    sched = half.sched
+    coef = half.beta * sched.T * df.omega_vector(sched, half.t_arr)
+    t_rows = np.tile(half.t_arr, len(half.inp.image_of_block))
     acts = []
-    e_theta, weighted = _errors(theta, inp, t_rows, sched, targets, masks, acts)
-    e_ref = e_theta if ref is theta else _errors(ref, inp, t_rows, sched, targets, masks)[0]
-    terms = [_contrast_batch(e_theta[k:k + 2 * n], e_ref[k:k + 2 * n], coef, context)
-             for k in range(0, len(targets), 2 * n)]
+    pred = net.predict_noise_rows(theta, half.inp, t_rows, sched, acts)
+    e_theta, weighted = _errors(pred, half.inp.image_of_block, half.targets, half.masks)
+    e_ref = e_theta if half.e_ref is None else half.e_ref
+    terms = [_contrast_batch(e_theta[k:k + 2 * n], e_ref[k:k + 2 * n], coef, half.context)
+             for k in range(0, len(e_theta), 2 * n)]
     per_item = sum(term[0] for term in terms)
     args = np.array([term[1] for term in terms])      # sigmoid arguments, (terms, N)
     c_rows = np.concatenate([term[2] for term in terms]) / n
-    if ref is theta:
+    if half.e_ref is None:
         c_rows = np.zeros_like(c_rows)
     return _loss(theta, float(np.mean(per_item)), float(np.mean(args.mean(axis=0))),
                  acts, weighted, c_rows, t_rows, sched, float(np.mean(args > 0)))
 
 
+def _dpo_batch(theta, ref, images, blocks, context, t_arr, beta, sched):
+    """Check a batch as ``df.q_sample`` and ``net.assemble_input`` would,
+    then run both halves in turn."""
+    t_arr = np.asarray(t_arr)
+    images = [(np.asarray(x0), np.asarray(eps), masks) for x0, eps, masks in images]
+    for x0, eps, _ in images:
+        df._check_noising(x0, t_arr, eps, sched)
+    image_of_block, encodings = zip(*blocks)
+    net._check_blocks(ref.cfg, [x0 for x0, _, _ in images], t_arr, encodings, sched,
+                      image_of_block)
+    half = _reference_half(ref, images, blocks, context, t_arr, beta, sched,
+                           score=ref is not theta)
+    return policy_half(theta, half)
+
+
 # ---------------------------------------------------------------------------
 # image-contrastive loss (winner image vs loser image, winner caption)
 
+def _image_dpo_rows(x0_w, x0_l, enc_w, eps_w, eps_l):
+    """Images [x_t^w, x_t^l], both read under the winner caption."""
+    return ([(x0_w, eps_w, None), (x0_l, eps_l, None)], [(0, enc_w), (1, enc_w)],
+            "diffusion_dpo_loss")
+
+
 def diffusion_dpo_batch(theta, ref, x0_w, x0_l, enc_w, t_arr, eps_w, eps_l, beta, sched):
-    images = [(df.q_sample(x0_w, t_arr, eps_w, sched), eps_w, None),
-              (df.q_sample(x0_l, t_arr, eps_l, sched), eps_l, None)]
-    blocks = [(0, enc_w), (1, enc_w)]
-    return _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, "diffusion_dpo_loss")
+    return _dpo_batch(theta, ref, *_image_dpo_rows(x0_w, x0_l, enc_w, eps_w, eps_l),
+                      t_arr, beta, sched)
 
 
 def diffusion_dpo_loss(theta, ref, item, sched):
@@ -228,12 +314,16 @@ def diffusion_dpo_loss(theta, ref, item, sched):
 # ---------------------------------------------------------------------------
 # caption-contrastive loss (one image, winner caption vs loser caption)
 
+def _text_dpo_rows(x0_w, enc_w, enc_l, eps, masks=None):
+    """One image [x_t^w], read under the winner then the loser caption."""
+    return [(x0_w, eps, masks)], [(0, enc_w), (0, enc_l)], "text_dpo_loss"
+
+
 def text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps, beta, sched, masks=None):
     """``masks`` is None or (N, D) flat weight rows, as ``_mask_rows`` stacks
     them, applied to both captions' errors."""
-    images = [(df.q_sample(x0_w, t_arr, eps, sched), eps, masks)]
-    blocks = [(0, enc_w), (0, enc_l)]
-    return _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, "text_dpo_loss")
+    return _dpo_batch(theta, ref, *_text_dpo_rows(x0_w, enc_w, enc_l, eps, masks),
+                      t_arr, beta, sched)
 
 
 def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched, mask=None):
@@ -275,11 +365,16 @@ def bidpo_batch(theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l,
     ``masks_w``/``masks_l`` are None or (N, D) flat weight rows for the
     winner/loser image, as ``_mask_rows`` stacks them.
     """
-    images = [(df.q_sample(x0_w, t_arr, eps_w, sched), eps_w, masks_w),
-              (df.q_sample(x0_l, t_arr, eps_l, sched), eps_l, masks_l)]
-    # term 1: w-image|w-cap vs w-image|l-cap; term 2: l-image|l-cap vs l-image|w-cap
-    blocks = [(0, enc_w), (0, enc_l), (1, enc_l), (1, enc_w)]
-    return _dpo_batch(theta, ref, images, blocks, t_arr, beta, sched, "bidpo_loss")
+    rows = _bidpo_rows(x0_w, x0_l, enc_w, enc_l, eps_w, eps_l, masks_w, masks_l)
+    return _dpo_batch(theta, ref, *rows, t_arr, beta, sched)
+
+
+def _bidpo_rows(x0_w, x0_l, enc_w, enc_l, eps_w, eps_l, masks_w=None, masks_l=None):
+    """Images [x_t^w, x_t^l]; term 1 reads the winner image under the winner
+    then the loser caption, term 2 the loser image under the loser then the
+    winner caption."""
+    return ([(x0_w, eps_w, masks_w), (x0_l, eps_l, masks_l)],
+            [(0, enc_w), (0, enc_l), (1, enc_l), (1, enc_w)], "bidpo_loss")
 
 
 def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False):
@@ -304,7 +399,8 @@ def sft_batch(theta, x0, enc, t_arr, eps, sched):
     inp = net.assemble_input(theta, [df.q_sample(x0, t_arr, eps, sched)], t_arr, [enc],
                              sched, (0,))
     acts = []
-    errors, resid = _errors(theta, inp, t_arr, sched, eps.reshape(n, -1), None, acts)
+    pred = net.predict_noise_rows(theta, inp, t_arr, sched, acts)
+    errors, resid = _errors(pred, (0,), [eps.reshape(n, -1)], [None])
     per_item = errors * (1.0 / eps[0].size)
     _check_finite(per_item, "sft_loss")
     return _loss(theta, float(np.mean(per_item)), 0.0, acts, resid,

@@ -179,11 +179,16 @@ def params_equal(a, b):
 # forward
 
 def time_embedding(t_arr, T, dim):
-    """Sinusoidal embedding of the step fraction t / T.
+    """Sinusoidal embedding of the step fraction t / T, (N, dim).
 
     Frequencies are geometrically spaced so the fastest component advances
     about one radian per step and the slowest spans the whole schedule.
     """
+    check_time_dim(dim)
+    return _time_embedding(t_arr, T, dim)
+
+
+def _time_embedding(t_arr, T, dim):
     half = dim // 2
     u = np.asarray(t_arr, dtype=np.float64)[:, None] / T
     freqs = (T * (10000.0 ** (-np.arange(half) / max(half - 1, 1))))[None, :]
@@ -220,8 +225,13 @@ def assemble_input(params, images, t_arr, encodings, sched, image_of_block):
     (N, ENCODING_DIM) caption block per row block, and ``image_of_block[b]``
     names the image block that row block b reads.
     """
+    _check_blocks(params.cfg, images, t_arr, encodings, sched, image_of_block)
+    return _assemble_input(params, images, t_arr, encodings, sched, image_of_block)
+
+
+def _check_blocks(cfg, images, t_arr, encodings, sched, image_of_block):
+    """The checks of ``assemble_input`` on its arguments."""
     df.check_steps(sched, t_arr)
-    cfg = params.cfg
     n = len(t_arr)
     image_of_block = tuple(int(k) for k in image_of_block)
     if len(encodings) != len(image_of_block):
@@ -235,12 +245,17 @@ def assemble_input(params, images, t_arr, encodings, sched, image_of_block):
     for e in encodings:
         if np.shape(e) != (n, ENCODING_DIM):
             raise ValueError(f"encoding batch shape {np.shape(e)} != {(n, ENCODING_DIM)}")
+
+
+def _assemble_input(params, images, t_arr, encodings, sched, image_of_block):
+    """``assemble_input`` on arguments that pass ``_check_blocks``, unchecked."""
+    n = len(t_arr)
     dtype = params.layers[0][0].dtype
     return NetInput(
         images=np.concatenate([np.reshape(x, (n, -1)) for x in images], dtype=dtype),
-        temb=time_embedding(t_arr, sched.T, cfg.time_dim).astype(dtype),
+        temb=_time_embedding(t_arr, sched.T, params.cfg.time_dim).astype(dtype),
         encodings=np.concatenate(encodings, dtype=dtype),
-        image_of_block=image_of_block)
+        image_of_block=tuple(int(k) for k in image_of_block))
 
 
 def _first_layer(params, inp):
@@ -265,8 +280,19 @@ def forward_rows(params, inp, acts=None):
 
     When ``acts`` is a list, each layer appends what ``backward`` needs:
     (layer input, pre-activation, sigmoid of it or None where no SiLU); the
-    first layer's input is the ``NetInput`` itself.
+    first layer's input is the ``NetInput`` itself. Raises ValueError when
+    the input's widths are not the network's.
     """
+    cfg = params.cfg
+    widths = (inp.images.shape[1], inp.temb.shape[1], inp.encodings.shape[1])
+    if widths != (cfg.image_dim, cfg.time_dim, ENCODING_DIM):
+        raise ValueError(f"input widths {widths} != the network's "
+                         f"{(cfg.image_dim, cfg.time_dim, ENCODING_DIM)}")
+    return _forward_rows(params, inp, acts, ad.silu)
+
+
+def _forward_rows(params, inp, acts, silu):
+    """``forward_rows`` unchecked, with ``silu`` as the SiLU kernel."""
     cfg = params.cfg
     h = inp
     last = len(params.layers) - 1
@@ -274,7 +300,7 @@ def forward_rows(params, inp, acts=None):
         z = _first_layer(params, inp) if i == 0 else h @ w + b
         s = None
         if i < last and cfg.activation == "silu":
-            out, s = ad.silu(z)
+            out, s = silu(z)
         else:
             out = z
         if acts is not None:
@@ -292,7 +318,18 @@ def predict_noise_rows(params, inp, t_arr, sched, acts=None):
     """Per-row noise prediction over a ``NetInput``, honoring the
     parameterization; ``t_arr`` holds each row's step and ``acts`` is as in
     ``forward_rows``."""
-    out = forward_rows(params, inp, acts)
+    return _noise_from_stack(params, inp, forward_rows(params, inp, acts), t_arr, sched)
+
+
+def _predict_noise_rows(params, inp, t_arr, sched):
+    """``predict_noise_rows`` unchecked and without ``acts``: numpy and
+    private cores only, so that the draw worker may run it."""
+    return _noise_from_stack(params, inp, _forward_rows(params, inp, None, ad._silu),
+                             t_arr, sched)
+
+
+def _noise_from_stack(params, inp, out, t_arr, sched):
+    """The noise prediction given the stack output ``out``."""
     if params.cfg.parameterization == "eps":
         return out
     # the coefficients take the stack's dtype so a float32 model stays float32

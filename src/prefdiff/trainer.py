@@ -8,8 +8,13 @@ deterministic given (config, dataset, seed).
 
 Each step's draws (batch indices, step indices, then one or two noise images
 per item) come from one generator through ``diffusion.prefetched``, so step
-k + 1's draws run on a worker thread while step k computes. They are
-consumed in the sequential loop's order, so runs are bit-identical to it.
+k + 1's draws run on a worker thread while step k computes. For a
+preference method the worker goes on to the policy-independent half of step
+k + 1's loss (``losses.ReferenceHalf``): it gathers the batch, noises it,
+assembles the network input and runs the frozen reference over it. The main
+thread runs the policy half (``losses.policy_half``), the backward pass and
+Adam. Neither the generator nor the reference depends on a step's update, so
+runs are bit-identical to the sequential loop.
 """
 
 import json
@@ -194,26 +199,22 @@ class _BatchArrays:
         self.masks_l = losses._mask_rows([ml for _, ml in masks], shape, dtype)
 
 
-def _batch_loss(method, theta, ref, arrays, idx, t_arr, noise, beta, sched):
-    """The step's loss; ``noise`` holds one noise batch per image the method
-    noises, the preferred image's first."""
-    eps_w = noise[0]
-    if method == "sft":
-        return losses.sft_batch(theta, arrays.x0_w[idx], arrays.enc_w[idx], t_arr, eps_w, sched)
+def _reference_half(method, ref, arrays, idx, t_arr, noise, beta, sched):
+    """A preference step's ``losses.ReferenceHalf``; ``noise`` holds one noise
+    batch per image the method noises, the preferred image's first. Runs on
+    the draw worker, so it calls no public prefdiff function."""
+    x0_w, enc_w = arrays.x0_w[idx], arrays.enc_w[idx]
     if method == "text_dpo":
-        return losses.text_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.enc_w[idx],
-                                     arrays.enc_l[idx], t_arr, eps_w, beta, sched)
-    eps_l = noise[1]
-    if method == "image_dpo":
-        return losses.diffusion_dpo_batch(theta, ref, arrays.x0_w[idx], arrays.x0_l[idx],
-                                          arrays.enc_w[idx], t_arr, eps_w, eps_l, beta, sched)
-    masks_w = masks_l = None
-    if method == "bidpo_region":
-        masks_w = None if arrays.masks_w is None else arrays.masks_w[idx]
-        masks_l = None if arrays.masks_l is None else arrays.masks_l[idx]
-    return losses.bidpo_batch(theta, ref, arrays.x0_w[idx], arrays.x0_l[idx],
-                              arrays.enc_w[idx], arrays.enc_l[idx], t_arr, eps_w, eps_l,
-                              beta, sched, masks_w=masks_w, masks_l=masks_l)
+        rows = losses._text_dpo_rows(x0_w, enc_w, arrays.enc_l[idx], noise[0])
+    elif method == "image_dpo":
+        rows = losses._image_dpo_rows(x0_w, arrays.x0_l[idx], enc_w, *noise)
+    else:
+        region = method == "bidpo_region"
+        masks = [None if not region or m is None else m[idx]
+                 for m in (arrays.masks_w, arrays.masks_l)]
+        rows = losses._bidpo_rows(x0_w, arrays.x0_l[idx], enc_w, arrays.enc_l[idx], *noise,
+                                  *masks)
+    return losses._reference_half(ref, *rows, t_arr, beta, sched)
 
 
 def train(config, dataset, init_params=None):
@@ -253,14 +254,20 @@ def train(config, dataset, init_params=None):
         for out in noise:
             rng.standard_normal(out=scratch)
             np.copyto(out, scratch)
-        return idx, t_arr, noise
+        if config.method == "sft":
+            return idx, t_arr, noise[0]
+        return _reference_half(config.method, ref, arrays, idx, t_arr, noise, config.beta, sched)
 
     log = MetricsLog()
     with df.prefetched(draw, config.steps) as draws:
-        for step, (idx, t_arr, noise) in enumerate(draws):
+        for step, drawn in enumerate(draws):
             try:
-                loss = _batch_loss(config.method, params, ref, arrays, idx, t_arr, noise,
-                                   config.beta, sched)
+                if config.method == "sft":
+                    idx, t_arr, eps = drawn
+                    loss = losses.sft_batch(params, arrays.x0_w[idx], arrays.enc_w[idx], t_arr,
+                                            eps, sched)
+                else:
+                    loss = losses.policy_half(params, drawn)
             except df.NumericDivergenceError as exc:
                 raise df.NumericDivergenceError(f"step {step}: {exc}") from exc
             grads = loss.backward()

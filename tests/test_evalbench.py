@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -151,8 +152,14 @@ def test_report_json_round_trip_and_schema(tmp_path, micro_report):
 
 
 def test_report_schema_method_enum_matches_methods():
-    enum = eb.report_schema()["properties"]["rows"]["items"]["properties"]["method"]["enum"]
-    assert tuple(enum) == eb.METHODS == ("baseline",) + trainer.METHODS
+    # read from the shipped file itself, so that a schema built from
+    # METHODS at run time could not make this test pass vacuously
+    path = Path(eb.__file__).parent / "schema" / "ablation_report.schema.json"
+    schema = json.loads(path.read_text())
+    assert eb.report_schema() == schema
+    enum = schema["properties"]["rows"]["items"]["properties"]["method"]["enum"]
+    assert enum == list(eb.METHODS)
+    assert eb.METHODS == ("baseline",) + trainer.METHODS
 
 
 def test_report_markdown_has_six_body_rows(tmp_path):

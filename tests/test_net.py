@@ -307,6 +307,17 @@ def test_forward_batch_rejects_steps_outside_the_schedule(parameterization):
             net.forward_batch(params, x_t, np.array([0, bad]), enc, sched)
 
 
+def test_forward_rows_rejects_the_input_of_another_network():
+    sched = df.make_schedule(10, 0.05, 0.3)
+    for other in (replace(SMALL, time_dim=SMALL.time_dim + 2),
+                  replace(SMALL, grid=SMALL.grid + 1)):
+        params = net.init_params(other, seed=17)
+        inp = net.assemble_input(params, [np.zeros((2, other.grid, other.grid, other.channels))],
+                                 np.array([0, 1]), [np.zeros((2, net.ENCODING_DIM))], sched, (0,))
+        with pytest.raises(ValueError, match="input widths"):
+            net.forward_rows(net.init_params(SMALL, seed=16), inp)
+
+
 def test_clone_frozen_is_independent_and_equal():
     params = randomized_params(net.init_params(SMALL, seed=11), seed=12)
     clone = net.clone_frozen(params)
@@ -391,6 +402,8 @@ def test_odd_or_tiny_time_dim_is_refused_where_a_net_is_built(tmp_path, time_dim
     import json
     with pytest.raises(ValueError, match="time_dim"):
         net.init_params(replace(SMALL, time_dim=time_dim))
+    with pytest.raises(ValueError, match="time_dim"):
+        net.time_embedding(np.arange(3), 10, time_dim)
     path = tmp_path / "ckpt.json"
     net.save_checkpoint(net.init_params(SMALL, seed=16), df.make_schedule(10, 0.05, 0.3), path)
     record = json.loads(path.read_text())

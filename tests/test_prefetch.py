@@ -1,5 +1,5 @@
 """The one-step-ahead draw helper, and the rule that its worker thread runs
-numpy only: every prefdiff function is called on the main thread."""
+no public prefdiff function: every one is called on the main thread."""
 
 import importlib
 import inspect
@@ -13,6 +13,7 @@ import prefdiff
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
 from prefdiff import evalbench as eb
+from prefdiff import net
 from prefdiff import trainer
 
 
@@ -137,7 +138,34 @@ def test_the_draw_worker_runs_no_prefdiff_function(main_thread_recorder):
     prompts = eb.sample_prompts(("color", "shape"), 2, seed=5)
     eb.evaluate(params, prompts, 2, config.schedule(), seed=7)
     assert off_main == []
-    for name in ("trainer.train", "losses.bidpo_batch", "net.backward",
+    for name in ("trainer.train", "losses.policy_half", "net.backward",
                  "diffusion.prefetched", "diffusion.ddpm_sample_batch", "net.forward_batch",
                  "toyworld.vqa_check"):
         assert f"prefdiff.{name}" in calls
+
+
+@pytest.fixture(scope="module")
+def small_pairs():
+    pairs, _ = dp.generate_dataset({"color": 4, "numeracy": 2}, seed=3, grid=8)
+    return pairs
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_the_reference_forward_pass_runs_on_the_draw_worker(monkeypatch, small_pairs, method):
+    # a preference step's frozen-reference pass runs one step ahead on the
+    # worker, the policy's on the main thread; SFT has no reference pass
+    passes = []
+    core = net._forward_rows
+
+    def recorder(params, *args):
+        passes.append((params.trainable, threading.current_thread() is threading.main_thread()))
+        return core(params, *args)
+
+    monkeypatch.setattr(net, "_forward_rows", recorder)
+    config = trainer.TrainConfig(method=method, steps=3, batch_size=4, grid=8, hidden=16,
+                                 time_dim=8, T=6, seed=1)
+    trainer.train(config, small_pairs)
+    assert [on_main for trainable, on_main in passes if trainable] == [True] * 3
+    reference = [on_main for trainable, on_main in passes if not trainable]
+    assert reference == ([] if method == "sft" else [False] * 3)

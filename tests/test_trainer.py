@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -269,11 +270,16 @@ def test_train_divergence_reports_step(tiny_dataset):
     with pytest.raises(df.NumericDivergenceError,
                        match=r"^step \d+: non-finite gradient norm"):
         trainer.train(cfg, tiny_dataset)
-    # a non-finite loss is named by its step too
+    # a non-finite loss is named by its step too; the caller's error state
+    # also holds for the reference's pass on the draw worker
     bad = [replace(tiny_dataset[0], x0_w=np.full_like(tiny_dataset[0].x0_w, np.inf))]
-    with pytest.raises(df.NumericDivergenceError, match="^step 0: non-finite loss"):
-        with np.errstate(invalid="ignore"):
-            trainer.train(tiny_config(steps=2), bad)
+    for method in ("sft", "bidpo"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(df.NumericDivergenceError, match="^step 0: non-finite loss"):
+                with np.errstate(invalid="ignore"):
+                    trainer.train(tiny_config(method=method, steps=2), bad)
+        assert caught == []
 
 
 def test_config_round_trip_and_override(tmp_path):
