@@ -11,11 +11,27 @@ import numpy as np
 from . import datapipe, evalbench, net, toyworld as tw, trainer
 
 
+def positive_int(text):
+    """An argparse type: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
+def _dimensions(text):
+    """An argparse type: a comma-separated list of known dimensions."""
+    dims = [d.strip() for d in text.split(",") if d.strip()]
+    if not dims or any(d not in tw.DIMENSIONS for d in dims):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of {', '.join(tw.DIMENSIONS)}, got {text!r}")
+    return dims
+
+
 def _add_gen_data(sub):
     p = sub.add_parser("gen-data", help="build a preference dataset")
-    p.add_argument("--dims", default=",".join(tw.DIMENSIONS),
+    p.add_argument("--dims", type=_dimensions, default=",".join(tw.DIMENSIONS),
                    help="comma-separated dimensions")
-    p.add_argument("--count-per-dim", type=int, default=100)
+    p.add_argument("--count-per-dim", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jitter", type=float, default=datapipe.DEFAULT_JITTER)
     p.add_argument("--grid", type=int, default=tw.DEFAULT_GRID)
@@ -23,8 +39,7 @@ def _add_gen_data(sub):
 
 
 def _cmd_gen_data(args):
-    dims = [d.strip() for d in args.dims.split(",") if d.strip()]
-    counts = {d: args.count_per_dim for d in dims}
+    counts = {d: args.count_per_dim for d in args.dims}
     pairs, manifest = datapipe.generate_dataset(
         counts, seed=args.seed, jitter=args.jitter, grid=args.grid)
     # pairs the generator could not build
@@ -73,8 +88,8 @@ def _add_eval(sub):
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--prompts", default=None, help="JSONL caption file")
     source.add_argument("--gen", action="store_true", help="sample prompts from the grammar")
-    p.add_argument("--prompts-per-dim", type=int, default=20)
-    p.add_argument("--samples-per-prompt", type=int, default=8)
+    p.add_argument("--prompts-per-dim", type=positive_int, default=20)
+    p.add_argument("--samples-per-prompt", type=positive_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", required=True,
                    help="run-config the checkpoint was trained with; its network and "
@@ -128,7 +143,7 @@ def _add_ablate(sub):
     p = sub.add_parser("ablate", help="run the full method ablation")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--prompts-per-dim", type=int, default=20)
+    p.add_argument("--prompts-per-dim", type=positive_int, default=20)
     p.add_argument("--out", required=True)
 
 

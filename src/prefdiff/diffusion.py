@@ -3,10 +3,10 @@
 Work that does not depend on the step before it runs one step ahead of its
 use. ``prefetched`` calls a draw function on one worker thread while the
 caller computes with the previous draw. ``ddpm_sample_batch`` takes its
-initial images and its per-step noise from it. ``trainer.train`` takes each
-step's batch, steps and noise from it, and for a preference method also the
-frozen reference's half of the step's loss (``losses.ReferenceHalf``): the
-noised images, the network input and the reference's per-row errors. No
+initial images and its per-step noise from it. ``trainer.train`` takes from
+it each step's draws and the policy-independent half of the step's loss
+(``losses.ReferenceHalf``): the noised batch, the network input and, for a
+preference method, the frozen reference's per-row errors. No
 step's computation feeds back into its generator or into the frozen
 reference, so each generator is consumed in the same order as a sequential
 loop would, and every output is bit-identical to it. The worker calls no

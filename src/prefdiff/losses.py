@@ -1,35 +1,28 @@
 """The preference-training loss family for the toy denoiser.
 
-All losses share one contrastive core: the difference between the policy's
-and a frozen reference's (optionally region-weighted) squared noise-prediction
-errors on a preferred branch minus the same difference on a dispreferred
-branch, scaled by beta * T * omega(lambda_t), passed through -log(sigmoid).
-The full bracketed difference sits inside the sigmoid's argument.
+All preference losses share one contrastive core: the difference between
+the policy's and a frozen reference's (optionally region-weighted) squared
+noise-prediction errors on a preferred branch minus the same difference on
+a dispreferred branch, scaled by beta * T * omega(lambda_t), passed through
+-log(sigmoid). The full bracketed difference sits inside the sigmoid's
+argument.
 
-Each preference loss is a list of distinct images, each (x0, eps, mask rows
-or None) for the N items of a batch, and a list of row blocks, each (image
-index, encodings), two blocks per contrastive term with the preferred branch
-first. The image-contrastive loss noises winner and loser images separately
-and conditions both on the winner caption: images [x_t^w, x_t^l], block ->
-image map (0, 1). The caption-contrastive loss evaluates all four terms on
-one noised winner image: images [x_t^w], map (0, 0), captions c_w then c_l.
-The bimodal loss is the sum of two caption-contrastive terms with the roles
-mirrored: images [x_t^w, x_t^l], map (0, 0, 1, 1), captions c_w, c_l, c_l,
-c_w.
+``LAYOUTS`` holds each training method's ``Layout``: the (noised image,
+caption) rows its loss reads and the rule that finishes it. Diffusion-DPO
+reads the noised winner and loser under the winner caption, the caption
+contrast the noised winner under both captions, and the bimodal loss adds
+the mirrored term on the noised loser.
 
-Every DPO batch loss runs in two halves. The reference half
-(``_reference_half``, giving a ``ReferenceHalf``) does not depend on the
-policy: it noises the images, assembles the rows into one ``NetInput``,
-whose factorised first layer computes each image's product once however
-many blocks read it, keeps one noise target and one mask row block per
-image, and runs the frozen reference over the rows to its per-row errors.
-It calls numpy and private cores only, so ``trainer.train`` runs it on the
-draw worker one step ahead of its use. The policy half (``policy_half``)
-runs the policy's forward pass over the same input, the contrastive terms
-and ``d_out`` on the caller's thread, together with the checks that the
-reference half leaves out. The public ``*_batch`` losses check their
-arguments as ``q_sample`` and ``assemble_input`` do, then run both halves in
-turn.
+Every loss runs in two halves. The reference half (``_reference_half``,
+giving a ``ReferenceHalf``) does not depend on the policy: it gathers the
+batch, noises it, assembles the rows into one ``NetInput``, whose factorised
+first layer computes each image's product once however many blocks read it,
+and for a contrast runs the frozen reference over the rows to its per-row
+errors. It calls numpy and private cores only, so ``trainer.train`` runs it
+on the draw worker one step ahead of its use. The policy half
+(``policy_half``) runs the policy's forward pass and the layout's rule on the
+caller's thread. The public ``*_batch`` losses check their arguments as
+``q_sample`` and ``assemble_input`` do, then run both halves in turn.
 
 Every loss is a batch mean over per-row, mask-weighted squared errors
 e = sum(mask * (pred - target)^2), so its gradient has a closed form: each
@@ -180,103 +173,160 @@ def _contrast_batch(e_theta, e_ref, coef, context):
     return per_item, -arg, np.concatenate([slope, -slope])
 
 
-def _loss(theta, value, margin, acts, weighted, c_rows, t_rows, sched, reward_accuracy=None):
-    """Package a batch loss whose derivative by the policy's row errors is
-    ``c_rows``; dL/dpred = 2 * c_row * mask * (pred - target).
+# ---------------------------------------------------------------------------
+# the method table and the two halves of a step
 
-    ``d_out`` takes the parameters' dtype, so the backward pass runs in it
-    even where the x0 coefficients promote predictions to float64.
-    """
-    scale = 2.0 * c_rows[:, None] * net.noise_output_slope(theta.cfg, t_rows, sched)
-    d_out = np.multiply(scale, weighted, dtype=theta.layers[0][0].dtype)
-    return Loss(value=value, margin=margin, theta=theta, acts=acts, d_out=d_out,
-                reward_accuracy=reward_accuracy)
-
-
-@dataclass(frozen=True)
-class ReferenceHalf:
-    """The policy-independent half of a DPO batch loss over N items.
-
-    ``inp`` holds the distinct noised images and the row blocks, two per
-    contrastive term, the preferred branch first. ``targets[k]`` and
-    ``masks[k]`` are the (N, D) noise target and weight rows (or None) of
-    image k, kept once however many blocks read it.
-    """
-
-    inp: net.NetInput
-    t_arr: np.ndarray          # (N,) step of each item
-    targets: tuple             # per image, its (N, D) noise
-    masks: tuple               # per image, (N, D) weight rows or None
-    e_ref: np.ndarray | None   # (B * N,) reference row errors, None when
-                               # the policy is its own reference
-    beta: float
-    sched: df.DiffusionSchedule
-    context: str               # the loss's name, for its errors
-
-
-def _reference_half(ref, images, blocks, context, t_arr, beta, sched, score=True):
-    """Noise the images, assemble the rows and, when ``score``, run the
-    frozen reference over them.
-
-    ``images`` lists the distinct images as (x0, eps, mask rows or None) per
-    N items and ``blocks`` lists (image index, encodings) per N rows. It
-    calls numpy and private cores only, so the draw worker may run it. It
-    skips the checks of ``q_sample`` and ``assemble_input``: ``_dpo_batch``
-    runs them first, and ``policy_half`` checks the steps and the input's
-    widths again on the caller's thread.
-    """
-    n = len(t_arr)
-    x0, eps, masks = zip(*images)
-    image_of_block, encodings = zip(*blocks)
-    noised = [df._q_sample(x, t_arr, e, sched) for x, e in zip(x0, eps)]
-    inp = net._assemble_input(ref, noised, t_arr, encodings, sched, image_of_block)
-    targets = tuple(e.reshape(n, -1) for e in eps)
-    e_ref = None
-    if score:
-        pred = net._predict_noise_rows(ref, inp, np.tile(t_arr, len(blocks)), sched)
-        e_ref = _errors(pred, inp.image_of_block, targets, masks)[0]
-    return ReferenceHalf(inp, t_arr, targets, masks, e_ref, beta, sched, context)
-
-
-def policy_half(theta, half):
-    """Finish a DPO batch loss from its ``ReferenceHalf``: the policy's
-    forward pass over the same rows, the mean over N items of the
-    contrastive terms, and ``d_out``. Returns a Loss.
+def _contrast(half, e_theta):
+    """The DPO rule: the mean over N items of the contrastive terms, one per
+    two row blocks.
 
     Without reference errors the reference passes are the policy's own:
     every bracket is exactly zero, and so is the gradient, since the
     reference's share of it cancels the policy's.
     """
     n = len(half.t_arr)
-    sched = half.sched
-    coef = half.beta * sched.T * df.omega_vector(sched, half.t_arr)
-    t_rows = np.tile(half.t_arr, len(half.inp.image_of_block))
-    acts = []
-    pred = net.predict_noise_rows(theta, half.inp, t_rows, sched, acts)
-    e_theta, weighted = _errors(pred, half.inp.image_of_block, half.targets, half.masks)
+    coef = half.beta * half.sched.T * df.omega_vector(half.sched, half.t_arr)
     e_ref = e_theta if half.e_ref is None else half.e_ref
-    terms = [_contrast_batch(e_theta[k:k + 2 * n], e_ref[k:k + 2 * n], coef, half.context)
-             for k in range(0, len(e_theta), 2 * n)]
+    terms = [_contrast_batch(e_theta[k:k + 2 * n], e_ref[k:k + 2 * n], coef,
+                             half.layout.context) for k in range(0, len(e_theta), 2 * n)]
     per_item = sum(term[0] for term in terms)
     args = np.array([term[1] for term in terms])      # sigmoid arguments, (terms, N)
     c_rows = np.concatenate([term[2] for term in terms]) / n
     if half.e_ref is None:
         c_rows = np.zeros_like(c_rows)
-    return _loss(theta, float(np.mean(per_item)), float(np.mean(args.mean(axis=0))),
-                 acts, weighted, c_rows, t_rows, sched, float(np.mean(args > 0)))
+    return (float(np.mean(per_item)), float(np.mean(args.mean(axis=0))), c_rows,
+            float(np.mean(args > 0)))
 
 
-def _dpo_batch(theta, ref, images, blocks, context, t_arr, beta, sched):
+def _cell_mse(half, e_theta):
+    """The SFT rule: the batch mean of the per-cell mean squared error."""
+    n, d = half.targets[0].shape
+    per_item = e_theta * (1.0 / d)
+    _check_finite(per_item, half.layout.context)
+    return float(np.mean(per_item)), 0.0, np.full(n, 1.0 / (n * d)), None
+
+
+@dataclass(frozen=True)
+class Layout:
+    """The rows one training method's loss reads from a batch of pairs."""
+
+    noised: tuple     # the pair images noised, "w" and/or "l", the winner first
+    blocks: tuple     # (index into ``noised``, caption "w"/"l") per row block,
+                      # two per contrastive term with the preferred branch first
+    masks: bool       # the pairs' region masks are stacked and weigh the errors
+    finish: object    # (half, e_theta) -> (value, margin, dL/de per row, reward accuracy)
+    context: str      # the loss's name, for its errors
+
+
+_BIMODAL_BLOCKS = ((0, "w"), (0, "l"), (1, "l"), (1, "w"))
+
+LAYOUTS = {
+    "sft": Layout(("w",), ((0, "w"),), False, _cell_mse, "sft_loss"),
+    "image_dpo": Layout(("w", "l"), ((0, "w"), (1, "w")), False, _contrast,
+                        "diffusion_dpo_loss"),
+    "text_dpo": Layout(("w",), ((0, "w"), (0, "l")), False, _contrast, "text_dpo_loss"),
+    "bidpo": Layout(("w", "l"), _BIMODAL_BLOCKS, False, _contrast, "bidpo_loss"),
+    "bidpo_region": Layout(("w", "l"), _BIMODAL_BLOCKS, True, _contrast, "bidpo_loss"),
+}
+
+
+@dataclass(frozen=True)
+class ReferenceHalf:
+    """The policy-independent half of a loss over N items.
+
+    ``inp`` holds the distinct noised images and the layout's row blocks.
+    ``targets[k]`` and ``masks[k]`` are the (N, D) noise target and weight
+    rows (or None) of image k, kept once however many blocks read it.
+    """
+
+    layout: Layout
+    inp: net.NetInput
+    t_arr: np.ndarray          # (N,) step of each item
+    targets: tuple             # per image, its (N, D) noise
+    masks: tuple               # per image, (N, D) weight rows or None
+    e_ref: np.ndarray | None   # (B * N,) reference row errors, or None
+    beta: float | None
+    sched: df.DiffusionSchedule
+
+
+def _stack_pairs(dataset, dtype, shape, masks):
+    """A dataset's images and caption encodings stacked once, keyed as
+    ``_reference_half`` reads them; with ``masks``, also the pairs' region
+    weight rows, each None when no pair has a mask."""
+    for p in dataset:
+        if p.x0_w.shape != shape:
+            raise ValueError(f"pair image shape {p.x0_w.shape} != configured {shape}")
+    arrays = {
+        "x0_w": np.stack([p.x0_w for p in dataset]).astype(dtype),
+        "x0_l": np.stack([p.x0_l for p in dataset]).astype(dtype),
+        "enc_w": np.stack([net.encode_caption(p.y_w).vector for p in dataset]).astype(dtype),
+        "enc_l": np.stack([net.encode_caption(p.y_l).vector for p in dataset]).astype(dtype),
+    }
+    if masks:
+        both = [pair_masks(p, use_region=True) for p in dataset]
+        arrays["masks_w"] = _mask_rows([mw for mw, _ in both], shape, dtype)
+        arrays["masks_l"] = _mask_rows([ml for _, ml in both], shape, dtype)
+    return arrays
+
+
+def _reference_half(layout, ref, arrays, idx, noise, t_arr, beta, sched, score=True):
+    """Gather the N items ``idx`` of ``arrays`` and build the layout's
+    ``ReferenceHalf``, scoring the reference for a contrast when ``score``.
+
+    ``arrays`` maps "x0_w"/"x0_l" to stacked pair images, "enc_w"/"enc_l" to
+    caption encodings and "masks_w"/"masks_l", where given, to flat weight
+    rows or None; ``noise`` holds one (N, ...) noise batch per image of
+    ``layout.noised``. It calls numpy and private cores only, so the draw
+    worker may run it. It skips the checks of ``q_sample`` and
+    ``assemble_input``: ``_batch`` runs them first, and ``policy_half``
+    checks the input's widths again on the caller's thread.
+    """
+    image_of_block, captions = zip(*layout.blocks)
+    masks = tuple(None if arrays.get(f"masks_{s}") is None else arrays[f"masks_{s}"][idx]
+                  for s in layout.noised)
+    noised = [df._q_sample(arrays[f"x0_{s}"][idx], t_arr, e, sched)
+              for s, e in zip(layout.noised, noise)]
+    inp = net._assemble_input(ref, noised, t_arr, [arrays[f"enc_{c}"][idx] for c in captions],
+                              sched, image_of_block)
+    targets = tuple(e.reshape(len(t_arr), -1) for e in noise)
+    e_ref = None
+    if score and layout.finish is _contrast:
+        pred = net._predict_noise_rows(ref, inp, np.tile(t_arr, len(captions)), sched)
+        e_ref = _errors(pred, image_of_block, targets, masks)[0]
+    return ReferenceHalf(layout, inp, t_arr, targets, masks, e_ref, beta, sched)
+
+
+def policy_half(theta, half):
+    """Finish a loss from its ``ReferenceHalf``: the policy's forward pass
+    over the same rows, the layout's rule and ``d_out``. Returns a Loss.
+
+    ``d_out`` takes the parameters' dtype, so the backward pass runs in it
+    even where the x0 coefficients promote predictions to float64.
+    """
+    t_rows = np.tile(half.t_arr, len(half.inp.image_of_block))
+    acts = []
+    pred = net.predict_noise_rows(theta, half.inp, t_rows, half.sched, acts)
+    e_theta, weighted = _errors(pred, half.inp.image_of_block, half.targets, half.masks)
+    value, margin, c_rows, reward_accuracy = half.layout.finish(half, e_theta)
+    scale = 2.0 * c_rows[:, None] * net.noise_output_slope(theta.cfg, t_rows, half.sched)
+    d_out = np.multiply(scale, weighted, dtype=theta.layers[0][0].dtype)
+    return Loss(value=value, margin=margin, theta=theta, acts=acts, d_out=d_out,
+                reward_accuracy=reward_accuracy)
+
+
+def _batch(method, theta, ref, arrays, noise, t_arr, beta, sched):
     """Check a batch as ``df.q_sample`` and ``net.assemble_input`` would,
-    then run both halves in turn."""
+    then run both halves of ``method``'s loss in turn over all its items."""
+    layout = LAYOUTS[method]
     t_arr = np.asarray(t_arr)
-    images = [(np.asarray(x0), np.asarray(eps), masks) for x0, eps, masks in images]
-    for x0, eps, _ in images:
-        df._check_noising(x0, t_arr, eps, sched)
-    image_of_block, encodings = zip(*blocks)
-    net._check_blocks(ref.cfg, [x0 for x0, _, _ in images], t_arr, encodings, sched,
-                      image_of_block)
-    half = _reference_half(ref, images, blocks, context, t_arr, beta, sched,
+    arrays = {name: None if a is None else np.asarray(a) for name, a in arrays.items()}
+    noise = [np.asarray(e) for e in noise]
+    x0 = [arrays[f"x0_{s}"] for s in layout.noised]
+    for x, e in zip(x0, noise):
+        df._check_noising(x, t_arr, e, sched)
+    net._check_blocks(ref.cfg, x0, t_arr, [arrays[f"enc_{c}"] for _, c in layout.blocks],
+                      sched, [k for k, _ in layout.blocks])
+    half = _reference_half(layout, ref, arrays, slice(None), noise, t_arr, beta, sched,
                            score=ref is not theta)
     return policy_half(theta, half)
 
@@ -284,15 +334,9 @@ def _dpo_batch(theta, ref, images, blocks, context, t_arr, beta, sched):
 # ---------------------------------------------------------------------------
 # image-contrastive loss (winner image vs loser image, winner caption)
 
-def _image_dpo_rows(x0_w, x0_l, enc_w, eps_w, eps_l):
-    """Images [x_t^w, x_t^l], both read under the winner caption."""
-    return ([(x0_w, eps_w, None), (x0_l, eps_l, None)], [(0, enc_w), (1, enc_w)],
-            "diffusion_dpo_loss")
-
-
 def diffusion_dpo_batch(theta, ref, x0_w, x0_l, enc_w, t_arr, eps_w, eps_l, beta, sched):
-    return _dpo_batch(theta, ref, *_image_dpo_rows(x0_w, x0_l, enc_w, eps_w, eps_l),
-                      t_arr, beta, sched)
+    return _batch("image_dpo", theta, ref, dict(x0_w=x0_w, x0_l=x0_l, enc_w=enc_w),
+                  (eps_w, eps_l), t_arr, beta, sched)
 
 
 def diffusion_dpo_loss(theta, ref, item, sched):
@@ -314,16 +358,12 @@ def diffusion_dpo_loss(theta, ref, item, sched):
 # ---------------------------------------------------------------------------
 # caption-contrastive loss (one image, winner caption vs loser caption)
 
-def _text_dpo_rows(x0_w, enc_w, enc_l, eps, masks=None):
-    """One image [x_t^w], read under the winner then the loser caption."""
-    return [(x0_w, eps, masks)], [(0, enc_w), (0, enc_l)], "text_dpo_loss"
-
-
 def text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps, beta, sched, masks=None):
     """``masks`` is None or (N, D) flat weight rows, as ``_mask_rows`` stacks
     them, applied to both captions' errors."""
-    return _dpo_batch(theta, ref, *_text_dpo_rows(x0_w, enc_w, enc_l, eps, masks),
-                      t_arr, beta, sched)
+    return _batch("text_dpo", theta, ref,
+                  dict(x0_w=x0_w, enc_w=enc_w, enc_l=enc_l, masks_w=masks), (eps,),
+                  t_arr, beta, sched)
 
 
 def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched, mask=None):
@@ -365,16 +405,9 @@ def bidpo_batch(theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l,
     ``masks_w``/``masks_l`` are None or (N, D) flat weight rows for the
     winner/loser image, as ``_mask_rows`` stacks them.
     """
-    rows = _bidpo_rows(x0_w, x0_l, enc_w, enc_l, eps_w, eps_l, masks_w, masks_l)
-    return _dpo_batch(theta, ref, *rows, t_arr, beta, sched)
-
-
-def _bidpo_rows(x0_w, x0_l, enc_w, enc_l, eps_w, eps_l, masks_w=None, masks_l=None):
-    """Images [x_t^w, x_t^l]; term 1 reads the winner image under the winner
-    then the loser caption, term 2 the loser image under the loser then the
-    winner caption."""
-    return ([(x0_w, eps_w, masks_w), (x0_l, eps_l, masks_l)],
-            [(0, enc_w), (0, enc_l), (1, enc_l), (1, enc_w)], "bidpo_loss")
+    return _batch("bidpo", theta, ref,
+                  dict(x0_w=x0_w, x0_l=x0_l, enc_w=enc_w, enc_l=enc_l, masks_w=masks_w,
+                       masks_l=masks_l), (eps_w, eps_l), t_arr, beta, sched)
 
 
 def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False):
@@ -395,16 +428,7 @@ def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False)
 
 def sft_batch(theta, x0, enc, t_arr, eps, sched):
     """Batch mean of the per-cell mean squared noise-prediction error."""
-    n = x0.shape[0]
-    inp = net.assemble_input(theta, [df.q_sample(x0, t_arr, eps, sched)], t_arr, [enc],
-                             sched, (0,))
-    acts = []
-    pred = net.predict_noise_rows(theta, inp, t_arr, sched, acts)
-    errors, resid = _errors(pred, (0,), [eps.reshape(n, -1)], [None])
-    per_item = errors * (1.0 / eps[0].size)
-    _check_finite(per_item, "sft_loss")
-    return _loss(theta, float(np.mean(per_item)), 0.0, acts, resid,
-                 np.full(n, 1.0 / (n * eps[0].size)), t_arr, sched)
+    return _batch("sft", theta, theta, dict(x0_w=x0, enc_w=enc), (eps,), t_arr, None, sched)
 
 
 def sft_loss(theta, x0, y, t, eps, sched):

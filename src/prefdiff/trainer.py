@@ -6,15 +6,16 @@ index and noise draws are resampled every step, so each step is a fresh
 Monte Carlo estimate of the chosen loss's expectation. Runs are fully
 deterministic given (config, dataset, seed).
 
-Each step's draws (batch indices, step indices, then one or two noise images
-per item) come from one generator through ``diffusion.prefetched``, so step
-k + 1's draws run on a worker thread while step k computes. For a
-preference method the worker goes on to the policy-independent half of step
+Each step's draws (batch indices, step indices, then the noise of each image
+the method's ``losses.LAYOUTS`` entry noises) come from one generator through
+``diffusion.prefetched``, so step k + 1's draws run on a worker thread while
+step k computes. The worker goes on to the policy-independent half of step
 k + 1's loss (``losses.ReferenceHalf``): it gathers the batch, noises it,
-assembles the network input and runs the frozen reference over it. The main
-thread runs the policy half (``losses.policy_half``), the backward pass and
-Adam. Neither the generator nor the reference depends on a step's update, so
-runs are bit-identical to the sequential loop.
+assembles the network input and, for a preference method, runs the frozen
+reference over it. The main thread runs the policy half
+(``losses.policy_half``), the backward pass and Adam. Neither the generator
+nor the reference depends on a step's update, so runs are bit-identical to
+the sequential loop.
 """
 
 import json
@@ -27,7 +28,7 @@ from . import losses
 from . import net
 from .datapipe import _child_seed, atomic_write
 
-METHODS = ("sft", "image_dpo", "text_dpo", "bidpo", "bidpo_region")
+METHODS = tuple(losses.LAYOUTS)
 CONFIG_FORMAT = "prefdiff-run-config"
 CONFIG_VERSION = 3
 
@@ -181,42 +182,6 @@ def _copy_for_training(params, dtype):
     return net.DenoiserParams(cfg=params.cfg, layers=layers, trainable=True)
 
 
-class _BatchArrays:
-    """Dataset pre-encoded into stacked arrays for fast batch assembly."""
-
-    def __init__(self, dataset, dtype, grid, channels):
-        shape = (grid, grid, channels)
-        for p in dataset:
-            if p.x0_w.shape != shape:
-                raise ValueError(f"pair image shape {p.x0_w.shape} != configured {shape}")
-        self.x0_w = np.stack([p.x0_w for p in dataset]).astype(dtype)
-        self.x0_l = np.stack([p.x0_l for p in dataset]).astype(dtype)
-        self.enc_w = np.stack([net.encode_caption(p.y_w).vector for p in dataset]).astype(dtype)
-        self.enc_l = np.stack([net.encode_caption(p.y_l).vector for p in dataset]).astype(dtype)
-        # region-weighting rows, stacked once; None when no pair has a mask
-        masks = [losses.pair_masks(p, use_region=True) for p in dataset]
-        self.masks_w = losses._mask_rows([mw for mw, _ in masks], shape, dtype)
-        self.masks_l = losses._mask_rows([ml for _, ml in masks], shape, dtype)
-
-
-def _reference_half(method, ref, arrays, idx, t_arr, noise, beta, sched):
-    """A preference step's ``losses.ReferenceHalf``; ``noise`` holds one noise
-    batch per image the method noises, the preferred image's first. Runs on
-    the draw worker, so it calls no public prefdiff function."""
-    x0_w, enc_w = arrays.x0_w[idx], arrays.enc_w[idx]
-    if method == "text_dpo":
-        rows = losses._text_dpo_rows(x0_w, enc_w, arrays.enc_l[idx], noise[0])
-    elif method == "image_dpo":
-        rows = losses._image_dpo_rows(x0_w, arrays.x0_l[idx], enc_w, *noise)
-    else:
-        region = method == "bidpo_region"
-        masks = [None if not region or m is None else m[idx]
-                 for m in (arrays.masks_w, arrays.masks_l)]
-        rows = losses._bidpo_rows(x0_w, arrays.x0_l[idx], enc_w, arrays.enc_l[idx], *noise,
-                                  *masks)
-    return losses._reference_half(ref, *rows, t_arr, beta, sched)
-
-
 def train(config, dataset, init_params=None):
     """Run the configured method over a preference dataset.
 
@@ -237,13 +202,14 @@ def train(config, dataset, init_params=None):
             raise ValueError("init_params network shape differs from config")
         params = _copy_for_training(init_params, dtype)
     ref = net.clone_frozen(params)
-    arrays = _BatchArrays(dataset, dtype, config.grid, config.channels)
+    layout = losses.LAYOUTS[config.method]
+    shape = (config.grid, config.grid, config.channels)
+    arrays = losses._stack_pairs(dataset, dtype, shape, layout.masks)
     state = AdamState.zeros(params)
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(config.seed, "train")))
-    noise_shape = (config.batch_size,) + arrays.x0_w.shape[1:]
+    noise_shape = (config.batch_size,) + shape
     scratch = np.empty(noise_shape)
-    n_noise = 1 if config.method in ("sft", "text_dpo") else 2
-    buffers = [[np.empty(noise_shape, dtype) for _ in range(n_noise)] for _ in range(2)]
+    buffers = [[np.empty(noise_shape, dtype) for _ in layout.noised] for _ in range(2)]
 
     def draw(step):
         # float64 draws cast to the parameters' dtype, as the generator's
@@ -254,20 +220,14 @@ def train(config, dataset, init_params=None):
         for out in noise:
             rng.standard_normal(out=scratch)
             np.copyto(out, scratch)
-        if config.method == "sft":
-            return idx, t_arr, noise[0]
-        return _reference_half(config.method, ref, arrays, idx, t_arr, noise, config.beta, sched)
+        return losses._reference_half(layout, ref, arrays, idx, noise, t_arr, config.beta,
+                                      sched)
 
     log = MetricsLog()
     with df.prefetched(draw, config.steps) as draws:
-        for step, drawn in enumerate(draws):
+        for step, half in enumerate(draws):
             try:
-                if config.method == "sft":
-                    idx, t_arr, eps = drawn
-                    loss = losses.sft_batch(params, arrays.x0_w[idx], arrays.enc_w[idx], t_arr,
-                                            eps, sched)
-                else:
-                    loss = losses.policy_half(params, drawn)
+                loss = losses.policy_half(params, half)
             except df.NumericDivergenceError as exc:
                 raise df.NumericDivergenceError(f"step {step}: {exc}") from exc
             grads = loss.backward()

@@ -116,6 +116,33 @@ def test_eval_takes_exactly_one_prompt_source(tmp_path, capsys):
     assert not (tmp_path / "eval.json").exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("gen-data", "--count-per-dim", "0"),
+    ("gen-data", "--dims", "color,bogus"),
+    ("gen-data", "--dims", ","),
+    ("eval", "--samples-per-prompt", "0"),
+    ("eval", "--samples-per-prompt", "-3"),
+    ("eval", "--prompts-per-dim", "0"),
+    ("eval", "--prompts-per-dim", "-2"),
+    ("ablate", "--prompts-per-dim", "0"),
+])
+def test_counts_below_one_and_unknown_dimensions_are_refused(tmp_path, capsys, command, flag,
+                                                             value):
+    # each would otherwise write an empty dataset or scorecard, or die in a traceback
+    ckpt, config = _checkpoint_and_config(tmp_path)
+    data = tmp_path / "data.jsonl"
+    dp.write_dataset(*dp.generate_dataset({"color": 2}, seed=1, grid=8), data)
+    inputs = {"gen-data": ["--grid", "8"],
+              "eval": ["--ckpt", str(ckpt), "--config", str(config), "--gen"],
+              "ablate": ["--config", str(config), "--data", str(data)]}[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *inputs, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
     ckpt, config = _checkpoint_and_config(tmp_path)

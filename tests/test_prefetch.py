@@ -169,3 +169,21 @@ def test_the_reference_forward_pass_runs_on_the_draw_worker(monkeypatch, small_p
     assert [on_main for trainable, on_main in passes if trainable] == [True] * 3
     reference = [on_main for trainable, on_main in passes if not trainable]
     assert reference == ([] if method == "sft" else [False] * 3)
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_every_method_noises_and_assembles_its_batch_on_the_draw_worker(monkeypatch,
+                                                                        small_pairs, method):
+    calls = []
+    for module, name in ((df, "_q_sample"), (net, "_assemble_input")):
+        def recorder(*args, _core=getattr(module, name), _name=name):
+            calls.append((_name, threading.current_thread() is threading.main_thread()))
+            return _core(*args)
+
+        monkeypatch.setattr(module, name, recorder)
+    config = trainer.TrainConfig(method=method, steps=3, batch_size=4, grid=8, hidden=16,
+                                 time_dim=8, T=6, seed=1)
+    trainer.train(config, small_pairs)
+    assert ("_assemble_input", False) in calls and ("_q_sample", False) in calls
+    assert [name for name, on_main in calls if on_main] == []

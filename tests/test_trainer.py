@@ -171,17 +171,19 @@ def _sequential_train(config, dataset):
     sched = config.schedule()
     params = net.init_params(config.net_config(), seed=config.seed, dtype=dtype)
     ref = net.clone_frozen(params)
-    arrays = trainer._BatchArrays(dataset, dtype, config.grid, config.channels)
+    region = config.method == "bidpo_region"
+    arrays = losses._stack_pairs(dataset, dtype, (config.grid, config.grid, config.channels),
+                                 masks=region)
     state = trainer.AdamState.zeros(params)
     rng = np.random.default_rng(np.random.SeedSequence(dp._child_seed(config.seed, "train")))
-    shape = (config.batch_size,) + arrays.x0_w.shape[1:]
+    shape = (config.batch_size,) + arrays["x0_w"].shape[1:]
     records = []
     for step in range(config.steps):
         idx = rng.integers(0, len(dataset), size=config.batch_size)
         t_arr = rng.integers(0, sched.T, size=config.batch_size)
         eps_w = rng.standard_normal(shape).astype(dtype)
-        x0_w, x0_l = arrays.x0_w[idx], arrays.x0_l[idx]
-        enc_w, enc_l = arrays.enc_w[idx], arrays.enc_l[idx]
+        x0_w, x0_l = arrays["x0_w"][idx], arrays["x0_l"][idx]
+        enc_w, enc_l = arrays["enc_w"][idx], arrays["enc_l"][idx]
         if config.method == "sft":
             loss = losses.sft_batch(params, x0_w, enc_w, t_arr, eps_w, sched)
         elif config.method == "text_dpo":
@@ -193,11 +195,10 @@ def _sequential_train(config, dataset):
                                               eps_w, eps_l, config.beta, sched)
         else:
             eps_l = rng.standard_normal(shape).astype(dtype)
-            region = config.method == "bidpo_region"
             loss = losses.bidpo_batch(params, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w,
                                       eps_l, config.beta, sched,
-                                      masks_w=arrays.masks_w[idx] if region else None,
-                                      masks_l=arrays.masks_l[idx] if region else None)
+                                      masks_w=arrays["masks_w"][idx] if region else None,
+                                      masks_l=arrays["masks_l"][idx] if region else None)
         grads = loss.backward()
         lr = trainer.warmup_lr(step, config.learning_rate, config.warmup_steps)
         trainer.adam_step(params, grads, state, lr)
@@ -230,6 +231,15 @@ def test_train_is_bitwise_the_sequential_loop(mixed_dataset, method, dtype,
     assert net.checkpoint_checksum(params) == net.checkpoint_checksum(expected_params)
     assert log.records == expected_records
     assert params.layers[0][0].dtype == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_only_the_region_weighted_method_stacks_mask_rows(monkeypatch, mixed_dataset, method):
+    calls = []
+    core = losses._mask_rows
+    monkeypatch.setattr(losses, "_mask_rows", lambda *args: calls.append(args) or core(*args))
+    trainer.train(tiny_config(method=method, steps=2), mixed_dataset)
+    assert bool(calls) == (method == "bidpo_region")
 
 
 def test_train_reference_is_immutable(tiny_dataset):
