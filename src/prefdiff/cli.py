@@ -18,6 +18,23 @@ def positive_int(text):
     return int(text)
 
 
+def _grid(text):
+    """An argparse type: a grid side that holds the smallest object side."""
+    value = int(text)
+    if value < tw.MIN_OBJECT_SIDE:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {tw.MIN_OBJECT_SIDE}, the smallest object side, got {text}")
+    return value
+
+
+def _jitter(text):
+    """An argparse type: a finite, non-negative jitter amplitude."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def _dimensions(text):
     """An argparse type: a comma-separated list of known dimensions."""
     dims = [d.strip() for d in text.split(",") if d.strip()]
@@ -33,8 +50,8 @@ def _add_gen_data(sub):
                    help="comma-separated dimensions")
     p.add_argument("--count-per-dim", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jitter", type=float, default=datapipe.DEFAULT_JITTER)
-    p.add_argument("--grid", type=int, default=tw.DEFAULT_GRID)
+    p.add_argument("--jitter", type=_jitter, default=datapipe.DEFAULT_JITTER)
+    p.add_argument("--grid", type=_grid, default=tw.DEFAULT_GRID)
     p.add_argument("--out", required=True)
 
 

@@ -6,13 +6,15 @@ caller computes with the previous draw. ``ddpm_sample_batch`` takes its
 initial images and its per-step noise from it. ``trainer.train`` takes from
 it each step's draws and the policy-independent half of the step's loss
 (``losses.ReferenceHalf``): the noised batch, the network input and, for a
-preference method, the frozen reference's per-row errors. No
-step's computation feeds back into its generator or into the frozen
-reference, so each generator is consumed in the same order as a sequential
-loop would, and every output is bit-identical to it. The worker calls no
-public prefdiff function, since the benchmark's span tracer is
-single-threaded: it runs numpy and the private cores behind the public
-functions (``_q_sample`` here), whose checks the caller runs.
+preference method, the frozen reference's per-row errors. Training also
+queues half of each step's Adam update on the same worker, behind the next
+draw (``prefetched``'s ``submit``). No step's computation feeds back into
+its generator or into the frozen reference, so each generator is consumed
+in the same order as a sequential loop would, and every output is
+bit-identical to it. The worker calls no public prefdiff function, since
+the benchmark's span tracer is single-threaded: it runs numpy and the
+private cores behind the public functions (``_q_sample`` here,
+``trainer._adam_update``), whose checks the caller runs.
 """
 
 import contextvars
@@ -131,25 +133,42 @@ def prefetched(draw, count):
     ``draw(k)`` is handed to the caller, so it overlaps the caller's work on
     that value. A yielded value is valid until the next one is requested,
     which lets ``draw`` fill two alternating buffers: ``draw(k + 2)`` may
-    overwrite what ``draw(k)`` returned. Each call runs in a copy of the
-    caller's context as it was when the call was started, so numpy's error
-    state (``np.errstate``) holds on the worker as it does for the caller.
-    The worker lives for the ``with`` block only and is joined when it
-    exits, also when the caller raises or stops early. An exception raised
-    by ``draw`` is raised to the caller when it requests that value.
+    overwrite what ``draw(k)`` returned. The iterator's ``submit(fn, *args)``
+    queues one more call on the same worker, behind the pending draw, and
+    returns its ``concurrent.futures.Future``: ``result()`` waits for it and
+    raises its exception, and a successful ``cancel()`` means it never runs.
+    Each call runs in a copy of the caller's context as it was when the call
+    was queued, so numpy's error state (``np.errstate``) holds on the worker
+    as it does for the caller. The worker lives for the ``with`` block only
+    and is joined when it exits, also when the caller raises or stops early.
+    An exception raised by ``draw`` is raised to the caller when it requests
+    that value.
     """
     with ThreadPoolExecutor(max_workers=1) as pool:
-        def submit(k):
-            return pool.submit(contextvars.copy_context().run, draw, k)
+        yield _Draws(pool, draw, count)
 
-        def results():
-            pending = submit(0) if count > 0 else None
-            for k in range(1, count + 1):
-                value = pending.result()
-                pending = submit(k) if k < count else None
-                yield value
 
-        yield results()
+class _Draws:
+    """The iterator of ``prefetched``, with the next draw always queued."""
+
+    def __init__(self, pool, draw, count):
+        self._pool, self._draw, self._count = pool, draw, count
+        self._k = 0
+        self._pending = self.submit(draw, 0) if count > 0 else None
+
+    def submit(self, fn, *args):
+        return self._pool.submit(contextvars.copy_context().run, fn, *args)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._pending is None:
+            raise StopIteration
+        value = self._pending.result()
+        self._k += 1
+        self._pending = self.submit(self._draw, self._k) if self._k < self._count else None
+        return value
 
 
 def ddpm_sample_batch(params, encodings, sched, seeds):

@@ -50,6 +50,7 @@ COLORS = tuple(PALETTE)
 BACKGROUND = 0.0
 DIM_FACTOR = 0.5          # brightness of the dimmed cells of striped/checker
 DEFAULT_GRID = 16
+MIN_OBJECT_SIDE = 3       # smallest bbox side a layout draws, at any grid
 CHANNELS = 3
 
 _BG_THRESHOLD = 0.3       # max-channel deviation that counts as "object"
@@ -554,7 +555,7 @@ def edit_masks(scene_w, scene_l, grid=DEFAULT_GRID):
 # scene construction from captions
 
 def _size_range(grid):
-    lo = max(3, round(grid * 0.25))
+    lo = max(MIN_OBJECT_SIDE, round(grid * 0.25))
     hi = max(lo, round(grid / 3))
     return lo, hi
 

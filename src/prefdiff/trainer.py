@@ -13,9 +13,12 @@ step k computes. The worker goes on to the policy-independent half of step
 k + 1's loss (``losses.ReferenceHalf``): it gathers the batch, noises it,
 assembles the network input and, for a preference method, runs the frozen
 reference over it. The main thread runs the policy half
-(``losses.policy_half``), the backward pass and Adam. Neither the generator
-nor the reference depends on a step's update, so runs are bit-identical to
-the sequential loop.
+(``losses.policy_half``) and the backward pass. The Adam update is split in
+two halves of the parameter elements: the worker, queued behind step
+k + 1's draws, updates one while the main thread updates the other
+(``adam_step``). Neither the generator nor the reference depends on a step's
+update, and each element gets the same operations in the same order on
+either thread, so runs are bit-identical to the sequential loop.
 """
 
 import json
@@ -124,44 +127,90 @@ class AdamState:
                    v=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers])
 
 
-def adam_step(params, grads, state, lr):
+def adam_step(params, grads, state, lr, worker=None):
     """Textbook Adam with bias correction; updates parameters in place.
 
     Evaluates ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g**2``
     and ``arr -= lr * (m/c1) / (sqrt(v/c2) + eps)``, where beta1, beta2 and
     eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, with the same operations in
-    the same order as the plain expressions, but into two scratch buffers
-    the size of the largest array, shared by every array. The parameters are
-    bit-identical to the plain expressions' whenever the gradients share the
-    parameters' dtype, as ``net.backward``'s do. The buffers live for one
-    call only, so that they do not add to the training loop's peak memory.
+    the same order as the plain expressions. The parameters are bit-identical
+    to the plain expressions' whenever the gradients share the parameters'
+    dtype, as ``net.backward``'s do.
+
+    The update is elementwise, so the parameter arrays, in layer order, are
+    dealt into two halves of about equal element count (``_split_halves``).
+    The one array that straddles the midpoint is cut there, through flat
+    views, when it, its gradient and its moments are all C-contiguous, and
+    otherwise goes whole to the first half. ``worker(fn, *args)``, when
+    given, queues a call on another thread and returns its future
+    (``diffusion.prefetched``'s ``submit``): the first half goes to it while
+    the caller updates the second. If the worker has not started its half
+    by the time the caller's is done, the caller cancels it and updates it
+    too. Every element gets the same operations in the same order wherever
+    it runs. Each half writes its intermediates into two scratch buffers the
+    size of its largest piece, allocated by the thread that runs it and kept
+    for that call only, so that they do not add to the training loop's peak
+    memory.
     """
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    size = max(a.size for pair in params.layers for a in pair)
-    dtype = params.layers[0][0].dtype
-    scratch = (np.empty(size, dtype), np.empty(size, dtype))
-    for li, (w, b) in enumerate(params.layers):
-        for arr, g, m, v in ((w, grads.layers[li][0], state.m[li][0], state.v[li][0]),
-                             (b, grads.layers[li][1], state.m[li][1], state.v[li][1])):
-            s1, s2 = (buf[:arr.size].reshape(arr.shape) for buf in scratch)
-            m *= ADAM_BETA1
-            np.multiply(1.0 - ADAM_BETA1, g, out=s1)
-            m += s1
-            v *= ADAM_BETA2
-            np.square(g, out=s1)
-            np.multiply(1.0 - ADAM_BETA2, s1, out=s1)
-            v += s1
-            np.divide(m, c1, out=s1)
-            np.multiply(lr, s1, out=s1)
-            np.divide(v, c2, out=s2)
-            np.sqrt(s2, out=s2)
-            np.add(s2, ADAM_EPS, out=s2)
-            np.divide(s1, s2, out=s1)
-            arr -= s1
+    first, second = _split_halves(params, grads, state)
+    if worker is None:
+        _adam_update(first + second, lr, c1, c2)
+    else:
+        future = worker(_adam_update, first, lr, c1, c2)
+        _adam_update(second, lr, c1, c2)
+        if future.cancel():
+            _adam_update(first, lr, c1, c2)
+        else:
+            future.result()
     return params, state
+
+
+def _split_halves(params, grads, state):
+    """The (arr, g, m, v) pieces of every parameter array in two lists of
+    about half the elements each. Only the array that straddles the midpoint
+    is cut, and only if all four of its arrays are C-contiguous: ``reshape``
+    of any other array would copy, and the copy's update would be lost."""
+    pieces = [group for li, pair in enumerate(params.layers) for group in zip(
+        pair, grads.layers[li], state.m[li], state.v[li])]
+    half = sum(arr.size for arr, *_ in pieces) // 2
+    first, second, seen = [], [], 0
+    for group in pieces:
+        size = group[0].size
+        if seen < half < seen + size and all(a.flags.c_contiguous for a in group):
+            flat = [a.reshape(-1) for a in group]
+            first.append(tuple(a[:half - seen] for a in flat))
+            second.append(tuple(a[half - seen:] for a in flat))
+        else:
+            (first if seen < half else second).append(group)
+        seen += size
+    return first, second
+
+
+def _adam_update(pieces, lr, c1, c2):
+    """The update of ``adam_step`` over (arr, g, m, v) pieces, in place."""
+    size = max(arr.size for arr, *_ in pieces)
+    dtype = pieces[0][0].dtype
+    scratch = (np.empty(size, dtype), np.empty(size, dtype))
+    for arr, g, m, v in pieces:
+        s1, s2 = (buf[:arr.size].reshape(arr.shape) for buf in scratch)
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=s1)
+        m += s1
+        v *= ADAM_BETA2
+        np.square(g, out=s1)
+        np.multiply(1.0 - ADAM_BETA2, s1, out=s1)
+        v += s1
+        np.divide(m, c1, out=s1)
+        np.multiply(lr, s1, out=s1)
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, ADAM_EPS, out=s2)
+        np.divide(s1, s2, out=s1)
+        arr -= s1
 
 
 def warmup_lr(step, base_lr, warmup_steps):
@@ -235,7 +284,7 @@ def train(config, dataset, init_params=None):
             if not np.isfinite(grad_norm):
                 raise df.NumericDivergenceError(f"step {step}: non-finite gradient norm")
             lr = warmup_lr(step, config.learning_rate, config.warmup_steps)
-            adam_step(params, grads, state, lr)
+            adam_step(params, grads, state, lr, worker=draws.submit)
             log.records.append(StepRecord(step=step, loss=loss.value, grad_norm=grad_norm,
                                           margin=loss.margin, lr=lr,
                                           reward_accuracy=loss.reward_accuracy))

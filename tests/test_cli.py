@@ -143,6 +143,31 @@ def test_counts_below_one_and_unknown_dimensions_are_refused(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--grid", "0"), ("--grid", "2"), ("--grid", "-4"),
+                                        ("--jitter", "-5"), ("--jitter", "-0.01"),
+                                        ("--jitter", "nan"), ("--jitter", "inf")])
+def test_gen_data_refuses_a_grid_or_jitter_it_cannot_use(tmp_path, capsys, flag, value):
+    # a grid below the smallest object side wrote an empty dataset and exited
+    # 1; a negative jitter exited 0 and went into the manifest
+    out = tmp_path / "data.jsonl"
+    inputs = {"--grid": ["--jitter", "0.05"], "--jitter": ["--grid", "8"]}[flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-data", "--dims", "color", "--count-per-dim", "1", *inputs,
+                  flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--grid", "3"), ("--jitter", "0")])
+def test_gen_data_takes_the_smallest_grid_and_no_jitter(tmp_path, flag, value):
+    out = tmp_path / "data.jsonl"
+    inputs = {"--grid": [], "--jitter": ["--grid", "8"]}[flag]
+    code = cli.main(["gen-data", "--dims", "color", "--count-per-dim", "1", *inputs,
+                     flag, value, "--out", str(out)])
+    assert code == 0 and out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
     ckpt, config = _checkpoint_and_config(tmp_path)

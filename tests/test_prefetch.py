@@ -3,10 +3,13 @@ no public prefdiff function: every one is called on the main thread."""
 
 import importlib
 import inspect
+import operator
 import pkgutil
 import sys
 import threading
+import time
 
+import numpy as np
 import pytest
 
 import prefdiff
@@ -77,6 +80,69 @@ def test_prefetched_raises_a_draw_error_when_that_value_is_requested():
             for value in draws:
                 got.append(value)
     assert got == [0, 1]
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+def test_a_submitted_call_runs_on_the_worker_after_the_pending_draw():
+    events = []
+
+    def draw(k):
+        time.sleep(0.02)
+        events.append((f"draw {k}", threading.current_thread()))
+        return k
+
+    def call(tag):
+        events.append((tag, threading.current_thread()))
+        return tag
+
+    with df.prefetched(draw, 3) as draws:
+        assert next(draws) == 0
+        assert draws.submit(call, "call").result() == "call"
+        assert list(draws) == [1, 2]
+    assert [name for name, _ in events] == ["draw 0", "draw 1", "call", "draw 2"]
+    assert len({thread for _, thread in events}) == 1
+    assert events[0][1] is not threading.main_thread()
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+def test_a_submitted_call_sees_the_callers_error_state_and_raises_to_it():
+    with df.prefetched(lambda k: k, 2) as draws:
+        with np.errstate(divide="raise"):
+            state = draws.submit(np.geterr)
+            failing = draws.submit(np.divide, np.float64(1.0), np.float64(0.0))
+        assert state.result()["divide"] == "raise"
+        with pytest.raises(FloatingPointError):
+            failing.result()
+        with pytest.raises(KeyError, match="lost"):
+            draws.submit(operator.getitem, {}, "lost").result()
+        assert list(draws) == [0, 1]
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+def test_a_cancelled_call_never_runs():
+    release, ran = threading.Event(), []
+
+    def draw(k):
+        assert release.wait(timeout=10)
+        return k
+
+    with df.prefetched(draw, 1) as draws:
+        queued = draws.submit(ran.append, "call")
+        assert queued.cancel()
+        release.set()
+        assert list(draws) == [0]
+    assert ran == [] and queued.cancelled()
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+def test_prefetched_joins_its_worker_with_a_submitted_call_pending():
+    with pytest.raises(KeyError):
+        with df.prefetched(lambda k: time.sleep(0.01), 3) as draws:
+            draws.submit(time.sleep, 0.01)
+            raise KeyError("caller failed")
+    with df.prefetched(lambda k: k, 3) as draws:
+        next(draws)
+        draws.submit(time.sleep, 0.01)
 
 
 def _public_functions():
@@ -187,3 +253,32 @@ def test_every_method_noises_and_assembles_its_batch_on_the_draw_worker(monkeypa
     trainer.train(config, small_pairs)
     assert ("_assemble_input", False) in calls and ("_q_sample", False) in calls
     assert [name for name, on_main in calls if on_main] == []
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_the_optimiser_update_runs_on_the_draw_worker_and_the_main_thread(monkeypatch,
+                                                                         small_pairs, method):
+    # each step's Adam update is split: one half on the worker, queued behind
+    # the next draw, the other on the main thread. The main thread's half
+    # waits for the worker's to start, so that the test does not depend on
+    # the worker being scheduled before the main thread's half is done
+    # (if it is not, the main thread takes the worker's half back)
+    halves, started = [], threading.Event()
+    core = trainer._adam_update
+
+    def recorder(*args):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main:
+            assert started.wait(timeout=10)
+            started.clear()
+        halves.append(on_main)
+        if not on_main:
+            started.set()
+        return core(*args)
+
+    monkeypatch.setattr(trainer, "_adam_update", recorder)
+    config = trainer.TrainConfig(method=method, steps=3, batch_size=4, grid=8, hidden=16,
+                                 time_dim=8, T=6, seed=1)
+    trainer.train(config, small_pairs)
+    assert halves == [False, True] * 3

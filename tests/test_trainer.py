@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -120,9 +121,41 @@ def _textbook_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return layers
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_step_is_bitwise_the_textbook_expression(dtype):
-    cfg = net.NetConfig(grid=4, channels=3, hidden=16, time_dim=4)
+def _strided(a):
+    """``a``'s values in an array that is not C-contiguous: a transposed view
+    of a matrix, every other element of a vector."""
+    if a.ndim == 2:
+        return np.ascontiguousarray(a.T).T
+    out = np.zeros(2 * a.size, a.dtype)[::2]
+    out[...] = a
+    return out
+
+
+def _run_now(fn, *args):
+    # a worker that runs the call before the caller's half
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def _never_started(fn, *args):
+    # a worker whose call has not started when the caller's half is done
+    return Future()
+
+
+@pytest.fixture(params=["inline", "thread", "run_now", "never_started"])
+def worker(request):
+    if request.param == "thread":
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool.submit
+    else:
+        yield {"inline": None, "run_now": _run_now, "never_started": _never_started}[
+            request.param]
+
+
+def _adam_case(cfg, dtype, strided):
+    """Parameters and five steps of gradients; the arrays named in
+    ``strided`` (any of "params", "grads", "state") are not C-contiguous."""
     params = net.init_params(cfg, seed=2, dtype=dtype)
     rng = np.random.default_rng(9)
     grads_seq = [net.Gradients(layers=[
@@ -131,11 +164,53 @@ def test_adam_step_is_bitwise_the_textbook_expression(dtype):
         for k in range(5)]
     expected = _textbook_adam(params, grads_seq, lr=3e-3)
     state = trainer.AdamState.zeros(params)
+    if "params" in strided:
+        params.layers = [tuple(_strided(a) for a in pair) for pair in params.layers]
+    if "grads" in strided:
+        for grads in grads_seq:
+            grads.layers = [tuple(_strided(a) for a in pair) for pair in grads.layers]
+    if "state" in strided:
+        state.m = [tuple(_strided(a) for a in pair) for pair in state.m]
+        state.v = [tuple(_strided(a) for a in pair) for pair in state.v]
+    return params, grads_seq, state, expected
+
+
+@pytest.mark.parametrize("strided", [(), ("params", "grads", "state"), ("grads",),
+                                     ("state",)],
+                         ids=["contiguous", "strided", "strided-grads", "strided-state"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_is_bitwise_the_textbook_expression(worker, dtype, strided):
+    # the split point falls inside W0 (2512 elements, W0 holds 1408) and every
+    # bias is smaller than either half; an array seen through a copy instead
+    # of a view would lose its update
+    cfg = net.NetConfig(grid=4, channels=3, hidden=16, time_dim=4)
+    params, grads_seq, state, expected = _adam_case(cfg, dtype, strided)
+    arrays = [a for pair in params.layers for a in pair]
     for grads in grads_seq:
-        trainer.adam_step(params, grads, state, lr=3e-3)
+        trainer.adam_step(params, grads, state, lr=3e-3, worker=worker)
+    assert all(a is b for a, b in zip((a for pair in params.layers for a in pair), arrays))
     for (w, b), (w_ref, b_ref) in zip(params.layers, expected):
         assert w.dtype == dtype and b.dtype == dtype
         assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+
+@pytest.mark.parametrize("strided,cut", [((), True), (("grads",), False),
+                                         (("params", "grads", "state"), False)])
+def test_adam_split_cuts_only_a_contiguous_array_at_the_midpoint(strided, cut):
+    cfg = net.NetConfig(grid=4, channels=3, hidden=16, time_dim=4)
+    params, grads_seq, state, _ = _adam_case(cfg, np.float32, strided)
+    first, second = trainer._split_halves(params, grads_seq[0], state)
+    sizes = [sum(arr.size for arr, *_ in half) for half in (first, second)]
+    assert sum(sizes) == params.param_count()
+    assert len(first) + len(second) == 6 + cut
+    if cut:
+        assert sizes == [1256, 1256]
+        for group in first[-1:] + second[:1]:
+            assert all(np.shares_memory(a, b) for a, b in zip(
+                group, (params.layers[0][0], grads_seq[0].layers[0][0], state.m[0][0],
+                        state.v[0][0])))
+    else:
+        assert sizes == [1408, 1104]
 
 
 @pytest.mark.usefixtures("no_leaked_threads")
