@@ -6,8 +6,7 @@ from .toyworld import (Caption, ObjectSlot, SceneSpec, detect, edit_masks,
 from .net import (CaptionEncoding, DenoiserParams, NetConfig, clone_frozen,
                   encode_caption, forward, init_params, load_checkpoint,
                   save_checkpoint)
-from .losses import (LossBatchItem, bidpo_loss, diffusion_dpo_loss,
-                     masked_sq_err, sft_loss, text_dpo_loss)
+from .losses import batch_loss, masked_sq_err
 from .datapipe import (DatasetManifest, PreferencePair, build_pair,
                        edit_caption, filter_pairs, generate_dataset,
                        read_dataset, sample_caption, write_dataset)

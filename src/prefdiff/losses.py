@@ -21,8 +21,9 @@ and for a contrast runs the frozen reference over the rows to its per-row
 errors. It calls numpy and private cores only, so ``trainer.train`` runs it
 on the draw worker one step ahead of its use. The policy half
 (``policy_half``) runs the policy's forward pass and the layout's rule on the
-caller's thread. The public ``*_batch`` losses check their arguments as
-``q_sample`` and ``assemble_input`` do, then run both halves in turn.
+caller's thread. ``batch_loss(method, ...)`` gives any method's loss outside
+training: it checks its arguments as ``q_sample`` and ``assemble_input`` do,
+then runs both halves in turn.
 
 Every loss is a batch mean over per-row, mask-weighted squared errors
 e = sum(mask * (pred - target)^2), so its gradient has a closed form: each
@@ -43,7 +44,6 @@ from . import diffusion as df
 from . import net
 
 REGION_EXEMPT_DIMENSIONS = ("spatial", "numeracy")
-DEFAULT_BETA = 0.1
 
 # Below this, an item's gradient coefficient sigmoid(arg) is set to zero
 # (arg < -44.4). Such an item's rows add less than 2**-64 * coef / N to
@@ -56,17 +56,6 @@ DEFAULT_BETA = 0.1
 # loss value and margin never change, nor does the gradient, bit for bit,
 # when no item saturates.
 SATURATED_SIGMOID = 2.0 ** -64
-
-
-@dataclass(frozen=True)
-class LossBatchItem:
-    """One sampled term of the image-contrastive expectation."""
-
-    pair: object                 # datapipe.PreferencePair
-    t: int
-    eps_w: np.ndarray
-    eps_l: np.ndarray
-    beta: float = DEFAULT_BETA
 
 
 @dataclass
@@ -98,10 +87,14 @@ def masked_sq_err(eps, eps_hat, mask=None):
     return float(sq.sum())
 
 
-def _mask_weights(mask, image_shape):
-    w = np.asarray(mask)
+def _check_weights(w):
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("mask weights must be finite and nonnegative")
+
+
+def _mask_weights(mask, image_shape):
+    w = np.asarray(mask)
+    _check_weights(w)
     if w.shape == image_shape:
         return w
     if w.shape == image_shape[:-1]:
@@ -188,7 +181,7 @@ def _contrast(half, e_theta):
     coef = half.beta * half.sched.T * df.omega_vector(half.sched, half.t_arr)
     e_ref = e_theta if half.e_ref is None else half.e_ref
     terms = [_contrast_batch(e_theta[k:k + 2 * n], e_ref[k:k + 2 * n], coef,
-                             half.layout.context) for k in range(0, len(e_theta), 2 * n)]
+                             half.layout.method) for k in range(0, len(e_theta), 2 * n)]
     per_item = sum(term[0] for term in terms)
     args = np.array([term[1] for term in terms])      # sigmoid arguments, (terms, N)
     c_rows = np.concatenate([term[2] for term in terms]) / n
@@ -202,7 +195,7 @@ def _cell_mse(half, e_theta):
     """The SFT rule: the batch mean of the per-cell mean squared error."""
     n, d = half.targets[0].shape
     per_item = e_theta * (1.0 / d)
-    _check_finite(per_item, half.layout.context)
+    _check_finite(per_item, half.layout.method)
     return float(np.mean(per_item)), 0.0, np.full(n, 1.0 / (n * d)), None
 
 
@@ -210,24 +203,23 @@ def _cell_mse(half, e_theta):
 class Layout:
     """The rows one training method's loss reads from a batch of pairs."""
 
+    method: str       # the method's key in ``LAYOUTS``, named by the loss's errors
     noised: tuple     # the pair images noised, "w" and/or "l", the winner first
     blocks: tuple     # (index into ``noised``, caption "w"/"l") per row block,
                       # two per contrastive term with the preferred branch first
     masks: bool       # the pairs' region masks are stacked and weigh the errors
     finish: object    # (half, e_theta) -> (value, margin, dL/de per row, reward accuracy)
-    context: str      # the loss's name, for its errors
 
 
 _BIMODAL_BLOCKS = ((0, "w"), (0, "l"), (1, "l"), (1, "w"))
 
-LAYOUTS = {
-    "sft": Layout(("w",), ((0, "w"),), False, _cell_mse, "sft_loss"),
-    "image_dpo": Layout(("w", "l"), ((0, "w"), (1, "w")), False, _contrast,
-                        "diffusion_dpo_loss"),
-    "text_dpo": Layout(("w",), ((0, "w"), (0, "l")), False, _contrast, "text_dpo_loss"),
-    "bidpo": Layout(("w", "l"), _BIMODAL_BLOCKS, False, _contrast, "bidpo_loss"),
-    "bidpo_region": Layout(("w", "l"), _BIMODAL_BLOCKS, True, _contrast, "bidpo_loss"),
-}
+LAYOUTS = {layout.method: layout for layout in (
+    Layout("sft", ("w",), ((0, "w"),), False, _cell_mse),
+    Layout("image_dpo", ("w", "l"), ((0, "w"), (1, "w")), False, _contrast),
+    Layout("text_dpo", ("w",), ((0, "w"), (0, "l")), False, _contrast),
+    Layout("bidpo", ("w", "l"), _BIMODAL_BLOCKS, False, _contrast),
+    Layout("bidpo_region", ("w", "l"), _BIMODAL_BLOCKS, True, _contrast),
+)}
 
 
 @dataclass(frozen=True)
@@ -249,6 +241,14 @@ class ReferenceHalf:
     sched: df.DiffusionSchedule
 
 
+def pair_masks(pair):
+    """The region masks a loss applies to a pair: none where the pair's
+    dimension needs a global focus (spatial and numeracy)."""
+    if pair.dimension in REGION_EXEMPT_DIMENSIONS:
+        return None, None
+    return pair.mask_w, pair.mask_l
+
+
 def _stack_pairs(dataset, dtype, shape, masks):
     """A dataset's images and caption encodings stacked once, keyed as
     ``_reference_half`` reads them; with ``masks``, also the pairs' region
@@ -263,7 +263,7 @@ def _stack_pairs(dataset, dtype, shape, masks):
         "enc_l": np.stack([net.encode_caption(p.y_l).vector for p in dataset]).astype(dtype),
     }
     if masks:
-        both = [pair_masks(p, use_region=True) for p in dataset]
+        both = [pair_masks(p) for p in dataset]
         arrays["masks_w"] = _mask_rows([mw for mw, _ in both], shape, dtype)
         arrays["masks_l"] = _mask_rows([ml for _, ml in both], shape, dtype)
     return arrays
@@ -278,7 +278,7 @@ def _reference_half(layout, ref, arrays, idx, noise, t_arr, beta, sched, score=T
     rows or None; ``noise`` holds one (N, ...) noise batch per image of
     ``layout.noised``. It calls numpy and private cores only, so the draw
     worker may run it. It skips the checks of ``q_sample`` and
-    ``assemble_input``: ``_batch`` runs them first, and ``policy_half``
+    ``assemble_input``: ``batch_loss`` runs them first, and ``policy_half``
     checks the input's widths again on the caller's thread.
     """
     image_of_block, captions = zip(*layout.blocks)
@@ -314,128 +314,40 @@ def policy_half(theta, half):
                 reward_accuracy=reward_accuracy)
 
 
-def _batch(method, theta, ref, arrays, noise, t_arr, beta, sched):
-    """Check a batch as ``df.q_sample`` and ``net.assemble_input`` would,
-    then run both halves of ``method``'s loss in turn over all its items."""
+def batch_loss(method, theta, ref, arrays, noise, t_arr, beta, sched):
+    """The Loss of training method ``method`` (a key of ``LAYOUTS``) over N
+    items, for the policy ``theta`` against the frozen ``ref``.
+
+    ``arrays`` holds the items' inputs keyed as ``_stack_pairs`` stacks
+    them: "x0_w"/"x0_l" (N, H, W, C) images, "enc_w"/"enc_l" (N, K) caption
+    encodings and, optionally, "masks_w"/"masks_l" (N, D) weight rows or
+    None. ``noise`` holds one (N, H, W, C) batch per image of
+    ``LAYOUTS[method].noised``; SFT ignores ``beta``. With ``ref is theta`` a
+    contrast scores no reference: every bracket is zero, and so is the
+    gradient.
+
+    The arguments are checked as ``df.q_sample`` and ``net.assemble_input``
+    check theirs, and the weight rows as ``masked_sq_err`` checks a mask.
+    """
     layout = LAYOUTS[method]
     t_arr = np.asarray(t_arr)
     arrays = {name: None if a is None else np.asarray(a) for name, a in arrays.items()}
     noise = [np.asarray(e) for e in noise]
+    if len(noise) != len(layout.noised):
+        raise ValueError(f"{method} noises {len(layout.noised)} images, "
+                         f"got {len(noise)} noise batches")
     x0 = [arrays[f"x0_{s}"] for s in layout.noised]
     for x, e in zip(x0, noise):
         df._check_noising(x, t_arr, e, sched)
     net._check_blocks(ref.cfg, x0, t_arr, [arrays[f"enc_{c}"] for _, c in layout.blocks],
                       sched, [k for k, _ in layout.blocks])
+    rows_shape = (len(t_arr), ref.cfg.image_dim)
+    for s in layout.noised:
+        rows = arrays.get(f"masks_{s}")
+        if rows is not None:
+            if rows.shape != rows_shape:
+                raise ValueError(f"mask shape {rows.shape} != {rows_shape}")
+            _check_weights(rows)
     half = _reference_half(layout, ref, arrays, slice(None), noise, t_arr, beta, sched,
                            score=ref is not theta)
     return policy_half(theta, half)
-
-
-# ---------------------------------------------------------------------------
-# image-contrastive loss (winner image vs loser image, winner caption)
-
-def diffusion_dpo_batch(theta, ref, x0_w, x0_l, enc_w, t_arr, eps_w, eps_l, beta, sched):
-    return _batch("image_dpo", theta, ref, dict(x0_w=x0_w, x0_l=x0_l, enc_w=enc_w),
-                  (eps_w, eps_l), t_arr, beta, sched)
-
-
-def diffusion_dpo_loss(theta, ref, item, sched):
-    """Contrast denoising errors of the winner and loser images.
-
-    Both branches condition on the winner caption; see LossBatchItem for the
-    sampled (t, noise) pair. Returns a Loss.
-    """
-    pair = item.pair
-    if np.asarray(item.eps_w).shape != np.asarray(pair.x0_w).shape:
-        raise ValueError("noise shape must match image shape")
-    enc_w = net.encode_caption(pair.y_w).vector[None]
-    return diffusion_dpo_batch(
-        theta, ref, np.asarray(pair.x0_w)[None], np.asarray(pair.x0_l)[None],
-        enc_w, np.array([item.t]), np.asarray(item.eps_w)[None],
-        np.asarray(item.eps_l)[None], item.beta, sched)
-
-
-# ---------------------------------------------------------------------------
-# caption-contrastive loss (one image, winner caption vs loser caption)
-
-def text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps, beta, sched, masks=None):
-    """``masks`` is None or (N, D) flat weight rows, as ``_mask_rows`` stacks
-    them, applied to both captions' errors."""
-    return _batch("text_dpo", theta, ref,
-                  dict(x0_w=x0_w, enc_w=enc_w, enc_l=enc_l, masks_w=masks), (eps,),
-                  t_arr, beta, sched)
-
-
-def text_dpo_loss(theta, ref, x0_w, y_w, y_l, t, eps, beta, sched, mask=None):
-    """Contrast the winner caption against the loser caption on one image.
-
-    One noise draw ``eps`` noises the winner image once, and that noised
-    image feeds all four terms (policy and reference, under each caption).
-    ``mask`` is None (all ones) or a weight array, as ``masked_sq_err``
-    takes it. Returns a Loss.
-    """
-    x0_w = np.asarray(x0_w)
-    if np.asarray(eps).shape != x0_w.shape:
-        raise ValueError("noise shape must match image shape")
-    enc_w = net.encode_caption(y_w).vector[None]
-    enc_l = net.encode_caption(y_l).vector[None]
-    return text_dpo_batch(
-        theta, ref, x0_w[None], enc_w, enc_l, np.array([t]),
-        np.asarray(eps)[None], beta, sched, masks=_mask_rows([mask], x0_w.shape))
-
-
-# ---------------------------------------------------------------------------
-# bimodal loss (two mirrored caption-contrastive terms)
-
-def pair_masks(pair, use_region):
-    """The masks the bimodal loss actually applies to a pair.
-
-    Region weighting is skipped when disabled or when the pair's dimension
-    needs a global focus (spatial and numeracy).
-    """
-    if not use_region or pair.dimension in REGION_EXEMPT_DIMENSIONS:
-        return None, None
-    return pair.mask_w, pair.mask_l
-
-
-def bidpo_batch(theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l,
-                beta, sched, masks_w=None, masks_l=None):
-    """Sum of the two mirrored caption-contrastive terms, batched.
-
-    ``masks_w``/``masks_l`` are None or (N, D) flat weight rows for the
-    winner/loser image, as ``_mask_rows`` stacks them.
-    """
-    return _batch("bidpo", theta, ref,
-                  dict(x0_w=x0_w, x0_l=x0_l, enc_w=enc_w, enc_l=enc_l, masks_w=masks_w,
-                       masks_l=masks_l), (eps_w, eps_l), t_arr, beta, sched)
-
-
-def bidpo_loss(theta, ref, pair, t, eps_w, eps_l, beta, sched, use_region=False):
-    """Bimodal preference loss: exact sum of the two mirrored caption terms."""
-    mask_w, mask_l = pair_masks(pair, use_region)
-    enc_w = net.encode_caption(pair.y_w).vector[None]
-    enc_l = net.encode_caption(pair.y_l).vector[None]
-    shape = np.asarray(pair.x0_w).shape
-    return bidpo_batch(
-        theta, ref, np.asarray(pair.x0_w)[None], np.asarray(pair.x0_l)[None],
-        enc_w, enc_l, np.array([t]), np.asarray(eps_w)[None],
-        np.asarray(eps_l)[None], beta, sched,
-        masks_w=_mask_rows([mask_w], shape), masks_l=_mask_rows([mask_l], shape))
-
-
-# ---------------------------------------------------------------------------
-# supervised baseline
-
-def sft_batch(theta, x0, enc, t_arr, eps, sched):
-    """Batch mean of the per-cell mean squared noise-prediction error."""
-    return _batch("sft", theta, theta, dict(x0_w=x0, enc_w=enc), (eps,), t_arr, None, sched)
-
-
-def sft_loss(theta, x0, y, t, eps, sched):
-    """Per-cell mean squared noise-prediction error on a single example."""
-    x0 = np.asarray(x0)
-    eps = np.asarray(eps)
-    if x0.shape != eps.shape:
-        raise ValueError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
-    enc = net.encode_caption(y).vector[None]
-    return sft_batch(theta, x0[None], enc, np.array([t]), eps[None], sched)

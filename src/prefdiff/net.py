@@ -42,7 +42,7 @@ class VocabularyError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file failed version or checksum validation."""
+    """Checkpoint file failed version, checksum, config or layer-shape validation."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +139,28 @@ def check_time_dim(time_dim):
         raise ValueError(f"time_dim must be even and at least 2, got {time_dim}")
 
 
+def check_net_config(cfg):
+    """Refuse a config no net can be built or run from."""
+    if cfg.activation not in ACTIVATIONS:
+        raise ValueError(f"activation must be one of {ACTIVATIONS}")
+    if cfg.parameterization not in PARAMETERIZATIONS:
+        raise ValueError(f"parameterization must be one of {PARAMETERIZATIONS}")
+    check_time_dim(cfg.time_dim)
+
+
+def _layer_dims(cfg):
+    return [cfg.input_dim, cfg.hidden, cfg.hidden, cfg.image_dim]
+
+
 def init_params(cfg=NetConfig(), seed=0, dtype=np.float64):
     """He-uniform hidden layers, zero-initialized final layer.
 
     The zero final layer makes the initial stack output exactly zero, which
     keeps early training stable.
     """
-    if cfg.activation not in ACTIVATIONS:
-        raise ValueError(f"activation must be one of {ACTIVATIONS}")
-    if cfg.parameterization not in PARAMETERIZATIONS:
-        raise ValueError(f"parameterization must be one of {PARAMETERIZATIONS}")
-    check_time_dim(cfg.time_dim)
+    check_net_config(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    dims = [cfg.input_dim, cfg.hidden, cfg.hidden, cfg.image_dim]
+    dims = _layer_dims(cfg)
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         if i == len(dims) - 2:
@@ -457,7 +466,9 @@ def save_checkpoint(params, sched, path):
 
 def load_checkpoint(path):
     """Load a checkpoint as (DenoiserParams, DiffusionSchedule it was trained
-    under); raises CheckpointError on version or checksum failure."""
+    under). Raises CheckpointError on a version or checksum failure, on a
+    config no net can be built from, or on a layer whose shape is not the
+    one its config implies."""
     with open(path) as fh:
         record = json.load(fh)
     if record.get("format") != CHECKPOINT_FORMAT or record.get("version") != CHECKPOINT_VERSION:
@@ -472,7 +483,16 @@ def load_checkpoint(path):
     if _checksum(layers) != record["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch")
     cfg = NetConfig(**record["cfg"])
-    check_time_dim(cfg.time_dim)
+    try:
+        check_net_config(cfg)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from exc
+    dims = _layer_dims(cfg)
+    implied = [((m, n), (n,)) for m, n in zip(dims[:-1], dims[1:])]
+    stored = [(w.shape, b.shape) for w, b in layers]
+    if stored != implied:
+        raise CheckpointError(f"checkpoint layer shapes {stored} differ from the "
+                              f"{implied} its config implies")
     params = DenoiserParams(cfg=cfg, layers=layers, trainable=record["trainable"])
     return params, df.make_schedule(**record["schedule"])
 

@@ -1,5 +1,6 @@
-"""Shared test helpers: grammar enumeration, finite-difference oracles and a
-thread-leak check. Importing this module pins BLAS to one thread."""
+"""Shared test helpers: grammar enumeration, loss inputs built from preference
+pairs, finite-difference oracles and a thread-leak check. Importing this
+module pins BLAS to one thread."""
 
 import itertools
 import os
@@ -13,6 +14,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from prefdiff import datapipe as dp  # noqa: E402
+from prefdiff import losses  # noqa: E402
 from prefdiff import toyworld as tw  # noqa: E402
 
 
@@ -57,6 +59,27 @@ def enumerate_captions():
                 captions.append(tw.Caption(dimension="numeracy", count=count,
                                            objects=(tw.ObjectSlot(s, texture=t),)))
     return captions
+
+
+def synthetic_pair(x0_w, y_w, x0_l, y_l, dimension="color", mask_w=None, mask_l=None):
+    """A PreferencePair of the given images and captions, without scenes."""
+    return dp.PreferencePair(x0_w=x0_w, y_w=y_w, x0_l=x0_l, y_l=y_l,
+                             scene_w=None, scene_l=None, dimension=dimension,
+                             mask_w=mask_w, mask_l=mask_l)
+
+
+def stacked(pairs, masks=False):
+    """``losses.batch_loss``'s ``arrays`` for ``pairs``, stacked as
+    ``trainer.train`` stacks them: in float64 and, with ``masks``, with the
+    region masks that ``losses.pair_masks`` keeps."""
+    return losses._stack_pairs(pairs, np.float64, np.shape(pairs[0].x0_w), masks)
+
+
+def pair_loss(method, theta, ref, pair, t, noise, beta, sched, masks=False):
+    """``losses.batch_loss`` over one item, ``pair`` at step ``t``; ``noise``
+    holds one image-shaped draw per image that ``method`` noises."""
+    return losses.batch_loss(method, theta, ref, stacked([pair], masks),
+                             [np.asarray(e)[None] for e in noise], [t], beta, sched)
 
 
 def finite_difference_grads(loss_fn, params, h=1e-5, order=2):

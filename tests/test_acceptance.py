@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (finite_difference_grads, norm_relative_grad_error,
-                      randomized_params)
+from conftest import (finite_difference_grads, norm_relative_grad_error, pair_loss,
+                      randomized_params, stacked, synthetic_pair)
 
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
@@ -36,12 +36,6 @@ def make_cap(color):
     return tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color=color),))
 
 
-def synthetic_pair(x0_w, y_w, x0_l, y_l, dimension="color", mask_w=None, mask_l=None):
-    return dp.PreferencePair(x0_w=x0_w, y_w=y_w, x0_l=x0_l, y_l=y_l,
-                             scene_w=None, scene_l=None, dimension=dimension,
-                             mask_w=mask_w, mask_l=mask_l)
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: loss identities at theta == ref
 
@@ -56,11 +50,9 @@ def test_criterion_1_loss_identities():
     eps_l = rng.standard_normal((3, 3, 2))
     pair = synthetic_pair(x0_w, make_cap("red"), x0_l, make_cap("blue"))
 
-    ddpo = losses.diffusion_dpo_loss(
-        theta, theta, losses.LossBatchItem(pair, 3, eps_w, eps_l, beta=0.1), sched)
-    tdpo = losses.text_dpo_loss(theta, theta, x0_w, make_cap("red"), make_cap("blue"),
-                                3, eps_w, 0.1, sched)
-    bi = losses.bidpo_loss(theta, theta, pair, 3, eps_w, eps_l, 0.1, sched)
+    ddpo = pair_loss("image_dpo", theta, theta, pair, 3, (eps_w, eps_l), 0.1, sched)
+    tdpo = pair_loss("text_dpo", theta, theta, pair, 3, (eps_w,), 0.1, sched)
+    bi = pair_loss("bidpo", theta, theta, pair, 3, (eps_w, eps_l), 0.1, sched)
 
     errs = {
         "diffusion_dpo value": abs(ddpo.value - LN2),
@@ -97,21 +89,19 @@ def test_criterion_2_gradient_oracle():
         t = int(rng.integers(sched.T))
         beta = float(rng.uniform(0.05, 0.5))
         mask = np.where(rng.random((3, 3)) < 0.5, 1.0, 0.5)
-        pair_plain = synthetic_pair(x0_w, y_w, x0_l, y_l)
-        pair_masked = synthetic_pair(x0_w, y_w, x0_l, y_l,
-                                     mask_w=mask, mask_l=mask)
-        item = losses.LossBatchItem(pair_plain, t, eps_w, eps_l, beta=beta)
-        cases = {
-            "sft": lambda: losses.sft_loss(theta, x0_w, y_w, t, eps_w, sched),
-            "diffusion_dpo": lambda: losses.diffusion_dpo_loss(theta, ref, item, sched),
-            "text_dpo": lambda: losses.text_dpo_loss(
-                theta, ref, x0_w, y_w, y_l, t, eps_w, beta, sched),
-            "bidpo": lambda: losses.bidpo_loss(
-                theta, ref, pair_plain, t, eps_w, eps_l, beta, sched),
-            "bidpo_masked": lambda: losses.bidpo_loss(
-                theta, ref, pair_masked, t, eps_w, eps_l, beta, sched, use_region=True),
-        }
-        for name, fn in cases.items():
+        # stacked once per seed, outside the finite-difference closure
+        plain = stacked([synthetic_pair(x0_w, y_w, x0_l, y_l)])
+        masked = stacked([synthetic_pair(x0_w, y_w, x0_l, y_l, mask_w=mask, mask_l=mask)],
+                         masks=True)
+        cases = {"sft": ("sft", plain), "diffusion_dpo": ("image_dpo", plain),
+                 "text_dpo": ("text_dpo", plain), "bidpo": ("bidpo", plain),
+                 "bidpo_masked": ("bidpo_region", masked)}
+        for name, (method, arrays) in cases.items():
+            noise = (eps_w[None], eps_l[None])[:len(losses.LAYOUTS[method].noised)]
+
+            def fn():
+                return losses.batch_loss(method, theta, ref, arrays, noise, [t], beta, sched)
+
             analytic = fn().backward()
             numeric = finite_difference_grads(lambda: fn().value, theta, h=1e-5)
             err = norm_relative_grad_error(analytic.layers, numeric)
@@ -134,10 +124,9 @@ def test_criterion_3_mask_neutrality_and_exemption():
     x0 = rng.uniform(-1, 1, (16, 16, 3))
     eps = rng.standard_normal((16, 16, 3))
     ones = np.ones((16, 16))
-    plain = losses.text_dpo_loss(theta, ref, x0, make_cap("red"), make_cap("blue"),
-                                 4, eps, 0.1, sched)
-    masked = losses.text_dpo_loss(theta, ref, x0, make_cap("red"), make_cap("blue"),
-                                  4, eps, 0.1, sched, mask=ones)
+    pair = synthetic_pair(x0, make_cap("red"), x0, make_cap("blue"), mask_w=ones)
+    plain = pair_loss("text_dpo", theta, ref, pair, 4, (eps,), 0.1, sched)
+    masked = pair_loss("text_dpo", theta, ref, pair, 4, (eps,), 0.1, sched, masks=True)
     bitwise = plain.value == masked.value and plain.margin == masked.margin
 
     exempt_ok = True
@@ -148,8 +137,8 @@ def test_criterion_3_mask_neutrality_and_exemption():
                     for e in dp.edit_caption(cap, rng_seed=51))
         ew = rng.standard_normal((16, 16, 3))
         el = rng.standard_normal((16, 16, 3))
-        on = losses.bidpo_loss(theta, ref, pair, 4, ew, el, 0.1, sched, use_region=True)
-        off = losses.bidpo_loss(theta, ref, pair, 4, ew, el, 0.1, sched, use_region=False)
+        on = pair_loss("bidpo_region", theta, ref, pair, 4, (ew, el), 0.1, sched, masks=True)
+        off = pair_loss("bidpo", theta, ref, pair, 4, (ew, el), 0.1, sched)
         gap = abs(on.value - off.value)
         exempt_ok &= gap <= 1e-12
         details.append(f"{dim} gap {gap:.1e}")
@@ -182,8 +171,8 @@ def test_criterion_4_closed_form():
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-1, 1, (6, 6, 1))
         eps = rng.standard_normal((6, 6, 1))
-        loss = losses.text_dpo_loss(linear(w_val), net.clone_frozen(linear(w0)),
-                                    x0, y_w, y_l, t, eps, beta, sched)
+        loss = pair_loss("text_dpo", linear(w_val), net.clone_frozen(linear(w0)),
+                         synthetic_pair(x0, y_w, x0, y_l), t, (eps,), beta, sched)
         # closed form: expanding the four squared norms leaves
         # bracket = -2 (w - w0) <eps, enc_w - enc_l>; loss = softplus(-z)
         z = 2 * beta * sched.T * df.omega(sched, t) * (w_val - w0) \

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import randomized_params
+from conftest import pair_loss, randomized_params, stacked, synthetic_pair
 
 from prefdiff import autodiff as ad
 from prefdiff import diffusion as df
@@ -75,11 +75,12 @@ def test_shared_subexpression_accumulates():
     eps = rng.standard_normal((2, 3, 3, 2))
     caps = [tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color=c),))
             for c in ("red", "blue")]
-    enc = np.stack([net.encode_caption(c).vector for c in caps])
+    pairs = [synthetic_pair(x, c, x, c) for x, c in zip(x0, caps)]
     t_arr = np.array([1, 4])
-    batch = losses.sft_batch(theta, x0, enc, t_arr, eps, sched).backward()
-    singles = [losses.sft_loss(theta, x0[i], caps[i], t_arr[i], eps[i], sched).backward()
-               for i in range(2)]
+    batch = losses.batch_loss("sft", theta, theta, stacked(pairs), [eps], t_arr, None,
+                              sched).backward()
+    singles = [pair_loss("sft", theta, theta, pairs[i], t_arr[i], (eps[i],), None,
+                         sched).backward() for i in range(2)]
     for li, (gw, gb) in enumerate(batch.layers):
         assert np.allclose(gw, (singles[0].layers[li][0] + singles[1].layers[li][0]) / 2,
                            rtol=1e-12, atol=1e-15)
@@ -120,8 +121,9 @@ def test_constants_receive_no_gradient():
     eps = rng.standard_normal((3, 3, 2))
     y_w = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="red"),))
     y_l = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="blue"),))
-    loss = losses.text_dpo_loss(theta, ref, x0, y_w, y_l, 2, eps, 0.3, sched)
+    pair = synthetic_pair(x0, y_w, x0, y_l)
+    loss = pair_loss("text_dpo", theta, ref, pair, 2, (eps,), 0.3, sched)
     assert net.backward(ref, loss).global_norm() == 0.0
     assert loss.backward().global_norm() > 0.0
-    frozen = losses.sft_loss(ref, x0, y_w, 2, eps, sched)
+    frozen = pair_loss("sft", ref, ref, pair, 2, (eps,), None, sched)
     assert frozen.backward().global_norm() == 0.0

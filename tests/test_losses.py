@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import (finite_difference_grads, max_relative_grad_error,
-                      norm_relative_grad_error, randomized_params)
+                      norm_relative_grad_error, pair_loss, randomized_params, stacked,
+                      synthetic_pair)
 
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
@@ -30,10 +31,16 @@ def make_pair(dim="color", seed=0, grid=16):
     raise AssertionError("no valid pair for test setup")
 
 
-def synthetic_pair(x0_w, y_w, x0_l, y_l, dimension="color"):
-    return dp.PreferencePair(x0_w=x0_w, y_w=y_w, x0_l=x0_l, y_l=y_l,
-                             scene_w=None, scene_l=None, dimension=dimension,
-                             mask_w=None, mask_l=None)
+def caption_pair(x0, y_w, y_l, mask=None):
+    """A pair whose winner image ``x0`` the caption contrast reads under
+    ``y_w`` and ``y_l``, weighted by ``mask`` where given."""
+    return synthetic_pair(x0, y_w, x0, y_l, mask_w=mask)
+
+
+def mirrored(pair):
+    """``pair`` with the winner and loser roles swapped."""
+    return synthetic_pair(pair.x0_l, pair.y_l, pair.x0_w, pair.y_w, pair.dimension,
+                          pair.mask_l, pair.mask_w)
 
 
 def rand_images(shape, seed):
@@ -58,32 +65,92 @@ def test_masked_sq_err_all_ones_is_bitwise_plain_norm():
     assert losses.masked_sq_err(e, eh, ones) == losses.masked_sq_err(e, eh, None)
 
 
+def masked_batch_loss(mask_rows):
+    """``batch_loss`` of three caption-contrast items whose winner images
+    carry ``mask_rows`` as their weight rows."""
+    cfg = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4)
+    theta = net.init_params(cfg, seed=0)
+    x0, eps = rand_images((3, 3, 3, 2), 1)
+    arrays = stacked([caption_pair(x, CAP_RED, CAP_BLUE) for x in x0])
+    arrays["masks_w"] = mask_rows
+    return losses.batch_loss("text_dpo", theta, net.clone_frozen(theta), arrays, [eps],
+                             [1, 2, 3], 0.1, SCHED)
+
+
 def test_masked_sq_err_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         losses.masked_sq_err(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError, match="mask shape"):
         losses.masked_sq_err(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), np.ones((3, 2)))
+    # one weight row for three items must not broadcast over all of them
+    masked_batch_loss(np.full((3, 18), 2.0))
+    with pytest.raises(ValueError, match="mask shape"):
+        masked_batch_loss(np.full((1, 18), 2.0))
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
 def test_masked_sq_err_rejects_negative_or_non_finite_weights(bad):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         losses.masked_sq_err(np.zeros(2), np.ones(2), np.array([1.0, bad]))
+    rows = np.ones((3, 18))
+    rows[1, 5] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        masked_batch_loss(rows)
+
+
+# ---------------------------------------------------------------------------
+# every contrast
+
+CONTRAST_METHODS = tuple(m for m, layout in losses.LAYOUTS.items()
+                         if layout.finish is losses._contrast)
+
+
+@pytest.mark.parametrize("method", CONTRAST_METHODS)
+def test_aliased_reference_gives_ln2_per_term_and_zero_grad(method):
+    # with theta as its own reference every bracket is zero, whatever the
+    # pair, its captions and its masks
+    theta = randomized_params(net.init_params(CFG, seed=0), seed=1)
+    x0_w, eps_w = rand_images((4, 4, 3), 2)
+    x0_l, eps_l = rand_images((4, 4, 3), 3)
+    mask = np.where(np.random.default_rng(4).random((4, 4)) < 0.5, 1.0, 0.5)
+    pair = synthetic_pair(x0_w, CAP_RED, x0_l, CAP_BLUE, mask_w=mask, mask_l=1.5 - mask)
+    layout = losses.LAYOUTS[method]
+    loss = pair_loss(method, theta, theta, pair, 4, (eps_w, eps_l)[:len(layout.noised)],
+                     0.1, SCHED, masks=layout.masks)
+    assert loss.value == pytest.approx(len(layout.blocks) // 2 * LN2, abs=1e-12)
+    assert loss.backward().global_norm() < 1e-9
+
+
+def test_loss_rejects_bad_step_and_shapes():
+    theta = net.init_params(CFG, seed=0)
+    x0, eps = rand_images((4, 4, 3), 0)
+    pair = synthetic_pair(x0, CAP_RED, x0, CAP_BLUE)
+    # -1 must not alias to T - 1, nor T surface as an IndexError
+    for t in (-1, SCHED.T):
+        for method, layout in losses.LAYOUTS.items():
+            with pytest.raises(ValueError, match="range"):
+                pair_loss(method, theta, theta, pair, t, (eps, eps)[:len(layout.noised)],
+                          0.1, SCHED)
+                pytest.fail(f"{method} accepted step {t}")
+    with pytest.raises(ValueError, match="shape"):
+        pair_loss("image_dpo", theta, theta, pair, 1, (eps[:2], eps[:2]), 0.1, SCHED)
+    with pytest.raises(ValueError, match="text_dpo noises 1 images, got 2 noise batches"):
+        pair_loss("text_dpo", theta, theta, pair, 1, (eps, eps), 0.1, SCHED)
+
+
+def test_non_finite_loss_identifies_term():
+    theta = randomized_params(net.init_params(CFG, seed=0), seed=1)
+    theta.layers[0][0][0, 0] = np.inf
+    x0, eps = rand_images((4, 4, 3), 2)
+    # inf - inf in the SiLU of the poisoned first layer
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(df.NumericDivergenceError, match="non-finite loss in sft$"):
+            pair_loss("sft", theta, theta, caption_pair(x0, CAP_RED, CAP_RED), 2, (eps,),
+                      None, SCHED)
 
 
 # ---------------------------------------------------------------------------
 # image-contrastive loss
-
-def test_diffusion_dpo_aliased_reference_gives_ln2_and_zero_grad():
-    theta = randomized_params(net.init_params(CFG, seed=0), seed=1)
-    x0_w, eps_w = rand_images((4, 4, 3), 2)
-    x0_l, eps_l = rand_images((4, 4, 3), 3)
-    pair = synthetic_pair(x0_w, CAP_RED, x0_l, CAP_BLUE)
-    item = losses.LossBatchItem(pair=pair, t=4, eps_w=eps_w, eps_l=eps_l, beta=0.1)
-    loss = losses.diffusion_dpo_loss(theta, theta, item, SCHED)
-    assert loss.value == pytest.approx(LN2, abs=1e-12)
-    assert loss.backward().global_norm() < 1e-9
-
 
 def linear_model(w):
     """Identity-activation params on a 6x6x1 grid whose prediction is
@@ -105,8 +172,7 @@ def test_diffusion_dpo_known_bracket_value():
     eps_l = np.zeros((6, 6, 1))
     sched1 = df.make_schedule(1, 0.5, 0.5)       # beta * T * omega = 1 at beta=1
     pair = synthetic_pair(np.zeros((6, 6, 1)), CAP_RED, np.zeros((6, 6, 1)), CAP_BLUE)
-    item = losses.LossBatchItem(pair=pair, t=0, eps_w=eps_w, eps_l=eps_l, beta=1.0)
-    loss = losses.diffusion_dpo_loss(theta, ref, item, sched1)
+    loss = pair_loss("image_dpo", theta, ref, pair, 0, (eps_w, eps_l), 1.0, sched1)
     assert loss.value == pytest.approx(math.log(1 + math.e ** 2), abs=1e-9)
     assert loss.value == pytest.approx(2.126928, abs=1e-6)
 
@@ -117,49 +183,9 @@ def test_diffusion_dpo_swap_negates_argument_exactly():
     x0_w, eps_w = rand_images((4, 4, 3), 8)
     x0_l, eps_l = rand_images((4, 4, 3), 9)
     pair = synthetic_pair(x0_w, CAP_RED, x0_l, CAP_RED)
-    swapped = synthetic_pair(x0_l, CAP_RED, x0_w, CAP_RED)
-    a = losses.diffusion_dpo_loss(
-        theta, ref, losses.LossBatchItem(pair, 4, eps_w, eps_l), SCHED)
-    b = losses.diffusion_dpo_loss(
-        theta, ref, losses.LossBatchItem(swapped, 4, eps_l, eps_w), SCHED)
+    a = pair_loss("image_dpo", theta, ref, pair, 4, (eps_w, eps_l), 0.1, SCHED)
+    b = pair_loss("image_dpo", theta, ref, mirrored(pair), 4, (eps_l, eps_w), 0.1, SCHED)
     assert a.margin == -b.margin
-
-
-def test_loss_rejects_bad_step_and_shapes():
-    theta = net.init_params(CFG, seed=0)
-    x0, eps = rand_images((4, 4, 3), 0)
-    pair = synthetic_pair(x0, CAP_RED, x0, CAP_BLUE)
-    enc = net.encode_caption(CAP_RED).vector[None]
-    # -1 must not alias to T - 1, nor T surface as an IndexError
-    for t in (-1, SCHED.T):
-        calls = {
-            "sft_loss": lambda: losses.sft_loss(theta, x0, CAP_RED, t, eps, SCHED),
-            "sft_batch": lambda: losses.sft_batch(theta, x0[None], enc, np.array([t]),
-                                                  eps[None], SCHED),
-            "diffusion_dpo_loss": lambda: losses.diffusion_dpo_loss(
-                theta, theta, losses.LossBatchItem(pair, t, eps, eps), SCHED),
-            "text_dpo_loss": lambda: losses.text_dpo_loss(
-                theta, theta, x0, CAP_RED, CAP_BLUE, t, eps, 0.1, SCHED),
-            "bidpo_loss": lambda: losses.bidpo_loss(theta, theta, pair, t, eps, eps,
-                                                    0.1, SCHED),
-        }
-        for name, call in calls.items():
-            with pytest.raises(ValueError, match="range"):
-                call()
-                pytest.fail(f"{name} accepted step {t}")
-    with pytest.raises(ValueError, match="shape"):
-        losses.diffusion_dpo_loss(theta, theta,
-                                  losses.LossBatchItem(pair, 1, eps[:2], eps[:2]), SCHED)
-
-
-def test_non_finite_loss_identifies_term():
-    theta = randomized_params(net.init_params(CFG, seed=0), seed=1)
-    theta.layers[0][0][0, 0] = np.inf
-    x0, eps = rand_images((4, 4, 3), 2)
-    # inf - inf in the SiLU of the poisoned first layer
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        with pytest.raises(df.NumericDivergenceError, match="sft_loss"):
-            losses.sft_loss(theta, x0, CAP_RED, 2, eps, SCHED)
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +195,15 @@ def test_text_dpo_identical_captions_exact_ln2_zero_grad():
     theta = randomized_params(net.init_params(CFG, seed=10), seed=11)
     ref = net.clone_frozen(randomized_params(net.init_params(CFG, seed=12), seed=13))
     x0, eps = rand_images((4, 4, 3), 14)
-    loss = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_RED, 3, eps, 0.1, SCHED)
+    loss = pair_loss("text_dpo", theta, ref, caption_pair(x0, CAP_RED, CAP_RED), 3, (eps,),
+                     0.1, SCHED)
     assert loss.value == LN2
     # identical branches cancel; only summation-order rounding can remain
     assert loss.backward().global_norm() < 1e-12
 
 
-def test_text_dpo_aliased_reference_ln2_zero_grad():
-    theta = randomized_params(net.init_params(CFG, seed=15), seed=16)
-    x0, eps = rand_images((4, 4, 3), 17)
-    loss = losses.text_dpo_loss(theta, theta, x0, CAP_RED, CAP_BLUE, 3, eps, 0.1, SCHED)
-    assert loss.value == pytest.approx(LN2, abs=1e-12)
-    assert loss.backward().global_norm() < 1e-9
-
-
 def test_text_dpo_closed_form_linear_model():
     # prediction = w * encoding(caption) via identity activation
-    K = net.ENCODING_DIM
-    cfg = net.NetConfig(grid=6, channels=1, hidden=K, time_dim=4, activation="identity")
-
-    def linear(w):
-        w1 = np.zeros((cfg.input_dim, K))
-        w1[cfg.image_dim + cfg.time_dim:, :] = np.eye(K)
-        return net.DenoiserParams(cfg=cfg, layers=[
-            (w1, np.zeros(K)), (np.eye(K), np.zeros(K)), (w * np.eye(K), np.zeros(K))])
-
     sched = df.make_schedule(5, 0.1, 0.3)
     e_w = net.encode_caption(CAP_RED).vector
     e_l = net.encode_caption(CAP_BLUE).vector
@@ -203,8 +213,8 @@ def test_text_dpo_closed_form_linear_model():
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-1, 1, (6, 6, 1))
         eps = rng.standard_normal((6, 6, 1))
-        loss = losses.text_dpo_loss(linear(w_val), net.clone_frozen(linear(w0)),
-                                    x0, CAP_RED, CAP_BLUE, t, eps, beta, sched)
+        loss = pair_loss("text_dpo", linear_model(w_val), net.clone_frozen(linear_model(w0)),
+                         caption_pair(x0, CAP_RED, CAP_BLUE), t, (eps,), beta, sched)
         # hand-derived: squared norms expand, the shared terms cancel, leaving
         # bracket = -2 (w - w0) <eps, e_w - e_l>
         z = 2 * beta * sched.T * df.omega(sched, t) * (w_val - w0) \
@@ -218,9 +228,10 @@ def test_text_dpo_all_ones_mask_is_bitwise_neutral():
     ref = net.clone_frozen(randomized_params(net.init_params(CFG, seed=20), seed=21))
     x0, eps = rand_images((4, 4, 3), 22)
     ones = np.ones((4, 4))
-    a = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_BLUE, 5, eps, 0.1, SCHED)
-    b = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_BLUE, 5, eps, 0.1, SCHED,
-                             mask=ones)
+    a = pair_loss("text_dpo", theta, ref, caption_pair(x0, CAP_RED, CAP_BLUE), 5, (eps,),
+                  0.1, SCHED)
+    b = pair_loss("text_dpo", theta, ref, caption_pair(x0, CAP_RED, CAP_BLUE, mask=ones), 5,
+                  (eps,), 0.1, SCHED, masks=True)
     assert a.value == b.value
     assert a.margin == b.margin
 
@@ -240,8 +251,8 @@ def test_text_dpo_descent_step_reduces_preference_margin(seed):
         return losses.masked_sq_err(eps, pred_w) - losses.masked_sq_err(eps, pred_l)
 
     before = margin_quantity()
-    grads = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_BLUE, t, eps,
-                                 0.1, SCHED).backward()
+    grads = pair_loss("text_dpo", theta, ref, caption_pair(x0, CAP_RED, CAP_BLUE), t, (eps,),
+                      0.1, SCHED).backward()
     eta = 1e-4 / max(grads.global_norm(), 1e-12)
     for li, (w, b) in enumerate(theta.layers):
         w -= eta * grads.layers[li][0]
@@ -257,17 +268,7 @@ def test_bidpo_degenerate_pair_gives_two_ln2():
     ref = net.clone_frozen(randomized_params(net.init_params(CFG, seed=52), seed=53))
     x0, eps = rand_images((4, 4, 3), 54)
     pair = synthetic_pair(x0, CAP_RED, x0.copy(), CAP_RED)
-    loss = losses.bidpo_loss(theta, ref, pair, 3, eps, eps.copy(), 0.1, SCHED)
-    assert loss.value == pytest.approx(2 * LN2, abs=1e-12)
-    assert loss.backward().global_norm() < 1e-9
-
-
-def test_bidpo_aliased_reference_two_ln2_any_pair():
-    theta = randomized_params(net.init_params(CFG, seed=55), seed=56)
-    x0_w, eps_w = rand_images((4, 4, 3), 57)
-    x0_l, eps_l = rand_images((4, 4, 3), 58)
-    pair = synthetic_pair(x0_w, CAP_RED, x0_l, CAP_BLUE)
-    loss = losses.bidpo_loss(theta, theta, pair, 6, eps_w, eps_l, 0.1, SCHED)
+    loss = pair_loss("bidpo", theta, ref, pair, 3, (eps, eps.copy()), 0.1, SCHED)
     assert loss.value == pytest.approx(2 * LN2, abs=1e-12)
     assert loss.backward().global_norm() < 1e-9
 
@@ -279,14 +280,14 @@ def test_bidpo_is_sum_of_the_two_text_terms():
     rng = np.random.default_rng(64)
     eps_w = rng.standard_normal(pair.x0_w.shape)
     eps_l = rng.standard_normal(pair.x0_l.shape)
-    for use_region in (False, True):
-        total = losses.bidpo_loss(theta, ref, pair, 5, eps_w, eps_l, 0.1, SCHED,
-                                  use_region=use_region)
-        mask_w, mask_l = losses.pair_masks(pair, use_region)
-        term_w = losses.text_dpo_loss(theta, ref, pair.x0_w, pair.y_w, pair.y_l,
-                                      5, eps_w, 0.1, SCHED, mask=mask_w)
-        term_l = losses.text_dpo_loss(theta, ref, pair.x0_l, pair.y_l, pair.y_w,
-                                      5, eps_l, 0.1, SCHED, mask=mask_l)
+    for method in ("bidpo", "bidpo_region"):
+        region = losses.LAYOUTS[method].masks
+        total = pair_loss(method, theta, ref, pair, 5, (eps_w, eps_l), 0.1, SCHED,
+                          masks=region)
+        term_w = pair_loss("text_dpo", theta, ref, pair, 5, (eps_w,), 0.1, SCHED,
+                           masks=region)
+        term_l = pair_loss("text_dpo", theta, ref, mirrored(pair), 5, (eps_l,), 0.1, SCHED,
+                           masks=region)
         assert total.value == pytest.approx(term_w.value + term_l.value, abs=1e-9)
 
 
@@ -298,8 +299,9 @@ def test_bidpo_region_flag_ignored_for_global_focus_dimensions():
         rng = np.random.default_rng(69)
         eps_w = rng.standard_normal(pair.x0_w.shape)
         eps_l = rng.standard_normal(pair.x0_l.shape)
-        on = losses.bidpo_loss(theta, ref, pair, 2, eps_w, eps_l, 0.1, SCHED, use_region=True)
-        off = losses.bidpo_loss(theta, ref, pair, 2, eps_w, eps_l, 0.1, SCHED, use_region=False)
+        on = pair_loss("bidpo_region", theta, ref, pair, 2, (eps_w, eps_l), 0.1, SCHED,
+                       masks=True)
+        off = pair_loss("bidpo", theta, ref, pair, 2, (eps_w, eps_l), 0.1, SCHED)
         assert abs(on.value - off.value) <= 1e-12
 
 
@@ -310,8 +312,9 @@ def test_bidpo_region_flag_matters_for_attribute_pairs():
     rng = np.random.default_rng(74)
     eps_w = rng.standard_normal(pair.x0_w.shape)
     eps_l = rng.standard_normal(pair.x0_l.shape)
-    on = losses.bidpo_loss(theta, ref, pair, 2, eps_w, eps_l, 0.1, SCHED, use_region=True)
-    off = losses.bidpo_loss(theta, ref, pair, 2, eps_w, eps_l, 0.1, SCHED, use_region=False)
+    on = pair_loss("bidpo_region", theta, ref, pair, 2, (eps_w, eps_l), 0.1, SCHED,
+                   masks=True)
+    off = pair_loss("bidpo", theta, ref, pair, 2, (eps_w, eps_l), 0.1, SCHED)
     assert on.value != off.value
 
 
@@ -321,9 +324,8 @@ def test_bidpo_role_swap_symmetry_exact():
     x0_w, eps_w = rand_images((4, 4, 3), 79)
     x0_l, eps_l = rand_images((4, 4, 3), 80)
     pair = synthetic_pair(x0_w, CAP_RED, x0_l, CAP_BLUE)
-    mirrored = synthetic_pair(x0_l, CAP_BLUE, x0_w, CAP_RED)
-    a = losses.bidpo_loss(theta, ref, pair, 3, eps_w, eps_l, 0.1, SCHED)
-    b = losses.bidpo_loss(theta, ref, mirrored, 3, eps_l, eps_w, 0.1, SCHED)
+    a = pair_loss("bidpo", theta, ref, pair, 3, (eps_w, eps_l), 0.1, SCHED)
+    b = pair_loss("bidpo", theta, ref, mirrored(pair), 3, (eps_l, eps_w), 0.1, SCHED)
     assert a.value == b.value
 
 
@@ -331,7 +333,8 @@ def test_reference_parameters_get_zero_gradients():
     theta = randomized_params(net.init_params(CFG, seed=81), seed=82)
     ref = net.clone_frozen(randomized_params(net.init_params(CFG, seed=83), seed=84))
     x0, eps = rand_images((4, 4, 3), 85)
-    loss = losses.text_dpo_loss(theta, ref, x0, CAP_RED, CAP_BLUE, 3, eps, 0.1, SCHED)
+    loss = pair_loss("text_dpo", theta, ref, caption_pair(x0, CAP_RED, CAP_BLUE), 3, (eps,),
+                     0.1, SCHED)
     ref_grads = net.backward(ref, loss)
     assert ref_grads.global_norm() == 0.0
     assert loss.backward().global_norm() > 0.0
@@ -340,7 +343,8 @@ def test_reference_parameters_get_zero_gradients():
 # ---------------------------------------------------------------------------
 # saturated items and implicit reward accuracy
 
-DPO_BATCH_LOSSES = ("diffusion_dpo", "text_dpo", "bidpo")
+# the test ids the suite prints, and the method each names
+DPO_BATCH_LOSSES = {"diffusion_dpo": "image_dpo", "text_dpo": "text_dpo", "bidpo": "bidpo"}
 SAT_CFG = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4)
 # quarter octaves from 1 to 64: fine enough that, without the zeroing rule,
 # each loss meets a beta at which some saturated coefficient lands in
@@ -362,20 +366,16 @@ def saturating_batch(dtype):
     rng = np.random.default_rng(114)
     shape = (16, SAT_CFG.grid, SAT_CFG.grid, SAT_CFG.channels)
     x0_w, x0_l = rng.uniform(-1, 1, (2,) + shape).astype(dtype)
-    eps_w, eps_l = rng.standard_normal((2,) + shape).astype(dtype)
-    enc_w = np.tile(net.encode_caption(CAP_RED).vector, (16, 1)).astype(dtype)
-    enc_l = np.tile(net.encode_caption(CAP_BLUE).vector, (16, 1)).astype(dtype)
+    noise = tuple(rng.standard_normal((2,) + shape).astype(dtype))
+    arrays = {"x0_w": x0_w, "x0_l": x0_l,
+              "enc_w": np.tile(net.encode_caption(CAP_RED).vector, (16, 1)).astype(dtype),
+              "enc_l": np.tile(net.encode_caption(CAP_BLUE).vector, (16, 1)).astype(dtype)}
     t_arr = rng.integers(0, SCHED.T, 16)
 
     def loss_at(name, beta):
-        if name == "diffusion_dpo":
-            return losses.diffusion_dpo_batch(theta, ref, x0_w, x0_l, enc_w, t_arr,
-                                              eps_w, eps_l, beta, SCHED)
-        if name == "text_dpo":
-            return losses.text_dpo_batch(theta, ref, x0_w, enc_w, enc_l, t_arr, eps_w,
-                                         beta, SCHED)
-        return losses.bidpo_batch(theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w,
-                                  eps_l, beta, SCHED)
+        method = DPO_BATCH_LOSSES[name]
+        return losses.batch_loss(method, theta, ref, arrays,
+                                 noise[:len(losses.LAYOUTS[method].noised)], t_arr, beta, SCHED)
 
     return theta, loss_at
 
@@ -453,24 +453,26 @@ def test_reward_accuracy_hand_oracle():
     s = np.array([-1.0, 1.0, -2.0, 0.5])              # sigma argument sign: -s
     t_arr = np.zeros(4, dtype=int)
     x0 = np.zeros((4, 6, 6, 1))
-    encs_w, encs_l = np.tile(enc_w, (4, 1)), np.tile(enc_l, (4, 1))
+    arrays = {"x0_w": x0, "x0_l": x0, "enc_w": np.tile(enc_w, (4, 1)),
+              "enc_l": np.tile(enc_l, (4, 1))}
+
+    def loss(method, *noise):
+        return losses.batch_loss(method, theta, ref, arrays, noise, t_arr, 1.0, sched1)
+
     unit = enc_w / enc_w.sum()                         # <unit, enc_w> = 1
-    image = losses.diffusion_dpo_batch(theta, ref, x0, x0, encs_w, t_arr,
-                                       (s[:, None] * unit).reshape(4, 6, 6, 1),
-                                       np.zeros((4, 6, 6, 1)), 1.0, sched1)
+    image = loss("image_dpo", (s[:, None] * unit).reshape(4, 6, 6, 1), np.zeros((4, 6, 6, 1)))
     assert image.reward_accuracy == 0.5
     assert image.margin == pytest.approx(-2.0 * s.mean(), abs=1e-12)
     diff = (enc_w - enc_l) / np.square(enc_w - enc_l).sum()   # <diff, enc_w - enc_l> = 1
     eps_w = (s[:, None] * diff).reshape(4, 6, 6, 1)
-    text = losses.text_dpo_batch(theta, ref, x0, encs_w, encs_l, t_arr, eps_w, 1.0, sched1)
+    text = loss("text_dpo", eps_w)
     assert text.reward_accuracy == 0.5
     # the second term prefers the l-caption, so with eps_l = r_i * diff its
     # sigma argument is +2 * coef * r_i: positive for three of the four items
     eps_l = (np.array([1.0, 1.0, 1.0, -1.0])[:, None] * diff).reshape(4, 6, 6, 1)
-    both = losses.bidpo_batch(theta, ref, x0, x0, encs_w, encs_l, t_arr, eps_w, eps_l,
-                              1.0, sched1)
+    both = loss("bidpo", eps_w, eps_l)
     assert both.reward_accuracy == 5 / 8
-    sft = losses.sft_batch(theta, x0, encs_w, t_arr, eps_w, sched1)
+    sft = loss("sft", eps_w)
     assert sft.reward_accuracy is None
 
 
@@ -480,7 +482,8 @@ def test_reward_accuracy_hand_oracle():
 def test_sft_perfect_prediction_is_zero():
     theta = net.init_params(CFG, seed=86)   # zero head predicts exactly zero
     x0 = np.random.default_rng(87).uniform(-1, 1, (4, 4, 3))
-    loss = losses.sft_loss(theta, x0, CAP_RED, 3, np.zeros_like(x0), SCHED)
+    loss = pair_loss("sft", theta, theta, caption_pair(x0, CAP_RED, CAP_RED), 3,
+                     (np.zeros_like(x0),), None, SCHED)
     assert loss.value == 0.0
 
 
@@ -490,7 +493,8 @@ def test_sft_zero_net_matches_chi_square_mean():
     rng = np.random.default_rng(89)
     x0 = rng.uniform(-1, 1, (16, 16, 3))
     eps = rng.standard_normal((16, 16, 3))   # 768 cells
-    loss = losses.sft_loss(theta, x0, CAP_RED, 3, eps, SCHED)
+    loss = pair_loss("sft", theta, theta, caption_pair(x0, CAP_RED, CAP_RED), 3, (eps,),
+                     None, SCHED)
     assert loss.value == pytest.approx(1.0, rel=0.05)
     assert loss.value == pytest.approx(float(np.mean(eps ** 2)), abs=1e-12)
 
@@ -501,12 +505,13 @@ def test_sft_gradient_matches_finite_differences():
     rng = np.random.default_rng(92)
     x0 = rng.uniform(-1, 1, (3, 3, 2))
     eps = rng.standard_normal((3, 3, 2))
+    arrays = stacked([caption_pair(x0, CAP_RED, CAP_RED)])
 
-    def loss_fn():
-        return losses.sft_loss(theta, x0, CAP_RED, 2, eps, SCHED).value
+    def loss():
+        return losses.batch_loss("sft", theta, theta, arrays, [eps[None]], [2], None, SCHED)
 
-    analytic = losses.sft_loss(theta, x0, CAP_RED, 2, eps, SCHED).backward()
-    numeric = finite_difference_grads(loss_fn, theta)
+    analytic = loss().backward()
+    numeric = finite_difference_grads(lambda: loss().value, theta)
     assert max_relative_grad_error(analytic.layers, numeric) < 1e-4
 
 
@@ -532,25 +537,20 @@ def test_batch_losses_match_finite_differences(parameterization):
     enc_l = np.stack([net.encode_caption(c).vector for c in caps[1:]])
     t_arr = np.array([0, 2, 5])
     mask = np.where(rng.random((3, 3)) < 0.5, 1.0, 0.5)
-    masks_w = losses._mask_rows([mask, None, mask], shape)
-    masks_l = losses._mask_rows([None, mask, None], shape)
-    cases = {
-        "sft": lambda: losses.sft_batch(theta, x0_w, enc_w, t_arr, eps_w, sched),
-        "diffusion_dpo": lambda: losses.diffusion_dpo_batch(
-            theta, ref, x0_w, x0_l, enc_w, t_arr, eps_w, eps_l, 0.3, sched),
-        "text_dpo": lambda: losses.text_dpo_batch(
-            theta, ref, x0_w, enc_w, enc_l, t_arr, eps_w, 0.3, sched, masks=masks_w),
-        "bidpo": lambda: losses.bidpo_batch(
-            theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l, 0.3, sched),
-        "bidpo_masked": lambda: losses.bidpo_batch(
-            theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l, 0.3, sched,
-            masks_w=masks_w, masks_l=masks_l),
-        # only the winner carries mask rows: the loser blocks weigh every cell by one
-        "bidpo_winner_mask": lambda: losses.bidpo_batch(
-            theta, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w, eps_l, 0.3, sched,
-            masks_w=masks_w, masks_l=None),
-    }
-    for name, fn in cases.items():
+    plain = {"x0_w": x0_w, "x0_l": x0_l, "enc_w": enc_w, "enc_l": enc_l}
+    masked = dict(plain, masks_w=losses._mask_rows([mask, None, mask], shape),
+                  masks_l=losses._mask_rows([None, mask, None], shape))
+    cases = {method: (method, masked if layout.masks else plain)
+             for method, layout in losses.LAYOUTS.items()}
+    cases["text_dpo_masked"] = ("text_dpo", masked)
+    # only the winner carries mask rows: the loser blocks weigh every cell by one
+    cases["bidpo_winner_mask"] = ("bidpo_region", dict(masked, masks_l=None))
+    for name, (method, arrays) in cases.items():
+        noise = (eps_w, eps_l)[:len(losses.LAYOUTS[method].noised)]
+
+        def fn():
+            return losses.batch_loss(method, theta, ref, arrays, noise, t_arr, 0.3, sched)
+
         analytic = fn().backward()
         numeric = finite_difference_grads(lambda: fn().value, theta, h=1e-5)
         err = norm_relative_grad_error(analytic.layers, numeric)

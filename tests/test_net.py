@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (enumerate_captions, finite_difference_grads,
-                      max_relative_grad_error, randomized_params)
+                      max_relative_grad_error, randomized_params, stacked, synthetic_pair)
 
 from prefdiff import diffusion as df
 from prefdiff import losses
@@ -165,7 +165,6 @@ def test_global_norm_matches_float64_sum_of_squares():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_loss_family_gradients_match_finite_differences(seed):
-    from prefdiff import losses
     cfg = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4)
     theta = randomized_params(net.init_params(cfg, seed=seed), seed=100 + seed)
     ref = net.clone_frozen(randomized_params(net.init_params(cfg, seed=seed), seed=200 + seed))
@@ -177,18 +176,19 @@ def test_loss_family_gradients_match_finite_differences(seed):
     y_w = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="red"),))
     y_l = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="cyan"),))
 
-    def loss_fn():
-        return losses.text_dpo_loss(theta, ref, x0, y_w, y_l, 2, eps, 0.3, sched).value
+    arrays = stacked([synthetic_pair(x0, y_w, x0, y_l)])
 
-    analytic = losses.text_dpo_loss(theta, ref, x0, y_w, y_l, 2, eps, 0.3, sched).backward()
+    def loss():
+        return losses.batch_loss("text_dpo", theta, ref, arrays, [eps[None]], [2], 0.3, sched)
+
+    analytic = loss().backward()
     # the 5-point stencil: with the 3-point one at h = 1e-5, rounding noise
     # of ~1e-10 in entries of size 1e-6 put seed 1 at 9e-5 of the 1e-4 bound
-    numeric = finite_difference_grads(loss_fn, theta, h=1e-3, order=4)
+    numeric = finite_difference_grads(lambda: loss().value, theta, h=1e-3, order=4)
     assert max_relative_grad_error(analytic.layers, numeric) < 1e-4
 
 
 def test_x0_parameterization_gradients_and_identity():
-    from prefdiff import losses
     cfg = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4, parameterization="x0")
     theta = randomized_params(net.init_params(cfg, seed=40), seed=41)
     ref = net.clone_frozen(randomized_params(net.init_params(cfg, seed=42), seed=43))
@@ -199,14 +199,17 @@ def test_x0_parameterization_gradients_and_identity():
     y_w = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="red"),))
     y_l = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="cyan"),))
 
-    def loss_fn():
-        return losses.text_dpo_loss(theta, ref, x0, y_w, y_l, 3, eps, 0.3, sched).value
+    arrays = stacked([synthetic_pair(x0, y_w, x0, y_l)])
 
-    analytic = losses.text_dpo_loss(theta, ref, x0, y_w, y_l, 3, eps, 0.3, sched).backward()
-    numeric = finite_difference_grads(loss_fn, theta)
+    def loss(reference):
+        return losses.batch_loss("text_dpo", theta, reference, arrays, [eps[None]], [3], 0.3,
+                                 sched)
+
+    analytic = loss(ref).backward()
+    numeric = finite_difference_grads(lambda: loss(ref).value, theta)
     # near-zero entries sit at the finite-difference noise floor
     assert max_relative_grad_error(analytic.layers, numeric, floor=1e-5) < 2e-4
-    aliased = losses.text_dpo_loss(theta, theta, x0, y_w, y_l, 3, eps, 0.3, sched)
+    aliased = loss(theta)
     assert aliased.value == pytest.approx(np.log(2.0), abs=1e-12)
     assert aliased.backward().global_norm() < 1e-9
 
@@ -397,17 +400,26 @@ def test_checkpoint_refuses_a_v1_file_without_a_schedule(tmp_path):
         net.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("time_dim", [1, 7])
-def test_odd_or_tiny_time_dim_is_refused_where_a_net_is_built(tmp_path, time_dim):
+@pytest.mark.parametrize("field,value,match", [
+    pytest.param("time_dim", 1, "time_dim", id="1"),
+    pytest.param("time_dim", 7, "time_dim", id="7"),
+    pytest.param("parameterization", "x1", "parameterization", id="parameterization-x1"),
+    pytest.param("activation", "relu", "activation", id="activation-relu"),
+    # a valid config, but not the one the stored 8-wide layers were built from
+    pytest.param("hidden", 16, "layer shapes", id="hidden-16"),
+])
+def test_odd_or_tiny_time_dim_is_refused_where_a_net_is_built(tmp_path, field, value, match):
     import json
-    with pytest.raises(ValueError, match="time_dim"):
-        net.init_params(replace(SMALL, time_dim=time_dim))
-    with pytest.raises(ValueError, match="time_dim"):
-        net.time_embedding(np.arange(3), 10, time_dim)
+    if field != "hidden":
+        with pytest.raises(ValueError, match=match):
+            net.init_params(replace(SMALL, **{field: value}))
+    if field == "time_dim":
+        with pytest.raises(ValueError, match=match):
+            net.time_embedding(np.arange(3), 10, value)
     path = tmp_path / "ckpt.json"
     net.save_checkpoint(net.init_params(SMALL, seed=16), df.make_schedule(10, 0.05, 0.3), path)
     record = json.loads(path.read_text())
-    record["cfg"]["time_dim"] = time_dim
+    record["cfg"][field] = value
     path.write_text(json.dumps(record))
-    with pytest.raises(ValueError, match="time_dim"):
+    with pytest.raises(net.CheckpointError, match=match):
         net.load_checkpoint(path)

@@ -246,9 +246,9 @@ def _sequential_train(config, dataset):
     sched = config.schedule()
     params = net.init_params(config.net_config(), seed=config.seed, dtype=dtype)
     ref = net.clone_frozen(params)
-    region = config.method == "bidpo_region"
+    layout = losses.LAYOUTS[config.method]
     arrays = losses._stack_pairs(dataset, dtype, (config.grid, config.grid, config.channels),
-                                 masks=region)
+                                 layout.masks)
     state = trainer.AdamState.zeros(params)
     rng = np.random.default_rng(np.random.SeedSequence(dp._child_seed(config.seed, "train")))
     shape = (config.batch_size,) + arrays["x0_w"].shape[1:]
@@ -256,24 +256,10 @@ def _sequential_train(config, dataset):
     for step in range(config.steps):
         idx = rng.integers(0, len(dataset), size=config.batch_size)
         t_arr = rng.integers(0, sched.T, size=config.batch_size)
-        eps_w = rng.standard_normal(shape).astype(dtype)
-        x0_w, x0_l = arrays["x0_w"][idx], arrays["x0_l"][idx]
-        enc_w, enc_l = arrays["enc_w"][idx], arrays["enc_l"][idx]
-        if config.method == "sft":
-            loss = losses.sft_batch(params, x0_w, enc_w, t_arr, eps_w, sched)
-        elif config.method == "text_dpo":
-            loss = losses.text_dpo_batch(params, ref, x0_w, enc_w, enc_l, t_arr, eps_w,
-                                         config.beta, sched)
-        elif config.method == "image_dpo":
-            eps_l = rng.standard_normal(shape).astype(dtype)
-            loss = losses.diffusion_dpo_batch(params, ref, x0_w, x0_l, enc_w, t_arr,
-                                              eps_w, eps_l, config.beta, sched)
-        else:
-            eps_l = rng.standard_normal(shape).astype(dtype)
-            loss = losses.bidpo_batch(params, ref, x0_w, x0_l, enc_w, enc_l, t_arr, eps_w,
-                                      eps_l, config.beta, sched,
-                                      masks_w=arrays["masks_w"][idx] if region else None,
-                                      masks_l=arrays["masks_l"][idx] if region else None)
+        noise = [rng.standard_normal(shape).astype(dtype) for _ in layout.noised]
+        batch = {name: None if a is None else a[idx] for name, a in arrays.items()}
+        loss = losses.batch_loss(config.method, params, ref, batch, noise, t_arr,
+                                 config.beta, sched)
         grads = loss.backward()
         lr = trainer.warmup_lr(step, config.learning_rate, config.warmup_steps)
         trainer.adam_step(params, grads, state, lr)
