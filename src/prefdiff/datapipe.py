@@ -34,6 +34,9 @@ DEFAULT_JITTER = 0.05
 DEFAULT_MIX = {"color": 0.366, "shape": 0.100, "texture": 0.181,
                "spatial": 0.147, "numeracy": 0.206}
 
+# the vocabulary of each attribute dimension, which names the slot field it sets
+_ATTRIBUTE_VOCAB = {"color": tw.COLORS, "shape": tw.SHAPES, "texture": tw.TEXTURES}
+
 SAMPLED_COUNTS = (2, 3, 4)   # single-replica scenes are indistinguishable
                              # from one-object attribute scenes, so the
                              # grammar starts at two
@@ -111,18 +114,12 @@ def _draw_caption(dimension, rng):
         idx = rng.choice(len(tw.SHAPES), size=n, replace=False)
         return [tw.SHAPES[int(i)] for i in idx]
 
-    if dimension == "color":
-        n = 1 + int(rng.integers(2))
-        slots = tuple(tw.ObjectSlot(shape=s, color=pick(tw.COLORS)) for s in pick_shapes(n))
-        return tw.Caption(dimension="color", objects=slots)
-    if dimension == "shape":
-        n = 1 + int(rng.integers(2))
-        slots = tuple(tw.ObjectSlot(shape=s) for s in pick_shapes(n))
-        return tw.Caption(dimension="shape", objects=slots)
-    if dimension == "texture":
-        n = 1 + int(rng.integers(2))
-        slots = tuple(tw.ObjectSlot(shape=s, texture=pick(tw.TEXTURES)) for s in pick_shapes(n))
-        return tw.Caption(dimension="texture", objects=slots)
+    if dimension in _ATTRIBUTE_VOCAB:
+        slots = [tw.ObjectSlot(shape=s) for s in pick_shapes(1 + int(rng.integers(2)))]
+        if dimension != "shape":   # the shape is drawn already: it is the slot's class
+            slots = [replace(slot, **{dimension: pick(_ATTRIBUTE_VOCAB[dimension])})
+                     for slot in slots]
+        return tw.Caption(dimension=dimension, objects=tuple(slots))
     if dimension == "spatial":
         shapes = pick_shapes(2)
         with_color = rng.random() < 0.5
@@ -168,9 +165,8 @@ def edit_caption(caption, rng_seed):
         new_count = options[int(rng.integers(len(options)))]
         return [replace(caption, count=new_count)]
 
-    attr = {"color": "color", "shape": "shape", "texture": "texture"}[dim]
-    vocab = {"color": tw.COLORS, "shape": tw.SHAPES, "texture": tw.TEXTURES}[dim]
-    values = [getattr(s, attr) for s in caption.objects]
+    vocab = _ATTRIBUTE_VOCAB[dim]
+    values = [getattr(s, dim) for s in caption.objects]
 
     slot_idx = int(rng.integers(len(caption.objects)))
     taken = set(values)
@@ -178,13 +174,13 @@ def edit_caption(caption, rng_seed):
     if not options:   # both values present and vocab exhausted: edit the other way
         options = [v for v in vocab if v != values[slot_idx]]
     new_value = options[int(rng.integers(len(options)))]
-    edits = [_set_attr(caption, slot_idx, attr, new_value)]
+    edits = [_set_attr(caption, slot_idx, dim, new_value)]
 
     if len(caption.objects) == 2 and values[0] != values[1]:
-        swap = _set_attr(_set_attr(caption, 0, attr, values[1]), 1, attr, values[0])
+        swap = _set_attr(_set_attr(caption, 0, dim, values[1]), 1, dim, values[0])
         edits.append(swap)
-        edits.append(_set_attr(caption, 1, attr, values[0]))
-        edits.append(_set_attr(caption, 0, attr, values[1]))
+        edits.append(_set_attr(caption, 1, dim, values[0]))
+        edits.append(_set_attr(caption, 0, dim, values[1]))
     return edits
 
 

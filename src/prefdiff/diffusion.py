@@ -57,8 +57,8 @@ def make_schedule(T, beta_start, beta_end, omega_mode="constant"):
     """Build a schedule of T steps whose beta rises linearly from beta_start
     to beta_end.
 
-    ``omega_mode`` sets the loss weight ``omega``: 1.0 ("constant") or the
-    step's SNR clipped at OMEGA_CLIP ("snr"). Raises ValueError unless
+    ``omega_mode`` sets the loss weight ``omega_vector``: 1.0 ("constant")
+    or the step's SNR clipped at OMEGA_CLIP ("snr"). Raises ValueError unless
     0 < beta_start <= beta_end < 1 and T >= 1.
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
@@ -111,13 +111,9 @@ def _q_sample(x0, t, eps, sched):
     return np.sqrt(ab).astype(dtype) * x0 + np.sqrt(1.0 - ab).astype(dtype) * eps
 
 
-def omega(sched, t):
-    """Loss weight at step t: 1.0 in constant mode, clipped SNR in snr mode."""
-    return float(omega_vector(sched, t))
-
-
 def omega_vector(sched, t_arr):
-    """Vectorized ``omega`` over an array of step indices."""
+    """Loss weight at each step of ``t_arr``: 1.0 in constant mode, the
+    step's SNR clipped at OMEGA_CLIP in snr mode."""
     t_arr = np.asarray(t_arr)
     check_steps(sched, t_arr)
     if sched.omega_mode == "constant":
@@ -242,12 +238,3 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
             if not np.all(np.isfinite(x)):
                 raise NumericDivergenceError(f"non-finite sample state at step t={t}")
     return np.clip(x, -1.0, 1.0)
-
-
-def ddpm_sample(params, caption, sched, rng_seed):
-    """Sample one image for a caption; deterministic given rng_seed."""
-    from . import net
-
-    enc = net.encode_caption(caption).vector
-    out = ddpm_sample_batch(params, enc[None, :], sched, [rng_seed])
-    return out[0]

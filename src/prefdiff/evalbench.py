@@ -93,7 +93,7 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed, sampler=None):
             seeds.append(_child_seed(seed, i, j))
     if not expanded:
         return Scorecard(per_dimension={}, validity=0.0, sample_count=0, seed=seed)
-    encodings = np.stack([net.encode_caption(c).vector for c in expanded])
+    encodings = np.stack([net.encode_caption(c) for c in expanded])
     images = sampler(params, expanded, encodings, sched, seeds)
 
     passes = {}

@@ -149,21 +149,21 @@ def _check_finite(loss, context):
 
 
 def _contrast_batch(e_theta, e_ref, coef, context):
-    """Shared contrastive core over one term of N items, whose rows [0, N)
-    are the preferred branch and [N, 2N) the dispreferred one.
+    """Shared contrastive core over the terms of N items. The rows come in
+    pairs of N-row blocks, one pair per term, with the preferred branch
+    first.
 
-    Returns (per-item loss (N,), sigma arguments (N,), dloss_i/de_theta per
-    row (2N,)).
+    Returns (per-item loss summed over the terms (N,), sigma arguments
+    (terms, N), dloss/de_theta per row (2 * terms * N,)).
     """
-    n = len(coef)
-    d = e_theta - e_ref
-    arg = (d[:n] - d[n:]) * coef          # sigma argument is -arg
+    d = (e_theta - e_ref).reshape(-1, 2, len(coef))
+    arg = (d[:, 0] - d[:, 1]) * coef      # sigma argument is -arg
     per_item = ad.softplus(arg)
     _check_finite(per_item, context)
     weight = ad._sigmoid(arg)
     weight[weight < SATURATED_SIGMOID] = 0.0
     slope = weight * coef
-    return per_item, -arg, np.concatenate([slope, -slope])
+    return per_item.sum(axis=0), -arg, np.stack([slope, -slope], axis=1).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +180,8 @@ def _contrast(half, e_theta):
     n = len(half.t_arr)
     coef = half.beta * half.sched.T * df.omega_vector(half.sched, half.t_arr)
     e_ref = e_theta if half.e_ref is None else half.e_ref
-    terms = [_contrast_batch(e_theta[k:k + 2 * n], e_ref[k:k + 2 * n], coef,
-                             half.layout.method) for k in range(0, len(e_theta), 2 * n)]
-    per_item = sum(term[0] for term in terms)
-    args = np.array([term[1] for term in terms])      # sigmoid arguments, (terms, N)
-    c_rows = np.concatenate([term[2] for term in terms]) / n
-    if half.e_ref is None:
-        c_rows = np.zeros_like(c_rows)
+    per_item, args, slope = _contrast_batch(e_theta, e_ref, coef, half.layout.method)
+    c_rows = np.zeros_like(slope) if half.e_ref is None else slope / n
     return (float(np.mean(per_item)), float(np.mean(args.mean(axis=0))), c_rows,
             float(np.mean(args > 0)))
 
@@ -259,8 +254,8 @@ def _stack_pairs(dataset, dtype, shape, masks):
     arrays = {
         "x0_w": np.stack([p.x0_w for p in dataset]).astype(dtype),
         "x0_l": np.stack([p.x0_l for p in dataset]).astype(dtype),
-        "enc_w": np.stack([net.encode_caption(p.y_w).vector for p in dataset]).astype(dtype),
-        "enc_l": np.stack([net.encode_caption(p.y_l).vector for p in dataset]).astype(dtype),
+        "enc_w": np.stack([net.encode_caption(p.y_w) for p in dataset]).astype(dtype),
+        "enc_l": np.stack([net.encode_caption(p.y_l) for p in dataset]).astype(dtype),
     }
     if masks:
         both = [pair_masks(p) for p in dataset]

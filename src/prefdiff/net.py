@@ -53,15 +53,9 @@ _MAX_SLOTS = 2
 ENCODING_DIM = _MAX_SLOTS * _SLOT_BLOCK + len(tw.RELATIONS) + len(tw.COUNTS)
 
 
-@dataclass(frozen=True)
-class CaptionEncoding:
-    """Fixed-length one-hot concatenation of a caption's slots."""
-
-    vector: np.ndarray
-
-
 def encode_caption(caption):
-    """Encode a caption as concatenated one-hot blocks.
+    """Encode a caption as concatenated one-hot blocks, a float64 vector of
+    ENCODING_DIM.
 
     Per slot: shape block, color block, texture block; then a relation block
     and a count block. Empty (unspecified) blocks stay all-zero, which makes
@@ -84,7 +78,7 @@ def encode_caption(caption):
         vec[base + tw.RELATIONS.index(caption.relation)] = 1.0
     if caption.count is not None:
         vec[base + len(tw.RELATIONS) + tw.COUNTS.index(caption.count)] = 1.0
-    return CaptionEncoding(vector=vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +95,7 @@ class NetConfig:
     # outputs a clean-image estimate and the noise estimate is derived as
     # (x_t - sqrt(ab) * out) / sqrt(1 - ab), which spares the hidden layers
     # from having to reproduce the noisy input and trains far better at
-    # desk scale. The public contract (forward returns the noise
+    # desk scale. The public contract (forward_batch returns the noise
     # prediction) is identical for both.
     parameterization: str = "eps"
 
@@ -132,20 +126,16 @@ def expected_param_count(cfg):
     return d_in * h + h + h * h + h + h * d_out + d_out
 
 
-def check_time_dim(time_dim):
-    """``time_embedding`` emits its sin and cos columns in pairs, so a
-    ``time_dim`` that is odd or below 2 cannot match the first layer."""
-    if time_dim < 2 or time_dim % 2:
-        raise ValueError(f"time_dim must be even and at least 2, got {time_dim}")
-
-
 def check_net_config(cfg):
-    """Refuse a config no net can be built or run from."""
+    """Refuse a config no net can be built or run from. The time embedding
+    has its sin and cos columns in pairs, so a ``time_dim`` that is odd or
+    below 2 cannot match the first layer."""
     if cfg.activation not in ACTIVATIONS:
         raise ValueError(f"activation must be one of {ACTIVATIONS}")
     if cfg.parameterization not in PARAMETERIZATIONS:
         raise ValueError(f"parameterization must be one of {PARAMETERIZATIONS}")
-    check_time_dim(cfg.time_dim)
+    if cfg.time_dim < 2 or cfg.time_dim % 2:
+        raise ValueError(f"time_dim must be even and at least 2, got {cfg.time_dim}")
 
 
 def _layer_dims(cfg):
@@ -187,17 +177,13 @@ def params_equal(a, b):
 # ---------------------------------------------------------------------------
 # forward
 
-def time_embedding(t_arr, T, dim):
-    """Sinusoidal embedding of the step fraction t / T, (N, dim).
+def _time_embedding(t_arr, T, dim):
+    """Sinusoidal embedding of the step fraction t / T, (N, dim), for an even
+    ``dim`` (``check_net_config``).
 
     Frequencies are geometrically spaced so the fastest component advances
     about one radian per step and the slowest spans the whole schedule.
     """
-    check_time_dim(dim)
-    return _time_embedding(t_arr, T, dim)
-
-
-def _time_embedding(t_arr, T, dim):
     half = dim // 2
     u = np.asarray(t_arr, dtype=np.float64)[:, None] / T
     freqs = (T * (10000.0 ** (-np.arange(half) / max(half - 1, 1))))[None, :]
@@ -365,13 +351,6 @@ def forward_batch(params, x_t, t_arr, encodings, sched):
     return out.reshape(-1, cfg.grid, cfg.grid, cfg.channels)
 
 
-def forward(params, x_t, t, c, sched):
-    """Predicted noise for one image; ``c`` is a CaptionEncoding."""
-    out = forward_batch(params, np.asarray(x_t)[None], np.array([t]),
-                        np.asarray(c.vector)[None], sched)
-    return out[0]
-
-
 # ---------------------------------------------------------------------------
 # backward
 
@@ -466,11 +445,29 @@ def save_checkpoint(params, sched, path):
 
 def load_checkpoint(path):
     """Load a checkpoint as (DenoiserParams, DiffusionSchedule it was trained
-    under). Raises CheckpointError on a version or checksum failure, on a
-    config no net can be built from, or on a layer whose shape is not the
-    one its config implies."""
+    under). Raises CheckpointError on a file that is not a JSON object, on
+    a missing field or one of the wrong type, on a version or checksum
+    failure, on a config no net can be built from, or on a layer whose shape
+    is not the one its config implies."""
     with open(path) as fh:
-        record = json.load(fh)
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"checkpoint is not JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise CheckpointError("checkpoint is not a JSON object")
+    try:
+        return _from_record(record)
+    except CheckpointError:
+        raise
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:   # e.g. an unknown cfg field, dtype or schedule
+        raise CheckpointError(f"checkpoint field refused: {exc}") from exc
+
+
+def _from_record(record):
+    """The (params, schedule) of a parsed checkpoint record."""
     if record.get("format") != CHECKPOINT_FORMAT or record.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint {record.get('format')!r} v{record.get('version')!r}")
@@ -483,10 +480,7 @@ def load_checkpoint(path):
     if _checksum(layers) != record["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch")
     cfg = NetConfig(**record["cfg"])
-    try:
-        check_net_config(cfg)
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint config: {exc}") from exc
+    check_net_config(cfg)
     dims = _layer_dims(cfg)
     implied = [((m, n), (n,)) for m, n in zip(dims[:-1], dims[1:])]
     stored = [(w.shape, b.shape) for w, b in layers]

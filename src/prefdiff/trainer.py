@@ -71,25 +71,26 @@ class TrainConfig:
 
 
 def validate_config(config):
+    """Raise ValueError naming the first field no run can use. The network's
+    rules are ``net.check_net_config``'s and the schedule's
+    ``diffusion.make_schedule``'s."""
     if config.method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {config.method!r}")
     for name in ("steps", "pretrain_steps"):
         if getattr(config, name) < 0:
             raise ValueError(f"{name} must be nonnegative")
-    for name in ("batch_size", "T", "grid", "channels", "hidden", "eval_samples_per_prompt"):
+    for name in ("batch_size", "grid", "channels", "hidden", "eval_samples_per_prompt"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be positive")
-    net.check_time_dim(config.time_dim)
     for name in ("learning_rate", "beta"):
         if getattr(config, name) <= 0:
             raise ValueError(f"{name} must be positive")
     if config.warmup_steps < 0:
         raise ValueError("warmup_steps must be nonnegative")
-    for name, allowed in (("dtype", ("float32", "float64")),
-                          ("parameterization", net.PARAMETERIZATIONS),
-                          ("omega_mode", df.OMEGA_MODES)):
-        if getattr(config, name) not in allowed:
-            raise ValueError(f"{name} must be one of {allowed}, got {getattr(config, name)!r}")
+    if config.dtype not in ("float32", "float64"):
+        raise ValueError(f"dtype must be one of ('float32', 'float64'), got {config.dtype!r}")
+    net.check_net_config(config.net_config())
+    config.schedule()
 
 
 @dataclass(frozen=True)

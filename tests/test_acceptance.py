@@ -162,8 +162,8 @@ def test_criterion_4_closed_form():
 
     sched = df.make_schedule(5, 0.1, 0.3)
     y_w, y_l = make_cap("red"), make_cap("blue")
-    e_w = net.encode_caption(y_w).vector
-    e_l = net.encode_caption(y_l).vector
+    e_w = net.encode_caption(y_w)
+    e_l = net.encode_caption(y_l)
     worst = 0.0
     for w_val, w0, beta, t, seed in [(1.0, 0.25, 1.0, 2, 0), (0.5, 0.0, 0.1, 0, 1),
                                      (2.0, 1.0, 0.3, 4, 2), (-1.0, 0.5, 1.0, 1, 3),
@@ -175,7 +175,7 @@ def test_criterion_4_closed_form():
                          synthetic_pair(x0, y_w, x0, y_l), t, (eps,), beta, sched)
         # closed form: expanding the four squared norms leaves
         # bracket = -2 (w - w0) <eps, enc_w - enc_l>; loss = softplus(-z)
-        z = 2 * beta * sched.T * df.omega(sched, t) * (w_val - w0) \
+        z = 2 * beta * sched.T * float(df.omega_vector(sched, t)) * (w_val - w0) \
             * float(eps.reshape(-1) @ (e_w - e_l))
         closed = max(-z, 0.0) + math.log1p(math.exp(-abs(z)))
         worst = max(worst, abs(loss.value - closed))
@@ -259,7 +259,8 @@ def test_criterion_8_memorization_sampling_error():
                               seed=0, dtype="float32", learning_rate=1e-3,
                               parameterization="x0")
     params, _ = trainer.train(cfg, pairs * 4)
-    maes = [float(np.abs(df.ddpm_sample(params, pairs[0].y_w, cfg.schedule(), rng_seed=s)
+    enc = net.encode_caption(pairs[0].y_w)[None]
+    maes = [float(np.abs(df.ddpm_sample_batch(params, enc, cfg.schedule(), [s])[0]
                          - pairs[0].x0_w).mean())
             for s in range(5)]
     worst = max(maes)

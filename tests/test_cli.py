@@ -1,6 +1,5 @@
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -61,8 +60,7 @@ def test_gen_data_train_eval_ablate_end_to_end(tmp_path):
     assert sched.spec() == micro_config().schedule().spec()
 
     scores = tmp_path / "eval.json"
-    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"),
-                     "--config", str(run / "config.json"), "--gen",
+    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"), "--gen",
                      "--prompts-per-dim", "1", "--samples-per-prompt", "1",
                      "--out", str(scores)]) == 0
     record = json.loads(scores.read_text())
@@ -93,19 +91,11 @@ def _checkpoint_and_config(tmp_path):
     return ckpt, config
 
 
-def test_eval_requires_the_run_config(tmp_path, capsys):
-    ckpt, _ = _checkpoint_and_config(tmp_path)
-    with pytest.raises(SystemExit):
-        cli.main(["eval", "--ckpt", str(ckpt), "--gen", "--prompts-per-dim", "1",
-                  "--samples-per-prompt", "1", "--out", str(tmp_path / "eval.json")])
-    assert "--config" in capsys.readouterr().err
-
-
 def test_eval_takes_exactly_one_prompt_source(tmp_path, capsys):
-    ckpt, config = _checkpoint_and_config(tmp_path)
+    ckpt, _ = _checkpoint_and_config(tmp_path)
     prompts = tmp_path / "prompts.jsonl"
     prompts.write_text("")
-    base = ["eval", "--ckpt", str(ckpt), "--config", str(config), "--prompts-per-dim", "1",
+    base = ["eval", "--ckpt", str(ckpt), "--prompts-per-dim", "1",
             "--samples-per-prompt", "1", "--out", str(tmp_path / "eval.json")]
     for extra, message in ((["--prompts", str(prompts), "--gen"], "not allowed with"),
                            ([], "one of the arguments --prompts --gen is required")):
@@ -114,6 +104,50 @@ def test_eval_takes_exactly_one_prompt_source(tmp_path, capsys):
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "eval.json").exists()
+
+
+def _edit(change):
+    """Rewrite a checkpoint file with ``change`` applied to its record."""
+    def corrupt(path):
+        record = json.loads(path.read_text())
+        change(record)
+        path.write_text(json.dumps(record))
+    return corrupt
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    pytest.param(_edit(lambda r: r.update(version=r["version"] + 1)), "unsupported checkpoint",
+                 id="version"),
+    pytest.param(_edit(lambda r: r.update(checksum="0" * 64)), "checksum mismatch",
+                 id="checksum"),
+    pytest.param(_edit(lambda r: r["cfg"].update(hidden=32)), "layer shapes", id="cfg-hidden"),
+    pytest.param(_edit(lambda r: r["cfg"].update(parameterization="x1")), "parameterization",
+                 id="parameterization-x1"),
+    pytest.param(_edit(lambda r: r["cfg"].update(dropout=0.1)), "dropout", id="cfg-unknown"),
+    pytest.param(_edit(lambda r: r.update(dtype="float17")), "float17", id="dtype"),
+    pytest.param(_edit(lambda r: r["schedule"].update(beta_end=1.5)), "beta_end",
+                 id="schedule"),
+    pytest.param(_edit(lambda r: r.pop("layers")), "lacks the field 'layers'",
+                 id="missing-layers"),
+    pytest.param(_truncate, "not JSON", id="truncated"),
+    pytest.param(lambda path: path.write_text("[]"), "not a JSON object", id="list"),
+    pytest.param(lambda path: path.unlink(), "No such file", id="missing-file"),
+])
+def test_eval_refuses_a_bad_checkpoint_in_one_line(tmp_path, capsys, corrupt, message):
+    # each used to escape as a traceback with exit 1
+    ckpt, _ = _checkpoint_and_config(tmp_path)
+    corrupt(ckpt)
+    out = tmp_path / "eval.json"
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--gen", "--prompts-per-dim", "1",
+                     "--samples-per-prompt", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{ckpt}: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -133,7 +167,7 @@ def test_counts_below_one_and_unknown_dimensions_are_refused(tmp_path, capsys, c
     data = tmp_path / "data.jsonl"
     dp.write_dataset(*dp.generate_dataset({"color": 2}, seed=1, grid=8), data)
     inputs = {"gen-data": ["--grid", "8"],
-              "eval": ["--ckpt", str(ckpt), "--config", str(config), "--gen"],
+              "eval": ["--ckpt", str(ckpt), "--gen"],
               "ablate": ["--config", str(config), "--data", str(data)]}[command]
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -170,7 +204,7 @@ def test_gen_data_takes_the_smallest_grid_and_no_jitter(tmp_path, flag, value):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
-    ckpt, config = _checkpoint_and_config(tmp_path)
+    ckpt, _ = _checkpoint_and_config(tmp_path)
     out = tmp_path / f"eval.{fmt}"
     out.write_text("old scores\n")
 
@@ -179,66 +213,20 @@ def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError, match="disk full"):
-        cli.main(["eval", "--ckpt", str(ckpt), "--config", str(config), "--gen",
+        cli.main(["eval", "--ckpt", str(ckpt), "--gen",
                   "--prompts-per-dim", "1", "--samples-per-prompt", "1",
                   "--format", fmt, "--out", str(out)])
     assert out.read_text() == "old scores\n"
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_eval_refuses_a_config_for_a_different_network(tmp_path, capsys):
-    ckpt, config = _checkpoint_and_config(tmp_path)   # grid 8, hidden 16
-    trainer.save_config(trainer.TrainConfig(), config)   # grid 16, hidden 256
-    out = tmp_path / "eval.json"
-    assert cli.main(["eval", "--ckpt", str(ckpt), "--config", str(config), "--gen",
-                     "--prompts-per-dim", "1", "--samples-per-prompt", "1",
-                     "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "grid=16, channels=3, hidden=256" in err and "grid=8, channels=3, hidden=16" in err
-    assert not out.exists()
-
-
-def test_eval_refuses_a_config_for_a_different_schedule(tmp_path, capsys):
-    # a grid-8 checkpoint trained at T 20 (beta 0.05 -> 0.45), evaluated with
-    # the same config changed to the default T 100 (beta 1e-3 -> 0.2)
-    data = tmp_path / "data.jsonl"
-    assert cli.main(["gen-data", "--dims", "color", "--count-per-dim", "4", "--grid", "8",
-                     "--out", str(data)]) == 0
-    trained = micro_config(T=20, beta_start=0.05, beta_end=0.45)
-    config = tmp_path / "config.json"
-    trainer.save_config(trained, config)
-    run = tmp_path / "run"
-    assert cli.main(["train", "--config", str(config), "--data", str(data),
-                     "--out", str(run)]) == 0
-    capsys.readouterr()
-    trainer.save_config(micro_config(T=100, beta_start=1e-3, beta_end=0.2), config)
-    out = tmp_path / "eval.json"
-    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"), "--config", str(config),
-                     "--gen", "--prompts-per-dim", "1", "--samples-per-prompt", "1",
-                     "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "'T': 100, 'beta_start': 0.001, 'beta_end': 0.2" in err
-    assert "'T': 20, 'beta_start': 0.05, 'beta_end': 0.45" in err
-    assert not out.exists()
-    # the omega mode is part of the schedule too
-    trainer.save_config(replace(trained, omega_mode="snr"), config)
-    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"), "--config", str(config),
-                     "--gen", "--prompts-per-dim", "1", "--samples-per-prompt", "1",
-                     "--out", str(out)]) == 2
-    assert "'omega_mode': 'snr'" in capsys.readouterr().err
-    trainer.save_config(trained, config)
-    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.json"), "--config", str(config),
-                     "--gen", "--prompts-per-dim", "1", "--samples-per-prompt", "1",
-                     "--out", str(out)]) == 0
-
-
 def test_eval_refuses_a_prompt_whose_label_contradicts_it(tmp_path, capsys):
     # a colour caption labelled "shape" would be scored under the wrong column
-    ckpt, config = _checkpoint_and_config(tmp_path)
+    ckpt, _ = _checkpoint_and_config(tmp_path)
     prompt = {"dimension": "shape", "relation": None, "count": None,
               "objects": [{"shape": "square", "color": "red", "texture": None}]}
     prompts, out = tmp_path / "prompts.jsonl", tmp_path / "eval.json"
-    args = ["eval", "--ckpt", str(ckpt), "--config", str(config), "--prompts", str(prompts),
+    args = ["eval", "--ckpt", str(ckpt), "--prompts", str(prompts),
             "--samples-per-prompt", "1", "--out", str(out)]
     good = dict(prompt, dimension="color")
     prompts.write_text(json.dumps(good) + "\n\n" + json.dumps(prompt) + "\n")

@@ -118,17 +118,17 @@ def test_q_sample_affine_in_signal(a, t, seed):
 
 def test_omega_constant_mode_is_exactly_one():
     s = df.make_schedule(50, 1e-4, 0.02, "constant")
-    assert all(df.omega(s, t) == 1.0 for t in range(50))
+    assert np.array_equal(df.omega_vector(s, np.arange(50)), np.ones(50))
 
 
 def test_omega_snr_values():
-    assert df.omega(df.make_schedule(1, 0.5, 0.5, "snr"), 0) == pytest.approx(1.0)
+    assert df.omega_vector(df.make_schedule(1, 0.5, 0.5, "snr"), [0])[0] == pytest.approx(1.0)
     s = df.make_schedule(2, 0.1, 0.3, "snr")
-    assert df.omega(s, 1) == pytest.approx(0.63 / 0.37, rel=1e-12)
-    assert df.omega(s, 1) == pytest.approx(1.7027, abs=1e-4)
+    assert df.omega_vector(s, [1])[0] == pytest.approx(0.63 / 0.37, rel=1e-12)
+    assert df.omega_vector(s, [1])[0] == pytest.approx(1.7027, abs=1e-4)
     # clipping kicks in at high SNR
     s_low_noise = df.make_schedule(2, 1e-4, 1e-4, "snr")
-    assert df.omega(s_low_noise, 0) == 5.0
+    assert df.omega_vector(s_low_noise, [0])[0] == 5.0
 
 
 def test_ddpm_sample_is_deterministic_and_clamped():
@@ -140,12 +140,12 @@ def test_ddpm_sample_is_deterministic_and_clamped():
     params.layers[-1] = (rng.normal(0, 0.5, params.layers[-1][0].shape),
                          params.layers[-1][1])
     sched = df.make_schedule(8, 0.05, 0.3)
-    cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("square"),))
-    a = df.ddpm_sample(params, cap, sched, rng_seed=7)
-    b = df.ddpm_sample(params, cap, sched, rng_seed=7)
+    enc = net.encode_caption(tw.Caption(dimension="shape", objects=(tw.ObjectSlot("square"),)))
+    a = df.ddpm_sample_batch(params, enc[None], sched, [7])
+    b = df.ddpm_sample_batch(params, enc[None], sched, [7])
     assert np.array_equal(a, b)
     assert a.min() >= -1.0 and a.max() <= 1.0
-    c = df.ddpm_sample(params, cap, sched, rng_seed=8)
+    c = df.ddpm_sample_batch(params, enc[None], sched, [8])
     assert not np.array_equal(a, c)
 
 
@@ -156,10 +156,10 @@ def test_ddpm_sample_batch_matches_single_calls():
     sched = df.make_schedule(5, 0.05, 0.3)
     caps = [tw.Caption(dimension="shape", objects=(tw.ObjectSlot(s),))
             for s in ("square", "disc")]
-    encs = np.stack([net.encode_caption(c).vector for c in caps])
+    encs = np.stack([net.encode_caption(c) for c in caps])
     batch = df.ddpm_sample_batch(params, encs, sched, seeds=[3, 4])
-    singles = [df.ddpm_sample(params, caps[0], sched, 3),
-               df.ddpm_sample(params, caps[1], sched, 4)]
+    singles = [df.ddpm_sample_batch(params, encs[i:i + 1], sched, [s])[0]
+               for i, s in enumerate([3, 4])]
     assert np.array_equal(batch[0], singles[0])
     assert np.array_equal(batch[1], singles[1])
 
@@ -175,7 +175,7 @@ def test_ddpm_sample_batch_matches_single_calls_within_tolerance(dtype, tol):
     sched = df.make_schedule(5, 0.05, 0.3)
     caps = [tw.Caption(dimension="shape", objects=(tw.ObjectSlot(s),))
             for s in ("square", "disc", "triangle", "square")]
-    encs = np.stack([net.encode_caption(c).vector for c in caps])
+    encs = np.stack([net.encode_caption(c) for c in caps])
     seeds = [3, 4, 5, 6]
     for seed in range(3):
         params = randomized_params(net.init_params(cfg, seed=seed), seed=10 + seed)
@@ -208,9 +208,9 @@ def test_ddpm_sample_reports_divergence_step():
     corrupted[0, 0] = np.nan
     params.layers[-1] = (corrupted, params.layers[-1][1])
     sched = df.make_schedule(6, 0.05, 0.3)
-    cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("square"),))
+    enc = net.encode_caption(tw.Caption(dimension="shape", objects=(tw.ObjectSlot("square"),)))
     with pytest.raises(df.NumericDivergenceError, match="step t=5"):
-        df.ddpm_sample(params, cap, sched, rng_seed=0)
+        df.ddpm_sample_batch(params, enc[None], sched, [0])
 
 
 def _sequential_sample(params, encodings, sched, seeds):

@@ -167,7 +167,7 @@ def test_diffusion_dpo_known_bracket_value():
     # the linear model makes the bracket -2 (w - w_ref) <eps_w - eps_l, enc>;
     # arrange it to be 2
     theta, ref = linear_model(0.0), net.clone_frozen(linear_model(1.0))
-    enc = net.encode_caption(CAP_RED).vector
+    enc = net.encode_caption(CAP_RED)
     eps_w = (enc / enc.sum()).reshape(6, 6, 1)   # <eps_w - eps_l, enc> = 1
     eps_l = np.zeros((6, 6, 1))
     sched1 = df.make_schedule(1, 0.5, 0.5)       # beta * T * omega = 1 at beta=1
@@ -205,8 +205,8 @@ def test_text_dpo_identical_captions_exact_ln2_zero_grad():
 def test_text_dpo_closed_form_linear_model():
     # prediction = w * encoding(caption) via identity activation
     sched = df.make_schedule(5, 0.1, 0.3)
-    e_w = net.encode_caption(CAP_RED).vector
-    e_l = net.encode_caption(CAP_BLUE).vector
+    e_w = net.encode_caption(CAP_RED)
+    e_l = net.encode_caption(CAP_BLUE)
     for w_val, w0, beta, t, seed in [(1.0, 0.25, 1.0, 2, 0), (0.5, 0.0, 0.1, 0, 1),
                                      (2.0, 1.0, 0.3, 4, 2), (-1.0, 0.5, 1.0, 1, 3),
                                      (0.0, 0.0, 0.7, 3, 4)]:
@@ -217,7 +217,7 @@ def test_text_dpo_closed_form_linear_model():
                          caption_pair(x0, CAP_RED, CAP_BLUE), t, (eps,), beta, sched)
         # hand-derived: squared norms expand, the shared terms cancel, leaving
         # bracket = -2 (w - w0) <eps, e_w - e_l>
-        z = 2 * beta * sched.T * df.omega(sched, t) * (w_val - w0) \
+        z = 2 * beta * sched.T * float(df.omega_vector(sched, t)) * (w_val - w0) \
             * float(eps.reshape(-1) @ (e_w - e_l))
         closed = max(-z, 0.0) + math.log1p(math.exp(-abs(z)))
         assert loss.value == pytest.approx(closed, abs=1e-12)
@@ -246,8 +246,9 @@ def test_text_dpo_descent_step_reduces_preference_margin(seed):
 
     def margin_quantity():
         xt = df.q_sample(x0, t, eps, SCHED)
-        pred_w = net.forward(theta, xt, t, net.encode_caption(CAP_RED), SCHED)
-        pred_l = net.forward(theta, xt, t, net.encode_caption(CAP_BLUE), SCHED)
+        pred_w, pred_l = (net.forward_batch(theta, xt[None], np.array([t]),
+                                            net.encode_caption(c)[None], SCHED)[0]
+                          for c in (CAP_RED, CAP_BLUE))
         return losses.masked_sq_err(eps, pred_w) - losses.masked_sq_err(eps, pred_l)
 
     before = margin_quantity()
@@ -368,8 +369,8 @@ def saturating_batch(dtype):
     x0_w, x0_l = rng.uniform(-1, 1, (2,) + shape).astype(dtype)
     noise = tuple(rng.standard_normal((2,) + shape).astype(dtype))
     arrays = {"x0_w": x0_w, "x0_l": x0_l,
-              "enc_w": np.tile(net.encode_caption(CAP_RED).vector, (16, 1)).astype(dtype),
-              "enc_l": np.tile(net.encode_caption(CAP_BLUE).vector, (16, 1)).astype(dtype)}
+              "enc_w": np.tile(net.encode_caption(CAP_RED), (16, 1)).astype(dtype),
+              "enc_l": np.tile(net.encode_caption(CAP_BLUE), (16, 1)).astype(dtype)}
     t_arr = rng.integers(0, SCHED.T, 16)
 
     def loss_at(name, beta):
@@ -449,7 +450,7 @@ def test_reward_accuracy_hand_oracle():
     # <eps_w - eps_l, enc_w> (image term); scale s_i sets each item's sign
     theta, ref = linear_model(0.0), net.clone_frozen(linear_model(1.0))
     sched1 = df.make_schedule(1, 0.5, 0.5)
-    enc_w, enc_l = (net.encode_caption(c).vector for c in (CAP_RED, CAP_BLUE))
+    enc_w, enc_l = (net.encode_caption(c) for c in (CAP_RED, CAP_BLUE))
     s = np.array([-1.0, 1.0, -2.0, 0.5])              # sigma argument sign: -s
     t_arr = np.zeros(4, dtype=int)
     x0 = np.zeros((4, 6, 6, 1))
@@ -533,8 +534,8 @@ def test_batch_losses_match_finite_differences(parameterization):
     eps_w, eps_l = rng.standard_normal((2, 3) + shape)
     caps = [tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color=c),))
             for c in ("red", "blue", "green", "cyan")]
-    enc_w = np.stack([net.encode_caption(c).vector for c in caps[:3]])
-    enc_l = np.stack([net.encode_caption(c).vector for c in caps[1:]])
+    enc_w = np.stack([net.encode_caption(c) for c in caps[:3]])
+    enc_l = np.stack([net.encode_caption(c) for c in caps[1:]])
     t_arr = np.array([0, 2, 5])
     mask = np.where(rng.random((3, 3)) < 0.5, 1.0, 0.5)
     plain = {"x0_w": x0_w, "x0_l": x0_l, "enc_w": enc_w, "enc_l": enc_l}

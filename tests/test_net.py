@@ -20,7 +20,7 @@ def test_encoding_differs_in_exactly_one_block():
     b = tw.Caption(dimension="color",
                    objects=(tw.ObjectSlot("square", color="green"),
                             tw.ObjectSlot("disc", color="blue")))
-    va, vb = net.encode_caption(a).vector, net.encode_caption(b).vector
+    va, vb = net.encode_caption(a), net.encode_caption(b)
     changed = np.nonzero(va != vb)[0]
     color_block = slice(len(tw.SHAPES), len(tw.SHAPES) + len(tw.COLORS))
     assert len(changed) == 2               # one bit cleared, one set
@@ -29,7 +29,7 @@ def test_encoding_differs_in_exactly_one_block():
 
 def test_encoding_single_object_leaves_second_slot_zero():
     cap = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="red"),))
-    vec = net.encode_caption(cap).vector
+    vec = net.encode_caption(cap)
     block = len(tw.SHAPES) + len(tw.COLORS) + len(tw.TEXTURES)
     assert np.all(vec[block:2 * block] == 0.0)
     assert vec[:block].sum() == 2.0        # shape hot + color hot
@@ -40,12 +40,12 @@ def test_encoding_injective_over_full_grammar():
     assert len(captions) < 10_000
     seen = {}
     for cap in captions:
-        key = net.encode_caption(cap).vector.tobytes()
+        key = net.encode_caption(cap).tobytes()
         assert key not in seen, f"{cap} collides with {seen.get(key)}"
         seen[key] = cap
     # one hot entry per filled slot
     for cap in captions[:200]:
-        vec = net.encode_caption(cap).vector
+        vec = net.encode_caption(cap)
         filled = sum(1 + (s.color is not None) + (s.texture is not None)
                      for s in cap.objects)
         filled += (cap.relation is not None) + (cap.count is not None)
@@ -63,20 +63,20 @@ def test_forward_zero_final_layer_outputs_zero():
     sched = df.make_schedule(10, 0.05, 0.3)
     cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("disc"),))
     rng = np.random.default_rng(0)
-    out = net.forward(params, rng.standard_normal((4, 4, 3)), 3,
-                      net.encode_caption(cap), sched)
+    out = net.forward_batch(params, rng.standard_normal((1, 4, 4, 3)), np.array([3]),
+                            net.encode_caption(cap)[None], sched)
     assert np.all(out == 0.0)
-    assert out.shape == (4, 4, 3)
+    assert out.shape == (1, 4, 4, 3)
 
 
 def test_forward_is_pure():
     params = randomized_params(net.init_params(SMALL, seed=1), seed=2)
     sched = df.make_schedule(10, 0.05, 0.3)
     cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("disc"),))
-    x = np.random.default_rng(3).standard_normal((4, 4, 3))
-    enc = net.encode_caption(cap)
-    a = net.forward(params, x, 5, enc, sched)
-    b = net.forward(params, x, 5, enc, sched)
+    x = np.random.default_rng(3).standard_normal((1, 4, 4, 3))
+    enc = net.encode_caption(cap)[None]
+    a = net.forward_batch(params, x, np.array([5]), enc, sched)
+    b = net.forward_batch(params, x, np.array([5]), enc, sched)
     assert np.array_equal(a, b)
 
 
@@ -108,7 +108,7 @@ def test_forward_directional_derivative_matches_probe():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 4, 3))
     v = rng.standard_normal(48)
-    rows = net.assemble_input(params, [x[None]], np.array([5]), [enc.vector[None]], sched, (0,))
+    rows = net.assemble_input(params, [x[None]], np.array([5]), [enc[None]], sched, (0,))
     grads = _probe_loss(params, rows, v).backward()
 
     delta = 1e-6
@@ -223,7 +223,7 @@ def test_x0_forward_batch_keeps_the_parameter_dtype(dtype):
     rng = np.random.default_rng(47)
     x_t = rng.standard_normal((5, 4, 4, 3))
     t_arr = np.array([0, 2, 4, 7, 9])
-    enc = np.stack([net.encode_caption(c).vector for c in enumerate_captions()[:5]])
+    enc = np.stack([net.encode_caption(c) for c in enumerate_captions()[:5]])
     out = net.forward_batch(params, x_t, t_arr, enc, sched)
     assert out.dtype == dtype
     # reference: the x0 identity with float64 coefficients, as before the cast
@@ -286,7 +286,7 @@ def test_factorised_first_layer_matches_concatenated_rows(parameterization):
         d_out = rng.standard_normal(pred.shape)
         grads = net.backward(params, losses.Loss(value=0.0, margin=0.0, theta=params,
                                                  acts=acts, d_out=d_out))
-        temb = net.time_embedding(t_arr, sched.T, cfg.time_dim)
+        temb = net._time_embedding(t_arr, sched.T, cfg.time_dim)
         rows = np.concatenate([
             np.concatenate([used[k].reshape(n, -1) for k in image_of_block]),
             np.tile(temb, (len(image_of_block), 1)), np.concatenate(encodings)], axis=1)
@@ -304,7 +304,7 @@ def test_forward_batch_rejects_steps_outside_the_schedule(parameterization):
     params = randomized_params(net.init_params(cfg, seed=48), seed=49)
     sched = df.make_schedule(10, 0.05, 0.3)
     x_t = np.random.default_rng(50).standard_normal((2, 4, 4, 3))
-    enc = np.stack([net.encode_caption(c).vector for c in enumerate_captions()[:2]])
+    enc = np.stack([net.encode_caption(c) for c in enumerate_captions()[:2]])
     for bad in (-1, sched.T, 100):
         with pytest.raises(ValueError, match="range"):
             net.forward_batch(params, x_t, np.array([0, bad]), enc, sched)
@@ -328,9 +328,10 @@ def test_clone_frozen_is_independent_and_equal():
     assert net.params_equal(params, clone)
     sched = df.make_schedule(8, 0.05, 0.3)
     cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("triangle"),))
-    x = np.random.default_rng(13).standard_normal((4, 4, 3))
-    assert np.array_equal(net.forward(params, x, 1, net.encode_caption(cap), sched),
-                          net.forward(clone, x, 1, net.encode_caption(cap), sched))
+    x = np.random.default_rng(13).standard_normal((1, 4, 4, 3))
+    enc = net.encode_caption(cap)[None]
+    assert np.array_equal(net.forward_batch(params, x, np.array([1]), enc, sched),
+                          net.forward_batch(clone, x, np.array([1]), enc, sched))
     params.layers[0][0][:] += 1.0   # mutate the original
     assert not net.params_equal(params, clone)
 
@@ -413,9 +414,6 @@ def test_odd_or_tiny_time_dim_is_refused_where_a_net_is_built(tmp_path, field, v
     if field != "hidden":
         with pytest.raises(ValueError, match=match):
             net.init_params(replace(SMALL, **{field: value}))
-    if field == "time_dim":
-        with pytest.raises(ValueError, match=match):
-            net.time_embedding(np.arange(3), 10, value)
     path = tmp_path / "ckpt.json"
     net.save_checkpoint(net.init_params(SMALL, seed=16), df.make_schedule(10, 0.05, 0.3), path)
     record = json.loads(path.read_text())

@@ -47,11 +47,14 @@ def test_config_validation():
 @pytest.mark.parametrize("field,value", [("time_dim", 7), ("time_dim", 1), ("time_dim", 0),
                                          ("pretrain_steps", -1),
                                          ("eval_samples_per_prompt", 0),
-                                         ("eval_samples_per_prompt", -3)])
+                                         ("eval_samples_per_prompt", -3),
+                                         ("beta_start", 0.0), ("beta_end", 1.0),
+                                         ("beta_start", 0.5)])
 def test_config_validation_names_the_field(field, value):
     # odd time_dim used to fail at step 0 inside a matmul, a negative
     # pretrain_steps inside run_ablation, and no eval samples gave empty
-    # scorecards that ablate reported as ok
+    # scorecards that ablate reported as ok; a schedule with beta_start 0,
+    # beta_end 1 or beta_start above beta_end (0.2) used to pass validation
     with pytest.raises(ValueError, match=field):
         trainer.validate_config(tiny_config(**{field: value}))
 
