@@ -11,6 +11,18 @@ import numpy as np
 from . import datapipe, evalbench, net, toyworld as tw, trainer
 
 
+class _Unreadable(Exception):
+    """An input file that failed to open or was refused; ``main`` returns 2."""
+
+
+def _read(path, load, **kwargs):
+    """``load(path, **kwargs)``; an OSError or ValueError becomes _Unreadable."""
+    try:
+        return load(path, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise _Unreadable(f"{path}: {exc}") from exc
+
+
 def positive_int(text):
     """An argparse type: an integer of at least 1."""
     if int(text) < 1:
@@ -84,8 +96,8 @@ def _add_train(sub):
 
 def _cmd_train(args):
     overrides = {"method": args.method} if args.method else {}
-    config = trainer.load_config(args.config, **overrides)
-    pairs, _ = datapipe.read_dataset(args.data)
+    config = _read(args.config, trainer.load_config, **overrides)
+    pairs, _ = _read(args.data, datapipe.read_dataset)
     params, log = trainer.train(config, pairs)
     os.makedirs(args.out, exist_ok=True)
     net.save_checkpoint(params, config.schedule(), os.path.join(args.out, "checkpoint.json"))
@@ -113,26 +125,23 @@ def _add_eval(sub):
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _cmd_eval(args):
-    try:
-        params, sched = net.load_checkpoint(args.ckpt)
-    except (OSError, net.CheckpointError) as exc:
-        print(f"{args.ckpt}: {exc}", file=sys.stderr)
-        return 2
-    if args.gen:
-        prompts = evalbench.sample_prompts(tw.DIMENSIONS, args.prompts_per_dim, args.seed)
-    else:
-        prompts = []
-        with open(args.prompts) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+def _read_prompts(path):
+    """The captions of a JSONL prompt file, one per non-blank line."""
+    prompts = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
                 try:
                     prompts.append(datapipe.caption_from_dict(json.loads(line)))
                 except (ValueError, KeyError, TypeError) as exc:
-                    print(f"{args.prompts} line {line_no}: invalid prompt: {exc}",
-                          file=sys.stderr)
-                    return 2
+                    raise datapipe.MalformedRecordError(line_no, f"invalid prompt: {exc}") from exc
+    return prompts
+
+
+def _cmd_eval(args):
+    params, sched = _read(args.ckpt, net.load_checkpoint)
+    prompts = (evalbench.sample_prompts(tw.DIMENSIONS, args.prompts_per_dim, args.seed)
+               if args.gen else _read(args.prompts, _read_prompts))
     card = evalbench.evaluate(params, prompts, args.samples_per_prompt, sched,
                               seed=args.seed)
     with datapipe.atomic_write(args.out) as fh:
@@ -157,8 +166,8 @@ def _add_ablate(sub):
 
 
 def _cmd_ablate(args):
-    config = trainer.load_config(args.config)
-    pairs, _ = datapipe.read_dataset(args.data)
+    config = _read(args.config, trainer.load_config)
+    pairs, _ = _read(args.data, datapipe.read_dataset)
     prompts = evalbench.sample_prompts(
         tw.DIMENSIONS, args.prompts_per_dim,
         seed=np.random.SeedSequence(config.seed).generate_state(1)[0].item(),
@@ -184,7 +193,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler = {"gen-data": _cmd_gen_data, "train": _cmd_train,
                "eval": _cmd_eval, "ablate": _cmd_ablate}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _Unreadable as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

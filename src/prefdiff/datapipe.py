@@ -152,7 +152,6 @@ def edit_caption(caption, rng_seed):
     additionally get the swap and both replace augmentations. All emitted
     captions are pairwise distinct and differ from the input.
     """
-    tw.validate_caption(caption)
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(rng_seed, "edit")))
     dim = caption.dimension
 
@@ -357,11 +356,9 @@ def caption_to_dict(c):
 
 def caption_from_dict(d):
     """Inverse of ``caption_to_dict``; raises ValueError on an invalid caption."""
-    caption = tw.Caption(dimension=d["dimension"],
-                         objects=tuple(tw.ObjectSlot(**s) for s in d["objects"]),
-                         relation=d["relation"], count=d["count"])
-    tw.validate_caption(caption)
-    return caption
+    return tw.Caption(dimension=d["dimension"],
+                      objects=tuple(tw.ObjectSlot(**s) for s in d["objects"]),
+                      relation=d["relation"], count=d["count"])
 
 
 def _scene_dict(s):

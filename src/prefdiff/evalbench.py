@@ -120,7 +120,6 @@ def run_ablation(base_config, dataset, prompts, out_dir=None):
     every method then trains from that base with a frozen clone of it as
     reference. Rows are independent; a failed row is recorded, not dropped.
     """
-    trainer.validate_config(base_config)
     overlap = set(prompts) & dataset_captions(dataset)
     if overlap:
         raise ValueError(f"{len(overlap)} evaluation prompts collide with training captions")

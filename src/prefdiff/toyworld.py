@@ -14,6 +14,9 @@ indices. ``render`` copies one candidate out of it; ``detect`` scores a
 component against all 72 in one vectorised residual. ``object_patch`` stays
 the specification the bank is built from.
 
+Captions are valid by construction: building one, ``dataclasses.replace``
+included, runs ``validate_caption``, and nothing that takes one checks again.
+
 The oracle VQA is two steps: ``detect`` recovers a scene from an image once,
 and ``answer`` scores any number of captions against that scene. Every scene,
 whether completed from a caption, edited or detected, is built by
@@ -132,6 +135,9 @@ class Caption:
     relation: str = None
     count: int = None
 
+    def __post_init__(self):
+        validate_caption(self)
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -177,10 +183,9 @@ def validate_caption(caption):
     if caption.dimension != parse_dimension(caption):
         raise ValueError(f"a caption labelled {caption.dimension!r} reads as "
                          f"{parse_dimension(caption)!r}")
-    if caption.dimension == "color" and any(s.color is None for s in caption.objects):
-        raise ValueError("color captions need a color on every slot")
-    if caption.dimension == "texture" and any(s.texture is None for s in caption.objects):
-        raise ValueError("texture captions need a texture on every slot")
+    dim = caption.dimension
+    if dim in ("color", "texture") and any(getattr(s, dim) is None for s in caption.objects):
+        raise ValueError(f"{dim} captions need a {dim} on every slot")
 
 
 def validate_scene(scene, grid=DEFAULT_GRID):
@@ -455,15 +460,7 @@ def _slot_score(slot, obj):
 
 def _relation_holds(relation, bbox_a, bbox_b):
     (ra, ca), (rb, cb) = bbox_a.center, bbox_b.center
-    if relation == "left-of":
-        return ca < cb
-    if relation == "right-of":
-        return ca > cb
-    if relation == "above":
-        return ra < rb
-    if relation == "below":
-        return ra > rb
-    raise ValueError(f"unknown relation {relation!r}")
+    return {"left-of": ca < cb, "right-of": ca > cb, "above": ra < rb, "below": ra > rb}[relation]
 
 
 @dataclass(frozen=True)
@@ -489,7 +486,6 @@ def answer(scene, caption):
     least 0.5. A ``None`` scene (a failed detection) scores 0 on every
     question.
     """
-    validate_caption(caption)
     n_questions = len(caption.objects)
     n_questions += int(caption.relation is not None) + int(caption.count is not None)
     if scene is None:
@@ -649,7 +645,6 @@ def scene_from_caption(caption, layout_seed, grid=DEFAULT_GRID):
     placed disjointly (respecting the caption's relation, if any), and the
     result is canonically ordered.
     """
-    validate_caption(caption)
     return _realise(caption, *_draw_layout(caption, layout_seed, grid), grid)
 
 
@@ -666,8 +661,6 @@ def pair_scenes(caption_w, caption_l, layout_seed, grid=DEFAULT_GRID):
     a flipped relation gives the loser the winner's two bboxes in reverse
     order. ``scene_w`` is ``scene_from_caption(caption_w, layout_seed)``.
     """
-    validate_caption(caption_w)
-    validate_caption(caption_l)
     if _slot_structure(caption_w) != _slot_structure(caption_l):
         raise ValueError("the two captions of a pair must share their slot structure")
     fills, boxes = _draw_layout(caption_w, layout_seed, grid)

@@ -22,7 +22,7 @@ either thread, so runs are bit-identical to the sequential loop.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +61,9 @@ class TrainConfig:
     pretrain_steps: int = 3000
     eval_samples_per_prompt: int = 4
 
+    def __post_init__(self):
+        validate_config(self)
+
     def net_config(self):
         return net.NetConfig(grid=self.grid, channels=self.channels,
                              hidden=self.hidden, time_dim=self.time_dim,
@@ -72,24 +75,15 @@ class TrainConfig:
 
 def validate_config(config):
     """Raise ValueError naming the first field no run can use. The network's
-    rules are ``net.check_net_config``'s and the schedule's
+    rules are ``net.NetConfig``'s and the schedule's
     ``diffusion.make_schedule``'s."""
-    if config.method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {config.method!r}")
-    for name in ("steps", "pretrain_steps"):
-        if getattr(config, name) < 0:
-            raise ValueError(f"{name} must be nonnegative")
-    for name in ("batch_size", "grid", "channels", "hidden", "eval_samples_per_prompt"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be positive")
+    net._check_fields(config, {"steps": 0, "pretrain_steps": 0, "warmup_steps": 0, "T": 1,
+                               "batch_size": 1, "eval_samples_per_prompt": 1, "seed": None},
+                      {"method": METHODS, "dtype": ("float32", "float64")})
     for name in ("learning_rate", "beta"):
         if getattr(config, name) <= 0:
             raise ValueError(f"{name} must be positive")
-    if config.warmup_steps < 0:
-        raise ValueError("warmup_steps must be nonnegative")
-    if config.dtype not in ("float32", "float64"):
-        raise ValueError(f"dtype must be one of ('float32', 'float64'), got {config.dtype!r}")
-    net.check_net_config(config.net_config())
+    config.net_config()
     config.schedule()
 
 
@@ -240,7 +234,6 @@ def train(config, dataset, init_params=None):
     MetricsLog); raises NumericDivergenceError naming the step on a
     non-finite loss or gradient norm, before that step's update.
     """
-    validate_config(config)
     if not dataset:
         raise ValueError("dataset must be non-empty")
     dtype = np.dtype(config.dtype)
@@ -302,15 +295,20 @@ def save_config(config, path):
 
 
 def load_config(path, **overrides):
+    """The TrainConfig of a run-config file, ``overrides`` applied."""
     with open(path) as fh:
         record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"not a JSON object: {path}")
     if record.pop("format", None) != CONFIG_FORMAT or record.pop("version", None) != CONFIG_VERSION:
         raise ValueError(f"not a {CONFIG_FORMAT} v{CONFIG_VERSION} file: {path}")
     unknown = sorted(set(record) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"unknown keys in {path}: {', '.join(unknown)}")
-    config = TrainConfig(**record)
-    return replace(config, **overrides) if overrides else config
+    try:
+        return TrainConfig(**{**record, **overrides})
+    except TypeError as exc:   # e.g. a string where a number belongs
+        raise ValueError(f"a field of {path} has the wrong type: {exc}") from exc
 
 
 def write_metrics(log, path):

@@ -73,14 +73,16 @@ def test_gen_data_train_eval_ablate_end_to_end(tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_train_refuses_a_v2_config(tmp_path):
+def test_train_refuses_a_v2_config(tmp_path, capsys):
     config = tmp_path / "config.json"
     trainer.save_config(micro_config(), config)
     record = json.loads(config.read_text())
     config.write_text(json.dumps({**record, "version": 2, "optimizer": "adam"}))
-    with pytest.raises(ValueError, match="run-config v3"):
-        cli.main(["train", "--config", str(config), "--data", str(tmp_path / "data.jsonl"),
-                  "--out", str(tmp_path / "run")])
+    assert cli.main(["train", "--config", str(config), "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{config}: ") and "run-config v3" in err
+    assert not (tmp_path / "run").exists()
 
 
 def _checkpoint_and_config(tmp_path):
@@ -118,6 +120,7 @@ def _edit(change):
 def _truncate(path):
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
+    return path
 
 
 @pytest.mark.parametrize("corrupt,message", [
@@ -147,6 +150,56 @@ def test_eval_refuses_a_bad_checkpoint_in_one_line(tmp_path, capsys, corrupt, me
                      "--samples-per-prompt", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{ckpt}: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _config_with(**fields):
+    """An input maker: the run config rewritten with ``fields``."""
+    def make(tmp_path, files):
+        record = json.loads(files["--config"].read_text())
+        files["--config"].write_text(json.dumps({**record, **fields}))
+        return files["--config"]
+    return make
+
+
+def _missing(tmp_path, files):
+    return tmp_path / "missing.json"
+
+
+def _config_list(tmp_path, files):
+    files["--config"].write_text("[]")
+    return files["--config"]
+
+
+@pytest.mark.parametrize("command,flag,make,message", [
+    pytest.param("train", "--config", _config_with(beta_start=0.0), "beta_start",
+                 id="train-beta-start-0"),
+    pytest.param("train", "--config", _missing, "No such file", id="train-missing-config"),
+    pytest.param("train", "--config", lambda tmp_path, files: files["--data"], "Extra data",
+                 id="train-dataset-as-config"),
+    pytest.param("train", "--config", _config_list, "not a JSON object", id="train-config-list"),
+    pytest.param("train", "--data", lambda tmp_path, files: _truncate(files["--data"]),
+                 "line ", id="train-truncated-dataset"),
+    pytest.param("train", "--data", _missing, "No such file", id="train-missing-dataset"),
+    pytest.param("ablate", "--config", _config_with(beta_start=0.0), "beta_start",
+                 id="ablate-beta-start-0"),
+    pytest.param("eval", "--prompts", _missing, "No such file", id="eval-missing-prompts"),
+])
+def test_every_command_refuses_an_unreadable_input_in_one_line(tmp_path, capsys, command, flag,
+                                                               make, message):
+    # each used to escape as a traceback with exit 1
+    ckpt, config = _checkpoint_and_config(tmp_path)
+    data = tmp_path / "data.jsonl"
+    dp.write_dataset(*dp.generate_dataset({"color": 2}, seed=1, grid=8), data)
+    files = {"--config": config, "--data": data, "--ckpt": ckpt}
+    files[flag] = make(tmp_path, files)
+    flags = {"train": ("--config", "--data"), "ablate": ("--config", "--data"),
+             "eval": ("--ckpt", "--prompts")}[command]
+    out = tmp_path / "out"
+    argv = [command, *(arg for f in flags for arg in (f, str(files[f]))), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{files[flag]}: ") and message in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -232,7 +285,7 @@ def test_eval_refuses_a_prompt_whose_label_contradicts_it(tmp_path, capsys):
     prompts.write_text(json.dumps(good) + "\n\n" + json.dumps(prompt) + "\n")
     assert cli.main(args) == 2
     err = capsys.readouterr().err
-    assert f"{prompts} line 3" in err and "labelled 'shape' reads as 'color'" in err
+    assert err.startswith(f"{prompts}: line 3: ") and "labelled 'shape' reads as 'color'" in err
     assert not out.exists()
 
     prompts.write_text(json.dumps(good) + "\n")

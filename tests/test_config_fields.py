@@ -1,9 +1,14 @@
-"""Every field of the run config and the network config is read by the package."""
+"""Every field of the run config and the network config is read by the package,
+and no caption, network config or run config can be built with a refused field."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from prefdiff import net, trainer
+from prefdiff import toyworld as tw
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "prefdiff"
 CONFIGS = [("trainer.py", "TrainConfig"), ("net.py", "NetConfig")]
@@ -35,3 +40,37 @@ def test_finder_flags_only_the_unread_field():
 def test_every_config_field_is_read(module, class_name):
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_fields(sources, module, class_name) == []
+
+
+RED_SQUARE = tw.Caption("color", (tw.ObjectSlot("square", color="red"),))
+ABOVE = tw.Caption("spatial", (tw.ObjectSlot("disc"), tw.ObjectSlot("square")), relation="above")
+THREE_DISCS = tw.Caption("numeracy", (tw.ObjectSlot("disc"),), count=3)
+MAUVE_SQUARE = (tw.ObjectSlot("square", color="mauve"),)
+REFUSED = {
+    "Caption-objects-mauve": (RED_SQUARE, "objects", MAUVE_SQUARE, "color 'mauve'"),
+    "Caption-dimension-colour": (RED_SQUARE, "dimension", "colour", "dimension 'colour'"),
+    "Caption-dimension-shape": (RED_SQUARE, "dimension", "shape", "labelled 'shape'"),
+    "Caption-relation-behind": (ABOVE, "relation", "behind", "relation 'behind'"),
+    "Caption-count-7": (THREE_DISCS, "count", 7, "count 7"),
+    "NetConfig-hidden-0": (net.NetConfig(), "hidden", 0, "hidden"),
+    "NetConfig-grid--2": (net.NetConfig(), "grid", -2, "grid"),
+    "NetConfig-channels-3.0": (net.NetConfig(), "channels", 3.0, "channels"),
+    "NetConfig-time_dim-7": (net.NetConfig(), "time_dim", 7, "time_dim"),
+    "NetConfig-activation-relu": (net.NetConfig(), "activation", "relu", "activation"),
+    "TrainConfig-steps-2.5": (trainer.TrainConfig(), "steps", 2.5, "steps"),
+    "TrainConfig-method-ppo": (trainer.TrainConfig(), "method", "ppo", "method"),
+    "TrainConfig-hidden-0": (trainer.TrainConfig(), "hidden", 0, "hidden"),
+    "TrainConfig-beta_start-0": (trainer.TrainConfig(), "beta_start", 0.0, "beta_start"),
+}
+
+
+@pytest.mark.parametrize("valid,name,value,message", REFUSED.values(), ids=list(REFUSED))
+def test_a_refused_field_cannot_be_built_or_replaced_in(valid, name, value, message):
+    # NetConfig(hidden=0) used to die in init_params with a ZeroDivisionError,
+    # NetConfig(grid=-2) built a 12-wide net, and an invalid caption was
+    # refused only by the functions that checked it again
+    fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+    with pytest.raises(ValueError, match=message):
+        type(valid)(**{**fields, name: value})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(valid, **{name: value})

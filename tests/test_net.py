@@ -53,9 +53,9 @@ def test_encoding_injective_over_full_grammar():
 
 
 def test_encoding_rejects_unknown_vocabulary():
-    bad = tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="mauve"),))
-    with pytest.raises(net.VocabularyError):
-        net.encode_caption(bad)
+    # a caption outside the vocabulary cannot be built, so none reaches the encoder
+    with pytest.raises(ValueError, match="mauve"):
+        tw.Caption(dimension="color", objects=(tw.ObjectSlot("square", color="mauve"),))
 
 
 def test_forward_zero_final_layer_outputs_zero():

@@ -1,5 +1,6 @@
 import zlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -424,17 +425,19 @@ def test_pair_scenes_rejects_captions_of_another_structure():
             tw.pair_scenes(one, other, 3)
 
 
+# each case holds the fields of a caption whose content reads as another label
 @pytest.mark.parametrize("label,caption", [
-    ("shape", tw.Caption("shape", (tw.ObjectSlot("square", color="red"),))),
-    ("texture", tw.Caption("texture", (tw.ObjectSlot("disc", color="red", texture="solid"),))),
-    ("color", tw.Caption("color", (tw.ObjectSlot("disc", color="red"),), count=2)),
-    ("numeracy", tw.Caption("numeracy", (tw.ObjectSlot("disc"),))),
-    ("spatial", tw.Caption("spatial", (tw.ObjectSlot("disc"), tw.ObjectSlot("square")))),
+    ("shape", dict(objects=(tw.ObjectSlot("square", color="red"),))),
+    ("texture", dict(objects=(tw.ObjectSlot("disc", color="red", texture="solid"),))),
+    ("color", dict(objects=(tw.ObjectSlot("disc", color="red"),), count=2)),
+    ("numeracy", dict(objects=(tw.ObjectSlot("disc"),))),
+    ("spatial", dict(objects=(tw.ObjectSlot("disc"), tw.ObjectSlot("square")))),
 ])
 def test_validate_caption_rejects_a_label_the_content_contradicts(label, caption):
     with pytest.raises(ValueError, match=f"labelled {label!r} reads as"):
-        tw.validate_caption(caption)
-    tw.validate_caption(replace(caption, dimension=tw.parse_dimension(caption)))
+        tw.Caption(dimension=label, **caption)
+    content = SimpleNamespace(**{"relation": None, "count": None, **caption})
+    tw.Caption(dimension=tw.parse_dimension(content), **caption)
 
 
 def test_grammar_captions_carry_their_ladder_dimension():

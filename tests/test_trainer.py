@@ -49,14 +49,24 @@ def test_config_validation():
                                          ("eval_samples_per_prompt", 0),
                                          ("eval_samples_per_prompt", -3),
                                          ("beta_start", 0.0), ("beta_end", 1.0),
-                                         ("beta_start", 0.5)])
+                                         ("beta_start", 0.5),
+                                         ("steps", 2.5), ("steps", True), ("steps", "ten"),
+                                         ("batch_size", 8.0), ("time_dim", 8.0),
+                                         ("seed", 0.5), ("T", True)])
 def test_config_validation_names_the_field(field, value):
     # odd time_dim used to fail at step 0 inside a matmul, a negative
     # pretrain_steps inside run_ablation, and no eval samples gave empty
     # scorecards that ablate reported as ok; a schedule with beta_start 0,
-    # beta_end 1 or beta_start above beta_end (0.2) used to pass validation
+    # beta_end 1 or beta_start above beta_end (0.2) used to pass validation;
+    # steps 2.5 trained 3 steps, steps True 1 step, and steps "ten" was a
+    # TypeError
     with pytest.raises(ValueError, match=field):
         trainer.validate_config(tiny_config(**{field: value}))
+
+
+def test_integer_fields_take_numpy_integers():
+    cfg = tiny_config(steps=np.int64(3), hidden=np.int32(16), seed=np.uint8(4))
+    assert (cfg.steps, cfg.net_config().hidden, cfg.seed) == (3, 16, 4)
 
 
 def test_warmup_lr_ramp():
@@ -374,6 +384,18 @@ def test_config_round_trip_and_override(tmp_path):
     path.write_text(json.dumps({**record, "format": "other"}))
     with pytest.raises(ValueError, match="run-config"):
         trainer.load_config(path)
+
+
+def test_load_config_refuses_a_file_it_cannot_build_with_its_path(tmp_path):
+    path = tmp_path / "config.json"
+    trainer.save_config(tiny_config(), path)
+    record = json.loads(path.read_text())
+    for text, message in (("[]", "not a JSON object"),
+                          (json.dumps({**record, "learning_rate": "fast"}), "wrong type")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            trainer.load_config(path)
+        assert str(path) in str(exc.value)
 
 
 def test_write_metrics_jsonl(tmp_path, tiny_dataset):
