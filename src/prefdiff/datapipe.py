@@ -23,7 +23,7 @@ import numpy as np
 from . import toyworld as tw
 
 DATASET_FORMAT = "prefdiff-dataset"
-DATASET_VERSION = 4
+DATASET_VERSION = 5
 IMAGE_DTYPE = np.dtype("<f8")   # byte order of the stored image payload
 MANIFEST_KEYS = ("requested", "realized", "config_hash", "filter_stats", "seed",
                  "records", "checksum")
@@ -73,9 +73,13 @@ class PreferencePair:
     y_l: tw.Caption
     scene_w: tw.SceneSpec
     scene_l: tw.SceneSpec
-    dimension: str
     mask_w: np.ndarray
     mask_l: np.ndarray
+
+    @property
+    def dimension(self):
+        """The pair's dimension: its winner caption's."""
+        return self.y_w.dimension
 
 
 @dataclass
@@ -224,8 +228,7 @@ def build_pair(caption, edited_caption, layout_seed, jitter=DEFAULT_JITTER,
     mask_w, mask_l = tw.edit_masks(scene_w, scene_l, grid)
     return PreferencePair(
         x0_w=x_w, y_w=caption, x0_l=x_l, y_l=edited_caption,
-        scene_w=scene_w, scene_l=scene_l, dimension=caption.dimension,
-        mask_w=mask_w, mask_l=mask_l)
+        scene_w=scene_w, scene_l=scene_l, mask_w=mask_w, mask_l=mask_l)
 
 
 def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
@@ -284,7 +287,6 @@ def pairs_equal(a, b):
     return (np.array_equal(a.x0_w, b.x0_w) and np.array_equal(a.x0_l, b.x0_l)
             and a.y_w == b.y_w and a.y_l == b.y_l
             and a.scene_w == b.scene_w and a.scene_l == b.scene_l
-            and a.dimension == b.dimension
             and np.array_equal(a.mask_w, b.mask_w) and np.array_equal(a.mask_l, b.mask_l))
 
 
@@ -364,14 +366,13 @@ def caption_from_dict(d):
 def _scene_dict(s):
     return {"objects": [{"shape": o.shape, "color": o.color, "texture": o.texture,
                          "bbox": [o.bbox.row0, o.bbox.col0, o.bbox.height, o.bbox.width]}
-                        for o in s.objects],
-            "relation": s.relation, "count_tag": s.count_tag}
+                        for o in s.objects]}
 
 
 def _scene_from(d, grid):
-    objs = tuple(tw.SceneObject(o["shape"], o["color"], o["texture"], tw.BBox(*o["bbox"]))
-                 for o in d["objects"])
-    scene = tw.SceneSpec(objects=objs, relation=d["relation"], count_tag=d["count_tag"])
+    scene = tw.SceneSpec(objects=[
+        tw.SceneObject(o["shape"], o["color"], o["texture"], tw.BBox(*o["bbox"]))
+        for o in d["objects"]])
     tw.validate_scene(scene, grid)
     return scene
 
@@ -397,18 +398,16 @@ def _pair_dict(p):
 
 
 def _pair_from(d):
-    """A pair from its record; the dimension and masks are derived as
-    ``build_pair`` derives them."""
+    """A pair from its record; the masks are derived as ``build_pair``
+    derives them."""
     grid = d["grid"]
     shape = (grid, grid, tw.CHANNELS)
-    y_w = caption_from_dict(d["y_w"])
     scene_w, scene_l = _scene_from(d["scene_w"], grid), _scene_from(d["scene_l"], grid)
     mask_w, mask_l = tw.edit_masks(scene_w, scene_l, grid)
     return PreferencePair(
-        x0_w=_image_from(d["x0_w"], shape), y_w=y_w,
+        x0_w=_image_from(d["x0_w"], shape), y_w=caption_from_dict(d["y_w"]),
         x0_l=_image_from(d["x0_l"], shape), y_l=caption_from_dict(d["y_l"]),
-        scene_w=scene_w, scene_l=scene_l, dimension=y_w.dimension,
-        mask_w=mask_w, mask_l=mask_l)
+        scene_w=scene_w, scene_l=scene_l, mask_w=mask_w, mask_l=mask_l)
 
 
 def write_dataset(pairs, manifest, path):
@@ -420,9 +419,11 @@ def write_dataset(pairs, manifest, path):
     images, the two captions and the two scenes.
     Its ``x0_w`` and ``x0_l`` are base64 of the image's float64 bytes in
     little-endian order (``"<f8"``), flattened row-major from shape
-    (grid, grid, CHANNELS), so a read returns bit-identical images. The
-    dimension and the two region masks are not stored: a read derives them
-    from the winner caption and the two scenes, as ``build_pair`` does.
+    (grid, grid, CHANNELS), so a read returns bit-identical images. A scene
+    record (version 5) is just its ``objects``, each with its shape, color,
+    texture and ``bbox`` as [row0, col0, height, width]. The two region masks
+    are not stored: a read derives them from the two scenes, as
+    ``build_pair`` does.
     """
     lines = [json.dumps(_pair_dict(p)) for p in pairs]
     digest = hashlib.sha256()

@@ -17,11 +17,14 @@ the specification the bank is built from.
 Captions are valid by construction: building one, ``dataclasses.replace``
 included, runs ``validate_caption``, and nothing that takes one checks again.
 
+A scene is its objects. ``SceneSpec`` stores them in canonical (col0, row0)
+order however they are given, so a scene completed from a caption, edited or
+detected compares like with like and ``detect(render(scene)) == scene``
+holds. ``validate_scene`` checks a scene that comes in from outside: the one
+``render`` draws and the ones a dataset file stores.
+
 The oracle VQA is two steps: ``detect`` recovers a scene from an image once,
-and ``answer`` scores any number of captions against that scene. Every scene,
-whether completed from a caption, edited or detected, is built by
-``canonical_scene``, so the renderer's scenes and the detector's scenes follow
-one rule and ``detect(render(scene)) == scene`` compares like with like.
+and ``answer`` scores any number of captions against that scene.
 """
 
 import functools
@@ -105,17 +108,15 @@ class SceneObject:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Ground-truth scene: objects in canonical (col0, row0) order.
-
-    ``count_tag`` is present exactly for scenes of two or more identical
-    replicas; ``relation`` is present exactly for the other two-object scenes
-    and states the dominant-axis relation of object 0 to object 1. Build
-    scenes with ``canonical_scene``, which applies these rules.
-    """
+    """Ground-truth scene: its objects, stored as a tuple sorted by
+    (col0, row0) whatever the order they are given in, so two scenes of the
+    same objects are equal."""
 
     objects: tuple
-    relation: str = None
-    count_tag: int = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "objects", tuple(
+            sorted(self.objects, key=lambda o: (o.bbox.col0, o.bbox.row0))))
 
 
 @dataclass(frozen=True)
@@ -189,9 +190,8 @@ def validate_caption(caption):
 
 
 def validate_scene(scene, grid=DEFAULT_GRID):
-    """Raise ValueError if the scene violates its invariants."""
-    if not scene.objects:
-        return
+    """Raise ValueError unless every bbox lies on the grid, is at least one
+    cell on each side and overlaps no other."""
     for obj in scene.objects:
         b = obj.bbox
         if b.row0 < 0 or b.col0 < 0 or b.row1 > grid or b.col1 > grid:
@@ -202,15 +202,6 @@ def validate_scene(scene, grid=DEFAULT_GRID):
         for b in scene.objects[i + 1:]:
             if a.bbox.overlaps(b.bbox):
                 raise ValueError("object bboxes overlap")
-    if scene.count_tag is not None:
-        attrs = {(o.shape, o.color, o.texture) for o in scene.objects}
-        if len(attrs) != 1 or len(scene.objects) != scene.count_tag:
-            raise ValueError("numeracy scene replicas must share attributes")
-    if scene.relation is not None:
-        if len(scene.objects) != 2:
-            raise ValueError("relation requires exactly two objects")
-        if scene.relation != _dominant_relation(scene.objects[0].bbox, scene.objects[1].bbox):
-            raise ValueError("stored relation inconsistent with bbox centers")
 
 
 # ---------------------------------------------------------------------------
@@ -323,28 +314,6 @@ def render(scene, layout_seed, jitter=0.0, grid=DEFAULT_GRID):
 # ---------------------------------------------------------------------------
 # oracle detection
 
-def _dominant_relation(bbox_a, bbox_b):
-    """Relation of a to b along the axis with the larger center offset."""
-    (ra, ca), (rb, cb) = bbox_a.center, bbox_b.center
-    dr, dc = rb - ra, cb - ca
-    if abs(dc) >= abs(dr):
-        return "left-of" if dc > 0 else "right-of"
-    return "above" if dr > 0 else "below"
-
-
-def canonical_scene(objects):
-    """The SceneSpec of a set of objects: sorted by (col0, row0), with a
-    ``count_tag`` for two or more identical replicas and otherwise the
-    dominant ``relation`` of a two-object scene."""
-    objects = tuple(sorted(objects, key=lambda o: (o.bbox.col0, o.bbox.row0)))
-    if len(objects) >= 2 and len({(o.shape, o.color, o.texture) for o in objects}) == 1:
-        return SceneSpec(objects=objects, count_tag=len(objects))
-    if len(objects) == 2:
-        return SceneSpec(objects=objects,
-                         relation=_dominant_relation(objects[0].bbox, objects[1].bbox))
-    return SceneSpec(objects=objects)
-
-
 def _components(mask):
     """The 4-connected components of a 2-D boolean mask, each as (rows, cols,
     cells): its bounding box as two slices and its number of cells.
@@ -429,7 +398,7 @@ def detect(image):
         if best > _FIT_TOL:
             continue   # nothing renderable explains this blob
         objects.append(SceneObject(*_CANDIDATES[k], bbox))
-    return canonical_scene(objects)
+    return SceneSpec(objects=objects)
 
 
 def detect_or_none(image):
@@ -590,14 +559,17 @@ def _place_disjoint(rng, sizes, grid, constraint=None):
 
 
 def _axis_dominant(relation):
+    """A layout constraint: box 0 stands in ``relation`` to box 1 along a
+    clearly dominant axis, so the relation is unambiguous: the centre offset
+    along the relation's axis, in its direction, exceeds the offset across
+    it by more than half a cell."""
+    horizontal = relation in ("left-of", "right-of")
+    sign = 1 if relation in ("left-of", "above") else -1
+
     def constraint(boxes):
-        got = _dominant_relation(boxes[0], boxes[1])
-        if got != relation:
-            return False
-        # require a clear dominant axis so the relation is unambiguous
         (ra, ca), (rb, cb) = boxes[0].center, boxes[1].center
-        dr, dc = abs(rb - ra), abs(cb - ca)
-        return (dc > dr + 0.5) if relation in ("left-of", "right-of") else (dr > dc + 0.5)
+        along, across = (cb - ca, rb - ra) if horizontal else (rb - ra, cb - ca)
+        return sign * along > abs(across) + 0.5
     return constraint
 
 
@@ -622,30 +594,28 @@ def _draw_layout(caption, layout_seed, grid):
     return fills, _place_disjoint(rng, sizes, grid, constraint=constraint)
 
 
-def _realise(caption, fills, boxes, grid):
-    """The canonical scene of a caption on a drawn layout: slot i takes the
-    caption's own attributes where it states them and ``fills[i]``
-    elsewhere, in bbox i; a counted caption repeats its slot ``count`` times."""
+def _realise(caption, fills, boxes):
+    """The scene of a caption on a drawn layout: slot i takes the caption's
+    own attributes where it states them and ``fills[i]`` elsewhere, in bbox
+    i; a counted caption repeats its slot ``count`` times. ``_place_disjoint``
+    drew the boxes on the grid and apart, so the scene needs no check."""
     slots = caption.objects
     if caption.count is not None:
         slots, fills = slots * caption.count, fills * caption.count
-    scene = canonical_scene(
+    return SceneSpec(objects=[
         SceneObject(slot.shape,
                     slot.color if slot.color is not None else color,
                     slot.texture if slot.texture is not None else texture, box)
-        for slot, (color, texture), box in zip(slots, fills, boxes))
-    validate_scene(scene, grid)
-    return scene
+        for slot, (color, texture), box in zip(slots, fills, boxes)])
 
 
 def scene_from_caption(caption, layout_seed, grid=DEFAULT_GRID):
     """Complete a caption into a concrete scene.
 
     Unspecified attributes are filled from the seeded generator, bboxes are
-    placed disjointly (respecting the caption's relation, if any), and the
-    result is canonically ordered.
+    placed disjointly (respecting the caption's relation, if any).
     """
-    return _realise(caption, *_draw_layout(caption, layout_seed, grid), grid)
+    return _realise(caption, *_draw_layout(caption, layout_seed, grid))
 
 
 def _slot_structure(caption):
@@ -665,8 +635,7 @@ def pair_scenes(caption_w, caption_l, layout_seed, grid=DEFAULT_GRID):
         raise ValueError("the two captions of a pair must share their slot structure")
     fills, boxes = _draw_layout(caption_w, layout_seed, grid)
     boxes_l = boxes[::-1] if caption_l.relation != caption_w.relation else boxes
-    return (_realise(caption_w, fills, boxes, grid),
-            _realise(caption_l, fills, boxes_l, grid))
+    return _realise(caption_w, fills, boxes), _realise(caption_l, fills, boxes_l)
 
 
 def flip_relation(relation):

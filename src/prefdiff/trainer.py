@@ -78,11 +78,12 @@ def validate_config(config):
     rules are ``net.NetConfig``'s and the schedule's
     ``diffusion.make_schedule``'s."""
     net._check_fields(config, {"steps": 0, "pretrain_steps": 0, "warmup_steps": 0, "T": 1,
-                               "batch_size": 1, "eval_samples_per_prompt": 1, "seed": None},
+                               "batch_size": 1, "eval_samples_per_prompt": 1, "seed": 0},
                       {"method": METHODS, "dtype": ("float32", "float64")})
     for name in ("learning_rate", "beta"):
-        if getattr(config, name) <= 0:
-            raise ValueError(f"{name} must be positive")
+        value = getattr(config, name)
+        if isinstance(value, bool) or not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     config.net_config()
     config.schedule()
 
@@ -295,20 +296,21 @@ def save_config(config, path):
 
 
 def load_config(path, **overrides):
-    """The TrainConfig of a run-config file, ``overrides`` applied."""
+    """The TrainConfig of a run-config file, ``overrides`` applied. Its
+    errors leave the path to the caller, as ``datapipe.read_dataset``'s do."""
     with open(path) as fh:
         record = json.load(fh)
     if not isinstance(record, dict):
-        raise ValueError(f"not a JSON object: {path}")
+        raise ValueError("not a JSON object")
     if record.pop("format", None) != CONFIG_FORMAT or record.pop("version", None) != CONFIG_VERSION:
-        raise ValueError(f"not a {CONFIG_FORMAT} v{CONFIG_VERSION} file: {path}")
+        raise ValueError(f"not a {CONFIG_FORMAT} v{CONFIG_VERSION} file")
     unknown = sorted(set(record) - {f.name for f in fields(TrainConfig)})
     if unknown:
-        raise ValueError(f"unknown keys in {path}: {', '.join(unknown)}")
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
     try:
         return TrainConfig(**{**record, **overrides})
     except TypeError as exc:   # e.g. a string where a number belongs
-        raise ValueError(f"a field of {path} has the wrong type: {exc}") from exc
+        raise ValueError(f"a field has the wrong type: {exc}") from exc
 
 
 def write_metrics(log, path):

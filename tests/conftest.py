@@ -61,11 +61,10 @@ def enumerate_captions():
     return captions
 
 
-def synthetic_pair(x0_w, y_w, x0_l, y_l, dimension="color", mask_w=None, mask_l=None):
+def synthetic_pair(x0_w, y_w, x0_l, y_l, mask_w=None, mask_l=None):
     """A PreferencePair of the given images and captions, without scenes."""
     return dp.PreferencePair(x0_w=x0_w, y_w=y_w, x0_l=x0_l, y_l=y_l,
-                             scene_w=None, scene_l=None, dimension=dimension,
-                             mask_w=mask_w, mask_l=mask_l)
+                             scene_w=None, scene_l=None, mask_w=mask_w, mask_l=mask_l)
 
 
 def stacked(pairs, masks=False):

@@ -82,6 +82,7 @@ def test_train_refuses_a_v2_config(tmp_path, capsys):
                      "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{config}: ") and "run-config v3" in err
+    assert err.count(str(config)) == 1
     assert not (tmp_path / "run").exists()
 
 
@@ -183,6 +184,7 @@ def _config_list(tmp_path, files):
     pytest.param("train", "--data", _missing, "No such file", id="train-missing-dataset"),
     pytest.param("ablate", "--config", _config_with(beta_start=0.0), "beta_start",
                  id="ablate-beta-start-0"),
+    pytest.param("ablate", "--config", _config_with(seed=-1), "seed", id="ablate-seed-negative"),
     pytest.param("eval", "--prompts", _missing, "No such file", id="eval-missing-prompts"),
 ])
 def test_every_command_refuses_an_unreadable_input_in_one_line(tmp_path, capsys, command, flag,

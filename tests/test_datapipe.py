@@ -323,8 +323,9 @@ def test_image_payload_round_trip_is_bit_exact(tmp_path):
 
 def test_dataset_version_1_file_is_refused(tmp_path):
     _, path = _write_mixed(tmp_path)
-    # v2 stored run-length masks and v3 the edited slots; datasets regenerate from seed
-    for version in (1, 2, 3):
+    # v2 stored run-length masks, v3 the edited slots and v4 each scene's
+    # relation and count tags; datasets regenerate from seed
+    for version in range(1, dp.DATASET_VERSION):
 
         def set_version(record):
             record["version"] = version

@@ -39,8 +39,7 @@ def caption_pair(x0, y_w, y_l, mask=None):
 
 def mirrored(pair):
     """``pair`` with the winner and loser roles swapped."""
-    return synthetic_pair(pair.x0_l, pair.y_l, pair.x0_w, pair.y_w, pair.dimension,
-                          pair.mask_l, pair.mask_w)
+    return synthetic_pair(pair.x0_l, pair.y_l, pair.x0_w, pair.y_w, pair.mask_l, pair.mask_w)
 
 
 def rand_images(shape, seed):

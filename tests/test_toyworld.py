@@ -1,3 +1,4 @@
+import itertools
 import zlib
 from dataclasses import replace
 from types import SimpleNamespace
@@ -57,19 +58,33 @@ def test_render_rejects_bbox_overflow():
 
 def test_detect_blank_image_is_empty():
     img = np.full((16, 16, 3), tw.BACKGROUND)
-    scene = tw.detect(img)
-    assert scene.objects == ()
-    assert scene.relation is None and scene.count_tag is None
+    assert tw.detect(img).objects == ()
 
 
 def test_detect_recovers_left_of_by_centroids():
     scene = tw.SceneSpec(
         objects=(tw.SceneObject("square", "red", "solid", tw.BBox(5, 1, 4, 4)),
-                 tw.SceneObject("disc", "blue", "solid", tw.BBox(6, 10, 4, 4))),
-        relation="left-of")
+                 tw.SceneObject("disc", "blue", "solid", tw.BBox(6, 10, 4, 4))))
     rec = tw.detect(tw.render(scene, 0, 0.0))
-    assert rec.relation == "left-of"
+    left_of = tw.Caption("spatial", (tw.ObjectSlot("square", "red"),
+                                     tw.ObjectSlot("disc", "blue")), relation="left-of")
+    assert tw.answer(rec, left_of) == tw.VqaResult(passed=True, answers=(1.0, 1.0, 1.0))
+    assert not tw.answer(rec, replace(left_of, relation="right-of")).passed
     assert rec == scene
+
+
+def test_scene_orders_its_objects_by_column_then_row():
+    # a scene is its objects: built in any order, it is the same scene
+    objects = (tw.SceneObject("disc", "blue", "solid", tw.BBox(6, 10, 4, 4)),
+               tw.SceneObject("square", "red", "solid", tw.BBox(9, 1, 3, 3)),
+               tw.SceneObject("triangle", "green", "checker", tw.BBox(1, 1, 4, 4)),
+               tw.SceneObject("square", "white", "striped", tw.BBox(0, 6, 3, 3)))
+    scenes = [tw.SceneSpec(objects=order) for order in itertools.permutations(objects)]
+    assert all(scene == scenes[0] for scene in scenes)
+    assert len({hash(scene) for scene in scenes}) == 1
+    assert [(o.bbox.col0, o.bbox.row0) for o in scenes[0].objects] == [(1, 1), (1, 9), (6, 0),
+                                                                         (10, 6)]
+    assert isinstance(tw.SceneSpec(objects=list(objects)).objects, tuple)
 
 
 def test_detect_ambiguity_error_on_off_palette_color():
@@ -139,7 +154,7 @@ def _reference_detect(image):
         if best[0] > tw._FIT_TOL:
             continue
         objects.append(tw.SceneObject(best[1], best[2], best[3], bbox))
-    return tw.canonical_scene(objects)
+    return tw.SceneSpec(objects=objects)
 
 
 def _detect_outcome(detector, image):
@@ -406,8 +421,8 @@ def test_pair_scenes_realise_both_captions_on_one_layout(grid):
             assert scene_w == tw.scene_from_caption(cap, seed, grid)
             if edited.relation != cap.relation:
                 a, b = scene_w.objects
-                assert scene_l == tw.canonical_scene(
-                    (replace(a, bbox=b.bbox), replace(b, bbox=a.bbox)))
+                assert scene_l == tw.SceneSpec(
+                    objects=(replace(a, bbox=b.bbox), replace(b, bbox=a.bbox)))
                 cases["relation"] += 1
             else:
                 assert scene_l == tw.scene_from_caption(edited, seed, grid)

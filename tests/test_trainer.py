@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from prefdiff import cli
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
 from prefdiff import losses
@@ -52,14 +53,18 @@ def test_config_validation():
                                          ("beta_start", 0.5),
                                          ("steps", 2.5), ("steps", True), ("steps", "ten"),
                                          ("batch_size", 8.0), ("time_dim", 8.0),
-                                         ("seed", 0.5), ("T", True)])
+                                         ("seed", 0.5), ("T", True),
+                                         ("learning_rate", float("nan")),
+                                         ("beta", float("inf")), ("learning_rate", True),
+                                         ("seed", -1)])
 def test_config_validation_names_the_field(field, value):
     # odd time_dim used to fail at step 0 inside a matmul, a negative
     # pretrain_steps inside run_ablation, and no eval samples gave empty
     # scorecards that ablate reported as ok; a schedule with beta_start 0,
     # beta_end 1 or beta_start above beta_end (0.2) used to pass validation;
     # steps 2.5 trained 3 steps, steps True 1 step, and steps "ten" was a
-    # TypeError
+    # TypeError; a NaN learning rate or an infinite beta diverged at step 1,
+    # and a negative seed failed in ablate after its inputs were read
     with pytest.raises(ValueError, match=field):
         trainer.validate_config(tiny_config(**{field: value}))
 
@@ -386,16 +391,20 @@ def test_config_round_trip_and_override(tmp_path):
         trainer.load_config(path)
 
 
-def test_load_config_refuses_a_file_it_cannot_build_with_its_path(tmp_path):
+def test_load_config_refuses_a_file_it_cannot_build_with_its_path(tmp_path, capsys):
+    # load_config leaves the path to its caller, which names it once
     path = tmp_path / "config.json"
     trainer.save_config(tiny_config(), path)
     record = json.loads(path.read_text())
     for text, message in (("[]", "not a JSON object"),
                           (json.dumps({**record, "learning_rate": "fast"}), "wrong type")):
         path.write_text(text)
-        with pytest.raises(ValueError, match=message) as exc:
+        with pytest.raises(ValueError, match=message):
             trainer.load_config(path)
-        assert str(path) in str(exc.value)
+        assert cli.main(["train", "--config", str(path), "--data", str(tmp_path / "data.jsonl"),
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and message in err and err.count(str(path)) == 1
 
 
 def test_write_metrics_jsonl(tmp_path, tiny_dataset):
