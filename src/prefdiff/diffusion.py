@@ -197,7 +197,7 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
             for s in seeds]
     cfg = params.cfg
     shape = (cfg.grid, cfg.grid, cfg.channels)
-    dtype = params.layers[0][0].dtype
+    dtype = params.flat.dtype
     scratch = np.empty((n,) + shape)
     buffers = (np.empty((n,) + shape, dtype), np.empty((n,) + shape, dtype))
 

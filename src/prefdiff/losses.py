@@ -304,7 +304,7 @@ def policy_half(theta, half):
     e_theta, weighted = _errors(pred, half.inp.image_of_block, half.targets, half.masks)
     value, margin, c_rows, reward_accuracy = half.layout.finish(half, e_theta)
     scale = 2.0 * c_rows[:, None] * net.noise_output_slope(theta.cfg, t_rows, half.sched)
-    d_out = np.multiply(scale, weighted, dtype=theta.layers[0][0].dtype)
+    d_out = np.multiply(scale, weighted, dtype=theta.flat.dtype)
     return Loss(value=value, margin=margin, theta=theta, acts=acts, d_out=d_out,
                 reward_accuracy=reward_accuracy)
 

@@ -7,6 +7,12 @@ the preference losses. Gradients are the textbook backward pass of this fixed
 stack: a loss hands ``backward`` the activations its policy forward pass
 cached and its gradient with respect to the stack output.
 
+The parameters live in one flat buffer, W0, b0, W1, b1, W2, b2 in C order,
+and each layer's (W, b) is a view into it. Only ``_layer_views`` knows that
+layout. The gradients share it, and so do the trainer's Adam moments and the
+checkpoint's one payload, so a copy, a comparison or a checksum is one
+operation on the buffer.
+
 The first layer is factorised. Its weight W0 splits into an image block
 W0[:D], a time block W0[D:D+tau] and a caption block W0[D+tau:], so a row's
 pre-activation (x_img, temb, enc) . W0 + b0 is the sum of three products.
@@ -15,13 +21,13 @@ embeddings once and one caption block per N rows, with a block -> image map
 naming the image each row block reads. A preference loss that scores one
 noised image under two captions thus pays for the 768-wide image product, and
 for its share of dW0, once per image rather than once per row. The blocks are
-views of W0, so the parameters and the checkpoint keep their layout.
+views of W0, so the flat layout, and the checkpoint's payload, stay as they are.
 """
 
 import base64
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,11 +40,11 @@ ACTIVATIONS = ("silu", "identity")
 PARAMETERIZATIONS = ("eps", "x0")
 
 CHECKPOINT_FORMAT = "prefdiff-denoiser"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file failed version, checksum, config or layer-shape validation."""
+    """Checkpoint file failed version, dtype, checksum, config or size validation."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,26 +127,50 @@ class NetConfig:
         return self.image_dim + self.time_dim + ENCODING_DIM
 
 
-@dataclass
-class DenoiserParams:
-    """Weights of the denoiser: list of (W, b) per layer, input-major shapes."""
+def _layer_views(cfg, flat):
+    """The (W, b) views of each layer into a flat buffer: W0, b0, W1, b1, W2,
+    b2 in that order, each W (fan_in, fan_out) in C order. The one place that
+    knows the layout."""
+    dims = (cfg.input_dim, cfg.hidden, cfg.hidden, cfg.image_dim)
+    views, start = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = start + fan_in * fan_out
+        views.append((flat[start:end].reshape(fan_in, fan_out), flat[end:end + fan_out]))
+        start = end + fan_out
+    return tuple(views)
+
+
+@dataclass(frozen=True, eq=False)
+class _FlatLayers:
+    """One 1-D buffer of a net's parameter count and its per-layer (W, b)
+    views, built once; a write through a view shows in ``flat``."""
 
     cfg: NetConfig
-    layers: list
+    flat: np.ndarray
+    layers: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if np.ndim(self.flat) != 1 or self.flat.size != expected_param_count(self.cfg):
+            raise ValueError(f"flat buffer of shape {np.shape(self.flat)} is not the "
+                             f"({expected_param_count(self.cfg)},) its config implies")
+        object.__setattr__(self, "layers", _layer_views(self.cfg, self.flat))
+
+
+@dataclass(frozen=True, eq=False)
+class DenoiserParams(_FlatLayers):
+    """Weights of the denoiser in one flat buffer, with (W, b) views per
+    layer in input-major shapes. Compare two with ``params_equal``."""
+
     trainable: bool = True
 
     def param_count(self):
-        return sum(w.size + b.size for w, b in self.layers)
+        return self.flat.size
 
 
 def expected_param_count(cfg):
     """Analytic parameter count for the configured sizes."""
     d_in, h, d_out = cfg.input_dim, cfg.hidden, cfg.image_dim
     return d_in * h + h + h * h + h + h * d_out + d_out
-
-
-def _layer_dims(cfg):
-    return [cfg.input_dim, cfg.hidden, cfg.hidden, cfg.image_dim]
 
 
 def init_params(cfg=NetConfig(), seed=0, dtype=np.float64):
@@ -150,28 +180,20 @@ def init_params(cfg=NetConfig(), seed=0, dtype=np.float64):
     keeps early training stable.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    dims = _layer_dims(cfg)
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        if i == len(dims) - 2:
-            w = np.zeros((fan_in, fan_out), dtype=dtype)
-        else:
-            limit = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-        layers.append((w, np.zeros(fan_out, dtype=dtype)))
-    return DenoiserParams(cfg=cfg, layers=layers, trainable=True)
+    params = DenoiserParams(cfg=cfg, flat=np.zeros(expected_param_count(cfg), dtype=dtype))
+    for w, _ in params.layers[:-1]:
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return params
 
 
 def clone_frozen(params):
     """Deep copy flagged non-trainable; training never mutates it."""
-    layers = [(w.copy(), b.copy()) for w, b in params.layers]
-    return DenoiserParams(cfg=params.cfg, layers=layers, trainable=False)
+    return DenoiserParams(cfg=params.cfg, flat=params.flat.copy(), trainable=False)
 
 
 def params_equal(a, b):
-    return (a.cfg == b.cfg and len(a.layers) == len(b.layers)
-            and all(np.array_equal(wa, wb) and np.array_equal(ba, bb)
-                    for (wa, ba), (wb, bb) in zip(a.layers, b.layers)))
+    return a.cfg == b.cfg and np.array_equal(a.flat, b.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +267,7 @@ def _check_blocks(cfg, images, t_arr, encodings, sched, image_of_block):
 def _assemble_input(params, images, t_arr, encodings, sched, image_of_block):
     """``assemble_input`` on arguments that pass ``_check_blocks``, unchecked."""
     n = len(t_arr)
-    dtype = params.layers[0][0].dtype
+    dtype = params.flat.dtype
     return NetInput(
         images=np.concatenate([np.reshape(x, (n, -1)) for x in images], dtype=dtype),
         temb=_time_embedding(t_arr, sched.T, params.cfg.time_dim).astype(dtype),
@@ -354,13 +376,13 @@ def forward_batch(params, x_t, t_arr, encodings, sched):
 # ---------------------------------------------------------------------------
 # backward
 
-@dataclass
-class Gradients:
-    """Per-layer (dW, db) arrays aligned with DenoiserParams.layers."""
-
-    layers: list
+@dataclass(frozen=True, eq=False)
+class Gradients(_FlatLayers):
+    """(dW, db) per layer, as views into one buffer in the parameters' layout."""
 
     def global_norm(self):
+        # a sum of per-view dot products in layer order: one vdot over the
+        # whole buffer would round differently
         return float(np.sqrt(sum(float(np.vdot(g, g)) for pair in self.layers for g in pair)))
 
 
@@ -370,74 +392,69 @@ def backward(params, loss):
     ``loss`` carries the activations of its policy forward pass (``acts``)
     and dL/d(stack output) per row (``d_out``); the input rows get no
     gradient. Frozen parameter sets never receive gradient, so asking for
-    their gradients returns zeros.
+    their gradients returns zeros. Each layer's gradient is written into its
+    view of the one buffer.
     """
     if not params.trainable:
-        return Gradients(layers=[(np.zeros_like(w), np.zeros_like(b))
-                                 for w, b in params.layers])
+        return Gradients(cfg=params.cfg, flat=np.zeros_like(params.flat))
     if loss.theta is not params:
         raise ValueError("loss was not computed from these parameters")
+    grads = Gradients(cfg=params.cfg, flat=np.empty_like(params.flat))
     g = loss.d_out
-    grads = []
     for i in range(len(params.layers) - 1, -1, -1):
         h, z, s = loss.acts[i]
         if s is not None:
             g = g * ad.silu_grad(z, s)
-        grads.append((_first_layer_grad(params, h, g) if i == 0 else h.T @ g, g.sum(axis=0)))
+        dw, db = grads.layers[i]
+        if i == 0:
+            _first_layer_grad(params, h, g, dw)
+        else:
+            np.matmul(h.T, g, out=dw)
+        g.sum(axis=0, out=db)
         if i > 0:
             g = g @ params.layers[i][0].T
-    return Gradients(layers=grads[::-1])
+    return grads
 
 
-def _first_layer_grad(params, inp, g):
-    """dW0 from dL/dz1 ``g``, one row block of W0 at a time: the image block
-    takes x_img^T . (sum of g over the row blocks that read the image), the
-    time block temb^T . (sum of g over all row blocks), and the caption block
-    enc^T . g."""
+def _first_layer_grad(params, inp, g, dw):
+    """dW0 from dL/dz1 ``g`` into ``dw``, one row block of W0 at a time: the
+    image block takes x_img^T . (sum of g over the row blocks that read the
+    image), the time block temb^T . (sum of g over all row blocks), and the
+    caption block enc^T . g."""
     d, tau = params.cfg.image_dim, params.cfg.time_dim
     n = inp.temb.shape[0]
     blocks = g.reshape(len(inp.image_of_block), n, -1)
     g_image = np.zeros((inp.images.shape[0], g.shape[1]), dtype=g.dtype)
     for blk, k in enumerate(inp.image_of_block):
         g_image[k * n:(k + 1) * n] += blocks[blk]
-    dw = np.empty(params.layers[0][0].shape, dtype=g.dtype)
     np.matmul(inp.images.T, g_image, out=dw[:d])
     np.matmul(inp.temb.T, blocks.sum(axis=0), out=dw[d:d + tau])
     np.matmul(inp.encodings.T, g, out=dw[d + tau:])
-    return dw
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _checksum(layers):
-    digest = hashlib.sha256()
-    for w, b in layers:
-        digest.update(np.ascontiguousarray(w).tobytes())
-        digest.update(np.ascontiguousarray(b).tobytes())
-    return digest.hexdigest()
+def _checksum(flat):
+    return hashlib.sha256(flat.tobytes()).hexdigest()
 
 
 def save_checkpoint(params, sched, path):
     """Write a versioned, checksummed JSON checkpoint (atomic, bit-exact).
 
     ``sched`` is the schedule the parameters were trained under; the file
-    records it so that sampling can be checked against it.
+    records it so that sampling can be checked against it. The parameters
+    are one payload, the flat buffer's bytes.
     """
     record = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "dtype": str(params.layers[0][0].dtype),
+        "dtype": str(params.flat.dtype),
         "trainable": params.trainable,
         "cfg": asdict(params.cfg),
         "schedule": sched.spec(),
-        "layers": [
-            {"w_shape": list(w.shape), "b_shape": list(b.shape),
-             "w": base64.b64encode(np.ascontiguousarray(w).tobytes()).decode("ascii"),
-             "b": base64.b64encode(np.ascontiguousarray(b).tobytes()).decode("ascii")}
-            for w, b in params.layers
-        ],
-        "checksum": _checksum(params.layers),
+        "params": base64.b64encode(params.flat.tobytes()).decode("ascii"),
+        "checksum": _checksum(params.flat),
     }
     with atomic_write(path) as fh:
         json.dump(record, fh)
@@ -446,9 +463,10 @@ def save_checkpoint(params, sched, path):
 def load_checkpoint(path):
     """Load a checkpoint as (DenoiserParams, DiffusionSchedule it was trained
     under). Raises CheckpointError on a file that is not a JSON object, on
-    a missing field or one of the wrong type, on a version or checksum
-    failure, on a config no net can be built from, or on a layer whose shape
-    is not the one its config implies."""
+    a missing field or one of the wrong type, on a dtype other than float32
+    or float64, on a version or checksum failure, on a config no net can be
+    built from, or on a payload whose size is not the one its config
+    implies."""
     with open(path) as fh:
         try:
             record = json.load(fh)
@@ -462,7 +480,7 @@ def load_checkpoint(path):
         raise
     except KeyError as exc:
         raise CheckpointError(f"checkpoint lacks the field {exc}") from exc
-    except (TypeError, ValueError) as exc:   # e.g. an unknown cfg field, dtype or schedule
+    except (TypeError, ValueError) as exc:   # e.g. an unknown cfg field or schedule
         raise CheckpointError(f"checkpoint field refused: {exc}") from exc
 
 
@@ -471,25 +489,17 @@ def _from_record(record):
     if record.get("format") != CHECKPOINT_FORMAT or record.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint {record.get('format')!r} v{record.get('version')!r}")
-    dtype = np.dtype(record["dtype"])
-    layers = []
-    for entry in record["layers"]:
-        w = np.frombuffer(base64.b64decode(entry["w"]), dtype=dtype).reshape(entry["w_shape"])
-        b = np.frombuffer(base64.b64decode(entry["b"]), dtype=dtype).reshape(entry["b_shape"])
-        layers.append((w.copy(), b.copy()))
-    if _checksum(layers) != record["checksum"]:
+    if record["dtype"] not in ("float32", "float64"):
+        raise CheckpointError(f"checkpoint dtype {record['dtype']!r} is not float32 or float64")
+    if not isinstance(record["trainable"], bool):
+        raise CheckpointError(f"checkpoint trainable {record['trainable']!r} is not a bool")
+    flat = np.frombuffer(base64.b64decode(record["params"]), dtype=record["dtype"]).copy()
+    if _checksum(flat) != record["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch")
-    cfg = NetConfig(**record["cfg"])
-    dims = _layer_dims(cfg)
-    implied = [((m, n), (n,)) for m, n in zip(dims[:-1], dims[1:])]
-    stored = [(w.shape, b.shape) for w, b in layers]
-    if stored != implied:
-        raise CheckpointError(f"checkpoint layer shapes {stored} differ from the "
-                              f"{implied} its config implies")
-    params = DenoiserParams(cfg=cfg, layers=layers, trainable=record["trainable"])
+    params = DenoiserParams(cfg=NetConfig(**record["cfg"]), flat=flat,
+                            trainable=record["trainable"])
     return params, df.make_schedule(**record["schedule"])
 
 
 def checkpoint_checksum(params):
-    return _checksum(params.layers)
-
+    return _checksum(params.flat)

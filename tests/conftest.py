@@ -15,6 +15,7 @@ import pytest  # noqa: E402
 
 from prefdiff import datapipe as dp  # noqa: E402
 from prefdiff import losses  # noqa: E402
+from prefdiff import net  # noqa: E402
 from prefdiff import toyworld as tw  # noqa: E402
 
 
@@ -138,10 +139,25 @@ def norm_relative_grad_error(analytic, numeric):
 def randomized_params(params, seed, scale=0.3):
     """Overwrite every layer (including the zero-initialized head) randomly."""
     rng = np.random.default_rng(seed)
-    for i, (w, b) in enumerate(params.layers):
-        params.layers[i] = (rng.normal(0.0, scale, w.shape),
-                            rng.normal(0.0, scale, b.shape))
+    for w, b in params.layers:
+        w[...] = rng.normal(0.0, scale, w.shape)
+        b[...] = rng.normal(0.0, scale, b.shape)
     return params
+
+
+def params_with_layers(cfg, layers):
+    """DenoiserParams of ``cfg`` whose (W, b) views hold ``layers``' values."""
+    params = net.DenoiserParams(cfg=cfg, flat=np.zeros(net.expected_param_count(cfg)))
+    for (w, b), (w_new, b_new) in zip(params.layers, layers, strict=True):
+        w[...] = w_new
+        b[...] = b_new
+    return params
+
+
+def with_dtype(params, dtype):
+    """A copy of ``params`` whose flat buffer has ``dtype``."""
+    return net.DenoiserParams(cfg=params.cfg, flat=params.flat.astype(dtype),
+                              trainable=params.trainable)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (finite_difference_grads, norm_relative_grad_error, pair_loss,
-                      randomized_params, stacked, synthetic_pair)
+                      params_with_layers, randomized_params, stacked, synthetic_pair)
 
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
@@ -157,7 +157,7 @@ def test_criterion_4_closed_form():
     def linear(w):
         w1 = np.zeros((cfg.input_dim, K))
         w1[cfg.image_dim + cfg.time_dim:, :] = np.eye(K)
-        return net.DenoiserParams(cfg=cfg, layers=[
+        return params_with_layers(cfg, [
             (w1, np.zeros(K)), (np.eye(K), np.zeros(K)), (w * np.eye(K), np.zeros(K))])
 
     sched = df.make_schedule(5, 0.1, 0.3)

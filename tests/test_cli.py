@@ -129,15 +129,23 @@ def _truncate(path):
                  id="version"),
     pytest.param(_edit(lambda r: r.update(checksum="0" * 64)), "checksum mismatch",
                  id="checksum"),
-    pytest.param(_edit(lambda r: r["cfg"].update(hidden=32)), "layer shapes", id="cfg-hidden"),
+    pytest.param(_edit(lambda r: r["cfg"].update(hidden=32)), "config implies", id="cfg-hidden"),
     pytest.param(_edit(lambda r: r["cfg"].update(parameterization="x1")), "parameterization",
                  id="parameterization-x1"),
     pytest.param(_edit(lambda r: r["cfg"].update(dropout=0.1)), "dropout", id="cfg-unknown"),
     pytest.param(_edit(lambda r: r.update(dtype="float17")), "float17", id="dtype"),
+    # the checksum covers only the payload's bytes, which these would misread:
+    # each has the item size of the float64 payload
+    pytest.param(_edit(lambda r: r.update(dtype="int64")), "'int64' is not float32",
+                 id="dtype-int64"),
+    pytest.param(_edit(lambda r: r.update(dtype=">f8")), "'>f8' is not float32",
+                 id="dtype-big-endian"),
+    pytest.param(_edit(lambda r: r.update(trainable="yes")), "'yes' is not a bool",
+                 id="trainable-string"),
     pytest.param(_edit(lambda r: r["schedule"].update(beta_end=1.5)), "beta_end",
                  id="schedule"),
-    pytest.param(_edit(lambda r: r.pop("layers")), "lacks the field 'layers'",
-                 id="missing-layers"),
+    pytest.param(_edit(lambda r: r.pop("params")), "lacks the field 'params'",
+                 id="missing-params"),
     pytest.param(_truncate, "not JSON", id="truncated"),
     pytest.param(lambda path: path.write_text("[]"), "not a JSON object", id="list"),
     pytest.param(lambda path: path.unlink(), "No such file", id="missing-file"),

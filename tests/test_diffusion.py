@@ -137,8 +137,8 @@ def test_ddpm_sample_is_deterministic_and_clamped():
     params = net.init_params(cfg, seed=1)
     # give the net nonzero output so clamping is actually exercised
     rng = np.random.default_rng(0)
-    params.layers[-1] = (rng.normal(0, 0.5, params.layers[-1][0].shape),
-                         params.layers[-1][1])
+    w_out = params.layers[-1][0]
+    w_out[...] = rng.normal(0, 0.5, w_out.shape)
     sched = df.make_schedule(8, 0.05, 0.3)
     enc = net.encode_caption(tw.Caption(dimension="shape", objects=(tw.ObjectSlot("square"),)))
     a = df.ddpm_sample_batch(params, enc[None], sched, [7])
@@ -168,7 +168,7 @@ def test_ddpm_sample_batch_matches_single_calls():
 def test_ddpm_sample_batch_matches_single_calls_within_tolerance(dtype, tol):
     # a non-zero network: batching changes only the rounding of the matrix
     # products, within the tolerance ddpm_sample_batch documents
-    from conftest import randomized_params
+    from conftest import randomized_params, with_dtype
 
     from prefdiff import toyworld as tw
     cfg = net.NetConfig(grid=6, channels=3, hidden=16)
@@ -178,8 +178,8 @@ def test_ddpm_sample_batch_matches_single_calls_within_tolerance(dtype, tol):
     encs = np.stack([net.encode_caption(c) for c in caps])
     seeds = [3, 4, 5, 6]
     for seed in range(3):
-        params = randomized_params(net.init_params(cfg, seed=seed), seed=10 + seed)
-        params.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
+        params = with_dtype(randomized_params(net.init_params(cfg, seed=seed), seed=10 + seed),
+                            dtype)
         batch = df.ddpm_sample_batch(params, encs, sched, seeds)
         singles = np.stack([df.ddpm_sample_batch(params, encs[i:i + 1], sched, [s])[0]
                             for i, s in enumerate(seeds)])
@@ -188,14 +188,13 @@ def test_ddpm_sample_batch_matches_single_calls_within_tolerance(dtype, tol):
 
 @pytest.mark.parametrize("parameterization", net.PARAMETERIZATIONS)
 def test_ddpm_sample_batch_keeps_the_parameters_dtype(parameterization):
-    from conftest import randomized_params
+    from conftest import randomized_params, with_dtype
 
     cfg = net.NetConfig(grid=4, channels=3, hidden=8, parameterization=parameterization)
     sched = df.make_schedule(4, 0.05, 0.3)
     encs = np.zeros((2, net.ENCODING_DIM))
     for dtype in (np.float32, np.float64):
-        params = randomized_params(net.init_params(cfg, seed=0), seed=1)
-        params.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
+        params = with_dtype(randomized_params(net.init_params(cfg, seed=0), seed=1), dtype)
         assert df.ddpm_sample_batch(params, encs, sched, [1, 2]).dtype == dtype
 
 
@@ -204,9 +203,7 @@ def test_ddpm_sample_reports_divergence_step():
     from prefdiff import toyworld as tw
     cfg = net.NetConfig(grid=4, channels=3, hidden=8)
     params = net.init_params(cfg, seed=1)
-    corrupted = params.layers[-1][0].copy()
-    corrupted[0, 0] = np.nan
-    params.layers[-1] = (corrupted, params.layers[-1][1])
+    params.layers[-1][0][0, 0] = np.nan
     sched = df.make_schedule(6, 0.05, 0.3)
     enc = net.encode_caption(tw.Caption(dimension="shape", objects=(tw.ObjectSlot("square"),)))
     with pytest.raises(df.NumericDivergenceError, match="step t=5"):
@@ -221,7 +218,7 @@ def _sequential_sample(params, encodings, sched, seeds):
     n = len(seeds)
     cfg = params.cfg
     shape = (cfg.grid, cfg.grid, cfg.channels)
-    dtype = params.layers[0][0].dtype
+    dtype = params.flat.dtype
     x = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
     ab = sched.alpha_bar
     alpha_bar_prev = np.concatenate([[1.0], ab[:-1]])
@@ -250,7 +247,7 @@ def test_ddpm_sample_batch_is_bitwise_the_sequential_loop(T, batch, dtype, param
                                                          monkeypatch):
     # the draws run a step ahead on a worker thread; every row's stream must
     # reach every step exactly as the in-line draws do
-    from conftest import randomized_params
+    from conftest import randomized_params, with_dtype
 
     forward = net.forward_batch
 
@@ -264,8 +261,8 @@ def test_ddpm_sample_batch_is_bitwise_the_sequential_loop(T, batch, dtype, param
 
     cfg = net.NetConfig(grid=4, channels=3, hidden=16, parameterization=parameterization)
     sched = df.make_schedule(T, 0.05, 0.3)
-    params = randomized_params(net.init_params(cfg, seed=3), seed=4, scale=0.1)
-    params.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
+    params = with_dtype(randomized_params(net.init_params(cfg, seed=3), seed=4, scale=0.1),
+                        dtype)
     encs = np.random.default_rng(5).integers(0, 2, (batch, net.ENCODING_DIM)).astype(float)
     seeds = [11 * i + 2 for i in range(batch)]
     out = df.ddpm_sample_batch(params, encs, sched, seeds)

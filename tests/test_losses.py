@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import (finite_difference_grads, max_relative_grad_error,
-                      norm_relative_grad_error, pair_loss, randomized_params, stacked,
-                      synthetic_pair)
+                      norm_relative_grad_error, pair_loss, params_with_layers,
+                      randomized_params, stacked, synthetic_pair, with_dtype)
 
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
@@ -158,7 +158,7 @@ def linear_model(w):
     cfg = net.NetConfig(grid=6, channels=1, hidden=K, time_dim=4, activation="identity")
     w1 = np.zeros((cfg.input_dim, K))
     w1[cfg.image_dim + cfg.time_dim:, :] = np.eye(K)
-    return net.DenoiserParams(cfg=cfg, layers=[
+    return params_with_layers(cfg, [
         (w1, np.zeros(K)), (np.eye(K), np.zeros(K)), (w * np.eye(K), np.zeros(K))])
 
 
@@ -358,9 +358,8 @@ def saturating_batch(dtype):
     which some items' margins saturate while others' do not. Returns the
     policy and ``loss_at(name, beta)``."""
     def drawn(seed):
-        params = randomized_params(net.init_params(SAT_CFG, seed=seed), seed=seed + 1)
-        params.layers = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
-        return params
+        return with_dtype(randomized_params(net.init_params(SAT_CFG, seed=seed), seed=seed + 1),
+                          dtype)
 
     theta, ref = drawn(110), net.clone_frozen(drawn(112))
     rng = np.random.default_rng(114)
@@ -398,14 +397,11 @@ def test_saturated_items_leave_no_subnormal_float32_values(name):
     for beta in SAT_BETAS:
         loss = loss_at(name, beta)
         grads = loss.backward()
-        params = net.DenoiserParams(cfg=theta.cfg,
-                                    layers=[(w.copy(), b.copy()) for w, b in theta.layers])
+        params = net.DenoiserParams(cfg=theta.cfg, flat=theta.flat.copy())
         state = trainer.AdamState.zeros(params)
         trainer.adam_step(params, grads, state, 1e-3)
-        for where, arrays in (("d_out", [loss.d_out]),
-                              ("gradients", [g for pair in grads.layers for g in pair]),
-                              ("Adam m", [a for pair in state.m for a in pair]),
-                              ("Adam v", [a for pair in state.v for a in pair])):
+        for where, arrays in (("d_out", [loss.d_out]), ("gradients", [grads.flat]),
+                              ("Adam m", [state.m]), ("Adam v", [state.v])):
             count = subnormal_count(arrays)
             assert count == 0, f"{name}, beta {beta}: {count} subnormal values in {where}"
         rows = saturated_rows(loss)

@@ -2,8 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import (enumerate_captions, finite_difference_grads,
-                      max_relative_grad_error, randomized_params, stacked, synthetic_pair)
+from conftest import (enumerate_captions, finite_difference_grads, max_relative_grad_error,
+                      randomized_params, stacked, synthetic_pair, with_dtype)
 
 from prefdiff import diffusion as df
 from prefdiff import losses
@@ -154,13 +154,15 @@ def test_backward_is_repeatable():
 
 def test_global_norm_matches_float64_sum_of_squares():
     rng = np.random.default_rng(15)
-    layers = [(rng.normal(0.0, 10.0 ** -k, (40, 30)).astype(np.float32),
-               rng.normal(0.0, 1.0, 30).astype(np.float32)) for k in range(3)]
-    expected = np.sqrt(sum((g.astype(np.float64) ** 2).sum() for pair in layers for g in pair))
-    assert net.Gradients(layers=layers).global_norm() == pytest.approx(expected, rel=1e-6)
+    grads = net.Gradients(cfg=SMALL, flat=np.empty(net.expected_param_count(SMALL), np.float32))
+    for k, (w, b) in enumerate(grads.layers):
+        w[...] = rng.normal(0.0, 10.0 ** -k, w.shape)
+        b[...] = rng.normal(0.0, 1.0, b.shape)
+    expected = np.sqrt((grads.flat.astype(np.float64) ** 2).sum())
+    assert grads.global_norm() == pytest.approx(expected, rel=1e-6)
     for bad in (np.inf, -np.inf, np.nan):
-        layers[1][0][3, 4] = bad
-        assert not np.isfinite(net.Gradients(layers=layers).global_norm())
+        grads.layers[1][0][3, 4] = bad
+        assert not np.isfinite(grads.global_norm())
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -218,7 +220,7 @@ def test_x0_parameterization_gradients_and_identity():
 def test_x0_forward_batch_keeps_the_parameter_dtype(dtype):
     cfg = net.NetConfig(grid=4, channels=3, hidden=8, time_dim=8, parameterization="x0")
     params = randomized_params(net.init_params(cfg, seed=45), seed=46)
-    params.layers[:] = [(w.astype(dtype), b.astype(dtype)) for w, b in params.layers]
+    params = with_dtype(params, dtype)
     sched = df.make_schedule(10, 0.05, 0.3)
     rng = np.random.default_rng(47)
     x_t = rng.standard_normal((5, 4, 4, 3))
@@ -356,6 +358,38 @@ def test_param_count_matches_analytic_formula():
         assert params.param_count() == net.expected_param_count(cfg)
 
 
+def test_a_write_through_a_layer_view_shows_in_the_flat_buffer_and_checksum():
+    params = net.init_params(SMALL, seed=18)
+    before = net.checkpoint_checksum(params)
+    for i, k in ((0, 0), (1, 1), (2, 0)):
+        view = params.layers[i][k]
+        assert np.shares_memory(view, params.flat)
+        view.flat[-1] += 1.0
+    assert np.count_nonzero(params.flat != net.init_params(SMALL, seed=18).flat) == 3
+    assert net.checkpoint_checksum(params) != before
+
+
+@pytest.mark.parametrize("flat", [np.zeros(net.expected_param_count(SMALL) - 1),
+                                  np.zeros(net.expected_param_count(SMALL) + 1),
+                                  np.zeros((1, net.expected_param_count(SMALL))),
+                                  np.float64(0.0)],
+                         ids=["short", "long", "2d", "0d"])
+def test_a_flat_buffer_of_the_wrong_size_or_ndim_is_refused(flat):
+    for build in (net.DenoiserParams, net.Gradients):
+        with pytest.raises(ValueError, match="config implies"):
+            build(cfg=SMALL, flat=flat)
+
+
+@pytest.mark.parametrize("dtype,digest", [
+    (np.float32, "fe962af756dd763319a9b5ee4ad1d211423305b076f43d093cc0f985973637d0"),
+    (np.float64, "89e3a437f55cf3140182ddc80a257c385c36460cd614c51f06c23db683bdca0a"),
+], ids=["float32", "float64"])
+def test_checkpoint_checksum_of_a_default_init_is_unchanged(dtype, digest):
+    # the sha256 of W0, b0, ..., b2's bytes in turn, as v2 checkpoints recorded it
+    params = net.init_params(net.NetConfig(grid=4, hidden=16, time_dim=4), seed=2, dtype=dtype)
+    assert net.checkpoint_checksum(params) == digest
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     params = randomized_params(net.init_params(SMALL, seed=14), seed=15)
     path = tmp_path / "ckpt.json"
@@ -378,7 +412,7 @@ def test_checkpoint_rejects_corruption_and_bad_version(tmp_path):
     path = tmp_path / "ckpt.json"
     net.save_checkpoint(params, df.make_schedule(10, 0.05, 0.3), path)
     record = json.loads(path.read_text())
-    assert record["version"] == 2
+    assert record["version"] == 3
     record["checksum"] = "0" * 64
     path.write_text(json.dumps(record))
     with pytest.raises(net.CheckpointError, match="checksum"):
@@ -396,9 +430,11 @@ def test_checkpoint_refuses_a_v1_file_without_a_schedule(tmp_path):
     net.save_checkpoint(params, df.make_schedule(10, 0.05, 0.3), path)
     record = json.loads(path.read_text())
     del record["schedule"]
-    path.write_text(json.dumps({**record, "version": 1}))
-    with pytest.raises(net.CheckpointError, match="unsupported .* v1"):
-        net.load_checkpoint(path)
+    # v1 stored no schedule and v2 one payload per layer; checkpoints retrain
+    for version in range(1, net.CHECKPOINT_VERSION):
+        path.write_text(json.dumps({**record, "version": version}))
+        with pytest.raises(net.CheckpointError, match=f"unsupported .* v{version}"):
+            net.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("field,value,match", [
@@ -407,7 +443,7 @@ def test_checkpoint_refuses_a_v1_file_without_a_schedule(tmp_path):
     pytest.param("parameterization", "x1", "parameterization", id="parameterization-x1"),
     pytest.param("activation", "relu", "activation", id="activation-relu"),
     # a valid config, but not the one the stored 8-wide layers were built from
-    pytest.param("hidden", 16, "layer shapes", id="hidden-16"),
+    pytest.param("hidden", 16, "config implies", id="hidden-16"),
 ])
 def test_odd_or_tiny_time_dim_is_refused_where_a_net_is_built(tmp_path, field, value, match):
     import json

@@ -93,8 +93,7 @@ def adam_setup(shape=(2, 2)):
 def test_adam_zero_gradient_is_identity():
     params, state = adam_setup()
     before = [(w.copy(), b.copy()) for w, b in params.layers]
-    zeros = net.Gradients(layers=[(np.zeros_like(w), np.zeros_like(b))
-                                  for w, b in params.layers])
+    zeros = net.Gradients(cfg=params.cfg, flat=np.zeros_like(params.flat))
     trainer.adam_step(params, zeros, state, lr=0.1)
     assert state.step == 1
     for (w, b), (w0, b0) in zip(params.layers, before):
@@ -104,8 +103,7 @@ def test_adam_zero_gradient_is_identity():
 def test_adam_first_step_scalar_hand_check():
     # g=1, lr=0.1: m_hat=1, v_hat=1 -> delta = -0.1/(1+eps)
     params, state = adam_setup()
-    grads = net.Gradients(layers=[(np.ones_like(w), np.ones_like(b))
-                                  for w, b in params.layers])
+    grads = net.Gradients(cfg=params.cfg, flat=np.ones_like(params.flat))
     before = params.layers[0][0].copy()
     trainer.adam_step(params, grads, state, lr=0.1)
     delta = params.layers[0][0] - before
@@ -114,8 +112,7 @@ def test_adam_first_step_scalar_hand_check():
 
 def test_adam_equal_grads_equal_updates():
     params, state = adam_setup()
-    grads = net.Gradients(layers=[(np.full_like(w, 0.7), np.full_like(b, 0.7))
-                                  for w, b in params.layers])
+    grads = net.Gradients(cfg=params.cfg, flat=np.full_like(params.flat, 0.7))
     before = [w.copy() for w, _ in params.layers]
     trainer.adam_step(params, grads, state, lr=0.05)
     deltas = [w - w0 for (w, _), w0 in zip(params.layers, before)]
@@ -140,10 +137,8 @@ def _textbook_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def _strided(a):
-    """``a``'s values in an array that is not C-contiguous: a transposed view
-    of a matrix, every other element of a vector."""
-    if a.ndim == 2:
-        return np.ascontiguousarray(a.T).T
+    """``a``'s values in a flat buffer that is not C-contiguous: every other
+    element of one twice its size."""
     out = np.zeros(2 * a.size, a.dtype)[::2]
     out[...] = a
     return out
@@ -171,25 +166,26 @@ def worker(request):
             request.param]
 
 
-def _adam_case(cfg, dtype, strided):
-    """Parameters and five steps of gradients; the arrays named in
+def _adam_case(cfg, dtype, strided=()):
+    """Parameters and five steps of gradients; the flat buffers named in
     ``strided`` (any of "params", "grads", "state") are not C-contiguous."""
     params = net.init_params(cfg, seed=2, dtype=dtype)
     rng = np.random.default_rng(9)
-    grads_seq = [net.Gradients(layers=[
-        (rng.normal(0, 10.0 ** -k, w.shape).astype(dtype),
-         rng.normal(0, 10.0 ** -k, b.shape).astype(dtype)) for w, b in params.layers])
-        for k in range(5)]
+    grads_seq = []
+    for k in range(5):
+        grads = net.Gradients(cfg=cfg, flat=np.empty_like(params.flat))
+        for w, b in grads.layers:
+            w[...] = rng.normal(0, 10.0 ** -k, w.shape)
+            b[...] = rng.normal(0, 10.0 ** -k, b.shape)
+        grads_seq.append(grads)
     expected = _textbook_adam(params, grads_seq, lr=3e-3)
     state = trainer.AdamState.zeros(params)
     if "params" in strided:
-        params.layers = [tuple(_strided(a) for a in pair) for pair in params.layers]
+        params = net.DenoiserParams(cfg=cfg, flat=_strided(params.flat))
     if "grads" in strided:
-        for grads in grads_seq:
-            grads.layers = [tuple(_strided(a) for a in pair) for pair in grads.layers]
+        grads_seq = [net.Gradients(cfg=cfg, flat=_strided(g.flat)) for g in grads_seq]
     if "state" in strided:
-        state.m = [tuple(_strided(a) for a in pair) for pair in state.m]
-        state.v = [tuple(_strided(a) for a in pair) for pair in state.v]
+        state.m, state.v = _strided(state.m), _strided(state.v)
     return params, grads_seq, state, expected
 
 
@@ -198,9 +194,9 @@ def _adam_case(cfg, dtype, strided):
                          ids=["contiguous", "strided", "strided-grads", "strided-state"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_step_is_bitwise_the_textbook_expression(worker, dtype, strided):
-    # the split point falls inside W0 (2512 elements, W0 holds 1408) and every
-    # bias is smaller than either half; an array seen through a copy instead
-    # of a view would lose its update
+    # the halves of the flat buffers meet inside W0 (2512 elements, W0 holds
+    # 1408), strided or not; an array seen through a copy instead of a view
+    # would lose its update
     cfg = net.NetConfig(grid=4, channels=3, hidden=16, time_dim=4)
     params, grads_seq, state, expected = _adam_case(cfg, dtype, strided)
     arrays = [a for pair in params.layers for a in pair]
@@ -212,23 +208,26 @@ def test_adam_step_is_bitwise_the_textbook_expression(worker, dtype, strided):
         assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
 
 
-@pytest.mark.parametrize("strided,cut", [((), True), (("grads",), False),
-                                         (("params", "grads", "state"), False)])
-def test_adam_split_cuts_only_a_contiguous_array_at_the_midpoint(strided, cut):
+def test_adam_halves_are_views_of_the_flat_buffers(monkeypatch):
     cfg = net.NetConfig(grid=4, channels=3, hidden=16, time_dim=4)
-    params, grads_seq, state, _ = _adam_case(cfg, np.float32, strided)
-    first, second = trainer._split_halves(params, grads_seq[0], state)
-    sizes = [sum(arr.size for arr, *_ in half) for half in (first, second)]
-    assert sum(sizes) == params.param_count()
-    assert len(first) + len(second) == 6 + cut
-    if cut:
-        assert sizes == [1256, 1256]
-        for group in first[-1:] + second[:1]:
-            assert all(np.shares_memory(a, b) for a, b in zip(
-                group, (params.layers[0][0], grads_seq[0].layers[0][0], state.m[0][0],
-                        state.v[0][0])))
-    else:
-        assert sizes == [1408, 1104]
+    params, grads_seq, state, _ = _adam_case(cfg, np.float32)
+    update, calls = trainer._adam_update, []
+
+    def recorded(*args):
+        calls.append(args[:4])
+        update(*args)
+
+    monkeypatch.setattr(trainer, "_adam_update", recorded)
+    trainer.adam_step(params, grads_seq[0], state, lr=3e-3, worker=_run_now)
+    half = params.param_count() // 2
+    assert half == 1256 and len(calls) == 2
+    flats = (params.flat, grads_seq[0].flat, state.m, state.v)
+    for pieces, (part, other) in zip(calls, ((slice(half), slice(half, None)),
+                                             (slice(half, None), slice(half)))):
+        for piece, flat in zip(pieces, flats, strict=True):
+            assert piece.shape == flat[part].shape
+            assert np.shares_memory(piece, flat[part])
+            assert not np.shares_memory(piece, flat[other])
 
 
 @pytest.mark.usefixtures("no_leaked_threads")
@@ -309,7 +308,7 @@ def test_train_is_bitwise_the_sequential_loop(mixed_dataset, method, dtype,
     expected_params, expected_records = _sequential_train(cfg, mixed_dataset)
     assert net.checkpoint_checksum(params) == net.checkpoint_checksum(expected_params)
     assert log.records == expected_records
-    assert params.layers[0][0].dtype == np.dtype(dtype)
+    assert params.flat.dtype == np.dtype(dtype)
 
 
 @pytest.mark.parametrize("method", trainer.METHODS)
