@@ -7,14 +7,17 @@ initial images and its per-step noise from it. ``trainer.train`` takes from
 it each step's draws and the policy-independent half of the step's loss
 (``losses.ReferenceHalf``): the noised batch, the network input and, for a
 preference method, the frozen reference's per-row errors. Training also
-queues half of each step's Adam update on the same worker, behind the next
-draw (``prefetched``'s ``submit``). No step's computation feeds back into
-its generator or into the frozen reference, so each generator is consumed
-in the same order as a sequential loop would, and every output is
-bit-identical to it. The worker calls no public prefdiff function, since
-the benchmark's span tracer is single-threaded: it runs numpy and the
-private cores behind the public functions (``_q_sample`` here,
-``trainer._adam_update``), whose checks the caller runs.
+queues on the same worker, behind the next draw (``prefetched``'s
+``submit``), each layer's weight-gradient product of the backward pass and
+half of each step's Adam update; ``_settle`` runs in the caller whichever of
+them the worker has not started when the caller needs it. No step's
+computation feeds back into its generator or into the frozen reference, so
+each generator is consumed in the same order as a sequential loop would,
+and every output is bit-identical to it. The worker calls no public
+prefdiff function, since the benchmark's span tracer is single-threaded: it
+runs numpy and the private cores behind the public functions (``_q_sample``
+here, ``net._first_layer_grad``, ``trainer._adam_update``), whose checks
+the caller runs.
 """
 
 import contextvars
@@ -165,6 +168,20 @@ class _Draws:
         self._k += 1
         self._pending = self.submit(self._draw, self._k) if self._k < self._count else None
         return value
+
+
+def _settle(queued):
+    """Finish the calls queued on a worker, each given as (future, fn, args):
+    latest first, one the worker has not started is cancelled and run here
+    as ``fn(*args)``, and one it has started is waited for. A call's
+    exception is raised here. The worker runs its calls in the order they
+    were queued, so once one cannot be cancelled, every earlier one has
+    started too."""
+    for future, fn, args in reversed(queued):
+        if future.cancel():
+            fn(*args)
+        else:
+            future.result()
 
 
 def ddpm_sample_batch(params, encodings, sched, seeds):

@@ -69,8 +69,9 @@ class Loss:
     d_out: np.ndarray           # dL/d(stack output), one row per policy row
     reward_accuracy: float | None = None  # share of (item, term) sigmoid arguments > 0
 
-    def backward(self):
-        return net.backward(self.theta, self)
+    def backward(self, worker=None):
+        """``net.backward`` of this loss; ``worker`` is as there."""
+        return net.backward(self.theta, self, worker)
 
 
 def masked_sq_err(eps, eps_hat, mask=None):

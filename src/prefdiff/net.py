@@ -5,7 +5,10 @@ to a predicted noise image through an input -> hidden -> hidden -> output
 stack. A frozen deep copy of the parameters serves as the reference model for
 the preference losses. Gradients are the textbook backward pass of this fixed
 stack: a loss hands ``backward`` the activations its policy forward pass
-cached and its gradient with respect to the stack output.
+cached and its gradient with respect to the stack output. Each layer's
+weight-gradient product feeds nothing else in that pass, so ``backward``
+can queue it on the training loop's draw worker while the caller carries
+the gradient down the stack.
 
 The parameters live in one flat buffer, W0, b0, W1, b1, W2, b2 in C order,
 and each layer's (W, b) is a view into it. Only ``_layer_views`` knows that
@@ -386,7 +389,7 @@ class Gradients(_FlatLayers):
         return float(np.sqrt(sum(float(np.vdot(g, g)) for pair in self.layers for g in pair)))
 
 
-def backward(params, loss):
+def backward(params, loss, worker=None):
     """Gradients of a loss from the losses module with respect to ``params``.
 
     ``loss`` carries the activations of its policy forward pass (``acts``)
@@ -394,12 +397,23 @@ def backward(params, loss):
     gradient. Frozen parameter sets never receive gradient, so asking for
     their gradients returns zeros. Each layer's gradient is written into its
     view of the one buffer.
+
+    A layer's weight gradient, dW = h^T . g, feeds nothing else in the pass.
+    ``worker(fn, *args)``, when given, queues a call on another thread and
+    returns its future (``diffusion.prefetched``'s ``submit``): each layer's
+    dW product goes to it as soon as that layer's g exists, while the caller
+    sums db and carries g . W^T down the stack. Before returning, the caller
+    runs itself every product the worker has not started, latest first, and
+    waits for the rest (``diffusion._settle``). A product is the same call on
+    the same operands on either thread, so the gradients are bit-identical
+    to those of ``worker=None``, which runs every product in line.
     """
     if not params.trainable:
         return Gradients(cfg=params.cfg, flat=np.zeros_like(params.flat))
     if loss.theta is not params:
         raise ValueError("loss was not computed from these parameters")
     grads = Gradients(cfg=params.cfg, flat=np.empty_like(params.flat))
+    queued = []
     g = loss.d_out
     for i in range(len(params.layers) - 1, -1, -1):
         h, z, s = loss.acts[i]
@@ -407,12 +421,17 @@ def backward(params, loss):
             g = g * ad.silu_grad(z, s)
         dw, db = grads.layers[i]
         if i == 0:
-            _first_layer_grad(params, h, g, dw)
+            fn, args = _first_layer_grad, (params, h, g, dw)
         else:
-            np.matmul(h.T, g, out=dw)
+            fn, args = np.matmul, (h.T, g, dw)      # dW = h^T . g into its view
+        if worker is None:
+            fn(*args)
+        else:
+            queued.append((worker(fn, *args), fn, args))
         g.sum(axis=0, out=db)
         if i > 0:
-            g = g @ params.layers[i][0].T
+            g = np.matmul(g, params.layers[i][0].T)
+    df._settle(queued)
     return grads
 
 

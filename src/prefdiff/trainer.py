@@ -13,13 +13,16 @@ step k computes. The worker goes on to the policy-independent half of step
 k + 1's loss (``losses.ReferenceHalf``): it gathers the batch, noises it,
 assembles the network input and, for a preference method, runs the frozen
 reference over it. The main thread runs the policy half
-(``losses.policy_half``) and the backward pass. The Adam update is split in
-two halves of the flat parameter buffer, which the gradients and moments
-share: the worker, queued behind step k + 1's draws, updates the first while
-the main thread updates the second (``adam_step``). Neither the generator
-nor the reference depends on a step's update, and each element gets the
-same operations in the same order on either thread, so runs are
-bit-identical to the sequential loop.
+(``losses.policy_half``) and carries the backward pass down the stack,
+queuing each layer's weight-gradient product on the worker behind step
+k + 1's draws (``net.backward``). The Adam update is split in two halves of
+the flat parameter buffer, which the gradients and moments share: the
+worker updates the first while the main thread updates the second
+(``adam_step``). What the worker has not started when the main thread is
+done with its own part, the main thread takes back. Neither the generator
+nor the reference depends on a step's gradients or update, and each
+product and each element's update is the same computation on either
+thread, so runs are bit-identical to the sequential loop.
 """
 
 import json
@@ -140,11 +143,11 @@ def adam_step(params, grads, state, lr, worker=None):
     (``diffusion.prefetched``'s ``submit``): the first half goes to it while
     the caller updates the second. If the worker has not started its half
     by the time the caller's is done, the caller cancels it and updates it
-    too. Every element gets the same operations in the same order wherever
-    it runs. Each piece's update writes its intermediates into two scratch
-    buffers of the piece's size, allocated by the thread that runs it and
-    kept for that call only, so that they do not add to the training loop's
-    peak memory.
+    too (``diffusion._settle``). Every element gets the same operations in
+    the same order wherever it runs. Each piece's update writes its
+    intermediates into two scratch buffers of the piece's size, allocated by
+    the thread that runs it and kept for that call only, so that they do not
+    add to the training loop's peak memory.
     """
     state.step += 1
     t = state.step
@@ -155,13 +158,10 @@ def adam_step(params, grads, state, lr, worker=None):
         _adam_update(*arrays, lr, c1, c2)
         return params, state
     half = params.flat.size // 2
-    first = [a[:half] for a in arrays]
-    future = worker(_adam_update, *first, lr, c1, c2)
+    first = (*(a[:half] for a in arrays), lr, c1, c2)
+    future = worker(_adam_update, *first)
     _adam_update(*(a[half:] for a in arrays), lr, c1, c2)
-    if future.cancel():
-        _adam_update(*first, lr, c1, c2)
-    else:
-        future.result()
+    df._settle([(future, _adam_update, first)])
     return params, state
 
 
@@ -247,7 +247,7 @@ def train(config, dataset, init_params=None):
                 loss = losses.policy_half(params, half)
             except df.NumericDivergenceError as exc:
                 raise df.NumericDivergenceError(f"step {step}: {exc}") from exc
-            grads = loss.backward()
+            grads = loss.backward(worker=draws.submit)
             grad_norm = grads.global_norm()
             if not np.isfinite(grad_norm):
                 raise df.NumericDivergenceError(f"step {step}: non-finite gradient norm")

@@ -1,10 +1,12 @@
 """Shared test helpers: grammar enumeration, loss inputs built from preference
-pairs, finite-difference oracles and a thread-leak check. Importing this
-module pins BLAS to one thread."""
+pairs, finite-difference oracles, stand-in workers for the calls that
+``adam_step`` and ``net.backward`` queue, and a thread-leak check. Importing
+this module pins BLAS to one thread."""
 
 import itertools
 import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 # One BLAS thread, set before numpy loads OpenBLAS, so that suite timings do
 # not depend on how BLAS threads and the random-draw worker share the cores
@@ -167,3 +169,28 @@ def no_leaked_threads():
     before = threading.active_count()
     yield
     assert threading.active_count() == before, threading.enumerate()
+
+
+def run_now(fn, *args):
+    """A worker that has run each call by the time it returns the future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def never_started(fn, *args):
+    """A worker that never starts a call, so the caller takes each one back."""
+    return Future()
+
+
+@pytest.fixture(params=["inline", "thread", "run_now", "never_started"])
+def worker(request):
+    """Each way a queued call can be settled: no worker (every call in line),
+    a real worker thread, one that ran the call already, one that never
+    starts it."""
+    if request.param == "thread":
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool.submit
+    else:
+        yield {"inline": None, "run_now": run_now, "never_started": never_started}[
+            request.param]

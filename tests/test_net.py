@@ -1,10 +1,13 @@
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import (enumerate_captions, finite_difference_grads, max_relative_grad_error,
-                      randomized_params, stacked, synthetic_pair, with_dtype)
+                      randomized_params, run_now, stacked, synthetic_pair, with_dtype)
 
+from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
 from prefdiff import losses
 from prefdiff import net
@@ -150,6 +153,83 @@ def test_backward_is_repeatable():
     first, second = loss.backward(), loss.backward()
     for (w1, b1), (w2, b2) in zip(first.layers, second.layers):
         assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+
+@pytest.fixture(scope="module")
+def mixed_pairs():
+    # colour pairs carry region masks, numeracy pairs do not
+    pairs, _ = dp.generate_dataset({"color": 4, "numeracy": 2}, seed=3, grid=8)
+    return pairs
+
+
+def _method_loss(method, pairs, dtype=np.float64, parameterization="eps"):
+    """The Loss of ``method`` over ``pairs`` at grid 8, for a random policy
+    against a different random reference."""
+    cfg = net.NetConfig(grid=8, hidden=16, time_dim=8, parameterization=parameterization)
+    theta = with_dtype(randomized_params(net.init_params(cfg, seed=30), seed=31, scale=0.1),
+                       dtype)
+    ref = net.clone_frozen(with_dtype(randomized_params(net.init_params(cfg, seed=30),
+                                                        seed=32, scale=0.1), dtype))
+    sched = df.make_schedule(10, 0.05, 0.3)
+    rng = np.random.default_rng(33)
+    layout = losses.LAYOUTS[method]
+    noise = [rng.standard_normal((len(pairs), 8, 8, 3)) for _ in layout.noised]
+    return losses.batch_loss(method, theta, ref, stacked(pairs, layout.masks), noise,
+                             rng.integers(0, sched.T, len(pairs)), 0.5, sched)
+
+
+@pytest.mark.parametrize("parameterization", ["eps", "x0"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("method", list(losses.LAYOUTS))
+def test_backward_with_a_worker_is_bitwise_the_inline_backward(worker, mixed_pairs, method,
+                                                               dtype, parameterization):
+    # each dW product is the same call on the same operands wherever it
+    # runs: on the worker, in line, or taken back by the caller
+    loss = _method_loss(method, mixed_pairs, dtype, parameterization)
+    expected = loss.backward()
+    grads = loss.backward(worker=worker)
+    assert all(np.any(w != 0) for w, _ in expected.layers)
+    assert grads.flat.dtype == dtype
+    assert grads.flat.tobytes() == expected.flat.tobytes()
+
+
+def test_backward_raises_the_error_of_a_product_run_on_the_worker(mixed_pairs):
+    loss = _method_loss("bidpo", mixed_pairs)
+    queued = []
+
+    def worker(fn, *args):
+        queued.append(fn)
+        if len(queued) == 2:    # layer 1's dW, finished on the worker with an error
+            future = Future()
+            future.set_exception(FloatingPointError("overflow in layer 1's product"))
+            return future
+        return run_now(fn, *args)
+
+    with pytest.raises(FloatingPointError, match="layer 1's product"):
+        loss.backward(worker=worker)
+    assert queued == [np.matmul, np.matmul, net._first_layer_grad]
+
+
+def test_no_queued_product_is_pending_when_backward_returns(mixed_pairs):
+    # each product sleeps on the worker, so when the caller is done with
+    # the chain the first is still running and the others wait behind it
+    loss = _method_loss("bidpo_region", mixed_pairs)
+    expected = loss.backward()
+    futures = []
+
+    def slow(fn, *args):
+        time.sleep(0.05)
+        fn(*args)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def worker(fn, *args):
+            futures.append(pool.submit(slow, fn, *args))
+            return futures[-1]
+
+        grads = loss.backward(worker=worker)
+        done = [f.done() for f in futures]
+    assert done == [True] * 3
+    assert grads.flat.tobytes() == expected.flat.tobytes()
 
 
 def test_global_norm_matches_float64_sum_of_squares():

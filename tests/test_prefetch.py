@@ -282,3 +282,53 @@ def test_the_optimiser_update_runs_on_the_draw_worker_and_the_main_thread(monkey
                                  time_dim=8, T=6, seed=1)
     trainer.train(config, small_pairs)
     assert halves == [False, True] * 3
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_weight_gradient_products_run_on_the_draw_worker_or_are_taken_back(monkeypatch,
+                                                                           small_pairs, method):
+    # net.backward queues each layer's dW product on the worker, behind the
+    # next draw, and carries g . W^T down the stack on the main thread. Each
+    # step of that chain waits for the product queued before it to start,
+    # and the worker holds layer 1's product until the main thread has run
+    # layer 0's, so that the test does not depend on how the two threads are
+    # scheduled: layers 2 and 1 run on the worker, and the main thread takes
+    # layer 0's back because the worker has not started it
+    events, started, released = [], threading.Event(), threading.Event()
+    matmul, first_layer = np.matmul, net._first_layer_grad
+    image_dim = 8 * 8 * 3
+
+    def ran(name):
+        on_main = threading.current_thread() is threading.main_thread()
+        events.append((name, "main" if on_main else "worker"))
+        return on_main
+
+    def product(name, core, *args):
+        if ran(name):
+            released.set()
+        else:
+            started.set()
+            if name == "dW1":
+                assert released.wait(timeout=10)
+                released.clear()
+        return core(*args)
+
+    def recorded_matmul(*args, **kwargs):
+        if len(args) == 3:              # h^T . g into a dW view
+            layer = 2 if args[2].shape[1] == image_dim else 1
+            return product(f"dW{layer}", matmul, *args)
+        if len(args) == 2 and not kwargs:   # g . W^T
+            assert started.wait(timeout=10)
+            started.clear()
+            ran(f"g.W{2 if args[1].shape[0] == image_dim else 1}^T")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded_matmul)
+    monkeypatch.setattr(net, "_first_layer_grad",
+                        lambda *args: product("dW0", first_layer, *args))
+    config = trainer.TrainConfig(method=method, steps=3, batch_size=4, grid=8, hidden=16,
+                                 time_dim=8, T=6, seed=1)
+    trainer.train(config, small_pairs)
+    assert events == [("dW2", "worker"), ("g.W2^T", "main"), ("dW1", "worker"),
+                      ("g.W1^T", "main"), ("dW0", "main")] * 3

@@ -1,11 +1,11 @@
 import json
 import os
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import run_now
 
 from prefdiff import cli
 from prefdiff import datapipe as dp
@@ -144,28 +144,6 @@ def _strided(a):
     return out
 
 
-def _run_now(fn, *args):
-    # a worker that runs the call before the caller's half
-    future = Future()
-    future.set_result(fn(*args))
-    return future
-
-
-def _never_started(fn, *args):
-    # a worker whose call has not started when the caller's half is done
-    return Future()
-
-
-@pytest.fixture(params=["inline", "thread", "run_now", "never_started"])
-def worker(request):
-    if request.param == "thread":
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            yield pool.submit
-    else:
-        yield {"inline": None, "run_now": _run_now, "never_started": _never_started}[
-            request.param]
-
-
 def _adam_case(cfg, dtype, strided=()):
     """Parameters and five steps of gradients; the flat buffers named in
     ``strided`` (any of "params", "grads", "state") are not C-contiguous."""
@@ -218,7 +196,7 @@ def test_adam_halves_are_views_of_the_flat_buffers(monkeypatch):
         update(*args)
 
     monkeypatch.setattr(trainer, "_adam_update", recorded)
-    trainer.adam_step(params, grads_seq[0], state, lr=3e-3, worker=_run_now)
+    trainer.adam_step(params, grads_seq[0], state, lr=3e-3, worker=run_now)
     half = params.param_count() // 2
     assert half == 1256 and len(calls) == 2
     flats = (params.flat, grads_seq[0].flat, state.m, state.v)
