@@ -121,8 +121,7 @@ def _add_eval(sub):
     p.add_argument("--prompts-per-dim", type=positive_int, default=20)
     p.add_argument("--samples-per-prompt", type=positive_int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", required=True, help="Scorecard JSON file")
 
 
 def _read_prompts(path):
@@ -145,13 +144,7 @@ def _cmd_eval(args):
     card = evalbench.evaluate(params, prompts, args.samples_per_prompt, sched,
                               seed=args.seed)
     with datapipe.atomic_write(args.out) as fh:
-        if args.format == "json":
-            json.dump(asdict(card), fh, indent=2)
-        else:
-            dims = sorted(card.per_dimension)
-            fh.write(",".join(["validity", *dims]) + "\n")
-            fh.write(",".join([repr(card.validity)] +
-                              [repr(card.per_dimension[d]) for d in dims]) + "\n")
+        json.dump(asdict(card), fh, indent=2)
     print(f"validity {card.validity:.3f}; " +
           "; ".join(f"{d} {a:.3f}" for d, a in card.per_dimension.items()))
     return 0

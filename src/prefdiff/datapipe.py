@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -357,7 +357,13 @@ def caption_to_dict(c):
 
 
 def caption_from_dict(d):
-    """Inverse of ``caption_to_dict``; raises ValueError on an invalid caption."""
+    """Inverse of ``caption_to_dict``; raises ValueError on an invalid caption
+    or an unknown key."""
+    if not isinstance(d, dict):
+        raise ValueError("a caption is a JSON object")
+    unknown = sorted(set(d) - {f.name for f in fields(tw.Caption)})
+    if unknown:
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
     return tw.Caption(dimension=d["dimension"],
                       objects=tuple(tw.ObjectSlot(**s) for s in d["objects"]),
                       relation=d["relation"], count=d["count"])

@@ -7,7 +7,6 @@ dimension; validity is the fraction of samples where detection recovers the
 right number of objects at all.
 """
 
-import csv
 import json
 import os
 from dataclasses import asdict, dataclass, replace
@@ -21,7 +20,7 @@ from . import trainer
 from .datapipe import _child_seed, atomic_write, dataset_captions, sample_caption
 
 METHODS = ("baseline",) + trainer.METHODS
-REPORT_FORMATS = ("csv", "json", "markdown")
+REPORT_FORMATS = ("json", "markdown")
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,7 @@ def run_ablation(base_config, dataset, prompts, out_dir=None):
     report = AblationReport(rows=tuple(rows), seed=base_config.seed)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for fmt, name in (("json", "report.json"), ("csv", "report.csv"),
-                          ("markdown", "report.md")):
+        for fmt, name in (("json", "report.json"), ("markdown", "report.md")):
             emit_report(report, fmt, os.path.join(out_dir, name))
     return report
 
@@ -154,48 +152,16 @@ def run_ablation(base_config, dataset, prompts, out_dir=None):
 # ---------------------------------------------------------------------------
 # report serialization
 
-def _report_dict(report):
-    return {"seed": report.seed,
-            "rows": [{"method": r.method, "status": r.status, "error": r.error,
-                      "scorecard": None if r.scorecard is None else asdict(r.scorecard)}
-                     for r in report.rows]}
-
-
-def _report_from_dict(d):
-    rows = []
-    for r in d["rows"]:
-        card = None
-        if r["scorecard"] is not None:
-            card = Scorecard(per_dimension=dict(r["scorecard"]["per_dimension"]),
-                             validity=r["scorecard"]["validity"],
-                             sample_count=r["scorecard"]["sample_count"],
-                             seed=r["scorecard"]["seed"])
-        rows.append(AblationRow(method=r["method"], status=r["status"],
-                                scorecard=card, error=r["error"]))
-    return AblationReport(rows=tuple(rows), seed=d["seed"])
-
-
 def emit_report(report, fmt, path):
-    """Lossless tabular serialization of an ablation report, written to
-    ``path.tmp`` and then moved over ``path``."""
+    """Write an ablation report to ``path`` as ``json`` (its ``asdict``
+    record, which the shipped schema describes) or ``markdown`` (a table of
+    scores for reading). The file is written to ``path.tmp`` and then moved
+    over ``path``."""
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"format must be one of {REPORT_FORMATS}")
     with atomic_write(path) as fh:
         if fmt == "json":
-            json.dump(_report_dict(report), fh, indent=2)
-        elif fmt == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(["method", "status", *tw.DIMENSIONS,
-                             "validity", "sample_count", "card_seed", "report_seed", "error"])
-            for r in report.rows:
-                card = r.scorecard
-                dims = [repr(card.per_dimension[d]) if card and d in card.per_dimension else ""
-                        for d in tw.DIMENSIONS]
-                writer.writerow([r.method, r.status, *dims,
-                                 repr(card.validity) if card else "",
-                                 card.sample_count if card else "",
-                                 card.seed if card else "",
-                                 report.seed, r.error or ""])
+            json.dump(asdict(report), fh, indent=2)
         else:
             fh.write("| method | " + " | ".join(tw.DIMENSIONS) + " | validity |\n")
             fh.write("|" + " --- |" * (len(tw.DIMENSIONS) + 2) + "\n")
@@ -209,29 +175,6 @@ def emit_report(report, fmt, path):
                     cells.append(f"{card.validity:.3f}")
                 fh.write(f"| {r.method} | " + " | ".join(cells) + " |\n")
     return path
-
-
-def load_report(path, fmt):
-    """Inverse of emit_report for the lossless formats (json, csv)."""
-    if fmt == "json":
-        with open(path) as fh:
-            return _report_from_dict(json.load(fh))
-    if fmt != "csv":
-        raise ValueError("only json and csv reports can be reloaded")
-    rows = []
-    seed = 0
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            seed = int(rec["report_seed"])
-            card = None
-            if rec["status"] == "ok":
-                per_dim = {d: float(rec[d]) for d in tw.DIMENSIONS if rec[d] != ""}
-                card = Scorecard(per_dimension=per_dim, validity=float(rec["validity"]),
-                                 sample_count=int(rec["sample_count"]),
-                                 seed=int(rec["card_seed"]))
-            rows.append(AblationRow(method=rec["method"], status=rec["status"],
-                                    scorecard=card, error=rec["error"] or None))
-    return AblationReport(rows=tuple(rows), seed=seed)
 
 
 def report_schema():

@@ -177,6 +177,9 @@ def validate_caption(caption):
         if len(caption.objects) != 2:
             raise ValueError("a relation needs two object slots")
     if caption.count is not None:
+        # a bool or float equals an integer in COUNTS, so it would pass for one
+        if isinstance(caption.count, bool) or not isinstance(caption.count, (int, np.integer)):
+            raise ValueError(f"count must be an integer, got {caption.count!r}")
         if caption.count not in COUNTS:
             raise ValueError(f"count {caption.count!r} outside {COUNTS}")
         if len(caption.objects) != 1:

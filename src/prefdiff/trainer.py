@@ -33,11 +33,12 @@ import numpy as np
 from . import diffusion as df
 from . import losses
 from . import net
+from . import toyworld as tw
 from .datapipe import _child_seed, atomic_write
 
 METHODS = tuple(losses.LAYOUTS)
 CONFIG_FORMAT = "prefdiff-run-config"
-CONFIG_VERSION = 3
+CONFIG_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class TrainConfig:
     omega_mode: str = "constant"
     # network
     grid: int = 16
-    channels: int = 3
     hidden: int = 256
     time_dim: int = 32
     parameterization: str = "eps"
@@ -69,7 +69,7 @@ class TrainConfig:
         validate_config(self)
 
     def net_config(self):
-        return net.NetConfig(grid=self.grid, channels=self.channels,
+        return net.NetConfig(grid=self.grid, channels=tw.CHANNELS,
                              hidden=self.hidden, time_dim=self.time_dim,
                              parameterization=self.parameterization)
 
@@ -220,7 +220,7 @@ def train(config, dataset, init_params=None):
         params = _copy_for_training(init_params, dtype)
     ref = net.clone_frozen(params)
     layout = losses.LAYOUTS[config.method]
-    shape = (config.grid, config.grid, config.channels)
+    shape = (config.grid, config.grid, tw.CHANNELS)
     arrays = losses._stack_pairs(dataset, dtype, shape, layout.masks)
     state = AdamState.zeros(params)
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(config.seed, "train")))

@@ -48,7 +48,7 @@ def test_gen_data_train_eval_ablate_end_to_end(tmp_path):
                      "--grid", "8", "--seed", "1", "--out", str(data)]) == 0
     config = tmp_path / "config.json"
     trainer.save_config(micro_config(), config)
-    assert json.loads(config.read_text())["version"] == 3
+    assert json.loads(config.read_text())["version"] == 4
 
     run = tmp_path / "run"
     assert cli.main(["train", "--config", str(config), "--data", str(data),
@@ -69,7 +69,7 @@ def test_gen_data_train_eval_ablate_end_to_end(tmp_path):
     ablation = tmp_path / "ablation"
     assert cli.main(["ablate", "--config", str(config), "--data", str(data),
                      "--prompts-per-dim", "1", "--out", str(ablation)]) == 0
-    assert sorted(os.listdir(ablation)) == ["report.csv", "report.json", "report.md"]
+    assert sorted(os.listdir(ablation)) == ["report.json", "report.md"]
     assert not list(tmp_path.rglob("*.tmp"))
 
 
@@ -81,7 +81,7 @@ def test_train_refuses_a_v2_config(tmp_path, capsys):
     assert cli.main(["train", "--config", str(config), "--data", str(tmp_path / "data.jsonl"),
                      "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"{config}: ") and "run-config v3" in err
+    assert err.startswith(f"{config}: ") and "run-config v4" in err
     assert err.count(str(config)) == 1
     assert not (tmp_path / "run").exists()
 
@@ -265,10 +265,9 @@ def test_gen_data_takes_the_smallest_grid_and_no_jitter(tmp_path, flag, value):
     assert code == 0 and out.exists()
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
+def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch):
     ckpt, _ = _checkpoint_and_config(tmp_path)
-    out = tmp_path / f"eval.{fmt}"
+    out = tmp_path / "eval.json"
     out.write_text("old scores\n")
 
     def failing_replace(src, dst):
@@ -278,9 +277,21 @@ def test_eval_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
     with pytest.raises(OSError, match="disk full"):
         cli.main(["eval", "--ckpt", str(ckpt), "--gen",
                   "--prompts-per-dim", "1", "--samples-per-prompt", "1",
-                  "--format", fmt, "--out", str(out)])
+                  "--out", str(out)])
     assert out.read_text() == "old scores\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_eval_has_no_format_option(tmp_path, capsys):
+    # eval writes only the Scorecard JSON
+    ckpt, _ = _checkpoint_and_config(tmp_path)
+    out = tmp_path / "eval.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--ckpt", str(ckpt), "--gen", "--format", "json",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_refuses_a_prompt_whose_label_contradicts_it(tmp_path, capsys):
@@ -301,3 +312,22 @@ def test_eval_refuses_a_prompt_whose_label_contradicts_it(tmp_path, capsys):
     prompts.write_text(json.dumps(good) + "\n")
     assert cli.main(args) == 0
     assert list(json.loads(out.read_text())["per_dimension"]) == ["color"]
+
+
+@pytest.mark.parametrize("change,message", [
+    pytest.param({"count": True}, "count must be an integer, got True", id="count-true"),
+    pytest.param({"count": 2.0}, "count must be an integer, got 2.0", id="count-float"),
+    pytest.param({"count": 2, "note": "two discs"}, "unknown keys: note", id="unknown-key"),
+])
+def test_eval_refuses_a_malformed_prompt_naming_its_line(tmp_path, capsys, change, message):
+    # each was read as the integer-count caption it resembles
+    ckpt, _ = _checkpoint_and_config(tmp_path)
+    good = {"dimension": "numeracy", "relation": None, "count": 2,
+            "objects": [{"shape": "disc", "color": None, "texture": None}]}
+    prompts, out = tmp_path / "prompts.jsonl", tmp_path / "eval.json"
+    prompts.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n")
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--prompts", str(prompts),
+                     "--samples-per-prompt", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prompts}: line 2: ") and message in err and err.count("\n") == 1
+    assert not out.exists()

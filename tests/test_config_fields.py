@@ -1,8 +1,10 @@
 """Every field of the run config and the network config is read by the package,
-and no caption, network config or run config can be built with a refused field."""
+no caption, network config or run config can be built with a refused field,
+and the README's run-config section lists the run config's fields."""
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,8 @@ import pytest
 from prefdiff import net, trainer
 from prefdiff import toyworld as tw
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "prefdiff"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "prefdiff"
 CONFIGS = [("trainer.py", "TrainConfig"), ("net.py", "NetConfig")]
 
 
@@ -74,3 +77,20 @@ def test_a_refused_field_cannot_be_built_or_replaced_in(valid, name, value, mess
         type(valid)(**{**fields, name: value})
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(valid, **{name: value})
+
+
+def test_readme_run_config_table_lists_every_train_config_field():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Run config", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    names = {name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert names == {f.name for f in dataclasses.fields(trainer.TrainConfig)}
+    assert f'"version": {trainer.CONFIG_VERSION}' in section
+
+
+def test_readme_micro_run_config_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    text = re.search(r"cat > config.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert trainer.load_config(path).method == "bidpo"

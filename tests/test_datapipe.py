@@ -409,3 +409,12 @@ def test_dataset_file_stays_under_20kb_per_pair(tmp_path):
     dp.write_dataset(pairs, manifest, path)
     assert len(pairs) == 10
     assert path.stat().st_size < 20_000 * len(pairs)
+
+
+def test_caption_from_dict_refuses_an_unknown_key_or_a_non_object():
+    record = dp.caption_to_dict(dp.sample_caption("color", rng_seed=0))
+    assert dp.caption_from_dict(record) == dp.sample_caption("color", rng_seed=0)
+    with pytest.raises(ValueError, match="unknown keys: note, weight"):
+        dp.caption_from_dict({**record, "weight": 1, "note": "red"})
+    with pytest.raises(ValueError, match="JSON object"):
+        dp.caption_from_dict("color")

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -112,8 +113,7 @@ def test_run_ablation_produces_six_independent_rows(micro_report):
     cards = [r.scorecard for r in report.rows]
     assert all(c.sample_count == cards[0].sample_count for c in cards)
     assert all(c.seed == cards[0].seed for c in cards)   # shared prompts/seed
-    for name in ("report.json", "report.csv", "report.md"):
-        assert (out / name).exists()
+    assert sorted(os.listdir(out)) == ["report.json", "report.md"]
 
 
 def test_run_ablation_rejects_prompt_leakage():
@@ -135,20 +135,16 @@ def sample_report():
     return eb.AblationReport(rows=rows, seed=42)
 
 
-def test_report_csv_round_trip(tmp_path, micro_report):
-    for report in (sample_report(), micro_report[0]):
-        path = tmp_path / "r.csv"
-        eb.emit_report(report, "csv", path)
-        assert eb.load_report(path, "csv") == report
-
-
 def test_report_json_round_trip_and_schema(tmp_path, micro_report):
     schema = eb.report_schema()
     for report in (sample_report(), micro_report[0]):
         path = tmp_path / "r.json"
         eb.emit_report(report, "json", path)
-        assert eb.load_report(path, "json") == report
-        jsonschema.validate(json.loads(path.read_text()), schema)
+        record = json.loads(path.read_text())
+        assert sorted(record) == ["rows", "seed"] and record["seed"] == report.seed
+        # field for field, so the failed row's error and every float read back exactly
+        assert record["rows"] == [asdict(row) for row in report.rows]
+        jsonschema.validate(record, schema)
 
 
 def test_report_schema_method_enum_matches_methods():

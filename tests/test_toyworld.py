@@ -455,6 +455,19 @@ def test_validate_caption_rejects_a_label_the_content_contradicts(label, caption
     tw.Caption(dimension=tw.parse_dimension(content), **caption)
 
 
+@pytest.mark.parametrize("count", [True, 2.0], ids=["bool", "float"])
+def test_validate_caption_refuses_a_count_that_is_not_an_integer(count):
+    # True == 1 and 2.0 == 2, so each passed the COUNTS check and built a
+    # caption equal to an integer-count one
+    with pytest.raises(ValueError, match=f"count must be an integer, got {count!r}"):
+        tw.Caption("numeracy", (tw.ObjectSlot("disc"),), count=count)
+
+
+def test_validate_caption_takes_a_numpy_integer_count():
+    cap = tw.Caption("numeracy", (tw.ObjectSlot("disc"),), count=np.int64(2))
+    assert cap == tw.Caption("numeracy", (tw.ObjectSlot("disc"),), count=2)
+
+
 def test_grammar_captions_carry_their_ladder_dimension():
     for cap in enumerate_captions():
         assert tw.parse_dimension(cap) == cap.dimension

@@ -12,6 +12,7 @@ from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
 from prefdiff import losses
 from prefdiff import net
+from prefdiff import toyworld as tw
 from prefdiff import trainer
 
 
@@ -242,7 +243,7 @@ def _sequential_train(config, dataset):
     params = net.init_params(config.net_config(), seed=config.seed, dtype=dtype)
     ref = net.clone_frozen(params)
     layout = losses.LAYOUTS[config.method]
-    arrays = losses._stack_pairs(dataset, dtype, (config.grid, config.grid, config.channels),
+    arrays = losses._stack_pairs(dataset, dtype, (config.grid, config.grid, tw.CHANNELS),
                                  layout.masks)
     state = trainer.AdamState.zeros(params)
     rng = np.random.default_rng(np.random.SeedSequence(dp._child_seed(config.seed, "train")))
@@ -361,7 +362,11 @@ def test_config_round_trip_and_override(tmp_path):
     with pytest.raises(ValueError, match="unknown keys.*caption_dropout, eval_every"):
         trainer.load_config(path)
     path.write_text(json.dumps({**record, "version": 1}))
-    with pytest.raises(ValueError, match="run-config v3"):
+    with pytest.raises(ValueError, match="run-config v4"):
+        trainer.load_config(path)
+    # a v3 file carries the channel count, which is no longer a field
+    path.write_text(json.dumps({**record, "version": 3, "channels": 3}))
+    with pytest.raises(ValueError, match="run-config v4"):
         trainer.load_config(path)
     path.write_text(json.dumps({**record, "format": "other"}))
     with pytest.raises(ValueError, match="run-config"):
