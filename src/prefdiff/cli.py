@@ -125,7 +125,9 @@ def _add_eval(sub):
 
 
 def _read_prompts(path):
-    """The captions of a JSONL prompt file, one per non-blank line."""
+    """The captions of a JSONL prompt file, one per non-blank line; a file
+    with none is refused, since it would score as a model with no valid
+    sample."""
     prompts = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -134,6 +136,8 @@ def _read_prompts(path):
                     prompts.append(datapipe.caption_from_dict(json.loads(line)))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise datapipe.MalformedRecordError(line_no, f"invalid prompt: {exc}") from exc
+    if not prompts:
+        raise ValueError("no prompts")
     return prompts
 
 

@@ -3,7 +3,12 @@
 Work that does not depend on the step before it runs one step ahead of its
 use. ``prefetched`` calls a draw function on one worker thread while the
 caller computes with the previous draw. ``ddpm_sample_batch`` takes its
-initial images and its per-step noise from it. ``trainer.train`` takes from
+initial images and its per-step noise from it. It builds the part of its
+network input that no step changes once per chain (the encodings in the
+parameters' dtype, a table of time embeddings) and runs each step's
+arithmetic in place: in the network output's buffer, in one posterior-mean
+buffer that holds the chain's images after the first step, and in the
+noise's own draw buffer. ``trainer.train`` takes from
 it each step's draws and the policy-independent half of the step's loss
 (``losses.ReferenceHalf``): the noised batch, the network input and, for a
 preference method, the frozen reference's per-row errors. Training also
@@ -193,8 +198,8 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
     chain can amplify. For a small network (grid 6, hidden 16, T 5) with
     random weights, batch and single calls agree within 1e-4 in float32 and
     1e-10 in float64 (measured: about 5e-6 and 4e-15); a large network with
-    badly scaled weights can drift further. Returns an array of images
-    clamped to [-1, 1].
+    badly scaled weights can drift further. Returns a new array of images
+    clamped to [-1, 1]; ``encodings`` and ``params`` are only read.
 
     Raises NumericDivergenceError naming the offending step if any
     intermediate becomes non-finite.
@@ -203,6 +208,19 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
     come from ``prefetched``, each row filled from its own generator in
     float64 and cast to the parameters' dtype, as a sequential loop of
     ``g.standard_normal(shape)`` calls would give them.
+
+    What does not depend on the step is built once per chain: the encodings
+    in the parameters' dtype, their shape check, the per-step coefficients
+    and a T-row table of time embeddings. Each step copies its table row
+    into the N time-embedding rows of one buffer, reads the current images
+    as a view, and passes the network input to ``net.predict_noise_rows``.
+    Its arithmetic then runs in place: the clipped clean-image estimate
+    overwrites the network output, the posterior mean is kept in one buffer
+    that becomes the next step's images, and the noise is scaled inside its
+    own draw buffer, which ``prefetched`` overwrites only two draws later.
+    Each element goes through the same operations in the same order as in
+    the out-of-place form (the mean's two addends are swapped, which does not
+    change a sum), so the samples are bit-identical to it.
     """
     from . import net  # local import: net depends on this module for schedules
 
@@ -210,6 +228,8 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
     n = encodings.shape[0]
     if len(seeds) != n:
         raise ValueError("need one seed per encoding")
+    if encodings.shape != (n, net.ENCODING_DIM):
+        raise ValueError(f"encoding batch shape {encodings.shape} != {(n, net.ENCODING_DIM)}")
     gens = [np.random.default_rng(np.random.SeedSequence(int(s) & 0xFFFFFFFFFFFFFFFF))
             for s in seeds]
     cfg = params.cfg
@@ -237,21 +257,41 @@ def ddpm_sample_batch(params, encodings, sched, seeds):
     mean_div = (1.0 - ab).astype(dtype)
     noise_sd = np.sqrt(post_var).astype(dtype)
 
+    enc = encodings.astype(dtype)
+    temb_table = net._time_embedding(np.arange(sched.T), sched.T, cfg.time_dim).astype(dtype)
+    temb = np.empty((n, cfg.time_dim), dtype)
+    mean = np.empty((n,) + shape, dtype)
+
     with prefetched(draw, sched.T) as draws:
         x = next(draws)
         for t in range(sched.T - 1, -1, -1):
-            t_arr = np.full(n, t)
-            try:
-                eps_hat = net.forward_batch(params, x, t_arr, encodings, sched)
-            except NumericDivergenceError as exc:
-                raise NumericDivergenceError(f"step t={t}: {exc}") from exc
+            temb[...] = temb_table[t]
+            inp = net.NetInput(images=x.reshape(n, -1), temb=temb, encodings=enc,
+                               image_of_block=(0,))
+            eps_hat = net.predict_noise_rows(params, inp, np.full(n, t), sched)
+            if not np.all(np.isfinite(eps_hat)):
+                raise NumericDivergenceError(f"step t={t}: non-finite network output")
             # posterior mean in denoised form, with the usual clip on the
-            # implied clean image to keep model error from compounding
-            x0_hat = np.clip((x - eps_coef[t] * eps_hat) / sqrt_ab[t],
-                             -1.0, 1.0)
-            mean = (x0_coef[t] * x0_hat + x_coef[t] * x) / mean_div[t]
-            # x is not read again, so the next draw may reuse its buffer
-            x = mean + noise_sd[t] * next(draws) if t > 0 else mean
+            # implied clean image to keep model error from compounding:
+            # x0_hat = clip((x - eps_coef * eps_hat) / sqrt_ab) over eps_hat,
+            # then mean = (x_coef * x + x0_coef * x0_hat) / mean_div
+            x0_hat = eps_hat.reshape(x.shape)
+            x0_hat *= eps_coef[t]
+            np.subtract(x, x0_hat, out=x0_hat)
+            x0_hat /= sqrt_ab[t]
+            np.clip(x0_hat, -1.0, 1.0, out=x0_hat)
+            x0_hat *= x0_coef[t]
+            # after the first step x is the mean buffer, and this is its last read
+            np.multiply(x, x_coef[t], out=mean)
+            mean += x0_hat
+            mean /= mean_div[t]
+            if t > 0:
+                # x is read no more, so the next draw may reuse its buffer
+                # when x is the first draw
+                noise = next(draws)
+                noise *= noise_sd[t]
+                mean += noise
+            x = mean
             if not np.all(np.isfinite(x)):
                 raise NumericDivergenceError(f"non-finite sample state at step t={t}")
-    return np.clip(x, -1.0, 1.0)
+    return np.clip(x, -1.0, 1.0, out=x)

@@ -1,7 +1,7 @@
 """Shared test helpers: grammar enumeration, loss inputs built from preference
-pairs, finite-difference oracles, stand-in workers for the calls that
-``adam_step`` and ``net.backward`` queue, and a thread-leak check. Importing
-this module pins BLAS to one thread."""
+pairs, finite-difference oracles, the sequential reference sampler, stand-in
+workers for the calls that ``adam_step`` and ``net.backward`` queue, and a
+thread-leak check. Importing this module pins BLAS to one thread."""
 
 import itertools
 import os
@@ -160,6 +160,35 @@ def with_dtype(params, dtype):
     """A copy of ``params`` whose flat buffer has ``dtype``."""
     return net.DenoiserParams(cfg=params.cfg, flat=params.flat.astype(dtype),
                               trainable=params.trainable)
+
+
+def sequential_sample(params, encodings, sched, seeds):
+    """Ancestral sampling with each step's noise drawn in line, before it is
+    used, and each step's arithmetic out of place: the reference
+    ``diffusion.ddpm_sample_batch`` must reproduce bitwise."""
+    gens = [np.random.default_rng(np.random.SeedSequence(int(s) & 0xFFFFFFFFFFFFFFFF))
+            for s in seeds]
+    n = len(seeds)
+    cfg = params.cfg
+    shape = (cfg.grid, cfg.grid, cfg.channels)
+    dtype = params.flat.dtype
+    x = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
+    ab = sched.alpha_bar
+    alpha_bar_prev = np.concatenate([[1.0], ab[:-1]])
+    post_var = (1.0 - alpha_bar_prev) / (1.0 - ab) * sched.beta
+    for t in range(sched.T - 1, -1, -1):
+        eps_hat = net.forward_batch(params, x, np.full(n, t), encodings, sched)
+        x0_hat = np.clip((x - np.sqrt(1.0 - ab[t]).astype(dtype) * eps_hat)
+                         / np.sqrt(ab[t]).astype(dtype), -1.0, 1.0)
+        mean = ((np.sqrt(alpha_bar_prev[t]) * sched.beta[t]).astype(dtype) * x0_hat
+                + (np.sqrt(1.0 - sched.beta[t]) * (1.0 - alpha_bar_prev[t])).astype(dtype) * x
+                ) / (1.0 - ab[t]).astype(dtype)
+        if t > 0:
+            z = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
+            x = mean + np.sqrt(post_var[t]).astype(dtype) * z
+        else:
+            x = mean
+    return np.clip(x, -1.0, 1.0)
 
 
 @pytest.fixture

@@ -314,6 +314,18 @@ def test_eval_refuses_a_prompt_whose_label_contradicts_it(tmp_path, capsys):
     assert list(json.loads(out.read_text())["per_dimension"]) == ["color"]
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+def test_eval_refuses_a_prompt_file_without_prompts(tmp_path, capsys, text):
+    # it used to exit 0 with an empty Scorecard of validity 0
+    ckpt, _ = _checkpoint_and_config(tmp_path)
+    prompts, out = tmp_path / "prompts.jsonl", tmp_path / "eval.json"
+    prompts.write_text(text)
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--prompts", str(prompts),
+                     "--samples-per-prompt", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{prompts}: no prompts\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change,message", [
     pytest.param({"count": True}, "count must be an integer, got True", id="count-true"),
     pytest.param({"count": 2.0}, "count must be an integer, got 2.0", id="count-float"),

@@ -199,6 +199,14 @@ def test_ddpm_sample_batch_keeps_the_parameters_dtype(parameterization):
 
 
 @pytest.mark.usefixtures("no_leaked_threads")
+def test_ddpm_sample_batch_refuses_encodings_of_the_wrong_width():
+    params = net.init_params(net.NetConfig(grid=4, channels=3, hidden=8), seed=1)
+    sched = df.make_schedule(3, 0.05, 0.3)
+    with pytest.raises(ValueError, match="encoding batch shape"):
+        df.ddpm_sample_batch(params, np.zeros((2, net.ENCODING_DIM - 1)), sched, [0, 1])
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
 def test_ddpm_sample_reports_divergence_step():
     from prefdiff import toyworld as tw
     cfg = net.NetConfig(grid=4, channels=3, hidden=8)
@@ -210,34 +218,6 @@ def test_ddpm_sample_reports_divergence_step():
         df.ddpm_sample_batch(params, enc[None], sched, [0])
 
 
-def _sequential_sample(params, encodings, sched, seeds):
-    """Ancestral sampling with each step's noise drawn in line, before it is
-    used: the reference ``ddpm_sample_batch`` must reproduce bitwise."""
-    gens = [np.random.default_rng(np.random.SeedSequence(int(s) & 0xFFFFFFFFFFFFFFFF))
-            for s in seeds]
-    n = len(seeds)
-    cfg = params.cfg
-    shape = (cfg.grid, cfg.grid, cfg.channels)
-    dtype = params.flat.dtype
-    x = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
-    ab = sched.alpha_bar
-    alpha_bar_prev = np.concatenate([[1.0], ab[:-1]])
-    post_var = (1.0 - alpha_bar_prev) / (1.0 - ab) * sched.beta
-    for t in range(sched.T - 1, -1, -1):
-        eps_hat = net.forward_batch(params, x, np.full(n, t), encodings, sched)
-        x0_hat = np.clip((x - np.sqrt(1.0 - ab[t]).astype(dtype) * eps_hat)
-                         / np.sqrt(ab[t]).astype(dtype), -1.0, 1.0)
-        mean = ((np.sqrt(alpha_bar_prev[t]) * sched.beta[t]).astype(dtype) * x0_hat
-                + (np.sqrt(1.0 - sched.beta[t]) * (1.0 - alpha_bar_prev[t])).astype(dtype) * x
-                ) / (1.0 - ab[t]).astype(dtype)
-        if t > 0:
-            z = np.stack([g.standard_normal(shape) for g in gens]).astype(dtype)
-            x = mean + np.sqrt(post_var[t]).astype(dtype) * z
-        else:
-            x = mean
-    return np.clip(x, -1.0, 1.0)
-
-
 @pytest.mark.usefixtures("no_leaked_threads")
 @pytest.mark.parametrize("parameterization", net.PARAMETERIZATIONS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -247,17 +227,17 @@ def test_ddpm_sample_batch_is_bitwise_the_sequential_loop(T, batch, dtype, param
                                                          monkeypatch):
     # the draws run a step ahead on a worker thread; every row's stream must
     # reach every step exactly as the in-line draws do
-    from conftest import randomized_params, with_dtype
+    from conftest import randomized_params, sequential_sample, with_dtype
 
-    forward = net.forward_batch
+    predict = net.predict_noise_rows
 
-    def slow_forward(*args):
+    def slow_predict(*args):
         # give the worker time to run before the network reads its input, so
         # that a buffer reused too early is overwritten before it is read
         time.sleep(0.002)
-        return forward(*args)
+        return predict(*args)
 
-    monkeypatch.setattr(net, "forward_batch", slow_forward)
+    monkeypatch.setattr(net, "predict_noise_rows", slow_predict)
 
     cfg = net.NetConfig(grid=4, channels=3, hidden=16, parameterization=parameterization)
     sched = df.make_schedule(T, 0.05, 0.3)
@@ -266,6 +246,29 @@ def test_ddpm_sample_batch_is_bitwise_the_sequential_loop(T, batch, dtype, param
     encs = np.random.default_rng(5).integers(0, 2, (batch, net.ENCODING_DIM)).astype(float)
     seeds = [11 * i + 2 for i in range(batch)]
     out = df.ddpm_sample_batch(params, encs, sched, seeds)
-    expected = _sequential_sample(params, encs, sched, seeds)
+    expected = sequential_sample(params, encs, sched, seeds)
     assert out.dtype == expected.dtype == dtype
     assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ddpm_sample_batch_leaves_its_inputs_and_returned_samples_alone(dtype):
+    # the chain works in place on buffers of its own: not on the encodings
+    # (here already in the parameters' dtype), the parameters, or a sample
+    # array an earlier chain returned
+    from conftest import randomized_params, with_dtype
+
+    cfg = net.NetConfig(grid=4, channels=3, hidden=16)
+    sched = df.make_schedule(5, 0.05, 0.3)
+    params = with_dtype(randomized_params(net.init_params(cfg, seed=3), seed=4, scale=0.1),
+                        dtype)
+    encs = np.random.default_rng(5).integers(0, 2, (3, net.ENCODING_DIM)).astype(dtype)
+    flat_bytes, enc_bytes = params.flat.tobytes(), encs.tobytes()
+    first = df.ddpm_sample_batch(params, encs, sched, [1, 2, 3])
+    first_bytes = first.tobytes()
+    second = df.ddpm_sample_batch(params, encs, sched, [4, 5, 6])
+    assert params.flat.tobytes() == flat_bytes
+    assert encs.tobytes() == enc_bytes
+    assert first.tobytes() == first_bytes
+    assert second.tobytes() != first_bytes

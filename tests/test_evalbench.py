@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from prefdiff import datapipe as dp
+from prefdiff import diffusion as df
 from prefdiff import evalbench as eb
 from prefdiff import net
 from prefdiff import toyworld as tw
@@ -94,6 +95,38 @@ def test_evaluate_is_deterministic():
     a = eb.evaluate(params, prompts, 2, cfg.schedule(), seed=9)
     b = eb.evaluate(params, prompts, 2, cfg.schedule(), seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("parameterization", net.PARAMETERIZATIONS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_evaluate_scores_the_samples_of_the_sequential_loop(monkeypatch, dtype,
+                                                            parameterization):
+    # the default sampler's in-place chain must give the out-of-place
+    # sequential loop's images bit for bit, and so its Scorecard
+    from conftest import randomized_params, sequential_sample, with_dtype
+
+    cfg = net.NetConfig(grid=8, channels=3, hidden=16, time_dim=8,
+                        parameterization=parameterization)
+    sched = micro_config(T=6).schedule()
+    params = with_dtype(randomized_params(net.init_params(cfg, seed=2), seed=3, scale=0.1),
+                        dtype)
+    prompts = eb.sample_prompts(tw.DIMENSIONS, 2, seed=4)
+    images = {}
+
+    def recording(name, sample):
+        def recorder(params, encodings, sched, seeds):
+            images[name] = sample(params, encodings, sched, seeds)
+            return images[name]
+        return recorder
+
+    monkeypatch.setattr(df, "ddpm_sample_batch", recording("default", df.ddpm_sample_batch))
+    card = eb.evaluate(params, prompts, 3, sched, seed=5)
+    sequential = recording("sequential", sequential_sample)
+    reference = eb.evaluate(params, prompts, 3, sched, seed=5,
+                            sampler=lambda params, captions, *rest: sequential(params, *rest))
+    assert card == reference
+    assert images["default"].dtype == images["sequential"].dtype == dtype
+    assert images["default"].tobytes() == images["sequential"].tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -205,7 +205,7 @@ def test_the_draw_worker_runs_no_prefdiff_function(main_thread_recorder):
     eb.evaluate(params, prompts, 2, config.schedule(), seed=7)
     assert off_main == []
     for name in ("trainer.train", "losses.policy_half", "net.backward",
-                 "diffusion.prefetched", "diffusion.ddpm_sample_batch", "net.forward_batch",
+                 "diffusion.prefetched", "diffusion.ddpm_sample_batch", "net.predict_noise_rows",
                  "toyworld.vqa_check"):
         assert f"prefdiff.{name}" in calls
 
