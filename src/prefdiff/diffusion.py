@@ -20,9 +20,8 @@ computation feeds back into its generator or into the frozen reference, so
 each generator is consumed in the same order as a sequential loop would,
 and every output is bit-identical to it. The worker calls no public
 prefdiff function, since the benchmark's span tracer is single-threaded: it
-runs numpy and the private cores behind the public functions (``_q_sample``
-here, ``net._first_layer_grad``, ``trainer._adam_update``), whose checks
-the caller runs.
+runs numpy and private cores (``_q_sample`` here, ``net._first_layer_grad``,
+``trainer._adam_update``), whose checks the caller runs.
 """
 
 import contextvars
@@ -67,9 +66,10 @@ def make_schedule(T, beta_start, beta_end, omega_mode="constant"):
 
     ``omega_mode`` sets the loss weight ``omega_vector``: 1.0 ("constant")
     or the step's SNR clipped at OMEGA_CLIP ("snr"). Raises ValueError unless
-    0 < beta_start <= beta_end < 1 and T >= 1.
+    0 < beta_start <= beta_end < 1 and T is an integer (a bool is not) of at
+    least 1.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")
@@ -91,20 +91,10 @@ def check_steps(sched, t):
         raise ValueError(f"step index {bad.flat[0]} out of range [0, {sched.T})")
 
 
-def q_sample(x0, t, eps, sched):
-    """Noise x0 to step t: sqrt(alpha_bar[t]) * x0 + sqrt(1 - alpha_bar[t]) * eps.
-
-    ``t`` is either one step index, applied to all of ``x0``, or an (N,) array
-    of them for an (N, ...) batch, whose row i is noised to step t[i]. The
-    result takes the inputs' floating dtype, so float32 images noise in float32.
-    """
-    t, x0, eps = np.asarray(t), np.asarray(x0), np.asarray(eps)
-    _check_noising(x0, t, eps, sched)
-    return _q_sample(x0, t, eps, sched)
-
-
 def _check_noising(x0, t, eps, sched):
-    """The checks of ``q_sample`` on its array arguments."""
+    """Raise ValueError unless ``t`` holds steps in [0, T) and ``x0`` and
+    ``eps`` are arrays of one shape whose batch ``t`` fits: one step for all
+    of ``x0`` or an (N,) array of them for an (N, ...) batch."""
     check_steps(sched, t)
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
@@ -113,7 +103,13 @@ def _check_noising(x0, t, eps, sched):
 
 
 def _q_sample(x0, t, eps, sched):
-    """``q_sample`` on arrays that pass ``_check_noising``, unchecked."""
+    """Noise x0 to step t: sqrt(alpha_bar[t]) * x0 + sqrt(1 - alpha_bar[t]) * eps,
+    on arrays that pass ``_check_noising``, unchecked.
+
+    Row i of an (N, ...) batch is noised to step t[i] when ``t`` is an (N,)
+    array. The result takes the inputs' floating dtype, so float32 images
+    noise in float32.
+    """
     ab = sched.alpha_bar[t].reshape(t.shape + (1,) * (x0.ndim - t.ndim))
     dtype = np.result_type(x0, eps, np.float32)
     return np.sqrt(ab).astype(dtype) * x0 + np.sqrt(1.0 - ab).astype(dtype) * eps

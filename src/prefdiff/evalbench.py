@@ -78,8 +78,12 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed, sampler=None):
     sampling by default; ``sampler`` may inject any (params, captions,
     encodings, sched, seeds) -> images callable) and oracle-checked against
     the prompt. Returns a Scorecard; deterministic given (params, prompts,
-    seed). No prompts give an empty Scorecard with validity 0.
+    seed). Raises ValueError on no prompts or fewer than one sample per prompt.
     """
+    if not prompts:
+        raise ValueError("no prompts to evaluate")
+    if samples_per_prompt < 1:
+        raise ValueError(f"samples_per_prompt must be at least 1, got {samples_per_prompt}")
     if sampler is None:
         def sampler(params, captions, encodings, sched, seeds):
             return df.ddpm_sample_batch(params, encodings, sched, seeds)
@@ -90,8 +94,6 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed, sampler=None):
         for j in range(samples_per_prompt):
             expanded.append(cap)
             seeds.append(_child_seed(seed, i, j))
-    if not expanded:
-        return Scorecard(per_dimension={}, validity=0.0, sample_count=0, seed=seed)
     encodings = np.stack([net.encode_caption(c) for c in expanded])
     images = sampler(params, expanded, encodings, sched, seeds)
 
@@ -118,7 +120,11 @@ def run_ablation(base_config, dataset, prompts, out_dir=None):
     dataset's preferred halves (the untrained-on-preferences baseline row);
     every method then trains from that base with a frozen clone of it as
     reference. Rows are independent; a failed row is recorded, not dropped.
+    Raises ValueError, before any training, on no prompts or on a prompt
+    that is also a training caption.
     """
+    if not prompts:
+        raise ValueError("no prompts to evaluate")
     overlap = set(prompts) & dataset_captions(dataset)
     if overlap:
         raise ValueError(f"{len(overlap)} evaluation prompts collide with training captions")

@@ -21,9 +21,10 @@ and for a contrast runs the frozen reference over the rows to its per-row
 errors. It calls numpy and private cores only, so ``trainer.train`` runs it
 on the draw worker one step ahead of its use. The policy half
 (``policy_half``) runs the policy's forward pass and the layout's rule on the
-caller's thread. ``batch_loss(method, ...)`` gives any method's loss outside
-training: it checks its arguments as ``q_sample`` and ``assemble_input`` do,
-then runs both halves in turn.
+caller's thread. ``batch_loss(method, ...)``, the one checked way into a
+loss, gives any method's loss outside training: it checks its arguments with
+``df._check_noising`` and ``net._check_blocks``, and its weight rows with
+``_check_weights``, then runs both halves in turn.
 
 Every loss is a batch mean over per-row, mask-weighted squared errors
 e = sum(mask * (pred - target)^2), so its gradient has a closed form: each
@@ -72,20 +73,6 @@ class Loss:
     def backward(self, worker=None):
         """``net.backward`` of this loss; ``worker`` is as there."""
         return net.backward(self.theta, self, worker)
-
-
-def masked_sq_err(eps, eps_hat, mask=None):
-    """Weighted sum of squared errors. ``mask`` is None or an array of
-    weights shaped like the image or like its (H, W) grid, broadcast over
-    channels; an all-ones mask reproduces the plain squared norm bitwise."""
-    eps = np.asarray(eps)
-    eps_hat = np.asarray(eps_hat)
-    if eps.shape != eps_hat.shape:
-        raise ValueError(f"shape mismatch: {eps.shape} vs {eps_hat.shape}")
-    sq = np.square(eps - eps_hat)
-    if mask is not None:
-        sq = sq * _mask_weights(mask, eps.shape)
-    return float(sq.sum())
 
 
 def _check_weights(w):
@@ -273,9 +260,8 @@ def _reference_half(layout, ref, arrays, idx, noise, t_arr, beta, sched, score=T
     caption encodings and "masks_w"/"masks_l", where given, to flat weight
     rows or None; ``noise`` holds one (N, ...) noise batch per image of
     ``layout.noised``. It calls numpy and private cores only, so the draw
-    worker may run it. It skips the checks of ``q_sample`` and
-    ``assemble_input``: ``batch_loss`` runs them first, and ``policy_half``
-    checks the input's widths again on the caller's thread.
+    worker may run it. It runs no checks: ``batch_loss`` runs them first, and
+    ``policy_half`` checks the input's widths again on the caller's thread.
     """
     image_of_block, captions = zip(*layout.blocks)
     masks = tuple(None if arrays.get(f"masks_{s}") is None else arrays[f"masks_{s}"][idx]
@@ -322,8 +308,10 @@ def batch_loss(method, theta, ref, arrays, noise, t_arr, beta, sched):
     contrast scores no reference: every bracket is zero, and so is the
     gradient.
 
-    The arguments are checked as ``df.q_sample`` and ``net.assemble_input``
-    check theirs, and the weight rows as ``masked_sq_err`` checks a mask.
+    Raises ValueError on a step outside the schedule, on images, noise or
+    encodings whose shapes do not fit (``df._check_noising``,
+    ``net._check_blocks``), and on weight rows that are not (N, D) or hold a
+    negative or non-finite weight (``_check_weights``).
     """
     layout = LAYOUTS[method]
     t_arr = np.asarray(t_arr)

@@ -19,7 +19,7 @@ operation on the buffer.
 The first layer is factorised. Its weight W0 splits into an image block
 W0[:D], a time block W0[D:D+tau] and a caption block W0[D+tau:], so a row's
 pre-activation (x_img, temb, enc) . W0 + b0 is the sum of three products.
-``assemble_input`` keeps the distinct noised images once, the N time
+``_assemble_input`` keeps the distinct noised images once, the N time
 embeddings once and one caption block per N rows, with a block -> image map
 naming the image each row block reads. A preference loss that scores one
 noised image under two captions thus pays for the 768-wide image product, and
@@ -110,7 +110,7 @@ class NetConfig:
     # outputs a clean-image estimate and the noise estimate is derived as
     # (x_t - sqrt(ab) * out) / sqrt(1 - ab), which spares the hidden layers
     # from having to reproduce the noisy input and trains far better at
-    # desk scale. The public contract (forward_batch returns the noise
+    # desk scale. The public contract (predict_noise_rows returns the noise
     # prediction) is identical for both.
     parameterization: str = "eps"
 
@@ -237,20 +237,11 @@ class NetInput:
         return np.concatenate([self.images[k * n:(k + 1) * n] for k in self.image_of_block])
 
 
-def assemble_input(params, images, t_arr, encodings, sched, image_of_block):
-    """The factorised input of len(image_of_block) row blocks of N rows.
-
-    ``images`` lists K distinct (N, G, G, C) image blocks, ``t_arr`` holds the
-    N step indices that every block shares, ``encodings`` lists one
-    (N, ENCODING_DIM) caption block per row block, and ``image_of_block[b]``
-    names the image block that row block b reads.
-    """
-    _check_blocks(params.cfg, images, t_arr, encodings, sched, image_of_block)
-    return _assemble_input(params, images, t_arr, encodings, sched, image_of_block)
-
-
 def _check_blocks(cfg, images, t_arr, encodings, sched, image_of_block):
-    """The checks of ``assemble_input`` on its arguments."""
+    """Raise ValueError unless ``_assemble_input`` can build a network input
+    for ``cfg`` from its arguments: the steps lie in the schedule, every
+    image block is (N, G, G, C), every encoding block is (N, ENCODING_DIM)
+    and each row block names one of the image blocks."""
     df.check_steps(sched, t_arr)
     n = len(t_arr)
     image_of_block = tuple(int(k) for k in image_of_block)
@@ -268,7 +259,14 @@ def _check_blocks(cfg, images, t_arr, encodings, sched, image_of_block):
 
 
 def _assemble_input(params, images, t_arr, encodings, sched, image_of_block):
-    """``assemble_input`` on arguments that pass ``_check_blocks``, unchecked."""
+    """The factorised input of len(image_of_block) row blocks of N rows, on
+    arguments that pass ``_check_blocks``, unchecked.
+
+    ``images`` lists K distinct (N, G, G, C) image blocks, ``t_arr`` holds the
+    N step indices that every block shares, ``encodings`` lists one
+    (N, ENCODING_DIM) caption block per row block, and ``image_of_block[b]``
+    names the image block that row block b reads.
+    """
     n = len(t_arr)
     dtype = params.flat.dtype
     return NetInput(
@@ -364,16 +362,6 @@ def noise_output_slope(cfg, t_arr, sched):
         return 1.0
     sqrt_ab, inv_rest = _noise_coeffs(t_arr, sched)
     return -sqrt_ab * inv_rest
-
-
-def forward_batch(params, x_t, t_arr, encodings, sched):
-    """Predicted noise for a batch; returns (N, G, G, C)."""
-    inp = assemble_input(params, [x_t], t_arr, [encodings], sched, (0,))
-    out = predict_noise_rows(params, inp, t_arr, sched)
-    if not np.all(np.isfinite(out)):
-        raise df.NumericDivergenceError("non-finite network output")
-    cfg = params.cfg
-    return out.reshape(-1, cfg.grid, cfg.grid, cfg.channels)
 
 
 # ---------------------------------------------------------------------------

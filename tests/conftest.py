@@ -1,7 +1,7 @@
 """Shared test helpers: grammar enumeration, loss inputs built from preference
-pairs, finite-difference oracles, the sequential reference sampler, stand-in
-workers for the calls that ``adam_step`` and ``net.backward`` queue, and a
-thread-leak check. Importing this module pins BLAS to one thread."""
+pairs, one-block network inputs, finite-difference oracles, the sequential
+reference sampler, stand-in workers for the calls that ``adam_step`` and
+``net.backward`` queue, and a thread-leak check. Importing this module pins BLAS to one thread."""
 
 import itertools
 import os
@@ -162,6 +162,12 @@ def with_dtype(params, dtype):
                               trainable=params.trainable)
 
 
+def one_block_input(params, x_t, t_arr, encodings, sched):
+    """The ``net.NetInput`` of one row block: the (N, G, G, C) images ``x_t``
+    at the N steps ``t_arr`` under the (N, ENCODING_DIM) ``encodings``."""
+    return net._assemble_input(params, [x_t], t_arr, [encodings], sched, (0,))
+
+
 def sequential_sample(params, encodings, sched, seeds):
     """Ancestral sampling with each step's noise drawn in line, before it is
     used, and each step's arithmetic out of place: the reference
@@ -177,7 +183,9 @@ def sequential_sample(params, encodings, sched, seeds):
     alpha_bar_prev = np.concatenate([[1.0], ab[:-1]])
     post_var = (1.0 - alpha_bar_prev) / (1.0 - ab) * sched.beta
     for t in range(sched.T - 1, -1, -1):
-        eps_hat = net.forward_batch(params, x, np.full(n, t), encodings, sched)
+        t_arr = np.full(n, t)
+        inp = one_block_input(params, x, t_arr, encodings, sched)
+        eps_hat = net.predict_noise_rows(params, inp, t_arr, sched).reshape(x.shape)
         x0_hat = np.clip((x - np.sqrt(1.0 - ab[t]).astype(dtype) * eps_hat)
                          / np.sqrt(ab[t]).astype(dtype), -1.0, 1.0)
         mean = ((np.sqrt(alpha_bar_prev[t]) * sched.beta[t]).astype(dtype) * x0_hat

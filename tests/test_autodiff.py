@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import pair_loss, randomized_params, stacked, synthetic_pair
+from conftest import one_block_input, pair_loss, randomized_params, stacked, synthetic_pair
 
 from prefdiff import autodiff as ad
 from prefdiff import diffusion as df
@@ -53,8 +53,8 @@ def test_bias_broadcast_gradient():
     params = randomized_params(net.init_params(cfg, seed=0), seed=1)
     sched = df.make_schedule(6, 0.05, 0.3)
     rng = np.random.default_rng(2)
-    inp = net.assemble_input(params, [rng.normal(size=(6, 2, 2, 1))], rng.integers(0, 6, 6),
-                             [rng.normal(size=(6, net.ENCODING_DIM))], sched, (0,))
+    inp = one_block_input(params, rng.normal(size=(6, 2, 2, 1)), rng.integers(0, 6, 6),
+                          rng.normal(size=(6, net.ENCODING_DIM)), sched)
     acts = []
     net.forward_rows(params, inp, acts)
     d_out = rng.normal(size=(6, cfg.image_dim))

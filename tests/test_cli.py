@@ -144,6 +144,9 @@ def _truncate(path):
                  id="trainable-string"),
     pytest.param(_edit(lambda r: r["schedule"].update(beta_end=1.5)), "beta_end",
                  id="schedule"),
+    # a true T loaded as a 1-step schedule
+    pytest.param(_edit(lambda r: r["schedule"].update(T=True)),
+                 "T must be a positive integer, got True", id="schedule-T-true"),
     pytest.param(_edit(lambda r: r.pop("params")), "lacks the field 'params'",
                  id="missing-params"),
     pytest.param(_truncate, "not JSON", id="truncated"),

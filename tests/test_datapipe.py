@@ -339,14 +339,19 @@ def _off_grid(scene):
     scene["objects"][0]["bbox"][0] = -1
 
 
+def _zero_height(scene):
+    scene["objects"][0]["bbox"][2] = 0
+
+
 def _overlapping(scene):
     row0, col0, height, width = scene["objects"][0]["bbox"]
     scene["objects"].append({**scene["objects"][0], "bbox": [row0 + 1, col0, height, width]})
 
 
 @pytest.mark.parametrize("damage,problem", [(_off_grid, "overflows"),
+                                            (_zero_height, "degenerate bbox"),
                                             (_overlapping, "bboxes overlap")],
-                         ids=["off_grid", "overlapping"])
+                         ids=["off_grid", "zero_height", "overlapping"])
 def test_invalid_stored_scene_names_its_line(tmp_path, damage, problem):
     _, path = _write_mixed(tmp_path)
     _rewrite(path, 2, lambda record: damage(record["scene_l"]))

@@ -63,11 +63,15 @@ def test_evaluate_oracle_sampler_scores_one():
     assert card.sample_count == len(prompts) * 2
 
 
-def test_evaluate_without_prompts_returns_empty_scorecard():
+def test_evaluate_refuses_no_prompts_or_no_samples():
+    # each used to return an empty Scorecard of validity 0
     cfg = micro_config()
     params = net.init_params(cfg.net_config(), seed=0)
-    card = eb.evaluate(params, [], 2, cfg.schedule(), seed=6)
-    assert card == eb.Scorecard(per_dimension={}, validity=0.0, sample_count=0, seed=6)
+    prompts = eb.sample_prompts(["color"], 1, seed=3)
+    with pytest.raises(ValueError, match="no prompts"):
+        eb.evaluate(params, [], 2, cfg.schedule(), seed=6, sampler=oracle_sampler)
+    with pytest.raises(ValueError, match="samples_per_prompt must be at least 1, got 0"):
+        eb.evaluate(params, prompts, 0, cfg.schedule(), seed=6, sampler=oracle_sampler)
 
 
 def test_evaluate_noise_sampler_has_no_validity():
@@ -149,11 +153,19 @@ def test_run_ablation_produces_six_independent_rows(micro_report):
     assert sorted(os.listdir(out)) == ["report.json", "report.md"]
 
 
-def test_run_ablation_rejects_prompt_leakage():
+@pytest.mark.parametrize("prompts_of,message", [
+    pytest.param(lambda pairs: [pairs[0].y_w], "collide", id="leaked"),
+    pytest.param(lambda pairs: [], "no prompts", id="none"),
+])
+def test_run_ablation_refuses_its_prompts_before_training(monkeypatch, prompts_of, message):
     pairs, _ = dp.generate_dataset({"color": 4}, seed=15, grid=8)
-    leaked = [pairs[0].y_w]
-    with pytest.raises(ValueError, match="collide"):
-        eb.run_ablation(micro_config(), pairs, leaked)
+
+    def train(*args, **kwargs):
+        raise AssertionError("trained before refusing the prompts")
+
+    monkeypatch.setattr(trainer, "train", train)
+    with pytest.raises(ValueError, match=message):
+        eb.run_ablation(micro_config(), pairs, prompts_of(pairs))
 
 
 def sample_report():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from conftest import (finite_difference_grads, max_relative_grad_error,
-                      norm_relative_grad_error, pair_loss, params_with_layers,
-                      randomized_params, stacked, synthetic_pair, with_dtype)
+                      norm_relative_grad_error, one_block_input, pair_loss,
+                      params_with_layers, randomized_params, stacked, synthetic_pair,
+                      with_dtype)
 
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
@@ -50,18 +51,13 @@ def rand_images(shape, seed):
 # ---------------------------------------------------------------------------
 # masked squared error
 
-def test_masked_sq_err_examples():
-    e = np.array([1.0, 0.0])
-    assert losses.masked_sq_err(e, e, np.ones(2)) == 0.0
-    assert losses.masked_sq_err(e, np.zeros(2), np.ones(2)) == 1.0
-    assert losses.masked_sq_err(np.ones(2), np.zeros(2), np.array([1.0, 0.5])) == 1.5
-
-
-def test_masked_sq_err_all_ones_is_bitwise_plain_norm():
-    rng = np.random.default_rng(0)
-    e, eh = rng.standard_normal((5, 5, 3)), rng.standard_normal((5, 5, 3))
-    ones = np.ones((5, 5))
-    assert losses.masked_sq_err(e, eh, ones) == losses.masked_sq_err(e, eh, None)
+def test_weighted_errors_examples():
+    # e = sum(mask * (pred - target)^2) per row
+    pred = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    target = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    mask = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.5]])
+    errors, _ = losses._errors(pred, (0,), [target], [mask])
+    assert errors.tolist() == [0.0, 1.0, 1.5]
 
 
 def masked_batch_loss(mask_rows):
@@ -76,11 +72,11 @@ def masked_batch_loss(mask_rows):
                              [1, 2, 3], 0.1, SCHED)
 
 
-def test_masked_sq_err_shape_mismatch():
-    with pytest.raises(ValueError, match="shape"):
-        losses.masked_sq_err(np.zeros(3), np.zeros(4))
+def test_mask_shape_mismatch():
+    # a pair's mask must be shaped like its image or like its grid
+    x0, _ = rand_images((3, 3, 2), 1)
     with pytest.raises(ValueError, match="mask shape"):
-        losses.masked_sq_err(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), np.ones((3, 2)))
+        stacked([caption_pair(x0, CAP_RED, CAP_BLUE, mask=np.ones((2, 3)))], masks=True)
     # one weight row for three items must not broadcast over all of them
     masked_batch_loss(np.full((3, 18), 2.0))
     with pytest.raises(ValueError, match="mask shape"):
@@ -88,9 +84,12 @@ def test_masked_sq_err_shape_mismatch():
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
-def test_masked_sq_err_rejects_negative_or_non_finite_weights(bad):
+def test_mask_rejects_negative_or_non_finite_weights(bad):
+    x0, _ = rand_images((3, 3, 2), 1)
+    mask = np.ones((3, 3))
+    mask[1, 2] = bad
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        losses.masked_sq_err(np.zeros(2), np.ones(2), np.array([1.0, bad]))
+        stacked([caption_pair(x0, CAP_RED, CAP_BLUE, mask=mask)], masks=True)
     rows = np.ones((3, 18))
     rows[1, 5] = bad
     with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -120,19 +119,24 @@ def test_aliased_reference_gives_ln2_per_term_and_zero_grad(method):
     assert loss.backward().global_norm() < 1e-9
 
 
-def test_loss_rejects_bad_step_and_shapes():
-    theta = net.init_params(CFG, seed=0)
+@pytest.mark.parametrize("parameterization", ["eps", "x0"])
+def test_loss_rejects_bad_step_and_shapes(parameterization):
+    cfg = net.NetConfig(grid=4, channels=3, hidden=8, time_dim=8,
+                        parameterization=parameterization)
+    theta = net.init_params(cfg, seed=0)
     x0, eps = rand_images((4, 4, 3), 0)
     pair = synthetic_pair(x0, CAP_RED, x0, CAP_BLUE)
     # -1 must not alias to T - 1, nor T surface as an IndexError
-    for t in (-1, SCHED.T):
+    for t in (-1, SCHED.T, 100):
         for method, layout in losses.LAYOUTS.items():
             with pytest.raises(ValueError, match="range"):
                 pair_loss(method, theta, theta, pair, t, (eps, eps)[:len(layout.noised)],
                           0.1, SCHED)
                 pytest.fail(f"{method} accepted step {t}")
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="shape mismatch"):
         pair_loss("image_dpo", theta, theta, pair, 1, (eps[:2], eps[:2]), 0.1, SCHED)
+    with pytest.raises(ValueError, match="steps shape"):
+        losses.batch_loss("sft", theta, theta, stacked([pair]), [eps[None]], [1, 2], None, SCHED)
     with pytest.raises(ValueError, match="text_dpo noises 1 images, got 2 noise batches"):
         pair_loss("text_dpo", theta, theta, pair, 1, (eps, eps), 0.1, SCHED)
 
@@ -244,11 +248,15 @@ def test_text_dpo_descent_step_reduces_preference_margin(seed):
     t = 4
 
     def margin_quantity():
-        xt = df.q_sample(x0, t, eps, SCHED)
-        pred_w, pred_l = (net.forward_batch(theta, xt[None], np.array([t]),
-                                            net.encode_caption(c)[None], SCHED)[0]
-                          for c in (CAP_RED, CAP_BLUE))
-        return losses.masked_sq_err(eps, pred_w) - losses.masked_sq_err(eps, pred_l)
+        xt = df._q_sample(x0, np.asarray(t), eps, SCHED)
+        t_arr = np.array([t])
+
+        def err(c):
+            inp = one_block_input(theta, xt[None], t_arr, net.encode_caption(c)[None], SCHED)
+            pred = net.predict_noise_rows(theta, inp, t_arr, SCHED)[0].reshape(eps.shape)
+            return float(np.square(eps - pred).sum())
+
+        return err(CAP_RED) - err(CAP_BLUE)
 
     before = margin_quantity()
     grads = pair_loss("text_dpo", theta, ref, caption_pair(x0, CAP_RED, CAP_BLUE), t, (eps,),

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (enumerate_captions, finite_difference_grads, max_relative_grad_error,
-                      randomized_params, run_now, stacked, synthetic_pair, with_dtype)
+                      one_block_input, randomized_params, run_now, stacked, synthetic_pair,
+                      with_dtype)
 
 from prefdiff import datapipe as dp
 from prefdiff import diffusion as df
@@ -66,10 +67,11 @@ def test_forward_zero_final_layer_outputs_zero():
     sched = df.make_schedule(10, 0.05, 0.3)
     cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("disc"),))
     rng = np.random.default_rng(0)
-    out = net.forward_batch(params, rng.standard_normal((1, 4, 4, 3)), np.array([3]),
-                            net.encode_caption(cap)[None], sched)
+    inp = one_block_input(params, rng.standard_normal((1, 4, 4, 3)), np.array([3]),
+                          net.encode_caption(cap)[None], sched)
+    out = net.forward_rows(params, inp)
     assert np.all(out == 0.0)
-    assert out.shape == (1, 4, 4, 3)
+    assert out.shape == (1, 48)
 
 
 def test_forward_is_pure():
@@ -77,9 +79,9 @@ def test_forward_is_pure():
     sched = df.make_schedule(10, 0.05, 0.3)
     cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("disc"),))
     x = np.random.default_rng(3).standard_normal((1, 4, 4, 3))
-    enc = net.encode_caption(cap)[None]
-    a = net.forward_batch(params, x, np.array([5]), enc, sched)
-    b = net.forward_batch(params, x, np.array([5]), enc, sched)
+    inp = one_block_input(params, x, np.array([5]), net.encode_caption(cap)[None], sched)
+    a = net.predict_noise_rows(params, inp, np.array([5]), sched)
+    b = net.predict_noise_rows(params, inp, np.array([5]), sched)
     assert np.array_equal(a, b)
 
 
@@ -90,7 +92,7 @@ def _random_input(params, n, seed):
     rng = np.random.default_rng(seed)
     x_t = rng.standard_normal((n, cfg.grid, cfg.grid, cfg.channels))
     enc = rng.standard_normal((n, net.ENCODING_DIM))
-    return net.assemble_input(params, [x_t], rng.integers(0, sched.T, n), [enc], sched, (0,))
+    return one_block_input(params, x_t, rng.integers(0, sched.T, n), enc, sched)
 
 
 def _probe_loss(params, rows, v):
@@ -111,7 +113,7 @@ def test_forward_directional_derivative_matches_probe():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 4, 3))
     v = rng.standard_normal(48)
-    rows = net.assemble_input(params, [x[None]], np.array([5]), [enc[None]], sched, (0,))
+    rows = one_block_input(params, x[None], np.array([5]), enc[None], sched)
     grads = _probe_loss(params, rows, v).backward()
 
     delta = 1e-6
@@ -297,7 +299,7 @@ def test_x0_parameterization_gradients_and_identity():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_x0_forward_batch_keeps_the_parameter_dtype(dtype):
+def test_x0_noise_prediction_keeps_the_parameter_dtype(dtype):
     cfg = net.NetConfig(grid=4, channels=3, hidden=8, time_dim=8, parameterization="x0")
     params = randomized_params(net.init_params(cfg, seed=45), seed=46)
     params = with_dtype(params, dtype)
@@ -306,17 +308,17 @@ def test_x0_forward_batch_keeps_the_parameter_dtype(dtype):
     x_t = rng.standard_normal((5, 4, 4, 3))
     t_arr = np.array([0, 2, 4, 7, 9])
     enc = np.stack([net.encode_caption(c) for c in enumerate_captions()[:5]])
-    out = net.forward_batch(params, x_t, t_arr, enc, sched)
+    rows = one_block_input(params, x_t, t_arr, enc, sched)
+    out = net.predict_noise_rows(params, rows, t_arr, sched)
     assert out.dtype == dtype
     # reference: the x0 identity with float64 coefficients, as before the cast
-    rows = net.assemble_input(params, [x_t], t_arr, [enc], sched, (0,))
     ab = sched.alpha_bar[t_arr][:, None]
     ref = (rows.image_rows() - np.sqrt(ab) * net.forward_rows(params, rows)) \
         * (1.0 / np.sqrt(1.0 - ab))
     if dtype == np.float64:
-        assert np.array_equal(out.reshape(5, -1), ref)
+        assert np.array_equal(out, ref)
     else:
-        np.testing.assert_allclose(out.reshape(5, -1), ref, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
 
 
 def _concatenated_stack(params, rows, t_rows, sched, d_out):
@@ -361,7 +363,7 @@ def test_factorised_first_layer_matches_concatenated_rows(parameterization):
     for image_of_block in [(0,), (0, 1), (0, 0), (0, 0, 1, 1)]:
         used = images[:max(image_of_block) + 1]
         encodings = [rng.standard_normal((n, net.ENCODING_DIM)) for _ in image_of_block]
-        inp = net.assemble_input(params, used, t_arr, encodings, sched, image_of_block)
+        inp = net._assemble_input(params, used, t_arr, encodings, sched, image_of_block)
         t_rows = np.tile(t_arr, len(image_of_block))
         acts = []
         pred = net.predict_noise_rows(params, inp, t_rows, sched, acts)
@@ -379,26 +381,13 @@ def test_factorised_first_layer_matches_concatenated_rows(parameterization):
             _assert_close(db, ref_db, 1e-12)
 
 
-@pytest.mark.parametrize("parameterization", ["eps", "x0"])
-def test_forward_batch_rejects_steps_outside_the_schedule(parameterization):
-    cfg = net.NetConfig(grid=4, channels=3, hidden=8, time_dim=8,
-                        parameterization=parameterization)
-    params = randomized_params(net.init_params(cfg, seed=48), seed=49)
-    sched = df.make_schedule(10, 0.05, 0.3)
-    x_t = np.random.default_rng(50).standard_normal((2, 4, 4, 3))
-    enc = np.stack([net.encode_caption(c) for c in enumerate_captions()[:2]])
-    for bad in (-1, sched.T, 100):
-        with pytest.raises(ValueError, match="range"):
-            net.forward_batch(params, x_t, np.array([0, bad]), enc, sched)
-
-
 def test_forward_rows_rejects_the_input_of_another_network():
     sched = df.make_schedule(10, 0.05, 0.3)
     for other in (replace(SMALL, time_dim=SMALL.time_dim + 2),
                   replace(SMALL, grid=SMALL.grid + 1)):
         params = net.init_params(other, seed=17)
-        inp = net.assemble_input(params, [np.zeros((2, other.grid, other.grid, other.channels))],
-                                 np.array([0, 1]), [np.zeros((2, net.ENCODING_DIM))], sched, (0,))
+        inp = one_block_input(params, np.zeros((2, other.grid, other.grid, other.channels)),
+                              np.array([0, 1]), np.zeros((2, net.ENCODING_DIM)), sched)
         with pytest.raises(ValueError, match="input widths"):
             net.forward_rows(net.init_params(SMALL, seed=16), inp)
 
@@ -411,9 +400,9 @@ def test_clone_frozen_is_independent_and_equal():
     sched = df.make_schedule(8, 0.05, 0.3)
     cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("triangle"),))
     x = np.random.default_rng(13).standard_normal((1, 4, 4, 3))
-    enc = net.encode_caption(cap)[None]
-    assert np.array_equal(net.forward_batch(params, x, np.array([1]), enc, sched),
-                          net.forward_batch(clone, x, np.array([1]), enc, sched))
+    inp = one_block_input(params, x, np.array([1]), net.encode_caption(cap)[None], sched)
+    assert np.array_equal(net.predict_noise_rows(params, inp, np.array([1]), sched),
+                          net.predict_noise_rows(clone, inp, np.array([1]), sched))
     params.layers[0][0][:] += 1.0   # mutate the original
     assert not net.params_equal(params, clone)
 
