@@ -62,10 +62,10 @@ class DatasetVersionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PreferencePair:
-    """One dataset row: a winner and a loser image-caption pair whose scenes
-    differ only in the edited objects, plus the two region masks
-    (``toyworld.edit_masks`` of the two scenes), (grid, grid) float arrays
-    that weight the edited objects' bboxes 1.0 and the rest 0.5."""
+    """One dataset row: a winner and a loser image-caption pair and the two
+    scenes they were rendered from, which differ only in the edited objects.
+    What a loss derives from the scenes, such as the region masks of
+    ``losses.pair_masks``, is not stored."""
 
     x0_w: np.ndarray
     y_w: tw.Caption
@@ -73,8 +73,6 @@ class PreferencePair:
     y_l: tw.Caption
     scene_w: tw.SceneSpec
     scene_l: tw.SceneSpec
-    mask_w: np.ndarray
-    mask_l: np.ndarray
 
     @property
     def dimension(self):
@@ -210,9 +208,9 @@ def build_pair(caption, edited_caption, layout_seed, jitter=DEFAULT_JITTER,
 
     Both scenes are realised on the winner's layout (``toyworld.pair_scenes``)
     and both images are rendered with the identical layout seed, so regions
-    outside the edit differ by at most the shared jitter field. Raises
-    VqaInconsistencyError when the four-way cross-check fails (the caller
-    counts the discard).
+    outside the edit differ by at most the shared jitter field; the pair keeps
+    the scenes, not masks. Raises VqaInconsistencyError when the four-way
+    cross-check fails (the caller counts the discard).
     """
     if edited_caption == caption:
         raise ValueError("edit must differ from the source caption")
@@ -225,10 +223,8 @@ def build_pair(caption, edited_caption, layout_seed, jitter=DEFAULT_JITTER,
         raise VqaInconsistencyError(
             f"cross-check (w/w, l/l, !w/l, !l/w) = {checks} for {caption} -> {edited_caption}")
 
-    mask_w, mask_l = tw.edit_masks(scene_w, scene_l, grid)
-    return PreferencePair(
-        x0_w=x_w, y_w=caption, x0_l=x_l, y_l=edited_caption,
-        scene_w=scene_w, scene_l=scene_l, mask_w=mask_w, mask_l=mask_l)
+    return PreferencePair(x0_w=x_w, y_w=caption, x0_l=x_l, y_l=edited_caption,
+                          scene_w=scene_w, scene_l=scene_l)
 
 
 def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
@@ -238,8 +234,10 @@ def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
     until the dimension's quota is met, and every pair gets a layout seed of
     its own. Discards from failed cross-checks or impossible layouts are
     counted in the manifest. Evaluation prompts are kept out of the training
-    captions afterwards, by ``evalbench.sample_prompts(exclude=)``.
+    captions afterwards, by ``evalbench.sample_prompts(exclude=)``. Raises
+    ValueError, before drawing anything, on a negative or non-finite jitter.
     """
+    tw._check_jitter(jitter)
     pairs = []
     realized = {}
     stats = {}
@@ -283,11 +281,10 @@ def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
 
 
 def pairs_equal(a, b):
-    """Structural equality of two pairs (exact image and mask values)."""
+    """Structural equality of two pairs (exact image values)."""
     return (np.array_equal(a.x0_w, b.x0_w) and np.array_equal(a.x0_l, b.x0_l)
             and a.y_w == b.y_w and a.y_l == b.y_l
-            and a.scene_w == b.scene_w and a.scene_l == b.scene_l
-            and np.array_equal(a.mask_w, b.mask_w) and np.array_equal(a.mask_l, b.mask_l))
+            and a.scene_w == b.scene_w and a.scene_l == b.scene_l)
 
 
 def dataset_captions(pairs):
@@ -302,22 +299,13 @@ def dataset_captions(pairs):
 # ---------------------------------------------------------------------------
 # filtering
 
-def filter_pairs(pairs, corruption_rate=0.0, rng_seed=0):
-    """Re-run the four-way cross-check, optionally corrupting labels first.
-
-    Corruption swaps y_w/y_l on a random subset (images untouched), which the
-    oracle check then rejects; it exists purely to exercise the filter.
-    Returns (kept, discarded, stats).
-    """
-    if not 0.0 <= corruption_rate < 1.0:
-        raise ValueError("corruption_rate must be in [0, 1)")
-    rng = np.random.default_rng(np.random.SeedSequence(int(rng_seed) & 0xFFFFFFFFFFFFFFFF))
-    corrupt = rng.random(len(pairs)) < corruption_rate
+def filter_pairs(pairs):
+    """Re-run the four-way cross-check on every pair: one whose labels no
+    longer fit its images (its captions swapped, say) is discarded. Returns
+    (kept, discarded, stats), ``stats["per_dimension"]`` counting both."""
     kept, discarded = [], []
-    stats = {"injected": int(corrupt.sum()), "per_dimension": {}}
-    for pair, bad in zip(pairs, corrupt):
-        if bad:
-            pair = replace(pair, y_w=pair.y_l, y_l=pair.y_w)
+    stats = {"per_dimension": {}}
+    for pair in pairs:
         ok = all(cross_check(pair.x0_w, pair.y_w, pair.x0_l, pair.y_l))
         bucket = stats["per_dimension"].setdefault(
             pair.dimension, {"kept": 0, "discarded": 0})
@@ -404,16 +392,12 @@ def _pair_dict(p):
 
 
 def _pair_from(d):
-    """A pair from its record; the masks are derived as ``build_pair``
-    derives them."""
     grid = d["grid"]
     shape = (grid, grid, tw.CHANNELS)
-    scene_w, scene_l = _scene_from(d["scene_w"], grid), _scene_from(d["scene_l"], grid)
-    mask_w, mask_l = tw.edit_masks(scene_w, scene_l, grid)
     return PreferencePair(
         x0_w=_image_from(d["x0_w"], shape), y_w=caption_from_dict(d["y_w"]),
         x0_l=_image_from(d["x0_l"], shape), y_l=caption_from_dict(d["y_l"]),
-        scene_w=scene_w, scene_l=scene_l, mask_w=mask_w, mask_l=mask_l)
+        scene_w=_scene_from(d["scene_w"], grid), scene_l=_scene_from(d["scene_l"], grid))
 
 
 def write_dataset(pairs, manifest, path):
@@ -427,9 +411,9 @@ def write_dataset(pairs, manifest, path):
     little-endian order (``"<f8"``), flattened row-major from shape
     (grid, grid, CHANNELS), so a read returns bit-identical images. A scene
     record (version 5) is just its ``objects``, each with its shape, color,
-    texture and ``bbox`` as [row0, col0, height, width]. The two region masks
-    are not stored: a read derives them from the two scenes, as
-    ``build_pair`` does.
+    texture and ``bbox`` as [row0, col0, height, width]. A record holds
+    nothing derived from its scenes: the region-weighted loss derives its
+    masks from them when it stacks its batch (``losses.pair_masks``).
     """
     lines = [json.dumps(_pair_dict(p)) for p in pairs]
     digest = hashlib.sha256()

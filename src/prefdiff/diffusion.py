@@ -83,9 +83,11 @@ def make_schedule(T, beta_start, beta_end, omega_mode="constant"):
 
 
 def check_steps(sched, t):
-    """Raise ValueError unless every step index in ``t`` (a scalar or an
-    array) lies in [0, T)."""
+    """Raise ValueError unless ``t`` (a scalar or an array) holds integer
+    step indices, not floats or bools, that lie in [0, T)."""
     t = np.asarray(t)
+    if t.dtype.kind not in "iu":
+        raise ValueError(f"step indices must be integers, got {t.dtype} steps")
     bad = t[(t < 0) | (t >= sched.T)]
     if bad.size:
         raise ValueError(f"step index {bad.flat[0]} out of range [0, {sched.T})")
@@ -93,12 +95,12 @@ def check_steps(sched, t):
 
 def _check_noising(x0, t, eps, sched):
     """Raise ValueError unless ``t`` holds steps in [0, T) and ``x0`` and
-    ``eps`` are arrays of one shape whose batch ``t`` fits: one step for all
-    of ``x0`` or an (N,) array of them for an (N, ...) batch."""
+    ``eps`` are arrays of one shape whose batch ``t`` fits: an (N,) array of
+    steps for an (N, ...) batch."""
     check_steps(sched, t)
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
-    if t.shape not in ((), x0.shape[:1]):
+    if t.shape != x0.shape[:1]:
         raise ValueError(f"steps shape {t.shape} does not match batch {x0.shape}")
 
 

@@ -78,7 +78,8 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed, sampler=None):
     sampling by default; ``sampler`` may inject any (params, captions,
     encodings, sched, seeds) -> images callable) and oracle-checked against
     the prompt. Returns a Scorecard; deterministic given (params, prompts,
-    seed). Raises ValueError on no prompts or fewer than one sample per prompt.
+    seed). Raises ValueError on no prompts, fewer than one sample per prompt,
+    or a sampler result that is not one (grid, grid, channels) image per sample.
     """
     if not prompts:
         raise ValueError("no prompts to evaluate")
@@ -96,6 +97,10 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed, sampler=None):
             seeds.append(_child_seed(seed, i, j))
     encodings = np.stack([net.encode_caption(c) for c in expanded])
     images = sampler(params, expanded, encodings, sched, seeds)
+    expected = (len(expanded), params.cfg.grid, params.cfg.grid, params.cfg.channels)
+    if np.shape(images) != expected:
+        raise ValueError(f"sampler returned images of shape {np.shape(images)}, "
+                         f"expected {expected}")
 
     passes = {}
     valid = 0

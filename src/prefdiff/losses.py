@@ -43,6 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffusion as df
 from . import net
+from . import toyworld as tw
 
 REGION_EXEMPT_DIMENSIONS = ("spatial", "numeracy")
 
@@ -80,25 +81,15 @@ def _check_weights(w):
         raise ValueError("mask weights must be finite and nonnegative")
 
 
-def _mask_weights(mask, image_shape):
-    w = np.asarray(mask)
-    _check_weights(w)
-    if w.shape == image_shape:
-        return w
-    if w.shape == image_shape[:-1]:
-        return w[..., None]
-    raise ValueError(f"mask shape {w.shape} incompatible with image {image_shape}")
-
-
 def _mask_rows(masks, image_shape, dtype=np.float64):
-    """Stack masks to flat per-row weights, all ones where a mask is None;
-    None when every mask is None."""
-    if masks is None or all(m is None for m in masks):
+    """Stack (grid, grid) masks, each laid on every channel, to flat per-row
+    weights, all ones where a mask is None; None when every mask is None."""
+    if all(m is None for m in masks):
         return None
     rows = np.ones((len(masks), int(np.prod(image_shape))), dtype=dtype)
     for row, m in zip(rows, masks):
         if m is not None:
-            row[:] = np.broadcast_to(_mask_weights(m, image_shape), image_shape).reshape(-1)
+            row.reshape(image_shape)[...] = m[..., None]
     return rows
 
 
@@ -225,17 +216,18 @@ class ReferenceHalf:
 
 
 def pair_masks(pair):
-    """The region masks a loss applies to a pair: none where the pair's
-    dimension needs a global focus (spatial and numeracy)."""
-    if pair.dimension in REGION_EXEMPT_DIMENSIONS:
+    """The region masks a loss applies to a pair, ``toyworld.edit_masks`` of
+    its scenes at its grid: none for a pair without scenes or whose dimension
+    needs a global focus (spatial and numeracy)."""
+    if pair.scene_w is None or pair.dimension in REGION_EXEMPT_DIMENSIONS:
         return None, None
-    return pair.mask_w, pair.mask_l
+    return tw.edit_masks(pair.scene_w, pair.scene_l, pair.x0_w.shape[0])
 
 
 def _stack_pairs(dataset, dtype, shape, masks):
     """A dataset's images and caption encodings stacked once, keyed as
-    ``_reference_half`` reads them; with ``masks``, also the pairs' region
-    weight rows, each None when no pair has a mask."""
+    ``_reference_half`` reads them; with ``masks``, also the weight rows of
+    the pairs' ``pair_masks``, each None when no pair has a mask."""
     for p in dataset:
         if p.x0_w.shape != shape:
             raise ValueError(f"pair image shape {p.x0_w.shape} != configured {shape}")
@@ -308,10 +300,10 @@ def batch_loss(method, theta, ref, arrays, noise, t_arr, beta, sched):
     contrast scores no reference: every bracket is zero, and so is the
     gradient.
 
-    Raises ValueError on a step outside the schedule, on images, noise or
-    encodings whose shapes do not fit (``df._check_noising``,
-    ``net._check_blocks``), and on weight rows that are not (N, D) or hold a
-    negative or non-finite weight (``_check_weights``).
+    Raises ValueError on steps that are not an (N,) array of integers in the
+    schedule, on images, noise or encodings whose shapes do not fit
+    (``df._check_noising``, ``net._check_blocks``), and on weight rows that
+    are not (N, D) or hold a negative or non-finite weight (``_check_weights``).
     """
     layout = LAYOUTS[method]
     t_arr = np.asarray(t_arr)

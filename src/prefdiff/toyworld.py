@@ -29,6 +29,7 @@ and ``answer`` scores any number of captions against that scene.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,12 +294,20 @@ def _candidate_index(shape, color, texture):
     return k
 
 
+def _check_jitter(jitter):
+    """Raise ValueError unless ``jitter`` is a finite, non-negative amplitude."""
+    if not (math.isfinite(jitter) and jitter >= 0.0):
+        raise ValueError(f"jitter must be finite and non-negative, got {jitter!r}")
+
+
 def render(scene, layout_seed, jitter=0.0, grid=DEFAULT_GRID):
     """Draw a scene onto the grid, then add clipped Gaussian per-cell jitter.
 
     Deterministic given (scene, layout_seed, jitter); jitter magnitude never
-    exceeds ``jitter`` per cell and the result is clamped to [-1, 1].
+    exceeds ``jitter`` per cell and the result is clamped to [-1, 1]. Raises
+    ValueError on a negative or non-finite jitter.
     """
+    _check_jitter(jitter)
     validate_scene(scene, grid)
     img = np.full((grid, grid, CHANNELS), BACKGROUND)
     for obj in scene.objects:
@@ -507,9 +516,9 @@ def _best_assignment(slots, objs, relation):
 # region masks
 
 def edit_masks(scene_w, scene_l, grid=DEFAULT_GRID):
-    """The region masks (mask_w, mask_l) of a pair, (grid, grid) weights:
-    each is 1.0 on the bboxes of the objects its scene has and the other
-    scene lacks, and 0.5 elsewhere."""
+    """The region masks (mask_w, mask_l) that ``losses.pair_masks`` derives
+    from a pair's scenes, (grid, grid) weights: each is 1.0 on the bboxes of
+    the objects its scene has and the other scene lacks, and 0.5 elsewhere."""
     def mask(scene, other):
         weights = np.full((grid, grid), 0.5)
         for o in scene.objects:

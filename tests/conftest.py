@@ -64,23 +64,32 @@ def enumerate_captions():
     return captions
 
 
-def synthetic_pair(x0_w, y_w, x0_l, y_l, mask_w=None, mask_l=None):
-    """A PreferencePair of the given images and captions, without scenes."""
+def synthetic_pair(x0_w, y_w, x0_l, y_l):
+    """A PreferencePair of the given images and captions, without scenes, so
+    without region masks."""
     return dp.PreferencePair(x0_w=x0_w, y_w=y_w, x0_l=x0_l, y_l=y_l,
-                             scene_w=None, scene_l=None, mask_w=mask_w, mask_l=mask_l)
+                             scene_w=None, scene_l=None)
 
 
-def stacked(pairs, masks=False):
+def stacked(pairs, masks=False, weights=None):
     """``losses.batch_loss``'s ``arrays`` for ``pairs``, stacked as
     ``trainer.train`` stacks them: in float64 and, with ``masks``, with the
-    region masks that ``losses.pair_masks`` keeps."""
-    return losses._stack_pairs(pairs, np.float64, np.shape(pairs[0].x0_w), masks)
+    region masks that ``losses.pair_masks`` derives. ``weights``, a
+    (mask_w, mask_l) of (grid, grid) weights or None, instead lays those
+    weight rows on every pair, as any caller of ``batch_loss`` may."""
+    shape = np.shape(pairs[0].x0_w)
+    arrays = losses._stack_pairs(pairs, np.float64, shape, masks)
+    if weights is not None:
+        for side, mask in zip("wl", weights):
+            arrays[f"masks_{side}"] = losses._mask_rows([mask] * len(pairs), shape)
+    return arrays
 
 
-def pair_loss(method, theta, ref, pair, t, noise, beta, sched, masks=False):
+def pair_loss(method, theta, ref, pair, t, noise, beta, sched, masks=False, weights=None):
     """``losses.batch_loss`` over one item, ``pair`` at step ``t``; ``noise``
-    holds one image-shaped draw per image that ``method`` noises."""
-    return losses.batch_loss(method, theta, ref, stacked([pair], masks),
+    holds one image-shaped draw per image that ``method`` noises, and
+    ``masks`` and ``weights`` are as in ``stacked``."""
+    return losses.batch_loss(method, theta, ref, stacked([pair], masks, weights),
                              [np.asarray(e)[None] for e in noise], [t], beta, sched)
 
 

@@ -6,6 +6,7 @@ Criterion 7, the method ablation's qualitative ordering, has no test yet.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,8 +92,7 @@ def test_criterion_2_gradient_oracle():
         mask = np.where(rng.random((3, 3)) < 0.5, 1.0, 0.5)
         # stacked once per seed, outside the finite-difference closure
         plain = stacked([synthetic_pair(x0_w, y_w, x0_l, y_l)])
-        masked = stacked([synthetic_pair(x0_w, y_w, x0_l, y_l, mask_w=mask, mask_l=mask)],
-                         masks=True)
+        masked = stacked([synthetic_pair(x0_w, y_w, x0_l, y_l)], weights=(mask, mask))
         cases = {"sft": ("sft", plain), "diffusion_dpo": ("image_dpo", plain),
                  "text_dpo": ("text_dpo", plain), "bidpo": ("bidpo", plain),
                  "bidpo_masked": ("bidpo_region", masked)}
@@ -124,9 +124,10 @@ def test_criterion_3_mask_neutrality_and_exemption():
     x0 = rng.uniform(-1, 1, (16, 16, 3))
     eps = rng.standard_normal((16, 16, 3))
     ones = np.ones((16, 16))
-    pair = synthetic_pair(x0, make_cap("red"), x0, make_cap("blue"), mask_w=ones)
+    pair = synthetic_pair(x0, make_cap("red"), x0, make_cap("blue"))
     plain = pair_loss("text_dpo", theta, ref, pair, 4, (eps,), 0.1, sched)
-    masked = pair_loss("text_dpo", theta, ref, pair, 4, (eps,), 0.1, sched, masks=True)
+    masked = pair_loss("text_dpo", theta, ref, pair, 4, (eps,), 0.1, sched,
+                       weights=(ones, None))
     bitwise = plain.value == masked.value and plain.margin == masked.margin
 
     exempt_ok = True
@@ -208,13 +209,18 @@ def test_criterion_5_pipeline_soundness():
                 edits_ok &= len(dp.edit_caption(cap, rng_seed=i)) == 4
                 checked += 1
 
-    kept, discarded, stats = dp.filter_pairs(pairs, corruption_rate=0.2, rng_seed=3)
-    filter_ok = len(discarded) == stats["injected"] > 0
+    # swap the captions of a random fifth of the pairs: the filter must
+    # discard exactly those
+    swapped = np.random.default_rng(3).random(n_pairs) < 0.2
+    injected = int(swapped.sum())
+    kept, discarded, _ = dp.filter_pairs(
+        [replace(p, y_w=p.y_l, y_l=p.y_w) if bad else p for p, bad in zip(pairs, swapped)])
+    filter_ok = len(discarded) == injected > 0
 
     report(5, n_pairs == 1000 and cross_ok and edits_ok and filter_ok,
            f"{n_pairs} pairs cross-checked: {cross_ok}; "
            f"4-edit rule on {checked} captions: {edits_ok}; "
-           f"filter discarded {len(discarded)} == injected {stats['injected']}")
+           f"filter discarded {len(discarded)} == injected {injected}")
 
 
 # ---------------------------------------------------------------------------

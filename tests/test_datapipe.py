@@ -169,24 +169,68 @@ def test_generate_dataset_counts_and_reproducibility():
         assert p.y_w != p.y_l
 
 
+@pytest.mark.parametrize("jitter", [-1.0, float("nan")])
+def test_generate_dataset_refuses_a_negative_or_non_finite_jitter(monkeypatch, jitter):
+    # such a jitter used to build an un-jittered dataset whose config_hash
+    # recorded it; it is refused before any caption is drawn
+    drawn = []
+    monkeypatch.setattr(dp, "sample_caption", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="jitter must be finite and non-negative"):
+        dp.generate_dataset({"color": 2}, seed=23, jitter=jitter, grid=8)
+    assert drawn == []
+
+
+def test_a_record_holds_no_masks_and_the_region_loss_derives_them(tmp_path, monkeypatch):
+    from prefdiff import losses
+
+    calls = []
+    edit_masks = tw.edit_masks
+    monkeypatch.setattr(tw, "edit_masks", lambda *args: calls.append(args) or edit_masks(*args))
+    pairs, manifest = dp.generate_dataset(dp.default_mix(30), seed=41, grid=8)
+    path = tmp_path / "data.jsonl"
+    dp.write_dataset(pairs, manifest, path)
+    loaded, _ = dp.read_dataset(path)
+    assert calls == []
+    assert "mask" not in path.read_text()
+    exempt = [p.dimension in losses.REGION_EXEMPT_DIMENSIONS for p in pairs]
+    assert any(exempt) and not all(exempt)
+    shape = (8, 8, tw.CHANNELS)
+    for dataset in (pairs, loaded):
+        calls.clear()
+        arrays = losses._stack_pairs(dataset, np.float32, shape, masks=True)
+        assert len(calls) == exempt.count(False)
+        for side, rows in enumerate((arrays["masks_w"], arrays["masks_l"])):
+            assert rows.dtype == np.float32 and rows.shape == (len(dataset), 8 * 8 * 3)
+            for row, p, skip in zip(rows, dataset, exempt):
+                mask = np.ones((8, 8)) if skip else edit_masks(p.scene_w, p.scene_l, 8)[side]
+                assert np.array_equal(row, np.repeat(mask, tw.CHANNELS).astype(np.float32))
+
+
 def test_filter_pairs_clean_input_all_kept():
     pairs, _ = dp.generate_dataset({"color": 10}, seed=25)
-    kept, discarded, stats = dp.filter_pairs(pairs, corruption_rate=0.0)
+    kept, discarded, stats = dp.filter_pairs(pairs)
     assert len(kept) == 10 and not discarded
-    assert stats["injected"] == 0
+    assert stats == {"per_dimension": {"color": {"kept": 10, "discarded": 0}}}
 
 
 def test_filter_pairs_discards_exactly_the_injected():
     pairs, _ = dp.generate_dataset({"color": 15, "numeracy": 10}, seed=27)
-    kept, discarded, stats = dp.filter_pairs(pairs, corruption_rate=0.3, rng_seed=1)
-    assert len(discarded) == stats["injected"] > 0
+    # swap the captions of a random subset: the cross-check rejects exactly those
+    swapped = np.random.default_rng(1).random(len(pairs)) < 0.3
+    corrupted = [replace(p, y_w=p.y_l, y_l=p.y_w) if bad else p
+                 for p, bad in zip(pairs, swapped)]
+    injected = [p for p, bad in zip(corrupted, swapped) if bad]
+    kept, discarded, stats = dp.filter_pairs(corrupted)
+    assert len(discarded) == len(injected) > 0
+    assert discarded == injected
     assert len(kept) + len(discarded) == 25
+    assert sum(d["discarded"] for d in stats["per_dimension"].values()) == len(injected)
 
 
 def test_filter_pairs_empty_input():
-    kept, discarded, stats = dp.filter_pairs([], corruption_rate=0.5)
+    kept, discarded, stats = dp.filter_pairs([])
     assert kept == [] and discarded == []
-    assert stats["injected"] == 0 and stats["per_dimension"] == {}
+    assert stats == {"per_dimension": {}}
 
 
 def test_dataset_round_trip_structural_equality(tmp_path):

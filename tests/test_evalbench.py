@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -72,6 +73,21 @@ def test_evaluate_refuses_no_prompts_or_no_samples():
         eb.evaluate(params, [], 2, cfg.schedule(), seed=6, sampler=oracle_sampler)
     with pytest.raises(ValueError, match="samples_per_prompt must be at least 1, got 0"):
         eb.evaluate(params, prompts, 0, cfg.schedule(), seed=6, sampler=oracle_sampler)
+
+
+def test_evaluate_refuses_a_sampler_result_that_is_not_one_image_per_sample(monkeypatch):
+    # one image for six samples used to be scored as six, zip dropping five
+    cfg = micro_config()
+    params = net.init_params(cfg.net_config(), seed=0)
+    prompts = eb.sample_prompts(["color"], 3, seed=3)
+    scored = []
+    monkeypatch.setattr(tw, "vqa_check", lambda *args: scored.append(args))
+    for shape in ((1, 8, 8, 3), (6, 8, 8), (6, 4, 4, 3)):
+        message = f"sampler returned images of shape {shape}, expected (6, 8, 8, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eb.evaluate(params, prompts, 2, cfg.schedule(), seed=6,
+                        sampler=lambda *args: np.zeros(shape))
+    assert scored == []
 
 
 def test_evaluate_noise_sampler_has_no_validity():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,15 +33,17 @@ def make_pair(dim="color", seed=0, grid=16):
     raise AssertionError("no valid pair for test setup")
 
 
-def caption_pair(x0, y_w, y_l, mask=None):
+def caption_pair(x0, y_w, y_l):
     """A pair whose winner image ``x0`` the caption contrast reads under
-    ``y_w`` and ``y_l``, weighted by ``mask`` where given."""
-    return synthetic_pair(x0, y_w, x0, y_l, mask_w=mask)
+    ``y_w`` and ``y_l``."""
+    return synthetic_pair(x0, y_w, x0, y_l)
 
 
 def mirrored(pair):
-    """``pair`` with the winner and loser roles swapped."""
-    return synthetic_pair(pair.x0_l, pair.y_l, pair.x0_w, pair.y_w, pair.mask_l, pair.mask_w)
+    """``pair`` with the winner and loser roles swapped, scenes and so
+    region masks included."""
+    return replace(pair, x0_w=pair.x0_l, y_w=pair.y_l, scene_w=pair.scene_l,
+                   x0_l=pair.x0_w, y_l=pair.y_w, scene_l=pair.scene_w)
 
 
 def rand_images(shape, seed):
@@ -73,10 +76,6 @@ def masked_batch_loss(mask_rows):
 
 
 def test_mask_shape_mismatch():
-    # a pair's mask must be shaped like its image or like its grid
-    x0, _ = rand_images((3, 3, 2), 1)
-    with pytest.raises(ValueError, match="mask shape"):
-        stacked([caption_pair(x0, CAP_RED, CAP_BLUE, mask=np.ones((2, 3)))], masks=True)
     # one weight row for three items must not broadcast over all of them
     masked_batch_loss(np.full((3, 18), 2.0))
     with pytest.raises(ValueError, match="mask shape"):
@@ -85,11 +84,6 @@ def test_mask_shape_mismatch():
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
 def test_mask_rejects_negative_or_non_finite_weights(bad):
-    x0, _ = rand_images((3, 3, 2), 1)
-    mask = np.ones((3, 3))
-    mask[1, 2] = bad
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        stacked([caption_pair(x0, CAP_RED, CAP_BLUE, mask=mask)], masks=True)
     rows = np.ones((3, 18))
     rows[1, 5] = bad
     with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -111,10 +105,10 @@ def test_aliased_reference_gives_ln2_per_term_and_zero_grad(method):
     x0_w, eps_w = rand_images((4, 4, 3), 2)
     x0_l, eps_l = rand_images((4, 4, 3), 3)
     mask = np.where(np.random.default_rng(4).random((4, 4)) < 0.5, 1.0, 0.5)
-    pair = synthetic_pair(x0_w, CAP_RED, x0_l, CAP_BLUE, mask_w=mask, mask_l=1.5 - mask)
+    pair = synthetic_pair(x0_w, CAP_RED, x0_l, CAP_BLUE)
     layout = losses.LAYOUTS[method]
     loss = pair_loss(method, theta, theta, pair, 4, (eps_w, eps_l)[:len(layout.noised)],
-                     0.1, SCHED, masks=layout.masks)
+                     0.1, SCHED, weights=(mask, 1.5 - mask) if layout.masks else None)
     assert loss.value == pytest.approx(len(layout.blocks) // 2 * LN2, abs=1e-12)
     assert loss.backward().global_norm() < 1e-9
 
@@ -137,6 +131,19 @@ def test_loss_rejects_bad_step_and_shapes(parameterization):
         pair_loss("image_dpo", theta, theta, pair, 1, (eps[:2], eps[:2]), 0.1, SCHED)
     with pytest.raises(ValueError, match="steps shape"):
         losses.batch_loss("sft", theta, theta, stacked([pair]), [eps[None]], [1, 2], None, SCHED)
+    # a scalar step is not one step per item
+    with pytest.raises(ValueError, match=r"steps shape \(\)"):
+        losses.batch_loss("sft", theta, theta, stacked([pair]), [eps[None]], 1, None, SCHED)
+    # float and bool steps are not indices, and must not surface as an IndexError
+    arrays = stacked([pair, pair])
+    for t_arr in ([1.0, 2.0], [True, False]):
+        for method, layout in losses.LAYOUTS.items():
+            with pytest.raises(ValueError, match="step indices must be integers"):
+                losses.batch_loss(method, theta, theta, arrays,
+                                  [np.stack([eps, eps])] * len(layout.noised), t_arr, 0.1, SCHED)
+    # nor a weight to read at a step between two
+    with pytest.raises(ValueError, match="step indices must be integers, got float64"):
+        df.omega_vector(SCHED, [1.5, 2.0])
     with pytest.raises(ValueError, match="text_dpo noises 1 images, got 2 noise batches"):
         pair_loss("text_dpo", theta, theta, pair, 1, (eps, eps), 0.1, SCHED)
 
@@ -233,8 +240,8 @@ def test_text_dpo_all_ones_mask_is_bitwise_neutral():
     ones = np.ones((4, 4))
     a = pair_loss("text_dpo", theta, ref, caption_pair(x0, CAP_RED, CAP_BLUE), 5, (eps,),
                   0.1, SCHED)
-    b = pair_loss("text_dpo", theta, ref, caption_pair(x0, CAP_RED, CAP_BLUE, mask=ones), 5,
-                  (eps,), 0.1, SCHED, masks=True)
+    b = pair_loss("text_dpo", theta, ref, caption_pair(x0, CAP_RED, CAP_BLUE), 5,
+                  (eps,), 0.1, SCHED, weights=(ones, None))
     assert a.value == b.value
     assert a.margin == b.margin
 

@@ -40,6 +40,13 @@ def test_render_deterministic_with_jitter():
     assert np.abs(a - tw.render(scene, 5, 0.0)).max() <= 0.05 + 1e-12
 
 
+@pytest.mark.parametrize("jitter", [-1.0, -0.01, float("nan"), float("inf")])
+def test_render_refuses_a_negative_or_non_finite_jitter(jitter):
+    # a negative or NaN jitter used to render without jitter
+    with pytest.raises(ValueError, match="jitter must be finite and non-negative"):
+        tw.render(scene_one_red_square(), layout_seed=5, jitter=jitter)
+
+
 def test_render_striped_alternating_rows():
     scene = tw.SceneSpec(objects=(
         tw.SceneObject("square", "green", "striped", tw.BBox(2, 2, 4, 4)),))
