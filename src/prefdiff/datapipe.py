@@ -235,9 +235,15 @@ def generate_dataset(counts, seed, jitter=DEFAULT_JITTER, grid=tw.DEFAULT_GRID):
     its own. Discards from failed cross-checks or impossible layouts are
     counted in the manifest. Evaluation prompts are kept out of the training
     captions afterwards, by ``evalbench.sample_prompts(exclude=)``. Raises
-    ValueError, before drawing anything, on a negative or non-finite jitter.
+    ValueError, before drawing anything, on a negative or non-finite jitter,
+    an unknown dimension or a count that is not a non-negative integer.
     """
     tw._check_jitter(jitter)
+    for dim, want in counts.items():
+        if dim not in tw.DIMENSIONS:
+            raise ValueError(f"unsupported dimension {dim!r}")
+        tw._check_count(f"counts[{dim!r}]", want)
+    counts = {dim: int(want) for dim, want in counts.items()}
     pairs = []
     realized = {}
     stats = {}

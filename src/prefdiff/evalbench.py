@@ -51,7 +51,9 @@ def sample_prompts(dims, n_per_dim, seed, exclude=frozenset()):
 
     Small grammars (notably the 9-caption bare-shape one) may not support the
     full request; the returned list simply carries fewer prompts there.
+    Raises ValueError on an ``n_per_dim`` that is not an integer of at least 1.
     """
+    tw._check_count("n_per_dim", n_per_dim, 1)
     prompts = []
     exclude = set(exclude)
     for dim in dims:
@@ -78,13 +80,13 @@ def evaluate(params, prompts, samples_per_prompt, sched, seed, sampler=None):
     sampling by default; ``sampler`` may inject any (params, captions,
     encodings, sched, seeds) -> images callable) and oracle-checked against
     the prompt. Returns a Scorecard; deterministic given (params, prompts,
-    seed). Raises ValueError on no prompts, fewer than one sample per prompt,
-    or a sampler result that is not one (grid, grid, channels) image per sample.
+    seed). Raises ValueError on no prompts, a ``samples_per_prompt`` that is
+    not an integer of at least 1, or a sampler result that is not one
+    (grid, grid, channels) image per sample.
     """
     if not prompts:
         raise ValueError("no prompts to evaluate")
-    if samples_per_prompt < 1:
-        raise ValueError(f"samples_per_prompt must be at least 1, got {samples_per_prompt}")
+    tw._check_count("samples_per_prompt", samples_per_prompt, 1)
     if sampler is None:
         def sampler(params, captions, encodings, sched, seeds):
             return df.ddpm_sample_batch(params, encodings, sched, seeds)
@@ -187,10 +189,3 @@ def emit_report(report, fmt, path):
                 fh.write(f"| {r.method} | " + " | ".join(cells) + " |\n")
     return path
 
-
-def report_schema():
-    """The JSON schema shipped with the package."""
-    schema_path = os.path.join(os.path.dirname(__file__), "schema",
-                               "ablation_report.schema.json")
-    with open(schema_path) as fh:
-        return json.load(fh)

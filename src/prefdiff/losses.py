@@ -62,7 +62,8 @@ SATURATED_SIGMOID = 2.0 ** -64
 
 @dataclass
 class Loss:
-    """Scalar batch loss plus what its closed-form gradient needs."""
+    """Scalar batch loss plus what its closed-form gradient needs:
+    ``net.backward(loss)`` differentiates ``theta`` through ``acts``."""
 
     value: float
     margin: float               # mean sigmoid argument over the batch
@@ -70,10 +71,6 @@ class Loss:
     acts: list                  # the policy forward pass, as net.forward_rows caches it
     d_out: np.ndarray           # dL/d(stack output), one row per policy row
     reward_accuracy: float | None = None  # share of (item, term) sigmoid arguments > 0
-
-    def backward(self, worker=None):
-        """``net.backward`` of this loss; ``worker`` is as there."""
-        return net.backward(self.theta, self, worker)
 
 
 def _check_weights(w):
@@ -274,8 +271,10 @@ def policy_half(theta, half):
     """Finish a loss from its ``ReferenceHalf``: the policy's forward pass
     over the same rows, the layout's rule and ``d_out``. Returns a Loss.
 
-    ``d_out`` takes the parameters' dtype, so the backward pass runs in it
-    even where the x0 coefficients promote predictions to float64.
+    ``d_out`` takes the parameters' dtype, so the backward pass runs in it.
+    The prediction is already in that dtype; the float64 comes from the
+    factors of its gradient, the rule's ``c_rows`` and, for x0, the column
+    of ``net.noise_output_slope``.
     """
     t_rows = np.tile(half.t_arr, len(half.inp.image_of_block))
     acts = []

@@ -2,13 +2,13 @@
 
 The network maps (noisy image, sinusoidal time embedding, caption encoding)
 to a predicted noise image through an input -> hidden -> hidden -> output
-stack. A frozen deep copy of the parameters serves as the reference model for
-the preference losses. Gradients are the textbook backward pass of this fixed
-stack: a loss hands ``backward`` the activations its policy forward pass
-cached and its gradient with respect to the stack output. Each layer's
-weight-gradient product feeds nothing else in that pass, so ``backward``
-can queue it on the training loop's draw worker while the caller carries
-the gradient down the stack.
+stack. A copy of the initial parameters is the preference losses' frozen
+reference: a loss caches activations for its policy alone, and gradients are
+the textbook backward pass of this fixed stack through them. ``backward``
+takes the loss's cached activations and its gradient with respect to the
+stack output. Each layer's weight-gradient product feeds nothing else in
+that pass, so ``backward`` can queue it on the training loop's draw worker
+while the caller carries the gradient down the stack.
 
 The parameters live in one flat buffer, W0, b0, W1, b1, W2, b2 in C order,
 and each layer's (W, b) is a view into it. Only ``_layer_views`` knows that
@@ -43,7 +43,7 @@ ACTIVATIONS = ("silu", "identity")
 PARAMETERIZATIONS = ("eps", "x0")
 
 CHECKPOINT_FORMAT = "prefdiff-denoiser"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -89,11 +89,7 @@ def _check_fields(cfg, least, choices):
     """Raise ValueError naming the first field of ``cfg`` that is not an int or numpy integer
     (a bool is not) of at least its ``least`` bound (None: any), or not one of its ``choices``."""
     for name, bound in least.items():
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if bound is not None and value < bound:
-            raise ValueError(f"{name} must be at least {bound}, got {value}")
+        tw._check_count(name, getattr(cfg, name), bound)
     for name, allowed in choices.items():
         if getattr(cfg, name) not in allowed:
             raise ValueError(f"{name} must be one of {allowed}, got {getattr(cfg, name)!r}")
@@ -162,12 +158,7 @@ class _FlatLayers:
 @dataclass(frozen=True, eq=False)
 class DenoiserParams(_FlatLayers):
     """Weights of the denoiser in one flat buffer, with (W, b) views per
-    layer in input-major shapes. Compare two with ``params_equal``."""
-
-    trainable: bool = True
-
-    def param_count(self):
-        return self.flat.size
+    layer in input-major shapes."""
 
 
 def expected_param_count(cfg):
@@ -191,12 +182,9 @@ def init_params(cfg=NetConfig(), seed=0, dtype=np.float64):
 
 
 def clone_frozen(params):
-    """Deep copy flagged non-trainable; training never mutates it."""
-    return DenoiserParams(cfg=params.cfg, flat=params.flat.copy(), trainable=False)
-
-
-def params_equal(a, b):
-    return a.cfg == b.cfg and np.array_equal(a.flat, b.flat)
+    """A copy of ``params`` with its own buffer, to serve as a frozen
+    reference: training updates the policy in place and never this copy."""
+    return DenoiserParams(cfg=params.cfg, flat=params.flat.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +365,14 @@ class Gradients(_FlatLayers):
         return float(np.sqrt(sum(float(np.vdot(g, g)) for pair in self.layers for g in pair)))
 
 
-def backward(params, loss, worker=None):
-    """Gradients of a loss from the losses module with respect to ``params``.
+def backward(loss, worker=None):
+    """Gradients of a loss from the losses module with respect to its policy,
+    ``loss.theta``, the only parameters whose activations the loss cached.
 
     ``loss`` carries the activations of its policy forward pass (``acts``)
     and dL/d(stack output) per row (``d_out``); the input rows get no
-    gradient. Frozen parameter sets never receive gradient, so asking for
-    their gradients returns zeros. Each layer's gradient is written into its
-    view of the one buffer.
+    gradient. Each layer's gradient is written into its view of the one
+    buffer.
 
     A layer's weight gradient, dW = h^T . g, feeds nothing else in the pass.
     ``worker(fn, *args)``, when given, queues a call on another thread and
@@ -396,10 +384,7 @@ def backward(params, loss, worker=None):
     the same operands on either thread, so the gradients are bit-identical
     to those of ``worker=None``, which runs every product in line.
     """
-    if not params.trainable:
-        return Gradients(cfg=params.cfg, flat=np.zeros_like(params.flat))
-    if loss.theta is not params:
-        raise ValueError("loss was not computed from these parameters")
+    params = loss.theta
     grads = Gradients(cfg=params.cfg, flat=np.empty_like(params.flat))
     queued = []
     g = loss.d_out
@@ -457,7 +442,6 @@ def save_checkpoint(params, sched, path):
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "dtype": str(params.flat.dtype),
-        "trainable": params.trainable,
         "cfg": asdict(params.cfg),
         "schedule": sched.spec(),
         "params": base64.b64encode(params.flat.tobytes()).decode("ascii"),
@@ -470,10 +454,10 @@ def save_checkpoint(params, sched, path):
 def load_checkpoint(path):
     """Load a checkpoint as (DenoiserParams, DiffusionSchedule it was trained
     under). Raises CheckpointError on a file that is not a JSON object, on
-    a missing field or one of the wrong type, on a dtype other than float32
-    or float64, on a version or checksum failure, on a config no net can be
-    built from, or on a payload whose size is not the one its config
-    implies."""
+    a missing or unknown field or one of the wrong type, on a dtype other
+    than float32 or float64, on a version or checksum failure, on a config
+    no net can be built from, or on a payload whose size is not the one its
+    config implies."""
     with open(path) as fh:
         try:
             record = json.load(fh)
@@ -496,15 +480,16 @@ def _from_record(record):
     if record.get("format") != CHECKPOINT_FORMAT or record.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint {record.get('format')!r} v{record.get('version')!r}")
+    unknown = sorted(set(record) - {"format", "version", "dtype", "cfg", "schedule", "params",
+                                    "checksum"})
+    if unknown:
+        raise CheckpointError(f"checkpoint has unknown keys: {', '.join(unknown)}")
     if record["dtype"] not in ("float32", "float64"):
         raise CheckpointError(f"checkpoint dtype {record['dtype']!r} is not float32 or float64")
-    if not isinstance(record["trainable"], bool):
-        raise CheckpointError(f"checkpoint trainable {record['trainable']!r} is not a bool")
     flat = np.frombuffer(base64.b64decode(record["params"]), dtype=record["dtype"]).copy()
     if _checksum(flat) != record["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch")
-    params = DenoiserParams(cfg=NetConfig(**record["cfg"]), flat=flat,
-                            trainable=record["trainable"])
+    params = DenoiserParams(cfg=NetConfig(**record["cfg"]), flat=flat)
     return params, df.make_schedule(**record["schedule"])
 
 

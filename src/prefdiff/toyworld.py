@@ -300,6 +300,15 @@ def _check_jitter(jitter):
         raise ValueError(f"jitter must be finite and non-negative, got {jitter!r}")
 
 
+def _check_count(name, value, least=0):
+    """Raise ValueError naming ``name`` unless ``value`` is an int or numpy
+    integer (a bool is not) of at least ``least`` (None: any)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def render(scene, layout_seed, jitter=0.0, grid=DEFAULT_GRID):
     """Draw a scene onto the grid, then add clipped Gaussian per-cell jitter.
 

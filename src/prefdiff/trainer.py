@@ -197,7 +197,7 @@ def warmup_lr(step, base_lr, warmup_steps):
 # training
 
 def _copy_for_training(params, dtype):
-    return net.DenoiserParams(cfg=params.cfg, flat=params.flat.astype(dtype), trainable=True)
+    return net.DenoiserParams(cfg=params.cfg, flat=params.flat.astype(dtype))
 
 
 def train(config, dataset, init_params=None):
@@ -247,7 +247,7 @@ def train(config, dataset, init_params=None):
                 loss = losses.policy_half(params, half)
             except df.NumericDivergenceError as exc:
                 raise df.NumericDivergenceError(f"step {step}: {exc}") from exc
-            grads = loss.backward(worker=draws.submit)
+            grads = net.backward(loss, worker=draws.submit)
             grad_norm = grads.global_norm()
             if not np.isfinite(grad_norm):
                 raise df.NumericDivergenceError(f"step {step}: non-finite gradient norm")

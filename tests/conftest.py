@@ -167,8 +167,7 @@ def params_with_layers(cfg, layers):
 
 def with_dtype(params, dtype):
     """A copy of ``params`` whose flat buffer has ``dtype``."""
-    return net.DenoiserParams(cfg=params.cfg, flat=params.flat.astype(dtype),
-                              trainable=params.trainable)
+    return net.DenoiserParams(cfg=params.cfg, flat=params.flat.astype(dtype))
 
 
 def one_block_input(params, x_t, t_arr, encodings, sched):

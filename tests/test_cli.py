@@ -140,8 +140,7 @@ def _truncate(path):
                  id="dtype-int64"),
     pytest.param(_edit(lambda r: r.update(dtype=">f8")), "'>f8' is not float32",
                  id="dtype-big-endian"),
-    pytest.param(_edit(lambda r: r.update(trainable="yes")), "'yes' is not a bool",
-                 id="trainable-string"),
+    pytest.param(_edit(lambda r: r.update(extra=1)), "unknown keys: extra", id="unknown-key"),
     pytest.param(_edit(lambda r: r["schedule"].update(beta_end=1.5)), "beta_end",
                  id="schedule"),
     # a true T loaded as a 1-step schedule

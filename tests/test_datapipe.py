@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +179,29 @@ def test_generate_dataset_refuses_a_negative_or_non_finite_jitter(monkeypatch, j
     with pytest.raises(ValueError, match="jitter must be finite and non-negative"):
         dp.generate_dataset({"color": 2}, seed=23, jitter=jitter, grid=8)
     assert drawn == []
+
+
+@pytest.mark.parametrize("counts,message", [
+    ({"color": 2.5}, "counts['color'] must be an integer, got 2.5"),
+    ({"color": -2}, "counts['color'] must be at least 0, got -2"),
+    ({"color": True}, "counts['color'] must be an integer, got True"),
+    ({"color": 1, "bogus": 1}, "unsupported dimension 'bogus'"),
+], ids=["float", "negative", "bool", "unknown-dimension"])
+def test_generate_dataset_refuses_a_bad_count_before_drawing(monkeypatch, counts, message):
+    # 2.5 used to build 3 pairs, -2 none and True 1, each recorded as
+    # requested; an unknown dimension failed after the ones before it
+    drawn = []
+    monkeypatch.setattr(dp, "sample_caption", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dp.generate_dataset(counts, seed=23, grid=8)
+    assert drawn == []
+
+
+def test_generate_dataset_takes_numpy_and_zero_counts():
+    pairs, manifest = dp.generate_dataset({"color": np.int64(2), "shape": 0}, seed=23, grid=8)
+    assert len(pairs) == 2
+    assert manifest.requested == manifest.realized == {"color": 2, "shape": 0}
+    assert all(type(n) is int for n in manifest.requested.values())
 
 
 def test_a_record_holds_no_masks_and_the_region_loss_derives_them(tmp_path, monkeypatch):

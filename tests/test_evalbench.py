@@ -65,7 +65,8 @@ def test_evaluate_oracle_sampler_scores_one():
 
 
 def test_evaluate_refuses_no_prompts_or_no_samples():
-    # each used to return an empty Scorecard of validity 0
+    # each used to return an empty Scorecard of validity 0; True scored one
+    # sample per prompt and 2.5 failed inside range
     cfg = micro_config()
     params = net.init_params(cfg.net_config(), seed=0)
     prompts = eb.sample_prompts(["color"], 1, seed=3)
@@ -73,6 +74,17 @@ def test_evaluate_refuses_no_prompts_or_no_samples():
         eb.evaluate(params, [], 2, cfg.schedule(), seed=6, sampler=oracle_sampler)
     with pytest.raises(ValueError, match="samples_per_prompt must be at least 1, got 0"):
         eb.evaluate(params, prompts, 0, cfg.schedule(), seed=6, sampler=oracle_sampler)
+    for count in (True, 2.5, np.float64(2.0)):
+        message = f"samples_per_prompt must be an integer, got {count!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eb.evaluate(params, prompts, count, cfg.schedule(), seed=6, sampler=oracle_sampler)
+
+
+@pytest.mark.parametrize("n_per_dim", [2.5, True, 0, -1])
+def test_sample_prompts_refuses_a_count_that_is_not_a_positive_integer(n_per_dim):
+    # 2.5 used to give 3 prompts per dimension and 0 or -1 none
+    with pytest.raises(ValueError, match="n_per_dim must be"):
+        eb.sample_prompts(["color"], n_per_dim, seed=0)
 
 
 def test_evaluate_refuses_a_sampler_result_that_is_not_one_image_per_sample(monkeypatch):
@@ -196,8 +208,13 @@ def sample_report():
     return eb.AblationReport(rows=rows, seed=42)
 
 
+# read from the shipped file itself, so that a schema built from METHODS at
+# run time could not make these tests pass vacuously
+SCHEMA_PATH = Path(eb.__file__).parent / "schema" / "ablation_report.schema.json"
+
+
 def test_report_json_round_trip_and_schema(tmp_path, micro_report):
-    schema = eb.report_schema()
+    schema = json.loads(SCHEMA_PATH.read_text())
     for report in (sample_report(), micro_report[0]):
         path = tmp_path / "r.json"
         eb.emit_report(report, "json", path)
@@ -209,11 +226,7 @@ def test_report_json_round_trip_and_schema(tmp_path, micro_report):
 
 
 def test_report_schema_method_enum_matches_methods():
-    # read from the shipped file itself, so that a schema built from
-    # METHODS at run time could not make this test pass vacuously
-    path = Path(eb.__file__).parent / "schema" / "ablation_report.schema.json"
-    schema = json.loads(path.read_text())
-    assert eb.report_schema() == schema
+    schema = json.loads(SCHEMA_PATH.read_text())
     enum = schema["properties"]["rows"]["items"]["properties"]["method"]["enum"]
     assert enum == list(eb.METHODS)
     assert eb.METHODS == ("baseline",) + trainer.METHODS

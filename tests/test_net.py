@@ -114,7 +114,7 @@ def test_forward_directional_derivative_matches_probe():
     x = rng.standard_normal((4, 4, 3))
     v = rng.standard_normal(48)
     rows = one_block_input(params, x[None], np.array([5]), enc[None], sched)
-    grads = _probe_loss(params, rows, v).backward()
+    grads = net.backward(_probe_loss(params, rows, v))
 
     delta = 1e-6
     for li in range(len(params.layers)):
@@ -133,18 +133,9 @@ def test_forward_directional_derivative_matches_probe():
 def test_backward_constant_loss_gives_zero_grads():
     params = randomized_params(net.init_params(SMALL, seed=7), seed=8)
     rows = _random_input(params, 3, seed=9)
-    grads = _probe_loss(params, rows, np.zeros(SMALL.image_dim)).backward()
+    grads = net.backward(_probe_loss(params, rows, np.zeros(SMALL.image_dim)))
     for w, b in grads.layers:
         assert np.all(w == 0.0) and np.all(b == 0.0)
-
-
-def test_backward_rejects_loss_from_other_params():
-    params = randomized_params(net.init_params(SMALL, seed=9), seed=10)
-    other = randomized_params(net.init_params(SMALL, seed=9), seed=10)
-    rows = _random_input(params, 2, seed=11)
-    loss = _probe_loss(params, rows, np.ones(SMALL.image_dim))
-    with pytest.raises(ValueError, match="parameters"):
-        net.backward(other, loss)
 
 
 def test_backward_is_repeatable():
@@ -152,7 +143,7 @@ def test_backward_is_repeatable():
     params = randomized_params(net.init_params(SMALL, seed=12), seed=13)
     rows = _random_input(params, 2, seed=14)
     loss = _probe_loss(params, rows, np.ones(SMALL.image_dim))
-    first, second = loss.backward(), loss.backward()
+    first, second = net.backward(loss), net.backward(loss)
     for (w1, b1), (w2, b2) in zip(first.layers, second.layers):
         assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
@@ -188,8 +179,8 @@ def test_backward_with_a_worker_is_bitwise_the_inline_backward(worker, mixed_pai
     # each dW product is the same call on the same operands wherever it
     # runs: on the worker, in line, or taken back by the caller
     loss = _method_loss(method, mixed_pairs, dtype, parameterization)
-    expected = loss.backward()
-    grads = loss.backward(worker=worker)
+    expected = net.backward(loss)
+    grads = net.backward(loss, worker=worker)
     assert all(np.any(w != 0) for w, _ in expected.layers)
     assert grads.flat.dtype == dtype
     assert grads.flat.tobytes() == expected.flat.tobytes()
@@ -208,7 +199,7 @@ def test_backward_raises_the_error_of_a_product_run_on_the_worker(mixed_pairs):
         return run_now(fn, *args)
 
     with pytest.raises(FloatingPointError, match="layer 1's product"):
-        loss.backward(worker=worker)
+        net.backward(loss, worker=worker)
     assert queued == [np.matmul, np.matmul, net._first_layer_grad]
 
 
@@ -216,7 +207,7 @@ def test_no_queued_product_is_pending_when_backward_returns(mixed_pairs):
     # each product sleeps on the worker, so when the caller is done with
     # the chain the first is still running and the others wait behind it
     loss = _method_loss("bidpo_region", mixed_pairs)
-    expected = loss.backward()
+    expected = net.backward(loss)
     futures = []
 
     def slow(fn, *args):
@@ -228,7 +219,7 @@ def test_no_queued_product_is_pending_when_backward_returns(mixed_pairs):
             futures.append(pool.submit(slow, fn, *args))
             return futures[-1]
 
-        grads = loss.backward(worker=worker)
+        grads = net.backward(loss, worker=worker)
         done = [f.done() for f in futures]
     assert done == [True] * 3
     assert grads.flat.tobytes() == expected.flat.tobytes()
@@ -252,7 +243,7 @@ def test_loss_family_gradients_match_finite_differences(seed):
     cfg = net.NetConfig(grid=3, channels=2, hidden=6, time_dim=4)
     theta = randomized_params(net.init_params(cfg, seed=seed), seed=100 + seed)
     ref = net.clone_frozen(randomized_params(net.init_params(cfg, seed=seed), seed=200 + seed))
-    assert theta.param_count() <= 1000
+    assert theta.flat.size <= 1000
     sched = df.make_schedule(6, 0.05, 0.3)
     rng = np.random.default_rng(300 + seed)
     x0 = rng.uniform(-1, 1, (3, 3, 2))
@@ -265,7 +256,7 @@ def test_loss_family_gradients_match_finite_differences(seed):
     def loss():
         return losses.batch_loss("text_dpo", theta, ref, arrays, [eps[None]], [2], 0.3, sched)
 
-    analytic = loss().backward()
+    analytic = net.backward(loss())
     # the 5-point stencil: with the 3-point one at h = 1e-5, rounding noise
     # of ~1e-10 in entries of size 1e-6 put seed 1 at 9e-5 of the 1e-4 bound
     numeric = finite_difference_grads(lambda: loss().value, theta, h=1e-3, order=4)
@@ -289,13 +280,13 @@ def test_x0_parameterization_gradients_and_identity():
         return losses.batch_loss("text_dpo", theta, reference, arrays, [eps[None]], [3], 0.3,
                                  sched)
 
-    analytic = loss(ref).backward()
+    analytic = net.backward(loss(ref))
     numeric = finite_difference_grads(lambda: loss(ref).value, theta)
     # near-zero entries sit at the finite-difference noise floor
     assert max_relative_grad_error(analytic.layers, numeric, floor=1e-5) < 2e-4
     aliased = loss(theta)
     assert aliased.value == pytest.approx(np.log(2.0), abs=1e-12)
-    assert aliased.backward().global_norm() < 1e-9
+    assert net.backward(aliased).global_norm() < 1e-9
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -368,8 +359,8 @@ def test_factorised_first_layer_matches_concatenated_rows(parameterization):
         acts = []
         pred = net.predict_noise_rows(params, inp, t_rows, sched, acts)
         d_out = rng.standard_normal(pred.shape)
-        grads = net.backward(params, losses.Loss(value=0.0, margin=0.0, theta=params,
-                                                 acts=acts, d_out=d_out))
+        grads = net.backward(losses.Loss(value=0.0, margin=0.0, theta=params, acts=acts,
+                                         d_out=d_out))
         temb = net._time_embedding(t_arr, sched.T, cfg.time_dim)
         rows = np.concatenate([
             np.concatenate([used[k].reshape(n, -1) for k in image_of_block]),
@@ -395,8 +386,7 @@ def test_forward_rows_rejects_the_input_of_another_network():
 def test_clone_frozen_is_independent_and_equal():
     params = randomized_params(net.init_params(SMALL, seed=11), seed=12)
     clone = net.clone_frozen(params)
-    assert not clone.trainable
-    assert net.params_equal(params, clone)
+    assert clone.cfg == params.cfg and np.array_equal(clone.flat, params.flat)
     sched = df.make_schedule(8, 0.05, 0.3)
     cap = tw.Caption(dimension="shape", objects=(tw.ObjectSlot("triangle"),))
     x = np.random.default_rng(13).standard_normal((1, 4, 4, 3))
@@ -404,7 +394,7 @@ def test_clone_frozen_is_independent_and_equal():
     assert np.array_equal(net.predict_noise_rows(params, inp, np.array([1]), sched),
                           net.predict_noise_rows(clone, inp, np.array([1]), sched))
     params.layers[0][0][:] += 1.0   # mutate the original
-    assert not net.params_equal(params, clone)
+    assert not np.array_equal(params.flat, clone.flat)
 
 
 def test_clone_survives_training_untouched():
@@ -424,7 +414,7 @@ def test_clone_survives_training_untouched():
 def test_param_count_matches_analytic_formula():
     for cfg in (SMALL, net.NetConfig(grid=6, channels=1, hidden=32, time_dim=16)):
         params = net.init_params(cfg, seed=0)
-        assert params.param_count() == net.expected_param_count(cfg)
+        assert params.flat.size == net.expected_param_count(cfg)
 
 
 def test_a_write_through_a_layer_view_shows_in_the_flat_buffer_and_checksum():
@@ -466,7 +456,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
                   df.make_schedule(100, 1e-3, 0.2)):
         net.save_checkpoint(params, sched, path)
         loaded, loaded_sched = net.load_checkpoint(path)
-        assert net.params_equal(params, loaded)
+        assert np.array_equal(loaded.flat, params.flat)
         assert loaded.cfg == params.cfg
         assert net.checkpoint_checksum(loaded) == net.checkpoint_checksum(params)
         # the schedule it was trained under comes back bit for bit
@@ -481,7 +471,7 @@ def test_checkpoint_rejects_corruption_and_bad_version(tmp_path):
     path = tmp_path / "ckpt.json"
     net.save_checkpoint(params, df.make_schedule(10, 0.05, 0.3), path)
     record = json.loads(path.read_text())
-    assert record["version"] == 3
+    assert record["version"] == 4
     record["checksum"] = "0" * 64
     path.write_text(json.dumps(record))
     with pytest.raises(net.CheckpointError, match="checksum"):
@@ -504,6 +494,23 @@ def test_checkpoint_refuses_a_v1_file_without_a_schedule(tmp_path):
         path.write_text(json.dumps({**record, "version": version}))
         with pytest.raises(net.CheckpointError, match=f"unsupported .* v{version}"):
             net.load_checkpoint(path)
+
+
+def test_a_checkpoint_is_v4_and_refuses_a_v3_file_or_an_unknown_key(tmp_path):
+    import json
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(net.init_params(SMALL, seed=16), df.make_schedule(10, 0.05, 0.3), path)
+    record = json.loads(path.read_text())
+    assert record["version"] == net.CHECKPOINT_VERSION == 4
+    assert "trainable" not in record
+    # a v3 file is this record with the flag, which its loader checked
+    path.write_text(json.dumps({**record, "version": 3, "trainable": True}))
+    with pytest.raises(net.CheckpointError, match="unsupported checkpoint 'prefdiff-denoiser' v3"):
+        net.load_checkpoint(path)
+    # and a v4 record does not know the flag
+    path.write_text(json.dumps({**record, "trainable": True, "extra": 1}))
+    with pytest.raises(net.CheckpointError, match="unknown keys: extra, trainable$"):
+        net.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("field,value,match", [

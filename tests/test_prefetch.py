@@ -224,16 +224,18 @@ def test_the_reference_forward_pass_runs_on_the_draw_worker(monkeypatch, small_p
     passes = []
     core = net._forward_rows
 
-    def recorder(params, *args):
-        passes.append((params.trainable, threading.current_thread() is threading.main_thread()))
-        return core(params, *args)
+    def recorder(params, inp, acts, silu):
+        # only the policy's pass caches activations for the backward pass
+        passes.append((acts is not None,
+                       threading.current_thread() is threading.main_thread()))
+        return core(params, inp, acts, silu)
 
     monkeypatch.setattr(net, "_forward_rows", recorder)
     config = trainer.TrainConfig(method=method, steps=3, batch_size=4, grid=8, hidden=16,
                                  time_dim=8, T=6, seed=1)
     trainer.train(config, small_pairs)
-    assert [on_main for trainable, on_main in passes if trainable] == [True] * 3
-    reference = [on_main for trainable, on_main in passes if not trainable]
+    assert [on_main for policy, on_main in passes if policy] == [True] * 3
+    reference = [on_main for policy, on_main in passes if not policy]
     assert reference == ([] if method == "sft" else [False] * 3)
 
 
