@@ -33,18 +33,31 @@ def silu(x):
     several times faster than ``_sigmoid`` on float32. ``_silu`` is the same
     rule, for code that must call no public prefdiff function (the frozen
     reference's forward pass on the draw worker).
+
+    The sigmoid is built in one new buffer, each step of the expression
+    written over the last in the same order, so it is bit for bit the plain
+    expression's; ``x`` is only read. Both results are new arrays.
     """
     return _silu(x)
 
 
 def _silu(x):
-    s = 0.5 + 0.5 * np.tanh(0.5 * x)
+    s = np.multiply(0.5, x)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
     return x * s, s
 
 
 def silu_grad(x, s):
-    """d silu(x) / dx, given s = sigmoid(x)."""
-    return s * (1.0 + x * (1.0 - s))
+    """d silu(x) / dx, given s = sigmoid(x): s * (1 + x * (1 - s)), built in
+    one new buffer with the plain expression's operations in its order.
+    Neither input is written."""
+    g = np.subtract(1.0, s)
+    g *= x
+    g += 1.0
+    g *= s
+    return g
 
 
 def softplus(x):

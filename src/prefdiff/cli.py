@@ -23,6 +23,21 @@ def _read(path, load, **kwargs):
         raise _Unreadable(f"{path}: {exc}") from exc
 
 
+def _read_pairs(path, config):
+    """The pairs of a dataset file that runs of ``config`` can train on; an
+    empty dataset, or one whose images are not of the config's grid, is
+    refused like an unreadable file."""
+    pairs, _ = _read(path, datapipe.read_dataset)
+    if not pairs:
+        raise _Unreadable(f"{path}: the dataset holds no pairs")
+    shape = (config.grid, config.grid, tw.CHANNELS)
+    for p in pairs:
+        if p.x0_w.shape != shape:
+            raise _Unreadable(f"{path}: pair image shape {p.x0_w.shape} != the run "
+                              f"config's {shape} (grid {config.grid})")
+    return pairs
+
+
 def positive_int(text):
     """An argparse type: an integer of at least 1."""
     if int(text) < 1:
@@ -97,7 +112,7 @@ def _add_train(sub):
 def _cmd_train(args):
     overrides = {"method": args.method} if args.method else {}
     config = _read(args.config, trainer.load_config, **overrides)
-    pairs, _ = _read(args.data, datapipe.read_dataset)
+    pairs = _read_pairs(args.data, config)
     params, log = trainer.train(config, pairs)
     os.makedirs(args.out, exist_ok=True)
     net.save_checkpoint(params, config.schedule(), os.path.join(args.out, "checkpoint.json"))
@@ -164,7 +179,7 @@ def _add_ablate(sub):
 
 def _cmd_ablate(args):
     config = _read(args.config, trainer.load_config)
-    pairs, _ = _read(args.data, datapipe.read_dataset)
+    pairs = _read_pairs(args.data, config)
     prompts = evalbench.sample_prompts(
         tw.DIMENSIONS, args.prompts_per_dim,
         seed=np.random.SeedSequence(config.seed).generate_state(1)[0].item(),

@@ -51,8 +51,18 @@ def sample_prompts(dims, n_per_dim, seed, exclude=frozenset()):
 
     Small grammars (notably the 9-caption bare-shape one) may not support the
     full request; the returned list simply carries fewer prompts there.
-    Raises ValueError on an ``n_per_dim`` that is not an integer of at least 1.
+    Raises ValueError, before any draw, on ``dims`` that is a string or
+    names a dimension twice or one not in ``toyworld.DIMENSIONS``, and on an
+    ``n_per_dim`` that is not an integer of at least 1.
     """
+    if isinstance(dims, str):
+        raise ValueError(f"dims must be a sequence of dimensions, not the string {dims!r}")
+    dims = list(dims)
+    unknown = [d for d in dims if d not in tw.DIMENSIONS]
+    if unknown:
+        raise ValueError(f"unsupported dimension {unknown[0]!r}")
+    if len(set(dims)) != len(dims):
+        raise ValueError(f"dims names a dimension twice: {dims}")
     tw._check_count("n_per_dim", n_per_dim, 1)
     prompts = []
     exclude = set(exclude)

@@ -96,10 +96,15 @@ def _errors(pred, image_of_block, targets, masks):
     residual mask * (pred - target) that their gradient needs.
 
     Row block b reads the (N, D) target and the mask rows of image
-    ``image_of_block[b]``; a None mask weighs every cell by one. The
-    residual is formed in ``pred`` itself where its dtype can hold it. For
-    the policy in the eps parameterisation, ``pred`` is the last layer's
-    cached pre-activation, which ``net.backward`` never reads.
+    ``image_of_block[b]``; a None mask weighs every cell by one.
+
+    Buffers: the residual is formed in ``pred`` itself where its dtype can
+    hold it, and without masks that residual is the weighted residual
+    returned. With masks the weighted residual is a new array, and the
+    products ``weighted * resid`` are written over the residual when the
+    two share a dtype. For the policy in the eps parameterisation, ``pred``
+    is the last layer's cached pre-activation, which ``net.backward`` never
+    reads.
     """
     n = len(targets[0])
     dtype = np.result_type(pred, *targets)
@@ -107,16 +112,16 @@ def _errors(pred, image_of_block, targets, masks):
     rows = [slice(b * n, (b + 1) * n) for b in range(len(image_of_block))]
     for r, k in zip(rows, image_of_block):
         resid[r] -= targets[k]
-    weighted = resid
-    if any(m is not None for m in masks):
-        dtype = np.result_type(resid, *(m for m in masks if m is not None))
-        weighted = np.empty(resid.shape, dtype)
-        for r, k in zip(rows, image_of_block):
-            if masks[k] is None:
-                weighted[r] = resid[r]
-            else:
-                np.multiply(resid[r], masks[k], out=weighted[r])
-    return (weighted * resid).sum(axis=1), weighted
+    if all(m is None for m in masks):
+        return (resid * resid).sum(axis=1), resid
+    weighted = np.empty(resid.shape, np.result_type(resid, *(m for m in masks if m is not None)))
+    for r, k in zip(rows, image_of_block):
+        if masks[k] is None:
+            weighted[r] = resid[r]
+        else:
+            np.multiply(resid[r], masks[k], out=weighted[r])
+    squares = resid if resid.dtype == weighted.dtype else None
+    return np.multiply(weighted, resid, out=squares).sum(axis=1), weighted
 
 
 def _check_finite(loss, context):
@@ -275,6 +280,12 @@ def policy_half(theta, half):
     The prediction is already in that dtype; the float64 comes from the
     factors of its gradient, the rule's ``c_rows`` and, for x0, the column
     of ``net.noise_output_slope``.
+
+    Buffers: ``d_out`` is written over the weighted residual of ``_errors``
+    when that array has the parameters' dtype. For eps without masks that
+    array is the policy's prediction, the last layer's cached pre-activation:
+    the step turns it into the residual and then into ``d_out``, and
+    ``net.backward`` never reads it.
     """
     t_rows = np.tile(half.t_arr, len(half.inp.image_of_block))
     acts = []
@@ -282,7 +293,9 @@ def policy_half(theta, half):
     e_theta, weighted = _errors(pred, half.inp.image_of_block, half.targets, half.masks)
     value, margin, c_rows, reward_accuracy = half.layout.finish(half, e_theta)
     scale = 2.0 * c_rows[:, None] * net.noise_output_slope(theta.cfg, t_rows, half.sched)
-    d_out = np.multiply(scale, weighted, dtype=theta.flat.dtype)
+    dtype = theta.flat.dtype
+    d_out = np.multiply(scale, weighted, dtype=dtype,
+                        out=weighted if weighted.dtype == dtype else None)
     return Loss(value=value, margin=margin, theta=theta, acts=acts, d_out=d_out,
                 reward_accuracy=reward_accuracy)
 

@@ -288,6 +288,12 @@ def forward_rows(params, inp, acts=None):
     (layer input, pre-activation, sigmoid of it or None where no SiLU); the
     first layer's input is the ``NetInput`` itself. Raises ValueError when
     the input's widths are not the network's.
+
+    Buffers: each pre-activation is a new array, its layer's product, with
+    the bias added in place; the input and the parameters are only read.
+    The stack output is the last pre-activation itself, so in the eps
+    parameterisation a loss that writes over its prediction writes over that
+    cached entry (``losses._errors``), which ``backward`` never reads.
     """
     cfg = params.cfg
     widths = (inp.images.shape[1], inp.temb.shape[1], inp.encodings.shape[1])
@@ -303,7 +309,11 @@ def _forward_rows(params, inp, acts, silu):
     h = inp
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
-        z = _first_layer(params, inp) if i == 0 else h @ w + b
+        if i == 0:
+            z = _first_layer(params, inp)
+        else:
+            z = h @ w
+            z += b
         s = None
         if i < last and cfg.activation == "silu":
             out, s = silu(z)
@@ -372,7 +382,9 @@ def backward(loss, worker=None):
     ``loss`` carries the activations of its policy forward pass (``acts``)
     and dL/d(stack output) per row (``d_out``); the input rows get no
     gradient. Each layer's gradient is written into its view of the one
-    buffer.
+    buffer. The loss is only read: the SiLU slope is multiplied in place
+    into the gradients the pass itself makes, so it can be differentiated
+    again.
 
     A layer's weight gradient, dW = h^T . g, feeds nothing else in the pass.
     ``worker(fn, *args)``, when given, queues a call on another thread and
@@ -391,7 +403,8 @@ def backward(loss, worker=None):
     for i in range(len(params.layers) - 1, -1, -1):
         h, z, s = loss.acts[i]
         if s is not None:
-            g = g * ad.silu_grad(z, s)
+            # the last layer has no SiLU, so this g is one the loop made, never d_out
+            g *= ad.silu_grad(z, s)
         dw, db = grads.layers[i]
         if i == 0:
             fn, args = _first_layer_grad, (params, h, g, dw)

@@ -109,3 +109,32 @@ def test_softplus_is_stable_and_exact_at_zero():
     assert big[1] == 0.0
     assert big[2] == np.log(2.0)
 
+
+
+def _kernel_inputs(dtype):
+    """Random arguments of both signs and every scale the activation sees,
+    with the saturating, infinite and NaN ones among them."""
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal((7, 33)) * rng.choice([0.1, 1.0, 10.0, 100.0], (7, 33))
+    special = [0.0, -0.0, 88.7, -88.7, 1e4, -1e4, 800.0, -800.0, np.inf, -np.inf, np.nan]
+    x.flat[:len(special)] = special
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_kernels_equal_their_plain_expressions_bitwise(dtype):
+    # the in-place forms keep the plain expressions' operations and order
+    x = _kernel_inputs(dtype)
+    x_bytes = x.tobytes()
+    with np.errstate(invalid="ignore"):
+        plain_s = 0.5 + 0.5 * np.tanh(0.5 * x)
+        plain_grad = plain_s * (1.0 + x * (1.0 - plain_s))
+        for kernel in (ad.silu, ad._silu):
+            out, s = kernel(x)
+            assert s.dtype == out.dtype == dtype
+            assert s.tobytes() == plain_s.tobytes()
+            assert out.tobytes() == (x * plain_s).tobytes()
+        s_bytes = s.tobytes()
+        grad = ad.silu_grad(x, s)
+    assert grad.dtype == dtype and grad.tobytes() == plain_grad.tobytes()
+    assert x.tobytes() == x_bytes and s.tobytes() == s_bytes

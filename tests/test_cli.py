@@ -215,6 +215,30 @@ def test_every_command_refuses_an_unreadable_input_in_one_line(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid,kept,message", [
+    pytest.param(8, 0, "holds no pairs", id="empty"),
+    pytest.param(16, 2, "grid 8", id="grid-16-data-grid-8-config"),
+])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_train_and_ablate_refuse_a_dataset_the_config_cannot_train_on(
+        tmp_path, capsys, monkeypatch, command, grid, kept, message):
+    # each ended in a traceback with exit 1, the grid mismatch from inside the loss
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(trainer, "train", no_training)
+    _, config = _checkpoint_and_config(tmp_path)
+    data = tmp_path / "data.jsonl"
+    pairs, manifest = dp.generate_dataset({"color": 2}, seed=1, grid=grid)
+    dp.write_dataset(pairs[:kept], manifest, data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{data}: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("gen-data", "--count-per-dim", "0"),
     ("gen-data", "--dims", "color,bogus"),

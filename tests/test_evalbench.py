@@ -87,6 +87,22 @@ def test_sample_prompts_refuses_a_count_that_is_not_a_positive_integer(n_per_dim
         eb.sample_prompts(["color"], n_per_dim, seed=0)
 
 
+@pytest.mark.parametrize("dims,message", [
+    (["color", "color"], "names a dimension twice"),
+    (["color", "bogus"], "unsupported dimension 'bogus'"),
+    ("color", "not the string 'color'"),
+])
+def test_sample_prompts_refuses_bad_dims_before_any_draw(monkeypatch, dims, message):
+    # a repeated dimension returned each of its prompts twice, an unknown one
+    # was refused only after the dimensions before it were drawn, and a bare
+    # string was read as the dimensions 'c', 'o', 'l', ...
+    draws = []
+    monkeypatch.setattr(eb, "sample_caption", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eb.sample_prompts(dims, 2, seed=0)
+    assert draws == []
+
+
 def test_evaluate_refuses_a_sampler_result_that_is_not_one_image_per_sample(monkeypatch):
     # one image for six samples used to be scored as six, zip dropping five
     cfg = micro_config()

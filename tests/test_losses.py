@@ -63,6 +63,69 @@ def test_weighted_errors_examples():
     assert errors.tolist() == [0.0, 1.0, 1.5]
 
 
+def plain_errors(pred, image_of_block, targets, masks):
+    """``losses._errors`` out of place, every intermediate a new array and
+    ``pred`` only read."""
+    n = len(targets[0])
+    resid = [pred[b * n:(b + 1) * n] - targets[k] for b, k in enumerate(image_of_block)]
+    weighted = np.concatenate([r if masks[k] is None else r * masks[k]
+                               for r, k in zip(resid, image_of_block)])
+    return (weighted * np.concatenate(resid)).sum(axis=1), weighted
+
+
+MASK_KINDS = {"unmasked": (False, False), "masked": (True, True), "mixed": (True, False)}
+
+
+@pytest.mark.parametrize("kind", list(MASK_KINDS))
+@pytest.mark.parametrize("dtype,mask_dtype", [(np.float32, np.float32),
+                                              (np.float64, np.float64),
+                                              (np.float32, np.float64)])
+def test_errors_equal_the_out_of_place_form_bitwise(kind, dtype, mask_dtype):
+    # _errors writes its residual into pred and its squares into the
+    # residual; each value is still the plain expression's
+    rng = np.random.default_rng(41)
+    n, d = 5, 12
+    targets = [rng.standard_normal((n, d)).astype(dtype) for _ in range(2)]
+    masks = [rng.uniform(0, 2, (n, d)).astype(mask_dtype) if on else None
+             for on in MASK_KINDS[kind]]
+    pred = rng.standard_normal((4 * n, d)).astype(dtype)
+    blocks = (0, 0, 1, 1)
+    expected_e, expected_w = plain_errors(pred, blocks, targets, masks)
+    e, weighted = losses._errors(pred.copy(), blocks, targets, masks)
+    assert e.tobytes() == expected_e.tobytes()
+    assert weighted.dtype == expected_w.dtype and weighted.tobytes() == expected_w.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(MASK_KINDS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("parameterization", ["eps", "x0"])
+def test_policy_half_d_out_equals_the_out_of_place_form_bitwise(kind, dtype, parameterization):
+    # d_out is written over the weighted residual; its value is still
+    # scale * weighted in the parameters' dtype, from a fresh prediction
+    cfg = replace(CFG, parameterization=parameterization)
+    theta = with_dtype(randomized_params(net.init_params(cfg, seed=42), seed=43), dtype)
+    ref = net.clone_frozen(with_dtype(randomized_params(net.init_params(cfg, seed=42),
+                                                        seed=44), dtype))
+    x0, eps = rand_images((2, 3, 4, 4, 3), 45)
+    pairs = [synthetic_pair(a, CAP_RED, b, CAP_BLUE) for a, b in zip(*x0)]
+    rng = np.random.default_rng(46)
+    weights = [rng.uniform(0, 2, (4, 4)) if on else None for on in MASK_KINDS[kind]]
+    arrays = {k: None if a is None else a.astype(dtype)
+              for k, a in stacked(pairs, weights=weights).items()}
+    t_arr = np.array([1, 4, 9])
+    half = losses._reference_half(losses.LAYOUTS["bidpo_region"], ref, arrays, slice(None),
+                                  [e.astype(dtype) for e in eps], t_arr, 0.5, SCHED)
+    t_rows = np.tile(t_arr, len(half.inp.image_of_block))
+    pred = net.predict_noise_rows(theta, half.inp, t_rows, SCHED)
+    e_theta, weighted = plain_errors(pred, half.inp.image_of_block, half.targets, half.masks)
+    value, margin, c_rows, _ = half.layout.finish(half, e_theta)
+    scale = 2.0 * c_rows[:, None] * net.noise_output_slope(cfg, t_rows, SCHED)
+    loss = losses.policy_half(theta, half)
+    assert (loss.value, loss.margin) == (value, margin)
+    assert loss.d_out.dtype == dtype
+    assert loss.d_out.tobytes() == np.multiply(scale, weighted, dtype=dtype).tobytes()
+
+
 def masked_batch_loss(mask_rows):
     """``batch_loss`` of three caption-contrast items whose winner images
     carry ``mask_rows`` as their weight rows."""

@@ -186,6 +186,28 @@ def test_backward_with_a_worker_is_bitwise_the_inline_backward(worker, mixed_pai
     assert grads.flat.tobytes() == expected.flat.tobytes()
 
 
+def _loss_bytes(loss):
+    """The bytes of ``loss.d_out`` and of every array its activations cache."""
+    arrays = [loss.d_out]
+    for h, z, s in loss.acts:
+        arrays += ([h.images, h.temb, h.encodings] if isinstance(h, net.NetInput) else [h])
+        arrays += [z] + ([] if s is None else [s])
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("parameterization", ["eps", "x0"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("method", list(losses.LAYOUTS))
+def test_backward_leaves_its_loss_untouched(worker, mixed_pairs, method, dtype,
+                                            parameterization):
+    # backward multiplies the SiLU slope into a gradient it made itself,
+    # never into d_out or a cached activation
+    loss = _method_loss(method, mixed_pairs, dtype, parameterization)
+    before = _loss_bytes(loss)
+    net.backward(loss, worker=worker)
+    assert _loss_bytes(loss) == before
+
+
 def test_backward_raises_the_error_of_a_product_run_on_the_worker(mixed_pairs):
     loss = _method_loss("bidpo", mixed_pairs)
     queued = []
