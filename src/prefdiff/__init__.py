@@ -1,5 +1,12 @@
 """prefdiff: a desk-scale lab for preference-optimized toy diffusion models."""
 
+# One BLAS thread unless the caller chose a count, set before numpy loads
+# OpenBLAS: on a two-core machine a second BLAS thread competes with the
+# training loop's draw worker, and training took about 1.5 times as long.
+import os as _os
+
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .diffusion import DiffusionSchedule, make_schedule
 from .toyworld import (Caption, ObjectSlot, SceneSpec, detect, edit_masks,
                        parse_dimension, render, vqa_check)

@@ -25,7 +25,7 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def silu(x):
+def silu(x, empty=np.empty):
     """SiLU of ``x``, returned with sigmoid(x) for ``silu_grad`` to reuse.
 
     The sigmoid here is 0.5 + 0.5 * tanh(x / 2): an activation needs only
@@ -34,19 +34,20 @@ def silu(x):
     rule, for code that must call no public prefdiff function (the frozen
     reference's forward pass on the draw worker).
 
-    The sigmoid is built in one new buffer, each step of the expression
-    written over the last in the same order, so it is bit for bit the plain
-    expression's; ``x`` is only read. Both results are new arrays.
+    The sigmoid is built in one buffer, each step of the expression written
+    over the last in the same order, so it is bit for bit the plain
+    expression's; ``x`` is only read. Both results are written into arrays
+    that ``empty(shape, dtype)`` gives, by default new ones.
     """
-    return _silu(x)
+    return _silu(x, empty)
 
 
-def _silu(x):
-    s = np.multiply(0.5, x)
+def _silu(x, empty=np.empty):
+    s = np.multiply(0.5, x, out=empty(x.shape, x.dtype))
     np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
-    return x * s, s
+    return np.multiply(x, s, out=empty(x.shape, x.dtype)), s
 
 
 def silu_grad(x, s):

@@ -90,7 +90,7 @@ def _mask_rows(masks, image_shape, dtype=np.float64):
     return rows
 
 
-def _errors(pred, image_of_block, targets, masks):
+def _errors(pred, image_of_block, targets, masks, empty=np.empty):
     """Per-row weighted squared errors e = sum(mask * (pred - target)^2),
     shape (M,), of a prediction over row blocks of N rows, and the weighted
     residual mask * (pred - target) that their gradient needs.
@@ -100,9 +100,10 @@ def _errors(pred, image_of_block, targets, masks):
 
     Buffers: the residual is formed in ``pred`` itself where its dtype can
     hold it, and without masks that residual is the weighted residual
-    returned. With masks the weighted residual is a new array, and the
-    products ``weighted * resid`` are written over the residual when the
-    two share a dtype. For the policy in the eps parameterisation, ``pred``
+    returned. With masks the weighted residual is written into an array that
+    ``empty(shape, dtype)`` gives, by default a new one, and the products
+    ``weighted * resid`` are written over the residual when the two share a
+    dtype. For the policy in the eps parameterisation, ``pred``
     is the last layer's cached pre-activation, which ``net.backward`` never
     reads.
     """
@@ -114,7 +115,7 @@ def _errors(pred, image_of_block, targets, masks):
         resid[r] -= targets[k]
     if all(m is None for m in masks):
         return (resid * resid).sum(axis=1), resid
-    weighted = np.empty(resid.shape, np.result_type(resid, *(m for m in masks if m is not None)))
+    weighted = empty(resid.shape, np.result_type(resid, *(m for m in masks if m is not None)))
     for r, k in zip(rows, image_of_block):
         if masks[k] is None:
             weighted[r] = resid[r]
@@ -272,7 +273,7 @@ def _reference_half(layout, ref, arrays, idx, noise, t_arr, beta, sched, score=T
     return ReferenceHalf(layout, inp, t_arr, targets, masks, e_ref, beta, sched)
 
 
-def policy_half(theta, half):
+def policy_half(theta, half, empty=np.empty):
     """Finish a loss from its ``ReferenceHalf``: the policy's forward pass
     over the same rows, the layout's rule and ``d_out``. Returns a Loss.
 
@@ -281,16 +282,18 @@ def policy_half(theta, half):
     factors of its gradient, the rule's ``c_rows`` and, for x0, the column
     of ``net.noise_output_slope``.
 
-    Buffers: ``d_out`` is written over the weighted residual of ``_errors``
-    when that array has the parameters' dtype. For eps without masks that
-    array is the policy's prediction, the last layer's cached pre-activation:
-    the step turns it into the residual and then into ``d_out``, and
-    ``net.backward`` never reads it.
+    Buffers: the forward pass and ``_errors`` take the arrays they return
+    or cache from ``empty(shape, dtype)``, by default new ones
+    (``net.forward_rows``). ``d_out`` is written over the weighted residual
+    of ``_errors`` when that array has the parameters' dtype. For eps
+    without masks that array is the policy's prediction, the last layer's
+    cached pre-activation: the step turns it into the residual and then into
+    ``d_out``, and ``net.backward`` never reads it.
     """
     t_rows = np.tile(half.t_arr, len(half.inp.image_of_block))
     acts = []
-    pred = net.predict_noise_rows(theta, half.inp, t_rows, half.sched, acts)
-    e_theta, weighted = _errors(pred, half.inp.image_of_block, half.targets, half.masks)
+    pred = net.predict_noise_rows(theta, half.inp, t_rows, half.sched, acts, empty)
+    e_theta, weighted = _errors(pred, half.inp.image_of_block, half.targets, half.masks, empty)
     value, margin, c_rows, reward_accuracy = half.layout.finish(half, e_theta)
     scale = 2.0 * c_rows[:, None] * net.noise_output_slope(theta.cfg, t_rows, half.sched)
     dtype = theta.flat.dtype

@@ -264,13 +264,14 @@ def _assemble_input(params, images, t_arr, encodings, sched, image_of_block):
         image_of_block=tuple(int(k) for k in image_of_block))
 
 
-def _first_layer(params, inp):
+def _first_layer(params, inp, empty=np.empty):
     """z1 = (x_img . W_img)[image of block] + temb . W_t + enc . W_cap + b0,
     the concatenated rows' product with W0 summed over W0's three row blocks."""
     w, b = params.layers[0]
     d, tau = params.cfg.image_dim, params.cfg.time_dim
     n = inp.temb.shape[0]
-    z = inp.encodings @ w[d + tau:]
+    z = np.matmul(inp.encodings, w[d + tau:],
+                  out=empty((len(inp.encodings), w.shape[1]), np.result_type(inp.encodings, w)))
     per_item = inp.temb @ w[d:d + tau]
     per_item += b
     per_image = inp.images @ w[:d]
@@ -281,7 +282,7 @@ def _first_layer(params, inp):
     return z
 
 
-def forward_rows(params, inp, acts=None):
+def forward_rows(params, inp, acts=None, empty=np.empty):
     """Plain numpy stack output over the rows of a ``NetInput``.
 
     When ``acts`` is a list, each layer appends what ``backward`` needs:
@@ -289,34 +290,36 @@ def forward_rows(params, inp, acts=None):
     first layer's input is the ``NetInput`` itself. Raises ValueError when
     the input's widths are not the network's.
 
-    Buffers: each pre-activation is a new array, its layer's product, with
-    the bias added in place; the input and the parameters are only read.
-    The stack output is the last pre-activation itself, so in the eps
-    parameterisation a loss that writes over its prediction writes over that
-    cached entry (``losses._errors``), which ``backward`` never reads.
+    Buffers: each pre-activation is its layer's product, written into an
+    array that ``empty(shape, dtype)`` gives (by default a new one), with the
+    bias added in place; the SiLU's results come from ``empty`` too, and the
+    input and the parameters are only read. The stack output is the last
+    pre-activation itself, so in the eps parameterisation a loss that writes
+    over its prediction writes over that cached entry (``losses._errors``),
+    which ``backward`` never reads.
     """
     cfg = params.cfg
     widths = (inp.images.shape[1], inp.temb.shape[1], inp.encodings.shape[1])
     if widths != (cfg.image_dim, cfg.time_dim, ENCODING_DIM):
         raise ValueError(f"input widths {widths} != the network's "
                          f"{(cfg.image_dim, cfg.time_dim, ENCODING_DIM)}")
-    return _forward_rows(params, inp, acts, ad.silu)
+    return _forward_rows(params, inp, acts, ad.silu, empty)
 
 
-def _forward_rows(params, inp, acts, silu):
+def _forward_rows(params, inp, acts, silu, empty=np.empty):
     """``forward_rows`` unchecked, with ``silu`` as the SiLU kernel."""
     cfg = params.cfg
     h = inp
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
         if i == 0:
-            z = _first_layer(params, inp)
+            z = _first_layer(params, inp, empty)
         else:
-            z = h @ w
+            z = np.matmul(h, w, out=empty((len(h), w.shape[1]), np.result_type(h, w)))
             z += b
         s = None
         if i < last and cfg.activation == "silu":
-            out, s = silu(z)
+            out, s = silu(z, empty)
         else:
             out = z
         if acts is not None:
@@ -330,11 +333,13 @@ def _noise_coeffs(t_arr, sched):
     return np.sqrt(ab), 1.0 / np.sqrt(1.0 - ab)
 
 
-def predict_noise_rows(params, inp, t_arr, sched, acts=None):
+def predict_noise_rows(params, inp, t_arr, sched, acts=None, empty=np.empty):
     """Per-row noise prediction over a ``NetInput``, honoring the
-    parameterization; ``t_arr`` holds each row's step and ``acts`` is as in
-    ``forward_rows``."""
-    return _noise_from_stack(params, inp, forward_rows(params, inp, acts), t_arr, sched)
+    parameterization; ``t_arr`` holds each row's step, and ``acts`` and
+    ``empty`` are as in ``forward_rows``. An x0 prediction is written into an
+    array from ``empty``; an eps prediction is the stack output."""
+    return _noise_from_stack(params, inp, forward_rows(params, inp, acts, empty), t_arr, sched,
+                             empty)
 
 
 def _predict_noise_rows(params, inp, t_arr, sched):
@@ -344,13 +349,14 @@ def _predict_noise_rows(params, inp, t_arr, sched):
                              t_arr, sched)
 
 
-def _noise_from_stack(params, inp, out, t_arr, sched):
+def _noise_from_stack(params, inp, out, t_arr, sched, empty=np.empty):
     """The noise prediction given the stack output ``out``."""
     if params.cfg.parameterization == "eps":
         return out
     # the coefficients take the stack's dtype so a float32 model stays float32
     sqrt_ab, inv_rest = (c.astype(out.dtype) for c in _noise_coeffs(t_arr, sched))
-    return (inp.image_rows() - sqrt_ab * out) * inv_rest
+    rest = inp.image_rows() - sqrt_ab * out
+    return np.multiply(rest, inv_rest, out=empty(rest.shape, rest.dtype))
 
 
 def noise_output_slope(cfg, t_arr, sched):
@@ -375,16 +381,17 @@ class Gradients(_FlatLayers):
         return float(np.sqrt(sum(float(np.vdot(g, g)) for pair in self.layers for g in pair)))
 
 
-def backward(loss, worker=None):
+def backward(loss, worker=None, out=None):
     """Gradients of a loss from the losses module with respect to its policy,
     ``loss.theta``, the only parameters whose activations the loss cached.
 
     ``loss`` carries the activations of its policy forward pass (``acts``)
     and dL/d(stack output) per row (``d_out``); the input rows get no
     gradient. Each layer's gradient is written into its view of the one
-    buffer. The loss is only read: the SiLU slope is multiplied in place
-    into the gradients the pass itself makes, so it can be differentiated
-    again.
+    buffer: ``out``, a Gradients of the policy's config and dtype whose every
+    element the pass overwrites, or by default a new one. It is returned.
+    The loss is only read: the SiLU slope is multiplied in place into the
+    gradients the pass itself makes, so it can be differentiated again.
 
     A layer's weight gradient, dW = h^T . g, feeds nothing else in the pass.
     ``worker(fn, *args)``, when given, queues a call on another thread and
@@ -397,7 +404,12 @@ def backward(loss, worker=None):
     to those of ``worker=None``, which runs every product in line.
     """
     params = loss.theta
-    grads = Gradients(cfg=params.cfg, flat=np.empty_like(params.flat))
+    if out is None:
+        grads = Gradients(cfg=params.cfg, flat=np.empty_like(params.flat))
+    elif out.cfg != params.cfg or out.flat.dtype != params.flat.dtype:
+        raise ValueError("out must have the policy's config and dtype")
+    else:
+        grads = out
     queued = []
     g = loss.d_out
     for i in range(len(params.layers) - 1, -1, -1):

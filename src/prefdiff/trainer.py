@@ -1,10 +1,14 @@
 """Optimization loop over a preference dataset for one training method.
 
-The reference model is a frozen clone of the initial parameters taken before
-step 1. Batches are sampled uniformly with replacement; the per-item step
-index and noise draws are resampled every step, so each step is a fresh
-Monte Carlo estimate of the chosen loss's expectation. Runs are fully
-deterministic given (config, dataset, seed).
+A preference method's frozen reference is the starting parameters: the
+caller's ``init_params`` themselves, only ever read, unless they must be
+converted to the run's dtype or layout. The policy trains in a copy of its
+own. A run holds one gradient buffer and one Adam scratch, and one set of
+the arrays a step's forward pass and loss cache, which every step reuses.
+Batches are sampled uniformly with replacement; the per-item step index and
+noise draws are resampled every step, so each step is a fresh Monte Carlo
+estimate of the chosen loss's expectation. Runs are fully deterministic
+given (config, dataset, seed).
 
 Each step's draws (batch indices, step indices, then the noise of each image
 the method's ``losses.LAYOUTS`` entry noises) come from one generator through
@@ -117,13 +121,15 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    m: np.ndarray     # first moment, in the parameters' flat layout
-    v: np.ndarray     # second moment, likewise
+    m: np.ndarray        # first moment, in the parameters' flat layout
+    v: np.ndarray        # second moment, likewise
+    scratch: np.ndarray  # the update's intermediates, likewise; carries nothing between steps
     step: int = 0
 
     @classmethod
     def zeros(cls, params):
-        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
+                   scratch=np.empty_like(params.flat))
 
 
 def adam_step(params, grads, state, lr, worker=None):
@@ -144,16 +150,19 @@ def adam_step(params, grads, state, lr, worker=None):
     the caller updates the second. If the worker has not started its half
     by the time the caller's is done, the caller cancels it and updates it
     too (``diffusion._settle``). Every element gets the same operations in
-    the same order wherever it runs. Each piece's update writes its
-    intermediates into two scratch buffers of the piece's size, allocated by
-    the thread that runs it and kept for that call only, so that they do not
-    add to the training loop's peak memory.
+    the same order wherever it runs.
+
+    The gradients are consumed: each piece writes its intermediates into its
+    part of ``state.scratch`` and, once the moments are updated, into its
+    part of ``grads``, which thus no longer hold the gradients on return.
+    Gradients of another dtype than the parameters' are only read, and a
+    temporary buffer takes their place.
     """
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    arrays = (params.flat, grads.flat, state.m, state.v)
+    arrays = (params.flat, grads.flat, state.m, state.v, state.scratch)
     if worker is None:
         _adam_update(*arrays, lr, c1, c2)
         return params, state
@@ -165,16 +174,19 @@ def adam_step(params, grads, state, lr, worker=None):
     return params, state
 
 
-def _adam_update(arr, g, m, v, lr, c1, c2):
-    """The update of ``adam_step`` over 1-D ``arr``, ``g``, ``m`` and ``v``, in place."""
-    s1, s2 = np.empty_like(arr), np.empty_like(arr)
-    m *= ADAM_BETA1
-    np.multiply(1.0 - ADAM_BETA1, g, out=s1)
-    m += s1
+def _adam_update(arr, g, m, v, s1, lr, c1, c2):
+    """The update of ``adam_step`` over 1-D ``arr``, ``g``, ``m`` and ``v``, in
+    place, with ``s1`` as scratch. ``v`` goes first: it needs the square of
+    ``g``, and then ``g`` takes the product of ``m``'s update and serves as the
+    second scratch, unless its dtype is not ``arr``'s."""
+    s2 = g if g.dtype == arr.dtype else np.empty_like(arr)
     v *= ADAM_BETA2
     np.square(g, out=s1)
     np.multiply(1.0 - ADAM_BETA2, s1, out=s1)
     v += s1
+    m *= ADAM_BETA1
+    np.multiply(1.0 - ADAM_BETA1, g, out=s2)
+    m += s2
     np.divide(m, c1, out=s1)
     np.multiply(lr, s1, out=s1)
     np.divide(v, c2, out=s2)
@@ -200,29 +212,62 @@ def _copy_for_training(params, dtype):
     return net.DenoiserParams(cfg=params.cfg, flat=params.flat.astype(dtype))
 
 
+class _StepArrays:
+    """The arrays of one step's forward pass and loss, kept for the next step.
+
+    ``empty(shape, dtype)`` is the allocator a step hands to
+    ``losses.policy_half``: its k-th call in a step returns the array of the
+    k-th call in the step before, to be overwritten, when shape and dtype
+    match, else a new one; ``new_step()`` starts the count again. A run thus
+    allocates them once, and the C allocator neither returns them to the
+    system between steps nor faults them back in. The arrays of a step may
+    not be read once the next step begins.
+    """
+
+    def __init__(self):
+        self._arrays = []
+        self._k = 0
+
+    def new_step(self):
+        self._k = 0
+
+    def empty(self, shape, dtype):
+        k = self._k
+        self._k += 1
+        if k < len(self._arrays):
+            a = self._arrays[k]
+            if a.shape == tuple(shape) and a.dtype == dtype:
+                return a
+        a = np.empty(shape, dtype)
+        self._arrays[k:k + 1] = [a]
+        return a
+
+
 def train(config, dataset, init_params=None):
     """Run the configured method over a preference dataset.
 
-    The reference is a frozen clone of the initial parameters (either
-    ``init_params`` or a fresh seeded init). Returns (DenoiserParams,
-    MetricsLog); raises NumericDivergenceError naming the step on a
-    non-finite loss or gradient norm, before that step's update.
+    Training starts from ``init_params``, which it reads and never writes, or
+    from a fresh seeded init. A preference method's frozen reference is that
+    start: ``init_params`` itself when its flat buffer is C-contiguous in the
+    run's dtype, else one converted copy. SFT keeps no reference. Returns
+    (DenoiserParams, MetricsLog); raises NumericDivergenceError naming the
+    step on a non-finite loss or gradient norm, before that step's update.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
     dtype = np.dtype(config.dtype)
     sched = config.schedule()
     if init_params is None:
-        params = net.init_params(config.net_config(), seed=config.seed, dtype=dtype)
+        start = net.init_params(config.net_config(), seed=config.seed, dtype=dtype)
+    elif init_params.cfg != config.net_config():
+        raise ValueError("init_params network shape differs from config")
+    elif init_params.flat.dtype == dtype and init_params.flat.flags.c_contiguous:
+        start = init_params
     else:
-        if init_params.cfg != config.net_config():
-            raise ValueError("init_params network shape differs from config")
-        params = _copy_for_training(init_params, dtype)
-    ref = net.clone_frozen(params)
+        start = _copy_for_training(init_params, dtype)
     layout = losses.LAYOUTS[config.method]
     shape = (config.grid, config.grid, tw.CHANNELS)
     arrays = losses._stack_pairs(dataset, dtype, shape, layout.masks)
-    state = AdamState.zeros(params)
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(config.seed, "train")))
     noise_shape = (config.batch_size,) + shape
     scratch = np.empty(noise_shape)
@@ -237,17 +282,26 @@ def train(config, dataset, init_params=None):
         for out in noise:
             rng.standard_normal(out=scratch)
             np.copyto(out, scratch)
-        return losses._reference_half(layout, ref, arrays, idx, noise, t_arr, config.beta,
+        # SFT reads only the start's config and dtype, which the policy shares
+        return losses._reference_half(layout, start, arrays, idx, noise, t_arr, config.beta,
                                       sched)
 
     log = MetricsLog()
     with df.prefetched(draw, config.steps) as draws:
+        # the start is only read, so draw 0 runs while the policy is built; a
+        # start the run made itself and no reference reads is the policy
+        shared = start is init_params or layout.finish is losses._contrast
+        params = _copy_for_training(start, dtype) if shared else start
+        grads = net.Gradients(cfg=params.cfg, flat=np.empty_like(params.flat))
+        state = AdamState.zeros(params)
+        activations = _StepArrays()
         for step, half in enumerate(draws):
+            activations.new_step()
             try:
-                loss = losses.policy_half(params, half)
+                loss = losses.policy_half(params, half, activations.empty)
             except df.NumericDivergenceError as exc:
                 raise df.NumericDivergenceError(f"step {step}: {exc}") from exc
-            grads = net.backward(loss, worker=draws.submit)
+            net.backward(loss, worker=draws.submit, out=grads)
             grad_norm = grads.global_norm()
             if not np.isfinite(grad_norm):
                 raise df.NumericDivergenceError(f"step {step}: non-finite gradient norm")
@@ -256,6 +310,7 @@ def train(config, dataset, init_params=None):
             log.records.append(StepRecord(step=step, loss=loss.value, grad_norm=grad_norm,
                                           margin=loss.margin, lr=lr,
                                           reward_accuracy=loss.reward_accuracy))
+            del loss   # its arrays are the next step's to overwrite
     return params, log
 
 

@@ -1,6 +1,7 @@
 """The package's imports: every module-level import is used by its module,
-every third-party import is a declared run-time dependency, and importing
-the package does not load scipy, which only the tests need."""
+every third-party import is a declared run-time dependency, importing the
+package does not load scipy, which only the tests need, and it pins BLAS to
+one thread unless the caller chose a count."""
 
 import ast
 import os
@@ -80,3 +81,48 @@ def test_importing_the_package_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS",
+                  "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+# prints the variable the child sees after importing the package, then the
+# size of numpy's bundled OpenBLAS pool where the library exports its getter
+BLAS_POOL = """
+import ctypes, glob, os
+import prefdiff.cli
+import numpy
+size = None
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+        if hasattr(lib, name):
+            size = getattr(lib, name)()
+            break
+print(os.environ.get("OPENBLAS_NUM_THREADS"), size)
+"""
+
+
+def blas_pool(preset):
+    """(variable, pool size or None) in a child that imports the package with
+    no BLAS variable set but ``OPENBLAS_NUM_THREADS=preset``, if given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", BLAS_POOL], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    variable, size = out.split()
+    return variable, None if size == "None" else int(size)
+
+
+def test_importing_the_package_pins_blas_to_one_thread():
+    variable, size = blas_pool(None)
+    assert variable == "1"
+    assert size in (None, 1)
+
+
+def test_importing_the_package_keeps_a_blas_thread_count_the_caller_set():
+    assert blas_pool("2")[0] == "2"

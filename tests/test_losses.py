@@ -464,10 +464,11 @@ def test_saturated_items_leave_no_subnormal_float32_values(name):
     for beta in SAT_BETAS:
         loss = loss_at(name, beta)
         grads = net.backward(loss)
+        gradients = grads.flat.copy()   # adam_step consumes the gradients
         params = net.DenoiserParams(cfg=theta.cfg, flat=theta.flat.copy())
         state = trainer.AdamState.zeros(params)
         trainer.adam_step(params, grads, state, 1e-3)
-        for where, arrays in (("d_out", [loss.d_out]), ("gradients", [grads.flat]),
+        for where, arrays in (("d_out", [loss.d_out]), ("gradients", [gradients]),
                               ("Adam m", [state.m]), ("Adam v", [state.v])):
             count = subnormal_count(arrays)
             assert count == 0, f"{name}, beta {beta}: {count} subnormal values in {where}"

@@ -208,6 +208,28 @@ def test_backward_leaves_its_loss_untouched(worker, mixed_pairs, method, dtype,
     assert _loss_bytes(loss) == before
 
 
+@pytest.mark.parametrize("parameterization", ["eps", "x0"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("method", list(losses.LAYOUTS))
+def test_backward_into_out_is_bitwise_a_fresh_buffer(worker, mixed_pairs, method, dtype,
+                                                     parameterization):
+    # out starts as NaN, so an element the pass left unwritten would show
+    loss = _method_loss(method, mixed_pairs, dtype, parameterization)
+    expected = net.backward(loss)
+    out = net.Gradients(cfg=loss.theta.cfg, flat=np.full_like(loss.theta.flat, np.nan))
+    assert net.backward(loss, worker=worker, out=out) is out
+    assert out.flat.tobytes() == expected.flat.tobytes()
+
+
+def test_backward_refuses_an_out_of_another_dtype_or_config(mixed_pairs):
+    loss = _method_loss("bidpo", mixed_pairs)
+    other = replace(loss.theta.cfg, hidden=8)
+    for cfg, dtype in ((loss.theta.cfg, np.float32), (other, np.float64)):
+        out = net.Gradients(cfg=cfg, flat=np.zeros(net.expected_param_count(cfg), dtype))
+        with pytest.raises(ValueError, match="config and dtype"):
+            net.backward(loss, out=out)
+
+
 def test_backward_raises_the_error_of_a_product_run_on_the_worker(mixed_pairs):
     loss = _method_loss("bidpo", mixed_pairs)
     queued = []
@@ -419,18 +441,23 @@ def test_clone_frozen_is_independent_and_equal():
     assert not np.array_equal(params.flat, clone.flat)
 
 
-def test_clone_survives_training_untouched():
+@pytest.mark.parametrize("method,dtype", [(m, "float64") for m in losses.LAYOUTS]
+                         + [("bidpo_region", "float32")])
+def test_clone_survives_training_untouched(method, dtype):
+    # a preference run reads a float64 base in place as its reference; a
+    # float32 run converts it
     from prefdiff import datapipe as dp
     from prefdiff import trainer
     pairs, _ = dp.generate_dataset({"color": 6}, seed=1, grid=8)
-    cfg = trainer.TrainConfig(method="sft", steps=100, batch_size=4, grid=8,
-                              hidden=16, time_dim=8, T=10, seed=5, dtype="float64")
-    init = net.init_params(cfg.net_config(), seed=5)
+    cfg = trainer.TrainConfig(method=method, steps=100, batch_size=4, grid=8,
+                              hidden=16, time_dim=8, T=10, seed=5, dtype=dtype)
+    init = randomized_params(net.init_params(cfg.net_config(), seed=5), seed=6, scale=0.1)
     frozen = net.clone_frozen(init)
     before = net.checkpoint_checksum(frozen)
-    trainer.train(cfg, pairs, init_params=init)
+    params, _ = trainer.train(cfg, pairs, init_params=init)
     assert net.checkpoint_checksum(frozen) == before
-    assert net.checkpoint_checksum(init) == before   # train copies, never mutates
+    assert net.checkpoint_checksum(init) == before   # train reads, never writes
+    assert not np.array_equal(params.flat, init.flat.astype(dtype))
 
 
 def test_param_count_matches_analytic_formula():

@@ -224,11 +224,11 @@ def test_the_reference_forward_pass_runs_on_the_draw_worker(monkeypatch, small_p
     passes = []
     core = net._forward_rows
 
-    def recorder(params, inp, acts, silu):
+    def recorder(params, inp, acts, *kernels):
         # only the policy's pass caches activations for the backward pass
         passes.append((acts is not None,
                        threading.current_thread() is threading.main_thread()))
-        return core(params, inp, acts, silu)
+        return core(params, inp, acts, *kernels)
 
     monkeypatch.setattr(net, "_forward_rows", recorder)
     config = trainer.TrainConfig(method=method, steps=3, batch_size=4, grid=8, hidden=16,

@@ -209,6 +209,19 @@ def test_adam_halves_are_views_of_the_flat_buffers(monkeypatch):
             assert not np.shares_memory(piece, flat[other])
 
 
+def test_step_arrays_give_each_call_the_array_of_its_call_a_step_before():
+    arrays = trainer._StepArrays()
+    first = [arrays.empty((2, 3), np.float32), arrays.empty((4,), np.float64)]
+    arrays.new_step()
+    assert arrays.empty((2, 3), np.float32) is first[0]
+    other = arrays.empty((5,), np.float64)      # another shape: a new array
+    assert other is not first[1] and other.shape == (5,) and other.dtype == np.float64
+    arrays.new_step()
+    assert arrays.empty((2, 3), np.float32) is first[0]
+    assert arrays.empty((5,), np.float32) is not other   # another dtype: a new array
+    assert arrays.empty((2, 3), np.float32) is not first[0]
+
+
 @pytest.mark.usefixtures("no_leaked_threads")
 def test_train_zero_steps_returns_initial_params(tiny_dataset):
     cfg = tiny_config(steps=0)
@@ -257,10 +270,10 @@ def _sequential_train(config, dataset):
         loss = losses.batch_loss(config.method, params, ref, batch, noise, t_arr,
                                  config.beta, sched)
         grads = net.backward(loss)
+        grad_norm = grads.global_norm()   # adam_step consumes the gradients
         lr = trainer.warmup_lr(step, config.learning_rate, config.warmup_steps)
         trainer.adam_step(params, grads, state, lr)
-        records.append(trainer.StepRecord(step=step, loss=loss.value,
-                                          grad_norm=grads.global_norm(),
+        records.append(trainer.StepRecord(step=step, loss=loss.value, grad_norm=grad_norm,
                                           margin=loss.margin, lr=lr,
                                           reward_accuracy=loss.reward_accuracy))
     return params, records
@@ -288,6 +301,20 @@ def test_train_is_bitwise_the_sequential_loop(mixed_dataset, method, dtype,
     assert net.checkpoint_checksum(params) == net.checkpoint_checksum(expected_params)
     assert log.records == expected_records
     assert params.flat.dtype == np.dtype(dtype)
+
+
+@pytest.mark.usefixtures("no_leaked_threads")
+@pytest.mark.parametrize("method", ["sft", "bidpo"])
+def test_a_base_of_another_dtype_or_layout_trains_as_its_converted_copy(mixed_dataset,
+                                                                        method):
+    cfg = tiny_config(method=method, steps=4, dtype="float32")
+    base = net.init_params(cfg.net_config(), seed=3, dtype=np.float64)
+    copy = net.DenoiserParams(cfg=base.cfg, flat=base.flat.astype(np.float32))
+    expected_params, expected_log = trainer.train(cfg, mixed_dataset, init_params=copy)
+    for start in (base, net.DenoiserParams(cfg=base.cfg, flat=_strided(copy.flat))):
+        params, log = trainer.train(cfg, mixed_dataset, init_params=start)
+        assert net.checkpoint_checksum(params) == net.checkpoint_checksum(expected_params)
+        assert log == expected_log
 
 
 @pytest.mark.parametrize("method", trainer.METHODS)
